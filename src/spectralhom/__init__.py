@@ -32,6 +32,7 @@ from .lattice import (
     frequency_set,
     generating_set,
     pattern,
+    period_shifts,
     smith_normal_form,
 )
 from .pfft import FftPlan, fft, fourier_matrix, ifft, plan

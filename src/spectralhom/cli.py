@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry, solver
-from .elasticity import iso_stiffness, mandel_dim, periodized_green
+from .elasticity import GreenTable, iso_stiffness, mandel_dim, periodized_green
 from .errors import ConfigError, SpectralHomError
 from .lattice import PatternMatrix, frequency_set, pattern, smith_normal_form
 from .translates import GeneratorSpec, make_rule, orthonormalize
@@ -124,7 +124,7 @@ class _Problem:
         mu = float(np.mean([p.mu for p in phases]))
         return iso_stiffness(lam, mu, d)
 
-    def solve(self, generator: GeneratorSpec | None = None) -> solver.SolveReport:
+    def solve(self, generator: GeneratorSpec | None = None) -> tuple[solver.SolveReport, GreenTable]:
         spec = generator or self.generator
         rule = _stage("generator orthonormalisation", lambda: orthonormalize(make_rule(spec, self.matrix)))
         green = _stage(
@@ -135,7 +135,8 @@ class _Problem:
             periods=self.green_periods,
         )
         run = solver.ls_fixed_point if self.solver_config.scheme == "ls_fixed_point" else solver.ve_krylov
-        return _stage("solve", run, self.stiffness, self.reference_stiffness, self.eps0, green, self.solver_config)
+        report = _stage("solve", run, self.stiffness, self.reference_stiffness, self.eps0, green, self.solver_config)
+        return report, green
 
     def metrics(self, report: solver.SolveReport):
         if self.reference is None:
@@ -178,7 +179,7 @@ def read_gray_image(path):
     return img
 
 
-def _report_dict(problem: _Problem, report: solver.SolveReport, metrics, generator: GeneratorSpec):
+def _report_dict(problem: _Problem, report: solver.SolveReport, metrics, green: GreenTable):
     snf = smith_normal_form(problem.matrix)
     doc = {
         "schema": "spectralhom.report.v1",
@@ -187,7 +188,8 @@ def _report_dict(problem: _Problem, report: solver.SolveReport, metrics, generat
             "m": problem.matrix.m,
             "smith_factors": list(snf.diag),
         },
-        "generator": generator.to_json(),
+        "generator": problem.generator.to_json(),
+        "green": {"periods": green.periods, "tail_estimate": green.tail_estimate},
         "scheme": report.scheme,
         "tolerance": problem.solver_config.tolerance,
         "converged": bool(report.converged),
@@ -244,9 +246,9 @@ def run_solve(config_path) -> tuple[int, dict]:
     config_path = Path(config_path)
     config = _load_config(config_path)
     problem = _Problem(config, config_path.parent)
-    report = problem.solve()
+    report, green = problem.solve()
     metrics = problem.metrics(report)
-    doc = _report_dict(problem, report, metrics, problem.generator)
+    doc = _report_dict(problem, report, metrics, green)
     _write_artifacts(problem, report, metrics, doc)
     return (0 if report.converged else 2), doc
 
@@ -314,7 +316,7 @@ def sweep_alpha(config_path) -> tuple[int, dict]:
     ref_action = problem.reference.effective_action
 
     def objective(alpha_vec) -> float:
-        report = problem.solve(GeneratorSpec(kind="dlvp", alpha=tuple(alpha_vec)))
+        report, _ = problem.solve(GeneratorSpec(kind="dlvp", alpha=tuple(alpha_vec)))
         m = solver.error_metrics(
             report.strain,
             effective_action=report.effective_action,
@@ -375,7 +377,7 @@ def sweep_alpha(config_path) -> tuple[int, dict]:
 
 
 def _dirichlet_e_eff(problem: _Problem, ref_action) -> float:
-    report = problem.solve(GeneratorSpec(kind="dirichlet"))
+    report, _ = problem.solve(GeneratorSpec(kind="dirichlet"))
     m = solver.error_metrics(
         report.strain, effective_action=report.effective_action, ref_effective_action=ref_action
     )

@@ -24,6 +24,19 @@ variable drops out.  The zero-frequency entry is set to zero, which pins the
 mean of the fluctuation strain to zero while the prescribed macroscopic
 strain carries the mean.
 
+A batch of frequencies is evaluated without per-frequency linear algebra.
+S(k) = sum_a k_a E_a is linear in k with constant D x d matrices E_a = S(e_a),
+so the acoustic matrix A(k) = S(k)^T C0 S(k) is the quadratic form
+
+    A(k) = (k (x) k) Q,       Q[(a, b), (i, j)] = (E_a^T C0 E_b)[i, j],
+
+one (n, d^2) x (d^2, d^2) product with Q built once per call for any SPD C0.
+A is inverted in closed form as adj(A) / det(A), and G0 = S A^{-1} S^T is
+synthesised as the product (k (x) k (x) A^{-1}) T with the constant
+(d^4, D^2) matrix T[(a, b, i, j), (p, q)] = E_a[p, i] E_b[q, j].  Since G0
+is 0-homogeneous, k is first scaled to unit length, which keeps det A of
+order one for any |k|; k = 0 gives k (x) k = 0 and hence G0 = 0.
+
 The periodised Green operator of a generator rule accumulates weighted
 class sums m sum_z G0(h + M^T z) |c_{h + M^T z}|^2 over the dual generating
 set.  For the orthonormalised Dirichlet rule (|c|^2 = 1/m on its support)
@@ -33,11 +46,12 @@ the table reproduces G0 on G(M^T) exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .lattice import PatternMatrix, frequency_set
+from .lattice import PatternMatrix, frequency_set, period_shifts
 from .translates import CoefficientRule, GeneratorSpec
 
 __all__ = [
@@ -109,16 +123,41 @@ def sym_grad_hat(k, u_hat) -> np.ndarray:
     return 1j * (sym_grad_matrix(k) @ u_hat)
 
 
-def _batched_sym_grad(ks: np.ndarray) -> np.ndarray:
-    n, d = ks.shape
+@lru_cache(maxsize=None)
+def _gradient_basis(d: int) -> np.ndarray:
+    """(d, D, d) stack of E_a = S(e_a), so that S(k) = sum_a k_a E_a."""
+    E = np.stack([sym_grad_matrix(e) for e in np.eye(d)])
+    E.setflags(write=False)
+    return E
+
+
+@lru_cache(maxsize=None)
+def _green_synthesis(d: int) -> np.ndarray:
+    """(d^4, D^2) matrix T[(a, b, i, j), (p, q)] = E_a[p, i] E_b[q, j]."""
+    E = _gradient_basis(d)
     D = mandel_dim(d)
-    S = np.zeros((n, D, d))
-    for a in range(d):
-        S[:, a, a] = ks[:, a]
-    for row, (a, b) in enumerate(_SHEAR_PAIRS[d], start=d):
-        S[:, row, b] += ks[:, a] / _SQRT2
-        S[:, row, a] += ks[:, b] / _SQRT2
-    return S
+    T = np.einsum("api,bqj->abijpq", E, E).reshape(d**4, D * D)
+    T.setflags(write=False)
+    return T
+
+
+def _adjugate_det(A: np.ndarray, d: int):
+    """Adjugate (d^2, n) and determinant (n,) of d x d matrices stored as rows (d^2, n)."""
+    if d == 1:
+        return np.ones_like(A), A[0]
+    a = [[A[d * i + j] for j in range(d)] for i in range(d)]
+    if d == 2:
+        adj = [a[1][1], -a[0][1], -a[1][0], a[0][0]]
+    else:
+        # adj[i][j] is the (j, i) cofactor; the cyclic index form carries its sign
+        adj = [
+            a[(j + 1) % 3][(i + 1) % 3] * a[(j + 2) % 3][(i + 2) % 3]
+            - a[(j + 1) % 3][(i + 2) % 3] * a[(j + 2) % 3][(i + 1) % 3]
+            for i in range(3)
+            for j in range(3)
+        ]
+    det = sum(a[0][j] * adj[d * j] for j in range(d))
+    return np.stack(adj), det
 
 
 def green_coeff_batch(C0: np.ndarray, ks: np.ndarray, check: bool = True) -> np.ndarray:
@@ -131,13 +170,22 @@ def green_coeff_batch(C0: np.ndarray, ks: np.ndarray, check: bool = True) -> np.
         _check_spd(C0, "reference stiffness")
         if np.asarray(C0).shape != (mandel_dim(d), mandel_dim(d)):
             raise ShapeError("reference stiffness does not match the spatial dimension")
-    S = _batched_sym_grad(ks)
-    A = np.einsum("nai,ab,nbj->nij", S, C0, S)
-    zero = np.all(ks == 0.0, axis=1)
-    A[zero] = np.eye(d)
-    G = np.einsum("nai,nij,nbj->nab", S, np.linalg.inv(A), S)
-    G[zero] = 0.0
-    return G
+    D = mandel_dim(d)
+    E = _gradient_basis(d)
+    # Q[(a, b), (i, j)] = (E_a^T C0 E_b)[i, j], so that A(k) = (k (x) k) Q
+    Q = np.tensordot(E.transpose(0, 2, 1) @ C0, E, axes=([2], [1]))
+    Q = Q.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    k = np.ascontiguousarray(ks.T)  # frequency index last throughout
+    norm = np.sqrt(sum(row**2 for row in k))
+    zero = norm == 0.0
+    norm[zero] = 1.0
+    u = k / norm  # G is 0-homogeneous; unit directions keep det A of order one
+    kk = (u[:, None, :] * u[None, :, :]).reshape(d * d, n)
+    adj, det = _adjugate_det(Q.T @ kk, d)
+    det[zero] = 1.0  # k = 0 leaves kk = 0, hence G = 0
+    adj /= det
+    X = (kk[:, None, :] * adj[None, :, :]).reshape(d**4, n)
+    return (X.T @ _green_synthesis(d)).reshape(n, D, D)
 
 
 def green_coeff(C0: np.ndarray, k) -> np.ndarray:
@@ -199,15 +247,16 @@ def periodized_green(
         periods = rule.support_periods if rule.support_periods is not None else 8
     freqs = frequency_set(M).freqs
     D = mandel_dim(d)
+    classes = np.arange(M.m)  # h + M^T z stays in the class of h
     acc = np.zeros((M.m, D, D))
-    rng = range(-periods, periods + 1)
-    shifts = np.stack(np.meshgrid(*([list(rng)] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    for shift in shifts:
+    for shift in period_shifts(d, periods):
         ks = freqs + (shift @ M.array)[None, :]
-        weights = np.abs(rule.coefficients(ks)) ** 2
+        weights = np.abs(rule.coefficients(ks, classes)) ** 2
         live = weights > 0.0
         if not np.any(live):
             continue
+        if np.all(live):
+            live = slice(None)  # views instead of gathered copies
         acc[live] += green_coeff_batch(C0, ks[live], check=False) * weights[live, None, None]
     acc *= M.m
     acc[0] = 0.0  # class of h = 0 is always first in canonical order

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import RegularityError, ShapeError
+from .errors import DomainError, RegularityError, ShapeError
 
 __all__ = [
     "PatternMatrix",
@@ -42,6 +42,7 @@ __all__ = [
     "generating_set",
     "frequency_set",
     "canonical_residue",
+    "period_shifts",
 ]
 
 _SUPPORTED_DIMS = (1, 2, 3)
@@ -427,3 +428,15 @@ def canonical_residue(k, M: PatternMatrix) -> np.ndarray:
         raise RegularityError("internal error: residue left the integer lattice")
     h = hm // den
     return h[0] if single else h
+
+
+def period_shifts(d: int, periods: int) -> np.ndarray:
+    """All z in Z^d with |z|_inf <= periods, lexicographic with the last axis fastest.
+
+    The (2 periods + 1)^d shifts of a truncated class sum h + M^T z; every
+    sum over them accumulates in this order.
+    """
+    if periods < 0:
+        raise DomainError("truncation radius must be >= 0")
+    rng = list(range(-periods, periods + 1))
+    return np.stack(np.meshgrid(*([rng] * d), indexing="ij"), axis=-1).reshape(-1, d)

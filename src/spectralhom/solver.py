@@ -63,7 +63,6 @@ class SolverConfig:
     tolerance: float = 1e-8
     max_iterations: int = 10000
     scheme: str = "ls_fixed_point"  # or "ve_krylov"
-    reference: str = "phase_mean"  # reference-stiffness choice rule (used by the CLI)
 
     def __post_init__(self):
         if not self.tolerance > 0.0:

@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateGeneratorError, DomainError, ShapeError
-from .lattice import PatternMatrix, frequency_set
+from .lattice import PatternMatrix, frequency_set, period_shifts
 from .pfft import plan as fft_plan
 
 __all__ = [
@@ -213,8 +213,13 @@ class CoefficientRule:
         xi = nums / den
         return np.prod(np.sinc(xi) ** self.order, axis=1) / np.sqrt(self.m)
 
-    def coefficients(self, k) -> np.ndarray:
-        """c_k for one integer vector or an (n, d) batch of them."""
+    def coefficients(self, k, classes=None) -> np.ndarray:
+        """c_k for one integer vector or an (n, d) batch of them.
+
+        ``classes`` optionally gives the canonical class position of each k,
+        for callers that already know it (a period sum over h + M^T z keeps
+        the class of h); otherwise it is looked up.
+        """
         arr = np.asarray(k, dtype=np.int64)
         single = arr.ndim == 1
         kk = np.atleast_2d(arr)
@@ -222,7 +227,9 @@ class CoefficientRule:
             raise ShapeError(f"expected frequency vectors of length {self.matrix.d}")
         vals = self._raw(kk)
         if self._class_scale is not None:
-            vals = vals / self._class_scale[self._freqs.class_index(kk)]
+            if classes is None:
+                classes = self._freqs.class_index(kk)
+            vals = vals / self._class_scale[classes]
         return vals[0] if single else vals
 
     # -- exact class sums ----------------------------------------------------
@@ -235,10 +242,7 @@ class CoefficientRule:
             per_axis = _sampled_autocos(power * self.order, nums / den)
             return np.prod(per_axis, axis=1) / self.m ** (power / 2.0)
         acc = np.zeros(self.m)
-        periods = self.support_periods
-        rng = range(-periods, periods + 1)
-        z = np.stack(np.meshgrid(*([list(rng)] * self.matrix.d), indexing="ij"), axis=-1)
-        for shift in z.reshape(-1, self.matrix.d):
+        for shift in period_shifts(self.matrix.d, self.support_periods):
             ks = self._freqs.freqs + (shift @ self.matrix.array)[None, :]
             acc += self._raw(ks) ** power
         return acc
@@ -310,12 +314,8 @@ def bracket_sum(values, M: PatternMatrix, h, periods: int):
     ``values`` maps an (n, d) integer array to n sequence values.  Exact
     whenever the sequence is supported within ``periods`` translates.
     """
-    if periods < 0:
-        raise DomainError("truncation radius must be >= 0")
     h = np.asarray(h, dtype=np.int64).reshape(1, -1)
-    rng = range(-periods, periods + 1)
-    z = np.stack(np.meshgrid(*([list(rng)] * M.d), indexing="ij"), axis=-1).reshape(-1, M.d)
-    ks = h + z @ M.array
+    ks = h + period_shifts(M.d, periods) @ M.array
     return complex(np.sum(values(ks)))
 
 
@@ -376,12 +376,11 @@ def synthesize(rule: CoefficientRule, ahat: np.ndarray, x, periods=None):
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     freqs = rule._freqs.freqs
-    rng = range(-periods, periods + 1)
-    z = np.stack(np.meshgrid(*([list(rng)] * M.d), indexing="ij"), axis=-1).reshape(-1, M.d)
+    classes = np.arange(M.m)
     out = np.zeros(pts.shape[0], dtype=np.complex128)
-    for shift in z:
+    for shift in period_shifts(M.d, periods):
         ks = freqs + (shift @ M.array)[None, :]
-        weights = ahat * rule.coefficients(ks)
+        weights = ahat * rule.coefficients(ks, classes)
         out += np.exp(1j * (pts @ ks.T)) @ weights
     return out[0] if single else out
 

@@ -152,3 +152,50 @@ def random_spd_mandel(rng, D, shift=0.5):
     """Random symmetric positive-definite D x D matrix."""
     A = rng.standard_normal((D, D))
     return A @ A.T + shift * np.eye(D)
+
+
+def sym_grad_batch(ks):
+    """(n, D, d) symmetrised-gradient matrices S(k) written out entry by entry."""
+    ks = np.asarray(ks, dtype=float)
+    n, d = ks.shape
+    S = np.zeros((n, d * (d + 1) // 2, d))
+    for a in range(d):
+        S[:, a, a] = ks[:, a]
+    for row, (a, b) in enumerate(_PAIRS[d], start=d):
+        S[:, row, b] += ks[:, a] / np.sqrt(2.0)
+        S[:, row, a] += ks[:, b] / np.sqrt(2.0)
+    return S
+
+
+def green_einsum_inverse(C0, ks):
+    """Green matrices S (S^T C0 S)^{-1} S^T by batched einsum and a LAPACK inverse."""
+    ks = np.asarray(ks, dtype=float)
+    S = sym_grad_batch(ks)
+    A = np.einsum("nai,ab,nbj->nij", S, C0, S)
+    zero = np.all(ks == 0.0, axis=1)
+    A[zero] = np.eye(ks.shape[1])
+    G = np.einsum("nai,nij,nbj->nab", S, np.linalg.inv(A), S)
+    G[zero] = 0.0
+    return G
+
+
+def green_dense_solve(C0, k):
+    """Green matrix at one frequency by a dense solve, zero at k = 0."""
+    S = sym_grad_batch(np.asarray(k, dtype=float)[None, :])[0]
+    if not np.any(S):
+        return np.zeros((S.shape[0], S.shape[0]))
+    return S @ np.linalg.solve(S.T @ C0 @ S, S.T)
+
+
+def periodized_green_einsum(C0, rule, freqs, periods):
+    """Generator-weighted class sums of green_einsum_inverse, |z|_inf <= periods."""
+    M = np.array(rule.matrix.rows, dtype=np.int64)
+    m, d = freqs.shape
+    acc = np.zeros((m, d * (d + 1) // 2, d * (d + 1) // 2))
+    for z in product(range(-periods, periods + 1), repeat=d):
+        ks = freqs + np.array(z) @ M
+        weights = np.abs(rule.coefficients(ks)) ** 2
+        acc += green_einsum_inverse(C0, ks) * weights[:, None, None]
+    acc *= m
+    acc[0] = 0.0
+    return acc

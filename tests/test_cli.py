@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from spectralhom import PatternMatrix, laminate_reference, read_field
+from spectralhom import PatternMatrix, bspline_rule, laminate_reference, read_field
 from spectralhom.cli import (
     golden_section,
     main,
@@ -95,6 +95,17 @@ class TestRunSolve:
         assert len(lines) == report["iterations"] + 1
         img = read_gray_image(tmp_path / "out/elog.pgm")
         assert img.shape == (8, 8)  # Smith raster of diag(8, 8)
+
+    def test_green_table_truncation_reported(self, tmp_path):
+        path = _laminate_config(tmp_path)
+        _, doc = run_solve(path)
+        assert doc["green"] == {"periods": 0, "tail_estimate": 0.0}  # finite Dirichlet support
+        path = _laminate_config(tmp_path, generator={"kind": "bspline", "order": 2}, green_periods=3)
+        _, doc = run_solve(path)
+        report = json.loads((tmp_path / "out/report.json").read_text())
+        tail = bspline_rule(PatternMatrix.from_any([[8, 0], [0, 8]]), 2).truncation_tail(3)
+        assert report["green"] == doc["green"] == {"periods": 3, "tail_estimate": tail}
+        assert tail > 0.0
 
     def test_exit_code_on_nonconvergence(self, tmp_path):
         # a checkerboard needs more than two fixed-point sweeps

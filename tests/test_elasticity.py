@@ -16,7 +16,13 @@ from spectralhom import (
 )
 from spectralhom.errors import DomainError, ShapeError
 
-from oracles import isotropic_green_mandel, random_regular_matrix, random_spd_mandel
+from oracles import (
+    green_dense_solve,
+    isotropic_green_mandel,
+    periodized_green_einsum,
+    random_regular_matrix,
+    random_spd_mandel,
+)
 
 
 class TestIsoStiffness:
@@ -125,6 +131,51 @@ class TestGreenCoeff:
         batch = green_coeff_batch(C0, ks)
         for i, k in enumerate(ks):
             assert np.abs(batch[i] - green_coeff(C0, k)).max() < 1e-14
+
+
+def _oracle_frequencies(rng, d):
+    """Small and |k| ~ 1e5 integer frequencies, with k = 0 among them."""
+    small = rng.integers(-12, 13, (60, d))
+    large = rng.integers(-100_000, 100_001, (60, d))
+    return np.vstack([np.zeros((1, d), dtype=np.int64), small, large])
+
+
+class TestGreenKernelOracles:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_isotropic_closed_form(self, d):
+        rng = np.random.default_rng(47 + d)
+        lam0, mu0 = 2.75, 2.2
+        ks = _oracle_frequencies(rng, d)
+        got = green_coeff_batch(iso_stiffness(lam0, mu0, d), ks)
+        for k, G in zip(ks, got):
+            assert np.abs(G - isotropic_green_mandel(lam0, mu0, k, d)).max() < 1e-13
+
+    def test_dense_solve_anisotropic_3d(self):
+        rng = np.random.default_rng(49)
+        C0 = random_spd_mandel(rng, 6)
+        ks = _oracle_frequencies(rng, 3)
+        got = green_coeff_batch(C0, ks)
+        for k, G in zip(ks, got):
+            want = green_dense_solve(C0, k)
+            assert np.abs(G - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+
+    def test_one_dimensional_reciprocal(self):
+        # d = 1: G0(k) = k (k C0 k)^{-1} k = 1 / C0 away from k = 0
+        got = green_coeff_batch(np.array([[4.0]]), np.array([[3], [0], [-70_000]]))
+        assert got.ravel().tolist() == [0.25, 0.0, 0.25]
+
+    def test_input_frequencies_not_modified(self):
+        ks = np.array([[3.0, -4.0], [0.0, 0.0]])
+        green_coeff_batch(iso_stiffness(1.0, 1.0, 2), ks)
+        assert ks.tolist() == [[3.0, -4.0], [0.0, 0.0]]
+
+    def test_bspline_table_3d_matches_einsum_inverse(self):
+        M = PatternMatrix.from_any([[8, 0, 0], [0, 8, 0], [0, 0, 8]])
+        C0 = iso_stiffness(1.3, 0.8, 3)
+        rule = orthonormalize(bspline_rule(M, 2))
+        table = periodized_green(C0, rule, periods=2)
+        want = periodized_green_einsum(C0, rule, frequency_set(M).freqs, periods=2)
+        assert np.abs(table.table - want).max() < 1e-14
 
 
 class TestPeriodizedGreen:

@@ -7,9 +7,10 @@ from spectralhom import (
     frequency_set,
     generating_set,
     pattern,
+    period_shifts,
     smith_normal_form,
 )
-from spectralhom.errors import RegularityError
+from spectralhom.errors import DomainError, RegularityError
 
 from oracles import (
     brute_force_generating_set,
@@ -246,3 +247,17 @@ class TestCanonicalResidue:
             gs = generating_set(M)
             assert np.unique(gs.freqs, axis=0).shape[0] == M.m
             assert np.array_equal(gs.freqs * M.m, pat.nums @ M.array.T)
+
+
+class TestPeriodShifts:
+    def test_lexicographic_cube(self):
+        from itertools import product
+
+        for d in (1, 2, 3):
+            for periods in (0, 1, 2):
+                want = list(product(range(-periods, periods + 1), repeat=d))
+                assert period_shifts(d, periods).tolist() == [list(z) for z in want]
+
+    def test_rejects_negative_radius(self):
+        with pytest.raises(DomainError):
+            period_shifts(2, -1)
