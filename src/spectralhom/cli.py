@@ -11,25 +11,22 @@ Configs are single JSON documents; all paths inside a config (inputs and
 outputs) resolve relative to the config file.  Exit codes: 0 converged,
 2 not converged (partial artifacts are still written), 1 configuration or
 I/O error.  Reports are deterministic: repeated runs produce byte-identical
-JSON except for the "timing" block.  SPECTRALHOM_THREADS > 1 lets
-independent sweep evaluations run concurrently.
+JSON except for the "timing" block.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import geometry, solver
 from .elasticity import GreenTable, iso_stiffness, mandel_dim, periodized_green
-from .errors import ConfigError, SpectralHomError
+from .errors import ConfigError, SpectralHomError, parse_object
 from .lattice import PatternMatrix, frequency_set, pattern, smith_normal_form
 from .translates import GeneratorSpec, make_rule, orthonormalize
 
@@ -40,17 +37,29 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 # -- config plumbing ----------------------------------------------------------
 
-
-def _load_config(path: Path) -> dict:
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    return doc
+_CONFIG_KEYS = {
+    "pattern_matrix": ((list, str), ...),
+    "generator": (dict, {"kind": "dirichlet"}),
+    "microstructure": (dict, ...),
+    "loading": ([float], ...),
+    "sampling": (dict, {}),
+    "reference_stiffness": (dict, {}),
+    "solver": (dict, {}),
+    "green_periods": (int, None),
+    "reference_values": (str, None),
+    "log_error_form": (str, "difference"),
+    "output": (dict, {}),
+    "sweep": (dict, {}),
+}
+_SAMPLING_KEYS = {"mode": (str, "node"), "subsamples": (int, 3)}
+_REFERENCE_STIFFNESS_KEYS = {"rule": (str, "phase_mean"), "lambda": (float, None), "mu": (float, None)}
+_SOLVER_KEYS = {
+    "tolerance": (float, solver.SolverConfig.tolerance),
+    "max_iterations": (int, solver.SolverConfig.max_iterations),
+    "scheme": (str, solver.SolverConfig.scheme),
+}
+_OUTPUT_KEYS = dict.fromkeys(("report", "strain_field", "residuals", "elog_image", "sweep_report"), (str, None))
+_SWEEP_KEYS = {"axes": ([int], None), "interval": ([float], (0.0, 1.0)), "budget": (int, 16)}
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -63,66 +72,58 @@ def _stage(name: str, fn, *args, **kwargs):
 class _Problem:
     """Resolved ingredients of one solve, reusable across sweep evaluations."""
 
-    def __init__(self, config: dict, base_dir: Path):
-        self.config = config
-        self.base_dir = base_dir
-        if "pattern_matrix" not in config:
-            raise ConfigError("config needs a 'pattern_matrix'")
+    def __init__(self, config_path):
+        config_path = Path(config_path)
+        try:
+            doc = json.loads(config_path.read_text())
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config {config_path} is not valid JSON: {exc}") from exc
+        config = parse_object(doc, _CONFIG_KEYS, "config")
+        self.base_dir = base_dir = config_path.parent
+        self.output = parse_object(config["output"], _OUTPUT_KEYS, "config 'output'")
+        self.sweep = parse_object(config["sweep"], _SWEEP_KEYS, "config 'sweep'")
         self.matrix = _stage("pattern matrix", PatternMatrix.from_any, config["pattern_matrix"])
-        self.generator = _stage(
-            "generator", GeneratorSpec.from_json, config.get("generator", {"kind": "dirichlet"})
-        )
-        if "microstructure" not in config:
-            raise ConfigError("config needs a 'microstructure'")
+        self.generator = _stage("generator", GeneratorSpec.from_json, config["generator"])
         self.micro = _stage("microstructure", geometry.microstructure_from_json, config["microstructure"])
         d = self.matrix.d
         D = mandel_dim(d)
-        loading = config.get("loading")
-        if loading is None:
-            raise ConfigError("config needs a 'loading' Mandel vector")
-        self.eps0 = np.asarray(loading, dtype=np.float64)
+        self.eps0 = np.array(config["loading"], dtype=np.float64)
         if self.eps0.shape != (D,):
             raise ConfigError(f"loading must have {D} Mandel components, got {self.eps0.shape}")
-        sampling = config.get("sampling", {"mode": "node"})
+        sampling = parse_object(config["sampling"], _SAMPLING_KEYS, "config 'sampling'")
         self.stiffness = _stage(
             "stiffness sampling",
             geometry.sample_stiffness,
             self.micro,
             self.matrix,
-            sampling.get("mode", "node"),
-            int(sampling.get("subsamples", 3)),
+            sampling["mode"],
+            sampling["subsamples"],
         )
-        self.reference_stiffness = _stage("reference stiffness", self._resolve_reference, d)
-        sc = config.get("solver", {})
+        ref = parse_object(config["reference_stiffness"], _REFERENCE_STIFFNESS_KEYS, "config 'reference_stiffness'")
+        lam, mu = ref["lambda"], ref["mu"]
+        if (lam is None) != (mu is None):
+            raise ConfigError("config 'reference_stiffness': give both 'lambda' and 'mu' or neither")
+        if lam is None:
+            if ref["rule"] != "phase_mean":
+                raise ConfigError(f"config 'reference_stiffness': unknown rule {ref['rule']!r}")
+            lam = float(np.mean([p.lam for p in self.micro.phases]))
+            mu = float(np.mean([p.mu for p in self.micro.phases]))
+        self.reference_stiffness = _stage("reference stiffness", iso_stiffness, lam, mu, d)
         self.solver_config = _stage(
-            "solver config",
-            solver.SolverConfig,
-            tolerance=float(sc.get("tolerance", 1e-8)),
-            max_iterations=int(sc.get("max_iterations", 10000)),
-            scheme=sc.get("scheme", "ls_fixed_point"),
+            "solver config", solver.SolverConfig, **parse_object(config["solver"], _SOLVER_KEYS, "config 'solver'")
         )
-        self.green_periods = config.get("green_periods")
+        self.green_periods = config["green_periods"]
         self.reference = None
-        if config.get("reference_values"):
+        if config["reference_values"]:
             self.reference = _stage(
                 "reference ingestion",
                 geometry.load_reference_values,
                 base_dir / config["reference_values"],
                 self.matrix,
             )
-        self.log_form = config.get("log_error_form", "difference")
-
-    def _resolve_reference(self, d: int) -> np.ndarray:
-        doc = self.config.get("reference_stiffness", {"rule": "phase_mean"})
-        if "lambda" in doc and "mu" in doc:
-            return iso_stiffness(float(doc["lambda"]), float(doc["mu"]), d)
-        rule = doc.get("rule", "phase_mean")
-        if rule != "phase_mean":
-            raise ConfigError(f"unknown reference stiffness rule {rule!r}")
-        phases = self.micro.phases
-        lam = float(np.mean([p.lam for p in phases]))
-        mu = float(np.mean([p.mu for p in phases]))
-        return iso_stiffness(lam, mu, d)
+        self.log_form = config["log_error_form"]
 
     def solve(self, generator: GeneratorSpec | None = None) -> tuple[solver.SolveReport, GreenTable]:
         spec = generator or self.generator
@@ -208,34 +209,33 @@ def _report_dict(problem: _Problem, report: solver.SolveReport, metrics, green: 
 
 
 def _write_artifacts(problem: _Problem, report: solver.SolveReport, metrics, doc: dict) -> None:
-    out = problem.config.get("output", {})
+    out = problem.output
     base = problem.base_dir
     artifacts = {}
-    if out.get("strain_field"):
+    if out["strain_field"]:
         path = base / out["strain_field"]
         path.parent.mkdir(parents=True, exist_ok=True)
         # PFLD stores the real nodal coefficients; any Nyquist imaginary part
         # is recorded in the report as nyquist_imbalance
         geometry.write_field(path, problem.matrix, report.strain.real, geometry.DOMAIN_SPACE)
         artifacts["strain_field"] = out["strain_field"]
-    if out.get("residuals"):
+    if out["residuals"]:
         path = base / out["residuals"]
         path.parent.mkdir(parents=True, exist_ok=True)
         lines = ["iteration,residual"]
         lines += [f"{i + 1},{r!r}" for i, r in enumerate(report.residuals)]
         path.write_text("\n".join(lines) + "\n")
         artifacts["residuals"] = out["residuals"]
-    if out.get("elog_image"):
+    if out["elog_image"]:
         if metrics is not None and metrics.e_log is not None and problem.matrix.d == 2:
             path = base / out["elog_image"]
             path.parent.mkdir(parents=True, exist_ok=True)
-            diag = smith_normal_form(problem.matrix).diag
-            write_gray_image(path, metrics.e_log.reshape(diag))
+            write_gray_image(path, metrics.e_log.reshape(doc["pattern"]["smith_factors"]))
             artifacts["elog_image"] = out["elog_image"]
         else:
             artifacts["elog_image"] = None  # needs a planar pattern and a strain reference
     doc["artifacts"] = artifacts
-    if out.get("report"):
+    if out["report"]:
         path = base / out["report"]
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -243,9 +243,7 @@ def _write_artifacts(problem: _Problem, report: solver.SolveReport, metrics, doc
 
 def run_solve(config_path) -> tuple[int, dict]:
     """Execute a solve config; returns (exit code, report document)."""
-    config_path = Path(config_path)
-    config = _load_config(config_path)
-    problem = _Problem(config, config_path.parent)
+    problem = _Problem(config_path)
     report, green = problem.solve()
     metrics = problem.metrics(report)
     doc = _report_dict(problem, report, metrics, green)
@@ -294,67 +292,66 @@ def golden_section(fn, lo: float, hi: float, budget: int):
 
 
 def sweep_alpha(config_path) -> tuple[int, dict]:
-    """Coordinate-descent golden-section optimisation of the dlvp slopes."""
-    config_path = Path(config_path)
-    config = _load_config(config_path)
-    problem = _Problem(config, config_path.parent)
+    """Coordinate-descent golden-section optimisation of the dlvp slopes.
+
+    Every evaluation reports whether it converged; the exit code is 2 when
+    any of them did not.
+    """
+    problem = _Problem(config_path)
     if problem.reference is None or problem.reference.effective_action is None:
         raise ConfigError("sweep-alpha needs reference values with an effective action")
-    sweep = config.get("sweep", {})
     d = problem.matrix.d
-    axes = sweep.get("axes", list(range(1, d + 1)))
+    axes = problem.sweep["axes"]
+    if axes is None:
+        axes = list(range(1, d + 1))
     if any(a < 1 or a > d for a in axes):
         raise ConfigError(f"sweep axes must lie in 1..{d}, got {axes}")
-    lo, hi = sweep.get("interval", (0.0, 1.0))
-    if not (0.0 <= lo < hi <= 1.0):
-        raise ConfigError(f"sweep interval must be inside [0, 1], got {(lo, hi)}")
-    budget = int(sweep.get("budget", 16))
-    threads = max(1, int(os.environ.get("SPECTRALHOM_THREADS", "1")))
+    interval = problem.sweep["interval"]
+    if len(interval) != 2 or not 0.0 <= interval[0] < interval[1] <= 1.0:
+        raise ConfigError(f"sweep interval must be [lo, hi] inside [0, 1], got {interval}")
+    lo, hi = interval
+    budget = problem.sweep["budget"]
 
     start = problem.generator
     alpha = list(start.alpha) if start.kind == "dlvp" and start.alpha else [0.0] * d
     ref_action = problem.reference.effective_action
+    runs = []  # convergence of every evaluation, in call order
 
-    def objective(alpha_vec) -> float:
-        report, _ = problem.solve(GeneratorSpec(kind="dlvp", alpha=tuple(alpha_vec)))
+    def objective(spec: GeneratorSpec) -> float:
+        report, _ = problem.solve(spec)
+        runs.append({"converged": bool(report.converged), "iterations": report.iterations})
         m = solver.error_metrics(
             report.strain,
             effective_action=report.effective_action,
             ref_effective_action=ref_action,
         )
-        return m.e_eff
+        return float(m.e_eff)
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     trace_doc = []
     improved = False
     t0 = time.perf_counter()
-    try:
-        if pool is not None:
-            dirichlet_future = pool.submit(_dirichlet_e_eff, problem, ref_action)
-        for axis in axes:
-            def fn(v, _axis=axis - 1):
-                probe = list(alpha)
-                probe[_axis] = v
-                return objective(probe)
+    for axis in axes:
+        def fn(v, _axis=axis - 1):
+            probe = list(alpha)
+            probe[_axis] = v
+            return objective(GeneratorSpec(kind="dlvp", alpha=tuple(probe)))
 
-            best_x, best_f, trace, constant = golden_section(fn, lo, hi, budget)
-            alpha[axis - 1] = float(best_x)
-            improved = improved or not constant
-            trace_doc.append(
-                {
-                    "axis": axis,
-                    "constant": constant,
-                    "evaluations": [{"alpha": float(x), "e_eff": float(y)} for x, y in trace],
-                    "selected": float(best_x),
-                }
-            )
-        best_e_eff = float(objective(alpha))
-        dirichlet_e_eff = float(
-            dirichlet_future.result() if pool is not None else _dirichlet_e_eff(problem, ref_action)
+        first = len(runs)
+        best_x, best_f, trace, constant = golden_section(fn, lo, hi, budget)
+        alpha[axis - 1] = float(best_x)
+        improved = improved or not constant
+        trace_doc.append(
+            {
+                "axis": axis,
+                "constant": constant,
+                "evaluations": [
+                    {"alpha": float(x), "e_eff": float(y), **run} for (x, y), run in zip(trace, runs[first:])
+                ],
+                "selected": float(best_x),
+            }
         )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    best_e_eff = objective(GeneratorSpec(kind="dlvp", alpha=tuple(alpha)))
+    dirichlet_e_eff = objective(GeneratorSpec(kind="dirichlet"))
     doc = {
         "schema": "spectralhom.sweep.v1",
         "axes": list(axes),
@@ -362,26 +359,19 @@ def sweep_alpha(config_path) -> tuple[int, dict]:
         "budget_per_axis": budget,
         "best_alpha": alpha,
         "best_e_eff": best_e_eff,
+        "best_evaluation": runs[-2],
         "dirichlet_e_eff": dirichlet_e_eff,
+        "dirichlet_evaluation": runs[-1],
         "reduction_vs_dirichlet": 1.0 - best_e_eff / dirichlet_e_eff if dirichlet_e_eff else None,
         "improved": improved,
         "trace": trace_doc,
         "timing": {"wall_s": time.perf_counter() - t0},
     }
-    out = config.get("output", {})
-    if out.get("sweep_report"):
-        path = config_path.parent / out["sweep_report"]
+    if problem.output["sweep_report"]:
+        path = problem.base_dir / problem.output["sweep_report"]
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return 0, doc
-
-
-def _dirichlet_e_eff(problem: _Problem, ref_action) -> float:
-    report, _ = problem.solve(GeneratorSpec(kind="dirichlet"))
-    m = solver.error_metrics(
-        report.strain, effective_action=report.effective_action, ref_effective_action=ref_action
-    )
-    return m.e_eff
+    return (0 if all(run["converged"] for run in runs) else 2), doc
 
 
 # -- summaries ------------------------------------------------------------------
@@ -418,10 +408,8 @@ def pattern_info(M: PatternMatrix) -> dict:
 
 def errors_command(field_path, reference_path) -> dict:
     M, values, domain = geometry.read_field(field_path)
-    if domain != geometry.DOMAIN_SPACE:
-        raise ConfigError("error metrics expect space-domain fields")
     _, ref_values, ref_domain = geometry.read_field(reference_path, expected=M)
-    if ref_domain != geometry.DOMAIN_SPACE:
+    if domain != geometry.DOMAIN_SPACE or ref_domain != geometry.DOMAIN_SPACE:
         raise ConfigError("error metrics expect space-domain fields")
     m = solver.error_metrics(values, ref_strain=ref_values)
     return {

@@ -56,7 +56,6 @@ from .translates import CoefficientRule, GeneratorSpec
 
 __all__ = [
     "mandel_dim",
-    "shear_pairs",
     "iso_stiffness",
     "sym_grad_matrix",
     "sym_grad_hat",
@@ -72,10 +71,6 @@ _SQRT2 = np.sqrt(2.0)
 
 def mandel_dim(d: int) -> int:
     return d * (d + 1) // 2
-
-
-def shear_pairs(d: int) -> tuple:
-    return _SHEAR_PAIRS[d]
 
 
 def _check_spd(C: np.ndarray, what: str) -> None:
@@ -229,9 +224,9 @@ def periodized_green(
     """Build the generator-weighted periodisation of the Green operator.
 
     ``rule`` must be orthonormalised.  ``periods`` bounds the class sums at
-    |z|_inf <= periods; the default covers finitely supported rules exactly
-    and uses 8 translates for space-compact (B-spline) generators, recording
-    the resulting tail estimate on the table.
+    |z|_inf <= periods, by default at the rule's ``default_periods``, which
+    covers finitely supported rules exactly; the resulting tail estimate is
+    recorded on the table.
     """
     if M is None:
         M = rule.matrix
@@ -244,7 +239,7 @@ def periodized_green(
     if np.asarray(C0).shape != (mandel_dim(d), mandel_dim(d)):
         raise ShapeError("reference stiffness does not match the spatial dimension")
     if periods is None:
-        periods = rule.support_periods if rule.support_periods is not None else 8
+        periods = rule.default_periods
     freqs = frequency_set(M).freqs
     D = mandel_dim(d)
     classes = np.arange(M.m)  # h + M^T z stays in the class of h

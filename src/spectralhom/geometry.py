@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .elasticity import iso_stiffness, mandel_dim
-from .errors import DomainError, GeometryError, IngestionError, ShapeError
+from .elasticity import iso_stiffness, mandel_dim, sym_grad_matrix
+from .errors import DomainError, GeometryError, IngestionError, ShapeError, parse_kind, parse_object
 from .lattice import PatternMatrix, pattern
 
 __all__ = [
@@ -65,10 +65,8 @@ class IsoPhase:
 
     @classmethod
     def from_json(cls, doc) -> "IsoPhase":
-        try:
-            return cls(lam=float(doc["lambda"]), mu=float(doc["mu"]))
-        except (KeyError, TypeError) as exc:
-            raise GeometryError(f"phase must provide 'lambda' and 'mu': {doc!r}") from exc
+        values = parse_object(doc, {"lambda": (float, ...), "mu": (float, ...)}, "phase", GeometryError)
+        return cls(lam=values["lambda"], mu=values["mu"])
 
 
 def _wrap_torus(x: np.ndarray) -> np.ndarray:
@@ -94,8 +92,8 @@ class Laminate:
         self.phases = tuple(phases)
 
     def phase_index(self, x: np.ndarray) -> np.ndarray:
-        if self.axis >= x.shape[1]:
-            raise GeometryError(f"laminate axis {self.axis} exceeds dimension {x.shape[1]}")
+        if not 0 <= self.axis < x.shape[1]:
+            raise GeometryError(f"laminate axis {self.axis} is not in 0..{x.shape[1] - 1}")
         t = _unit_coords(x)[:, self.axis]
         return np.where(t < self.fraction, 0, 1)
 
@@ -122,6 +120,8 @@ class HashinEllipses:
         d = self.center.shape[0]
         if d != 2:
             raise GeometryError("the confocal double inclusion is planar (d = 2)")
+        if len(core_semi_axes) != 2 or len(coating_semi_axes) != 2:
+            raise GeometryError("the confocal ellipses need two semi-axes each")
         a_c, b_c = (float(v) for v in core_semi_axes)
         a_e, b_e = (float(v) for v in coating_semi_axes)
         if not (a_e > a_c and b_e > b_c):
@@ -175,7 +175,12 @@ class VoxelMap:
     """Phase ids on a regular voxel grid covering the unit cell."""
 
     def __init__(self, grid, phase_table):
-        self.grid = np.asarray(grid, dtype=np.int64)
+        try:
+            self.grid = np.asarray(grid)
+        except ValueError as exc:  # ragged nesting
+            raise GeometryError(f"voxel grid is not a rectangular array: {exc}") from exc
+        if self.grid.dtype.kind not in "iu":
+            raise GeometryError("voxel grid entries must be integer phase ids")
         self.phases = tuple(phase_table)
         if self.grid.min() < 0 or self.grid.max() >= len(self.phases):
             raise GeometryError("voxel grid references a phase id outside the phase table")
@@ -192,38 +197,43 @@ class VoxelMap:
         return self.grid[idx]
 
 
+_MICROSTRUCTURE_KEYS = {
+    "laminate": {"axis": (int, 0), "fraction": (float, ...), "phases": (list, ...)},
+    "hashin_ellipses": {
+        "core_semi_axes": ([float], ...),
+        "coating_semi_axes": ([float], ...),
+        "center": ([float], (0.0, 0.0)),
+        "rotation": (float, 0.0),
+        "phases": (dict, ...),
+    },
+    "inclusion": {
+        "shape": (str, "ellipse"),
+        "semi_axes": ([float], ...),
+        "center": ([float], None),
+        "rotation": (float, 0.0),
+        "phases": (dict, ...),
+    },
+    "voxel_map": {"grid": (list, ...), "phase_table": (list, ...)},
+}
+_NAMED_PHASES = {"hashin_ellipses": ("core", "coating", "matrix"), "inclusion": ("inclusion", "matrix")}
+
+
 def microstructure_from_json(doc: dict):
     """Build a microstructure from its JSON description."""
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise GeometryError(f"microstructure must be an object with a 'kind': {doc!r}")
-    kind = doc["kind"]
+    v = parse_kind(doc, _MICROSTRUCTURE_KEYS, "microstructure", GeometryError)
+    kind = v.pop("kind")
     if kind == "laminate":
-        phases = [IsoPhase.from_json(p) for p in doc["phases"]]
-        return Laminate(axis=doc.get("axis", 0), fraction=doc["fraction"], phases=phases)
-    if kind == "hashin_ellipses":
-        ph = doc["phases"]
-        return HashinEllipses(
-            core_semi_axes=doc["core_semi_axes"],
-            coating_semi_axes=doc["coating_semi_axes"],
-            center=doc.get("center", (0.0, 0.0)),
-            rotation=doc.get("rotation", 0.0),
-            core=IsoPhase.from_json(ph["core"]),
-            coating=IsoPhase.from_json(ph["coating"]),
-            matrix=IsoPhase.from_json(ph["matrix"]),
-        )
-    if kind == "inclusion":
-        ph = doc["phases"]
-        return Inclusion(
-            shape=doc.get("shape", "ellipse"),
-            semi_axes=doc["semi_axes"],
-            center=doc.get("center", tuple(0.0 for _ in doc["semi_axes"])),
-            rotation=doc.get("rotation", 0.0),
-            inclusion=IsoPhase.from_json(ph["inclusion"]),
-            matrix=IsoPhase.from_json(ph["matrix"]),
-        )
+        return Laminate(v["axis"], v["fraction"], [IsoPhase.from_json(p) for p in v["phases"]])
     if kind == "voxel_map":
-        return VoxelMap(doc["grid"], [IsoPhase.from_json(p) for p in doc["phase_table"]])
-    raise GeometryError(f"unknown microstructure kind {kind!r}")
+        return VoxelMap(v["grid"], [IsoPhase.from_json(p) for p in v["phase_table"]])
+    names = _NAMED_PHASES[kind]
+    phases = parse_object(v.pop("phases"), dict.fromkeys(names, (dict, ...)), f"{kind} phases", GeometryError)
+    v.update((name, IsoPhase.from_json(phases[name])) for name in names)
+    if kind == "hashin_ellipses":
+        return HashinEllipses(**v)
+    if v["center"] is None:
+        v["center"] = [0.0] * len(v["semi_axes"])
+    return Inclusion(**v)
 
 
 def _cell_offsets(M: PatternMatrix, subsamples: int) -> np.ndarray:
@@ -267,23 +277,6 @@ class ReferenceSolution:
     note: str = ""
 
 
-def _acoustic_matrix(phase: IsoPhase, normal: np.ndarray) -> np.ndarray:
-    d = normal.shape[0]
-    return phase.mu * np.eye(d) + (phase.lam + phase.mu) * np.outer(normal, normal)
-
-
-def _mandel_rank_one(a: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Mandel vector of sym(a x n)."""
-    d = n.shape[0]
-    out = np.zeros(mandel_dim(d))
-    for i in range(d):
-        out[i] = a[i] * n[i]
-    pairs = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}[d]
-    for row, (i, j) in enumerate(pairs, start=d):
-        out[row] = (a[i] * n[j] + a[j] * n[i]) / np.sqrt(2.0)
-    return out
-
-
 def laminate_reference(ms: Laminate, M: PatternMatrix, eps0) -> ReferenceSolution:
     """Closed-form two-phase laminate solution under a mean strain.
 
@@ -300,17 +293,16 @@ def laminate_reference(ms: Laminate, M: PatternMatrix, eps0) -> ReferenceSolutio
         raise ShapeError("macroscopic strain does not match the spatial dimension")
     normal = np.zeros(d)
     normal[ms.axis] = 1.0
+    S = sym_grad_matrix(normal)  # S a is the Mandel vector of sym(a x n), S^T s the traction s n
     theta = ms.fraction
     p0, p1 = ms.phases
     C0m = p0.stiffness(d)
     C1m = p1.stiffness(d)
 
     # traction continuity: [(1-theta) A_0 + theta A_1] a = -((C_0 - C_1) eps0) . n
-    A = (1.0 - theta) * _acoustic_matrix(p0, normal) + theta * _acoustic_matrix(p1, normal)
-    jump_stress = (C0m - C1m) @ eps0
-    rhs = -_mandel_traction(jump_stress, normal)
-    a = np.linalg.solve(A, rhs)
-    eta = _mandel_rank_one(a, normal)
+    A = (1.0 - theta) * (S.T @ C0m @ S) + theta * (S.T @ C1m @ S)
+    a = np.linalg.solve(A, -S.T @ ((C0m - C1m) @ eps0))
+    eta = S @ a
     strain0 = (1.0 - theta) * eta  # fluctuation in phase 0
     strain1 = -theta * eta
     effective = theta * (C0m @ (eps0 + strain0)) + (1.0 - theta) * (C1m @ (eps0 + strain1))
@@ -323,19 +315,6 @@ def laminate_reference(ms: Laminate, M: PatternMatrix, eps0) -> ReferenceSolutio
         effective_action=effective,
         note=f"axis-{ms.axis} laminate, fraction {theta}",
     )
-
-
-def _mandel_traction(stress: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """Traction vector (stress tensor dotted with a unit normal)."""
-    d = normal.shape[0]
-    t = np.zeros(d)
-    for i in range(d):
-        t[i] += stress[i] * normal[i]
-    pairs = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}[d]
-    for row, (i, j) in enumerate(pairs, start=d):
-        t[i] += stress[row] * normal[j] / np.sqrt(2.0)
-        t[j] += stress[row] * normal[i] / np.sqrt(2.0)
-    return t
 
 
 # -- field container ---------------------------------------------------------
@@ -394,37 +373,35 @@ def load_reference_values(path, M: PatternMatrix) -> ReferenceSolution:
     if not path.exists():
         raise IngestionError(f"reference file {path} does not exist")
     if path.suffix.lower() == ".pfld":
-        _, values, domain = read_field(path, expected=M)
-        if domain != DOMAIN_SPACE:
-            raise IngestionError("reference strain fields must be in the space domain")
-        _check_components(values, M)
-        return ReferenceSolution(strain=values, effective_action=None, note=str(path))
+        return ReferenceSolution(strain=_reference_strain(path, M), effective_action=None, note=str(path))
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise IngestionError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise IngestionError(f"{path}: expected a JSON object")
+    spec = {"effective_action": ([float], None), "strain_field": (str, None), "note": (str, str(path))}
+    v = parse_object(doc, spec, str(path), IngestionError)
     strain = None
     action = None
-    if "strain_field" in doc:
-        _, strain, domain = read_field(path.parent / doc["strain_field"], expected=M)
-        if domain != DOMAIN_SPACE:
-            raise IngestionError("reference strain fields must be in the space domain")
-        _check_components(strain, M)
-    if "effective_action" in doc:
-        action = np.asarray(doc["effective_action"], dtype=np.float64)
+    if v["strain_field"] is not None:
+        strain = _reference_strain(path.parent / v["strain_field"], M)
+    if v["effective_action"] is not None:
+        action = np.array(v["effective_action"])
         if action.shape != (mandel_dim(M.d),):
             raise IngestionError(
                 f"effective action must have {mandel_dim(M.d)} components, got {action.shape}"
             )
     if strain is None and action is None:
         raise IngestionError(f"{path}: reference provides neither a strain field nor an action")
-    return ReferenceSolution(strain=strain, effective_action=action, note=doc.get("note", str(path)))
+    return ReferenceSolution(strain=strain, effective_action=action, note=v["note"])
 
 
-def _check_components(values: np.ndarray, M: PatternMatrix) -> None:
+def _reference_strain(path, M: PatternMatrix) -> np.ndarray:
+    """A space-domain PFLD strain field on M with one Mandel vector per node."""
+    _, values, domain = read_field(path, expected=M)
+    if domain != DOMAIN_SPACE:
+        raise IngestionError("reference strain fields must be in the space domain")
     if values.shape[1] != mandel_dim(M.d):
         raise IngestionError(
             f"field has {values.shape[1]} components, expected {mandel_dim(M.d)} for d = {M.d}"
         )
+    return values

@@ -106,17 +106,16 @@ class PatternMatrix:
         """Build from nested lists, an integer ndarray or a JSON string like "[[2,1],[0,2]]"."""
         if isinstance(value, PatternMatrix):
             return value
-        if isinstance(value, str):
-            value = json.loads(value)
-        arr = np.asarray(value)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        if arr.ndim == 1:
+        try:
+            arr = np.asarray(json.loads(value) if isinstance(value, str) else value)
+        except ValueError as exc:  # invalid JSON text or ragged rows
+            raise RegularityError(f"cannot interpret {value!r} as a matrix: {exc}") from exc
+        if arr.ndim != 2:
             if arr.size != 1:
                 raise RegularityError(f"cannot interpret {value!r} as a square matrix")
             arr = arr.reshape(1, 1)
         if not np.issubdtype(arr.dtype, np.integer):
-            if not np.all(arr == np.round(arr)):
+            if arr.dtype.kind != "f" or not np.all(np.isfinite(arr) & (arr == np.round(arr))):
                 raise RegularityError("pattern matrices must have integer entries")
             arr = arr.astype(np.int64)
         return cls(tuple(tuple(int(v) for v in row) for row in arr))
@@ -171,12 +170,6 @@ class SmithDecomposition:
         det = _det_int(self.V)
         adj = np.array(_adjugate_int(self.V), dtype=np.int64)
         return _frozen(det * adj)  # det is +-1
-
-    @property
-    def U_inverse(self) -> np.ndarray:
-        det = _det_int(self.U)
-        adj = np.array(_adjugate_int(self.U), dtype=np.int64)
-        return _frozen(det * adj)
 
     @property
     def D_array(self) -> np.ndarray:

@@ -19,14 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, ShapeError
-from .lattice import (
-    GeneratingSet,
-    Pattern,
-    PatternMatrix,
-    frequency_set,
-    pattern,
-    smith_normal_form,
-)
+from .lattice import PatternMatrix, smith_normal_form
 
 __all__ = ["FftPlan", "plan", "fourier_matrix", "fft", "ifft"]
 
@@ -49,14 +42,6 @@ class FftPlan:
     @property
     def m(self) -> int:
         return self.matrix.m
-
-    @property
-    def pattern(self) -> Pattern:
-        return pattern(self.matrix)
-
-    @property
-    def frequencies(self) -> GeneratingSet:
-        return frequency_set(self.matrix)
 
     def _reshape(self, values: np.ndarray) -> tuple[np.ndarray, tuple]:
         values = np.asarray(values)

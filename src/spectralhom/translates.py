@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateGeneratorError, DomainError, ShapeError
+from .errors import DegenerateGeneratorError, DomainError, ShapeError, parse_kind
 from .lattice import PatternMatrix, frequency_set, period_shifts
 from .pfft import plan as fft_plan
 
@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 
+_GENERATOR_KEYS = {"dirichlet": {}, "dlvp": {"alpha": ([float], ())}, "bspline": {"order": (int, 1)}}
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Parsed description of a generator choice."""
@@ -64,17 +67,10 @@ class GeneratorSpec:
 
     @classmethod
     def from_json(cls, doc) -> "GeneratorSpec":
-        if not isinstance(doc, dict) or "kind" not in doc:
-            raise DomainError(f"generator spec must be an object with a 'kind': {doc!r}")
-        kind = doc["kind"]
-        if kind == "dirichlet":
-            return cls(kind="dirichlet")
-        if kind == "dlvp":
-            alpha = tuple(float(a) for a in doc.get("alpha", ()))
-            return cls(kind="dlvp", alpha=alpha)
-        if kind == "bspline":
-            return cls(kind="bspline", order=int(doc.get("order", 1)))
-        raise DomainError(f"unknown generator kind {kind!r}")
+        values = parse_kind(doc, _GENERATOR_KEYS, "generator", DomainError)
+        if "alpha" in values:
+            values["alpha"] = tuple(values["alpha"])
+        return cls(**values)
 
     def to_json(self) -> dict:
         if self.kind == "dirichlet":
@@ -189,6 +185,11 @@ class CoefficientRule:
         if self.kind == "dlvp":
             return 1
         return None
+
+    @property
+    def default_periods(self) -> int:
+        """Class-sum truncation when none is given: the support, else 8 translates."""
+        return 8 if self.support_periods is None else self.support_periods
 
     def spec(self) -> GeneratorSpec:
         return GeneratorSpec(kind=self.kind, alpha=self.alpha, order=self.order)
@@ -361,17 +362,15 @@ def synthesize(rule: CoefficientRule, ahat: np.ndarray, x, periods=None):
     """Evaluate g(x) = sum_h sum_z ahat_h c_{h + M^T z} exp(i (h + M^T z)^T x).
 
     ``x`` is a point (or array of points) on the torus [-pi, pi)^d.  The
-    period sum is truncated at |z|_inf <= periods; exact when the rule's
-    support fits (the default covers finitely supported rules).
+    period sum is truncated at |z|_inf <= periods, by default at the rule's
+    ``default_periods``; exact when the rule's support fits.
     """
     M = rule.matrix
     ahat = np.asarray(ahat)
     if ahat.shape != (M.m,):
         raise ShapeError(f"expected {M.m} frequency coefficients, got {ahat.shape}")
     if periods is None:
-        periods = rule.support_periods
-        if periods is None:
-            periods = 8
+        periods = rule.default_periods
     pts = np.asarray(x, dtype=np.float64)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)

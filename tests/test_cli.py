@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,17 +157,23 @@ class TestRunSolve:
         assert strain1 == strain2
 
     def test_determinism_across_processes(self, tmp_path):
+        import os
         import subprocess
         import sys
 
+        import spectralhom
+
         ref = _write_laminate_reference(tmp_path, [[8, 0], [0, 8]])
         path = _laminate_config(tmp_path, reference_values=ref)
+        # the child must import this checkout whether or not PYTHONPATH names it
+        env = dict(os.environ, PYTHONPATH=str(Path(spectralhom.__file__).parents[1]))
 
         def run_once():
             proc = subprocess.run(
                 [sys.executable, "-m", "spectralhom.cli", "solve", str(path)],
                 capture_output=True,
                 text=True,
+                env=env,
             )
             assert proc.returncode == 0, proc.stderr
             report = json.loads((tmp_path / "out/report.json").read_text())
@@ -186,6 +193,88 @@ class TestRunSolve:
         missing = tmp_path / "nope.json"
         assert main(["solve", str(missing)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+def _with(config, path, value):
+    """Copy of ``config`` with the value at the key path ``path`` replaced (None deletes it)."""
+    config = json.loads(json.dumps(config))
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    if value is None:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return config
+
+
+_INCLUSION = {
+    "kind": "inclusion",
+    "semi_axes": [1.0, 0.8],
+    "phases": {"inclusion": {"lambda": 2.0, "mu": 2.0}, "matrix": {"lambda": 1.0, "mu": 1.0}},
+}
+_NAN = float("nan")
+
+
+class TestConfigValidation:
+    """Malformed configs exit 1 with a one-line error before any solve."""
+
+    @pytest.mark.parametrize(
+        "edits, reference, named",
+        [
+            ({("solver", "tolerance"): "abc"}, None, "'tolerance'"),
+            ({("solver", "max_iterations"): 2.5}, None, "'max_iterations'"),
+            ({("solver", "max_iterations"): True}, None, "'max_iterations'"),
+            ({("sampling",): "node"}, None, "'sampling'"),
+            ({("microstructure", "fraction"): None}, None, "'fraction'"),
+            ({("microstructure",): _with(_INCLUSION, ("phases",), None)}, None, "'phases'"),
+            ({("generator",): {"kind": "bspline", "order": "x"}}, None, "'order'"),
+            ({("generator",): {"kind": "bspline", "order": 2.7}}, None, "'order'"),
+            ({("green_periods",): "3"}, None, "'green_periods'"),
+            ({("output", "report"): 5}, None, "'report'"),
+            ({("pattern_matrix",): "abc"}, None, "pattern matrix"),
+            ({("pattern_matrix",): [[[8, 0], [0, 8]]]}, None, "pattern matrix"),
+            ({("microstructure",): {"kind": "voxel_map", "grid": [[0, 1], [1]], "phase_table": [
+                {"lambda": 1.0, "mu": 1.0}, {"lambda": 2.0, "mu": 2.0}]}}, None, "voxel grid"),
+            ({}, {"effective_action": ["a", 0, 0]}, "'effective_action'"),
+            ({}, {"effective_action": [_NAN, 0.0, 0.0]}, "'effective_action'"),
+            ({}, {"effective_action": [float("inf"), 0.0, 0.0]}, "'effective_action'"),
+            ({("reference_stiffness",): {"lambda": 1.0}}, None, "'lambda' and 'mu'"),
+            ({("reference_stiffness",): {"mu": 1.0}}, None, "'lambda' and 'mu'"),
+            ({("solvr",): {}}, None, "'solvr'"),
+            ({("loading",): [_NAN, 0.0, 0.0]}, None, "'loading'"),
+            ({("loading",): [float("inf"), 0.0, 0.0]}, None, "'loading'"),
+            ({("microstructure", "phases", 1, "mu"): float("inf")}, None, "'mu'"),
+            ({("microstructure", "phases", 0, "lambda"): _NAN}, None, "'lambda'"),
+        ],
+    )
+    def test_rejected_before_solving(self, tmp_path, capsys, edits, reference, named):
+        config = json.loads(_laminate_config(tmp_path).read_text())
+        for path, value in edits.items():
+            config = _with(config, path, value)
+        if reference is not None:
+            (tmp_path / "reference.json").write_text(json.dumps(reference))
+            config["reference_values"] = "reference.json"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()  # nothing was solved or written
+
+    def test_documented_defaults_and_nulls_accepted(self, tmp_path):
+        path = _laminate_config(
+            tmp_path,
+            green_periods=None,
+            reference_stiffness={"lambda": 1.5, "mu": 1.5},
+            sampling={"mode": "cell_average"},
+            solver={},
+        )
+        code, doc = run_solve(path)
+        assert code == 0
+        assert doc["tolerance"] == 1e-8
 
 
 class TestGoldenSection:
@@ -240,6 +329,35 @@ class TestSweepAlpha:
         path = _laminate_config(tmp_path, reference_values=ref, sweep={"axes": [3], "budget": 4})
         with pytest.raises(ConfigError):
             sweep_alpha(path)
+
+    def test_unconverged_evaluations_exit_2(self, tmp_path):
+        # a checkerboard needs more than two fixed-point sweeps for any generator
+        ref = _write_laminate_reference(tmp_path, [[8, 0], [0, 8]], with_strain=False)
+        path = _laminate_config(
+            tmp_path,
+            microstructure={
+                "kind": "voxel_map",
+                "grid": [[0, 1], [1, 0]],
+                "phase_table": [{"lambda": 1.0, "mu": 1.0}, {"lambda": 2.0, "mu": 2.0}],
+            },
+            solver={"scheme": "ls_fixed_point", "tolerance": 1e-12, "max_iterations": 2},
+            reference_values=ref,
+            sweep={"axes": [1], "budget": 2},
+        )
+        code, doc = sweep_alpha(path)
+        assert code == 2
+        evaluations = doc["trace"][0]["evaluations"]
+        assert len(evaluations) == 2
+        assert all(e["converged"] is False and e["iterations"] == 2 for e in evaluations)
+        assert doc["best_evaluation"] == doc["dirichlet_evaluation"] == {"converged": False, "iterations": 2}
+
+    def test_converged_evaluations_recorded(self, tmp_path):
+        ref = _write_laminate_reference(tmp_path, [[8, 0], [0, 8]], with_strain=False)
+        path = _laminate_config(tmp_path, reference_values=ref, sweep={"axes": [2], "budget": 2})
+        code, doc = sweep_alpha(path)
+        assert code == 0
+        for e in doc["trace"][0]["evaluations"] + [doc["best_evaluation"], doc["dirichlet_evaluation"]]:
+            assert e["converged"] is True and e["iterations"] >= 1
 
     def test_finds_improvement_on_synthetic_unimodal(self, tmp_path, monkeypatch):
         # inject a unimodal objective through the solve path to test the

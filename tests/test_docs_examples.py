@@ -42,14 +42,3 @@ def test_sweep_example(tmp_path, capsys):
     assert doc["best_e_eff"] <= doc["dirichlet_e_eff"]
     assert (work / "out/sweep_report.json").exists()
 
-
-def test_sweep_example_with_threads(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SPECTRALHOM_THREADS", "2")
-    _run_from_copy(tmp_path, "sweep_alpha.json", "sweep-alpha")
-    threaded = json.loads(capsys.readouterr().out)
-    monkeypatch.setenv("SPECTRALHOM_THREADS", "1")
-    _run_from_copy(tmp_path, "sweep_alpha.json", "sweep-alpha")
-    serial = json.loads(capsys.readouterr().out)
-    threaded.pop("timing")
-    serial.pop("timing")
-    assert json.dumps(threaded, sort_keys=True) == json.dumps(serial, sort_keys=True)
