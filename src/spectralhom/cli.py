@@ -52,7 +52,7 @@ _CONFIG_KEYS = {
     "sweep": (dict, {}),
 }
 _SAMPLING_KEYS = {"mode": (str, "node"), "subsamples": (int, 3)}
-_REFERENCE_STIFFNESS_KEYS = {"rule": (str, "phase_mean"), "lambda": (float, None), "mu": (float, None)}
+_REFERENCE_STIFFNESS_KEYS = {"rule": (str, None), "lambda": (float, None), "mu": (float, None)}
 _SOLVER_KEYS = {
     "tolerance": (float, solver.SolverConfig.tolerance),
     "max_iterations": (int, solver.SolverConfig.max_iterations),
@@ -84,6 +84,9 @@ class _Problem:
         self.base_dir = base_dir = config_path.parent
         self.output = parse_object(config["output"], _OUTPUT_KEYS, "config 'output'")
         self.sweep = parse_object(config["sweep"], _SWEEP_KEYS, "config 'sweep'")
+        self.log_form = config["log_error_form"]
+        if self.log_form not in solver.LOG_ERROR_FORMS:
+            raise ConfigError(f"config 'log_error_form': unknown form {self.log_form!r}")
         self.matrix = _stage("pattern matrix", PatternMatrix.from_any, config["pattern_matrix"])
         self.generator = _stage("generator", GeneratorSpec.from_json, config["generator"])
         self.micro = _stage("microstructure", geometry.microstructure_from_json, config["microstructure"])
@@ -106,10 +109,12 @@ class _Problem:
         if (lam is None) != (mu is None):
             raise ConfigError("config 'reference_stiffness': give both 'lambda' and 'mu' or neither")
         if lam is None:
-            if ref["rule"] != "phase_mean":
+            if ref["rule"] not in (None, "phase_mean"):
                 raise ConfigError(f"config 'reference_stiffness': unknown rule {ref['rule']!r}")
             lam = float(np.mean([p.lam for p in self.micro.phases]))
             mu = float(np.mean([p.mu for p in self.micro.phases]))
+        elif ref["rule"] is not None:
+            raise ConfigError("config 'reference_stiffness': give a 'rule' or 'lambda' and 'mu', not both")
         self.reference_stiffness = _stage("reference stiffness", iso_stiffness, lam, mu, d)
         self.solver_config = _stage(
             "solver config", solver.SolverConfig, **parse_object(config["solver"], _SOLVER_KEYS, "config 'solver'")
@@ -123,7 +128,6 @@ class _Problem:
                 base_dir / config["reference_values"],
                 self.matrix,
             )
-        self.log_form = config["log_error_form"]
 
     def solve(self, generator: GeneratorSpec | None = None) -> tuple[solver.SolveReport, GreenTable]:
         spec = generator or self.generator

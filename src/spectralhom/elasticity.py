@@ -40,7 +40,7 @@ order one for any |k|; k = 0 gives k (x) k = 0 and hence G0 = 0.
 The periodised Green operator of a generator rule accumulates weighted
 class sums m sum_z G0(h + M^T z) |c_{h + M^T z}|^2 over the dual generating
 set.  For the orthonormalised Dirichlet rule (|c|^2 = 1/m on its support)
-the table reproduces G0 on G(M^T) exactly.
+the table reproduces G0 on G(M^T) exactly; it is stored as symmetric-packed rows.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ __all__ = [
     "sym_grad_hat",
     "green_coeff",
     "green_coeff_batch",
+    "pack_symmetric",
+    "mandel_product",
     "GreenTable",
     "periodized_green",
 ]
@@ -189,6 +191,36 @@ def green_coeff(C0: np.ndarray, k) -> np.ndarray:
     return green_coeff_batch(C0, k[None, :])[0]
 
 
+def pack_symmetric(A) -> np.ndarray:
+    """Symmetric-packed rows (D (D + 1) / 2, ...) of (..., D, D) matrices.
+
+    Row k holds entry (i, j) of the upper triangle taken row by row.
+    """
+    rows, cols = np.triu_indices(np.shape(A)[-1])
+    return np.ascontiguousarray(np.moveaxis(np.asarray(A)[..., rows, cols], -1, 0))
+
+
+def mandel_product(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Pointwise products A(y) x(y) of component-major (D, m) fields.
+
+    ``A`` holds one matrix per node as rows over nodes: D^2 dense row-major
+    rows, or the D (D + 1) / 2 rows of ``pack_symmetric``.  Each output row
+    is an unrolled sum of contiguous row products, so A is never cast whole.
+    """
+    D = len(x)
+    idx = np.arange(D * D).reshape(D, D)  # row of entry (i, j)
+    if len(A) != D * D:
+        rows, cols = np.triu_indices(D)
+        idx[rows, cols] = idx[cols, rows] = np.arange(rows.size)
+    out = np.empty(x.shape, dtype=np.result_type(A, x))
+    term = np.empty(x.shape[1:], dtype=out.dtype)
+    for i, row in enumerate(out):
+        np.multiply(A[idx[i, 0]], x[0], out=row)
+        for j in range(1, D):
+            row += np.multiply(A[idx[i, j]], x[j], out=term)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class GreenTable:
     """Periodised Green operator over the dual generating set.
@@ -198,7 +230,7 @@ class GreenTable:
     """
 
     matrix: PatternMatrix
-    table: np.ndarray  # (m, D, D) float64, read-only
+    table: np.ndarray  # (D (D + 1) / 2, m) float64 packed rows, read-only
     reference: np.ndarray  # (D, D) reference stiffness
     generator: GeneratorSpec
     periods: int
@@ -209,10 +241,10 @@ class GreenTable:
         return self.matrix.m
 
     def apply_hat(self, tau_hat: np.ndarray) -> np.ndarray:
-        """Multiply frequency-domain Mandel vectors by the per-class matrices."""
-        if tau_hat.shape[0] != self.table.shape[0]:
+        """Multiply component-major (D, m) frequency fields by the per-class matrices."""
+        if tau_hat.shape[-1] != self.m:
             raise ShapeError("frequency field does not match the Green table")
-        return np.einsum("hij,hj->hi", self.table, tau_hat)
+        return mandel_product(self.table, tau_hat)
 
 
 def periodized_green(
@@ -246,19 +278,19 @@ def periodized_green(
     acc = np.zeros((M.m, D, D))
     for shift in period_shifts(d, periods):
         ks = freqs + (shift @ M.array)[None, :]
-        weights = np.abs(rule.coefficients(ks, classes)) ** 2
+        weights = M.m * np.abs(rule.coefficients(ks, classes)) ** 2
         live = weights > 0.0
         if not np.any(live):
             continue
         if np.all(live):
             live = slice(None)  # views instead of gathered copies
         acc[live] += green_coeff_batch(C0, ks[live], check=False) * weights[live, None, None]
-    acc *= M.m
     acc[0] = 0.0  # class of h = 0 is always first in canonical order
-    acc.setflags(write=False)
+    table = pack_symmetric(acc)
+    table.setflags(write=False)
     return GreenTable(
         matrix=M,
-        table=acc,
+        table=table,
         reference=np.array(C0, dtype=np.float64),
         generator=rule.spec(),
         periods=int(periods),

@@ -82,6 +82,8 @@ def _unit_coords(x: np.ndarray) -> np.ndarray:
 class Laminate:
     """Two-phase layering orthogonal to a coordinate axis."""
 
+    d = None  # fits any pattern dimension that has the layer axis
+
     def __init__(self, axis: int, fraction: float, phases):
         if not 0.0 <= fraction <= 1.0:
             raise GeometryError(f"layer fraction must lie in [0, 1], got {fraction}")
@@ -114,6 +116,8 @@ def _ellipse_quadric(semi_axes, rotation: float, d: int) -> np.ndarray:
 
 class HashinEllipses:
     """Confocal core and coating ellipses embedded in a matrix phase."""
+
+    d = 2
 
     def __init__(self, core_semi_axes, coating_semi_axes, center, rotation, core, coating, matrix):
         self.center = np.asarray(center, dtype=np.float64)
@@ -150,7 +154,7 @@ class Inclusion:
     def __init__(self, shape: str, semi_axes, center, rotation, inclusion, matrix):
         self.shape = shape
         self.center = np.asarray(center, dtype=np.float64)
-        d = self.center.shape[0]
+        self.d = d = self.center.shape[0]
         self.phases = (inclusion, matrix)
         if shape == "ellipse":
             self.quadric = _ellipse_quadric(semi_axes, rotation, d)
@@ -182,17 +186,15 @@ class VoxelMap:
         if self.grid.dtype.kind not in "iu":
             raise GeometryError("voxel grid entries must be integer phase ids")
         self.phases = tuple(phase_table)
+        self.d = self.grid.ndim
         if self.grid.min() < 0 or self.grid.max() >= len(self.phases):
             raise GeometryError("voxel grid references a phase id outside the phase table")
 
     def phase_index(self, x: np.ndarray) -> np.ndarray:
-        d = x.shape[1]
-        if self.grid.ndim != d:
-            raise GeometryError(f"voxel grid dimension {self.grid.ndim} does not match d = {d}")
         u = _unit_coords(x)
         idx = tuple(
             np.minimum((u[:, a] * self.grid.shape[a]).astype(np.int64), self.grid.shape[a] - 1)
-            for a in range(d)
+            for a in range(self.d)
         )
         return self.grid[idx]
 
@@ -252,6 +254,8 @@ def sample_stiffness(ms, M: PatternMatrix, mode: str = "node", subsamples: int =
     s^d subsampling of each node cell.
     """
     d = M.d
+    if ms.d not in (None, d):
+        raise DomainError(f"the microstructure is {ms.d}-D but the pattern is {d}-D")
     D = mandel_dim(d)
     nodes = 2.0 * np.pi * pattern(M).points
     tables = np.stack([p.stiffness(d) for p in ms.phases])

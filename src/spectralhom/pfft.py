@@ -3,12 +3,12 @@
 The dense reference matrix is assembled from exact rational phases: the
 phase h^T y of every entry is an integer multiple of 1/m, reduced modulo m
 in integer arithmetic before the complex exponential is evaluated, so there
-is no phase drift at large m.  The fast transform reshapes pattern data onto
-the Smith-coordinate grid (d_1, ..., d_d), where the kernel separates, and
-runs ordinary mixed-radix FFTs along each axis; numpy's pocketfft supplies
-the per-axis butterflies including the Bluestein fallback for large prime
-factors.  Both directions carry the 1/sqrt(m) factor that makes the pair
-unitary.
+is no phase drift at large m.  The fast transform reshapes the last (pattern)
+axis onto the Smith-coordinate grid (d_1, ..., d_d) as trailing axes, where
+the kernel separates, and runs ordinary mixed-radix FFTs along each; numpy's
+pocketfft supplies the butterflies including the Bluestein fallback for
+large prime factors, and its "ortho" mode applies each axis's 1/sqrt(d_l)
+inside the transform, so the pair is unitary without a separate pass.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ class FftPlan:
     """Reusable transform plan for one pattern matrix.
 
     Immutable after construction; safe to share across threads.  Input arrays
-    are indexed by the canonical pattern order along axis 0 (forward) or the
-    canonical dual-frequency order (inverse); trailing axes are transformed
-    independently.
+    are indexed by the canonical pattern order along the last axis (forward)
+    or the canonical dual-frequency order (inverse); leading axes are
+    transformed independently.
     """
 
     matrix: PatternMatrix
@@ -43,24 +43,23 @@ class FftPlan:
     def m(self) -> int:
         return self.matrix.m
 
-    def _reshape(self, values: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def _transform(self, fn, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
-        if values.shape[0] != self.m:
-            raise ShapeError(f"expected leading axis {self.m}, got {values.shape}")
-        rest = values.shape[1:]
-        return values.reshape(self.diag + rest), rest
+        if values.shape[-1:] != (self.m,):
+            raise ShapeError(f"expected trailing axis {self.m}, got {values.shape}")
+        grid = values.reshape(values.shape[:-1] + self.diag)
+        axes = tuple(range(-len(self.diag), 0))
+        # one output buffer: every axis pass after the first runs in place
+        out = np.empty(grid.shape, dtype=np.result_type(grid, 1j))
+        return fn(grid, axes=axes, norm="ortho", out=out).reshape(values.shape)
 
     def fft(self, values: np.ndarray) -> np.ndarray:
         """Unitary forward transform, pattern order -> dual frequency order."""
-        grid, rest = self._reshape(values)
-        out = np.fft.fftn(grid, axes=tuple(range(len(self.diag))))
-        return out.reshape((self.m,) + rest) / np.sqrt(self.m)
+        return self._transform(np.fft.fftn, values)
 
     def ifft(self, values: np.ndarray) -> np.ndarray:
         """Unitary inverse transform (the adjoint of :meth:`fft`)."""
-        grid, rest = self._reshape(values)
-        out = np.fft.ifftn(grid, axes=tuple(range(len(self.diag))))
-        return out.reshape((self.m,) + rest) * np.sqrt(self.m)
+        return self._transform(np.fft.ifftn, values)
 
 
 @lru_cache(maxsize=128)

@@ -24,6 +24,11 @@ small imaginary component on the boundary (Nyquist) rows, reported as
 ``imbalance``.  Keeping it is what makes the fixed-point and projected
 solutions coincide exactly on the Dirichlet space.
 
+Iterates are component-major (D, m) fields (FFTs over the trailing Smith
+axes, pointwise products as ``mandel_product`` row sums); the symmetric
+stiffness (m, D, D) and the reported strain (m, D) stay pattern-major.  A
+non-finite residual or curvature (overflowing input) ends a solve unconverged.
+
 All norms are root-mean-square over nodes so tolerances are resolution
 independent; reductions use numpy's fixed pairwise summation, making
 repeated runs bit-identical.
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elasticity import GreenTable
+from .elasticity import GreenTable, mandel_dim, mandel_product, pack_symmetric
 from .errors import CapacityError, DomainError, ShapeError, SingularSystemError
 from .pfft import plan as fft_plan
 
@@ -54,6 +59,7 @@ __all__ = [
 ]
 
 _DENSE_LIMIT = 2048
+LOG_ERROR_FORMS = ("difference", "sum")
 
 
 @dataclass(frozen=True)
@@ -105,18 +111,19 @@ class ErrorMetrics:
 
 
 def field_norm(values: np.ndarray) -> float:
-    """Root-mean-square norm over nodes (a constant field keeps its vector norm)."""
+    """Root-mean-square norm over the nodes of an (m, ...) field.
+
+    A constant field keeps its vector norm; (D, m) fields are passed transposed.
+    """
     values = np.asarray(values)
     return float(np.linalg.norm(values) / np.sqrt(values.shape[0]))
 
 
-def apply_stiffness(C: np.ndarray, strain: np.ndarray) -> np.ndarray:
-    """Pointwise stress C(y) : strain(y) over a pattern-indexed field."""
-    return np.einsum("hij,hj->hi", C, strain)
+apply_stiffness = mandel_product  # pointwise stress C(y) : strain(y), C as rows over nodes
 
 
 def _green_convolve(G: GreenTable, tau: np.ndarray) -> np.ndarray:
-    """Action of the periodised Green operator on a nodal field (complex)."""
+    """Action of the periodised Green operator on a (D, m) nodal field (complex)."""
     p = fft_plan(G.matrix)
     return p.ifft(G.apply_hat(p.fft(tau)))
 
@@ -126,7 +133,7 @@ def _validate_problem(C, C0, eps0, G: GreenTable):
     C0 = np.asarray(C0, dtype=np.float64)
     eps0 = np.asarray(eps0, dtype=np.float64)
     m = G.m
-    D = G.table.shape[1]
+    D = mandel_dim(G.matrix.d)
     if C.shape != (m, D, D):
         raise ShapeError(f"stiffness field must have shape {(m, D, D)}, got {C.shape}")
     if C0.shape != (D, D):
@@ -148,8 +155,7 @@ def effective_stiffness(C: np.ndarray, strain: np.ndarray, eps0: np.ndarray) -> 
     eps0 = np.asarray(eps0, dtype=np.float64)
     if strain.shape != C.shape[:2]:
         raise ShapeError("strain field does not match the stiffness field")
-    action = apply_stiffness(C, strain + eps0[None, :]).mean(axis=0)
-    return np.real(action)
+    return np.real(apply_stiffness(C.reshape(len(C), -1).T, strain.T + eps0[:, None]).mean(axis=1))
 
 
 def ls_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> SolveReport:
@@ -163,9 +169,9 @@ def ls_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) 
     cfg = cfg or SolverConfig()
     C, C0, eps0 = _validate_problem(C, C0, eps0, G)
     start = time.perf_counter()
-    dC = C - C0[None, :, :]
+    dC = pack_symmetric(C - C0)
     scale = float(np.linalg.norm(eps0))
-    E = np.zeros(C.shape[:2], dtype=np.complex128)
+    E = np.zeros((len(eps0), G.m), dtype=np.complex128)
     residuals: list[float] = []
     converged = False
     iterations = 0
@@ -174,31 +180,39 @@ def ls_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) 
         residuals.append(0.0)
     else:
         for iterations in range(1, cfg.max_iterations + 1):
-            E_next = -_green_convolve(G, apply_stiffness(dC, E + eps0[None, :]))
-            r = field_norm(E - E_next) / scale
+            E_next = -_green_convolve(G, apply_stiffness(dC, E + eps0[:, None]))
+            r = field_norm((E - E_next).T) / scale
             residuals.append(r)
             E = E_next
             if r <= cfg.tolerance:
                 converged = True
                 break
+            if not np.isfinite(r):
+                break
     return SolveReport(
-        strain=E,
+        strain=E.T,
         iterations=iterations,
         residuals=tuple(residuals),
-        effective_action=effective_stiffness(C, E, eps0),
+        effective_action=effective_stiffness(C, E.T, eps0),
         converged=converged,
         scheme="ls_fixed_point",
         wall_time=time.perf_counter() - start,
     )
 
 
-def _stiffness_square_roots(C: np.ndarray):
+def _stiffness_square_roots(C: np.ndarray, C0: np.ndarray):
+    """Packed rows of W = C^{1/2} and dense rows of P = C0 W^{-1}, over nodes."""
     w, v = np.linalg.eigh(C)
     if w.min() <= 0.0:
         raise DomainError("stiffness field is not uniformly elliptic")
-    W = np.einsum("hij,hj,hkj->hik", v, np.sqrt(w), v)
-    Winv = np.einsum("hij,hj,hkj->hik", v, 1.0 / np.sqrt(w), v)
-    return W, Winv
+    v = np.ascontiguousarray(v.transpose(1, 2, 0))  # v[i, k]: component i of eigenvector k
+    root = np.sqrt(w.T)
+    D = len(root)
+    vw = v * root
+    u = np.tensordot(C0, v / root, axes=1)  # u[i, k] = (C0 v_k)[i] / sqrt(w_k)
+    W = np.stack([sum(vw[i, k] * v[j, k] for k in range(D)) for i, j in zip(*np.triu_indices(D))])
+    P = np.stack([sum(u[i, k] * v[j, k] for k in range(D)) for i in range(D) for j in range(D)])
+    return W, P
 
 
 def ve_krylov(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> SolveReport:
@@ -206,22 +220,23 @@ def ve_krylov(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> So
 
     Solves the Hermitian PSD system C^{1/2} G C^{1/2} w = -C^{1/2} G (C eps0)
     with conjugate gradients; the reported residual is the projected one,
-    ||C0 G C (E + eps0)|| / ||C0 G C eps0||.
+    ||C0 G C (E + eps0)|| / ||C0 G C eps0||, evaluated as ||P r|| with
+    P = C0 C^{-1/2}, and the strain is recovered as E = C0^{-1} (P w).
     """
     cfg = cfg or SolverConfig()
     C, C0, eps0 = _validate_problem(C, C0, eps0, G)
     start = time.perf_counter()
-    W, Winv = _stiffness_square_roots(C)
+    W, P = _stiffness_square_roots(C, C0)
 
     def operator(w_vec: np.ndarray) -> np.ndarray:
         return apply_stiffness(W, _green_convolve(G, apply_stiffness(W, w_vec)))
 
     def projected_norm(r_vec: np.ndarray) -> float:
         # nodal VE residual carries the constant reference factor
-        return field_norm(apply_stiffness(Winv, r_vec) @ C0.T)
+        return field_norm(apply_stiffness(P, r_vec).T)
 
-    eps0_field = np.tile(eps0.astype(np.complex128), (G.m, 1))
-    b = -apply_stiffness(W, _green_convolve(G, apply_stiffness(C, eps0_field)))
+    eps0_field = np.tile(eps0.astype(np.complex128)[:, None], G.m)
+    b = -apply_stiffness(W, _green_convolve(G, apply_stiffness(C.reshape(G.m, -1).T, eps0_field)))
     rho0 = projected_norm(b)
     residuals: list[float] = []
     x = np.zeros_like(b)
@@ -237,6 +252,9 @@ def ve_krylov(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> So
         for iterations in range(1, cfg.max_iterations + 1):
             Lp = operator(p)
             curvature = float(np.vdot(p, Lp).real)
+            if not np.isfinite(curvature):
+                residuals.append(float("nan"))
+                break
             if curvature <= 0.0:
                 x, _ = _minres_fallback(operator, b, x, cfg)
                 r = b - operator(x)
@@ -244,17 +262,20 @@ def ve_krylov(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> So
                 converged = residuals[-1] <= cfg.tolerance
                 break
             alpha = rs / curvature
-            x = x + alpha * p
-            r = r - alpha * Lp
+            x += alpha * p
+            r -= alpha * Lp
             rho = projected_norm(r) / rho0
             residuals.append(rho)
             if rho <= cfg.tolerance:
                 converged = True
                 break
+            if not np.isfinite(rho):
+                break
             rs_next = float(np.vdot(r, r).real)
-            p = r + (rs_next / rs) * p
+            p *= rs_next / rs
+            p += r
             rs = rs_next
-    strain = apply_stiffness(Winv, x)
+    strain = np.linalg.solve(C0, apply_stiffness(P, x)).T
     return SolveReport(
         strain=strain,
         iterations=iterations,
@@ -270,33 +291,26 @@ def _minres_fallback(operator, b, x0, cfg: SolverConfig):
     """Minimal-residual rescue for (round-off) loss of positive curvature.
 
     scipy's minres is real-symmetric; the Hermitian operator is lifted to
-    the equivalent real system on stacked real/imaginary parts.
+    the equivalent real system on interleaved real/imaginary parts.
     """
     from scipy.sparse.linalg import LinearOperator, minres
 
-    shape = b.shape
-
     def matvec(vec):
-        half = vec.size // 2
-        w = (vec[:half] + 1j * vec[half:]).reshape(shape)
-        out = operator(w).ravel()
-        return np.concatenate([out.real, out.imag])
+        w = np.ascontiguousarray(vec).view(np.complex128).reshape(b.shape)
+        return operator(w).ravel().view(np.float64)
 
-    n = 2 * b.size
-    A = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    rhs = np.concatenate([b.ravel().real, b.ravel().imag])
-    start = np.concatenate([x0.ravel().real, x0.ravel().imag])
-    sol, info = minres(A, rhs, x0=start, rtol=cfg.tolerance * 1e-2, maxiter=cfg.max_iterations)
-    half = sol.size // 2
-    return (sol[:half] + 1j * sol[half:]).reshape(shape), info == 0
+    A = LinearOperator((2 * b.size,) * 2, matvec=matvec, dtype=np.float64)
+    real = [np.ascontiguousarray(v).ravel().view(np.float64) for v in (b, x0)]
+    sol, info = minres(A, real[0], x0=real[1], rtol=cfg.tolerance * 1e-2, maxiter=cfg.max_iterations)
+    return sol.view(np.complex128).reshape(b.shape), info == 0
 
 
 def dense_oracle(C, C0, eps0, G: GreenTable) -> np.ndarray:
     """Direct dense solve of the fixed-point equations on small instances.
 
-    Assembles the (m D) x (m D) matrix of E -> E + G((C - C0) : E) column by
-    column, solves against -G((C - C0) : eps0), and returns the fluctuation
-    strain.  Guarded to m D <= 2048.
+    Assembles the (m D) x (m D) matrix of E -> E + G((C - C0) : E) from the
+    images of all unit fields at once, solves against -G((C - C0) : eps0),
+    and returns the fluctuation strain.  Guarded to m D <= 2048.
     """
     C, C0, eps0 = _validate_problem(C, C0, eps0, G)
     m = G.m
@@ -304,15 +318,12 @@ def dense_oracle(C, C0, eps0, G: GreenTable) -> np.ndarray:
     n = m * D
     if n > _DENSE_LIMIT:
         raise CapacityError(f"dense oracle limited to m*D <= {_DENSE_LIMIT}, got {n}")
-    dC = C - C0[None, :, :]
-    eps0_field = np.tile(eps0.astype(np.complex128), (m, 1))
+    dC = pack_symmetric(C - C0)
+    eps0_field = np.tile(eps0.astype(np.complex128)[:, None], m)
     const = _green_convolve(G, apply_stiffness(dC, eps0_field))
-    A = np.empty((n, n), dtype=np.complex128)
-    basis = np.zeros((m, D), dtype=np.complex128)
-    for i in range(n):
-        basis.reshape(-1)[i] = 1.0
-        A[:, i] = (basis + _green_convolve(G, apply_stiffness(dC, basis))).reshape(-1)
-        basis.reshape(-1)[i] = 0.0
+    # every unit field at once, as a (D, n, m) batch with field i at [:, i]
+    basis = np.eye(n, dtype=np.complex128).reshape(n, D, m).transpose(1, 0, 2)
+    A = (basis + _green_convolve(G, apply_stiffness(dC, basis))).transpose(0, 2, 1).reshape(n, n)
     try:
         solution = np.linalg.solve(A, -const.reshape(-1))
     except np.linalg.LinAlgError as exc:
@@ -324,7 +335,7 @@ def dense_oracle(C, C0, eps0, G: GreenTable) -> np.ndarray:
         raise SingularSystemError(
             f"dense solve unreliable (condition estimate {np.linalg.cond(A):.3e})"
         )
-    return solution.reshape(m, D)
+    return solution.reshape(D, m).T
 
 
 def error_metrics(
@@ -342,7 +353,7 @@ def error_metrics(
     to log(1 + |e + e_ref|) for compatibility with that printed convention.
     Complex strain coefficients are compared in full.
     """
-    if log_form not in ("difference", "sum"):
+    if log_form not in LOG_ERROR_FORMS:
         raise DomainError(f"unknown log-error form {log_form!r}")
     e_l2 = None
     e_log = None

@@ -199,3 +199,25 @@ def periodized_green_einsum(C0, rule, freqs, periods):
     acc *= m
     acc[0] = 0.0
     return acc
+
+
+def stiffness_product_einsum(C, strain):
+    """Pointwise C(y) strain(y) on pattern-major (m, D, D) and (m, D) arrays."""
+    return np.einsum("hij,hj->hi", C, strain)
+
+
+def stiffness_square_roots_einsum(C):
+    """C^{1/2} and C^{-1/2} per node, (m, D, D) each, from a batched eigendecomposition."""
+    w, v = np.linalg.eigh(C)
+    W = np.einsum("hij,hj,hkj->hik", v, np.sqrt(w), v)
+    Winv = np.einsum("hij,hj,hkj->hik", v, 1.0 / np.sqrt(w), v)
+    return W, Winv
+
+
+def unpack_symmetric(rows):
+    """(m, D, D) matrices from (D (D + 1) / 2, m) symmetric-packed rows (upper triangle, row by row)."""
+    D = int(round((np.sqrt(8 * rows.shape[0] + 1) - 1) / 2))
+    r, c = np.triu_indices(D)
+    out = np.empty((rows.shape[1], D, D))
+    out[:, r, c] = out[:, c, r] = rows.T
+    return out

@@ -246,6 +246,9 @@ class TestConfigValidation:
             ({("loading",): [float("inf"), 0.0, 0.0]}, None, "'loading'"),
             ({("microstructure", "phases", 1, "mu"): float("inf")}, None, "'mu'"),
             ({("microstructure", "phases", 0, "lambda"): _NAN}, None, "'lambda'"),
+            ({("microstructure",): _with(_INCLUSION, ("semi_axes",), [1.0, 0.8, 0.6])}, None, "stiffness sampling"),
+            ({("log_error_form",): "product"}, None, "'log_error_form'"),
+            ({("reference_stiffness",): {"rule": "phase_mean", "lambda": 1.0, "mu": 1.0}}, None, "not both"),
         ],
     )
     def test_rejected_before_solving(self, tmp_path, capsys, edits, reference, named):
@@ -263,6 +266,19 @@ class TestConfigValidation:
         assert named in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()  # nothing was solved or written
+
+    @pytest.mark.parametrize("scheme", ["ls_fixed_point", "ve_krylov"])
+    def test_overflowing_loading_stops_unconverged(self, tmp_path, scheme):
+        # finite input whose products overflow: the first non-finite residual
+        # or curvature ends the solve instead of iterating to max_iterations
+        path = _laminate_config(
+            tmp_path, loading=[1e308, 1e308, 0.0], solver={"scheme": scheme, "max_iterations": 5000}
+        )
+        with np.errstate(all="ignore"):
+            assert main(["solve", str(path)]) == 2
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert doc["converged"] is False
+        assert 1 <= doc["iterations"] <= 2
 
     def test_documented_defaults_and_nulls_accepted(self, tmp_path):
         path = _laminate_config(

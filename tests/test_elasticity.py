@@ -22,6 +22,8 @@ from oracles import (
     periodized_green_einsum,
     random_regular_matrix,
     random_spd_mandel,
+    stiffness_product_einsum,
+    unpack_symmetric,
 )
 
 
@@ -175,7 +177,7 @@ class TestGreenKernelOracles:
         rule = orthonormalize(bspline_rule(M, 2))
         table = periodized_green(C0, rule, periods=2)
         want = periodized_green_einsum(C0, rule, frequency_set(M).freqs, periods=2)
-        assert np.abs(table.table - want).max() < 1e-14
+        assert np.abs(unpack_symmetric(table.table) - want).max() < 1e-14
 
 
 class TestPeriodizedGreen:
@@ -188,7 +190,7 @@ class TestPeriodizedGreen:
             rule = orthonormalize(dirichlet_rule(M))
             table = periodized_green(C0, rule)
             direct = green_coeff_batch(C0, frequency_set(M).freqs)
-            assert np.abs(table.table - direct).max() < 1e-12
+            assert np.abs(unpack_symmetric(table.table) - direct).max() < 1e-12
 
     def test_requires_orthonormal_rule(self):
         M = PatternMatrix.from_any([[4, 1], [0, 4]])
@@ -206,7 +208,7 @@ class TestPeriodizedGreen:
         M = PatternMatrix.from_any([[4, 1], [0, 4]])
         rule = orthonormalize(dlvp_rule(M, [0.4, 0.0]))
         table = periodized_green(iso_stiffness(1, 1, 2), rule)
-        assert np.abs(table.table[0]).max() == 0.0  # h = 0 comes first
+        assert np.abs(unpack_symmetric(table.table)[0]).max() == 0.0  # h = 0 comes first
 
     def test_dlvp_single_period_is_exact(self):
         M = PatternMatrix.from_any([[4, 1], [0, 4]])
@@ -214,7 +216,7 @@ class TestPeriodizedGreen:
         rule = orthonormalize(dlvp_rule(M, [0.4, 0.0]))
         t1 = periodized_green(C0, rule, periods=1)
         t4 = periodized_green(C0, rule, periods=4)
-        assert np.abs(t1.table - t4.table).max() < 1e-14
+        assert np.abs(unpack_symmetric(t1.table) - unpack_symmetric(t4.table)).max() < 1e-14
         assert t1.tail_estimate == 0.0
 
     def test_tables_symmetric_psd(self):
@@ -225,7 +227,7 @@ class TestPeriodizedGreen:
             orthonormalize(dlvp_rule(M, [0.5, 0.8])),
             orthonormalize(bspline_rule(M, 2)),
         ):
-            table = periodized_green(C0, rule).table
+            table = unpack_symmetric(periodized_green(C0, rule).table)
             assert np.abs(table - table.transpose(0, 2, 1)).max() < 1e-12
             for i in range(M.m):
                 assert np.linalg.eigvalsh(table[i]).min() > -1e-10
@@ -238,11 +240,11 @@ class TestPeriodizedGreen:
         C0 = iso_stiffness(1.0, 1.0, 2)
         freqs = frequency_set(M)
         neg = freqs.class_index(-freqs.freqs)
-        table = periodized_green(C0, orthonormalize(dlvp_rule(M, [0.4, 0.25]))).table
+        table = unpack_symmetric(periodized_green(C0, orthonormalize(dlvp_rule(M, [0.4, 0.25]))).table)
         assert np.abs(table - table[neg]).max() < 1e-14
         rule = orthonormalize(bspline_rule(M, 2))
-        defect12 = np.abs((t := periodized_green(C0, rule, periods=12).table) - t[neg]).max()
-        defect30 = np.abs((t := periodized_green(C0, rule, periods=30).table) - t[neg]).max()
+        defect12 = np.abs((t := unpack_symmetric(periodized_green(C0, rule, periods=12).table)) - t[neg]).max()
+        defect30 = np.abs((t := unpack_symmetric(periodized_green(C0, rule, periods=30).table)) - t[neg]).max()
         assert defect12 < 1e-7
         assert defect30 < defect12 / 10
 
@@ -252,5 +254,16 @@ class TestPeriodizedGreen:
         rule = orthonormalize(bspline_rule(M, 2))
         t8 = periodized_green(C0, rule, periods=8)
         t16 = periodized_green(C0, rule, periods=16)
-        assert np.abs(t8.table - t16.table).max() < 1e-4
+        assert np.abs(unpack_symmetric(t8.table) - unpack_symmetric(t16.table)).max() < 1e-4
         assert t16.tail_estimate < t8.tail_estimate
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_packed_apply_hat_matches_einsum(self, d):
+        rng = np.random.default_rng(60 + d)
+        M = PatternMatrix(tuple(map(tuple, random_regular_matrix(rng, d, 64))))
+        D = d * (d + 1) // 2
+        table = periodized_green(random_spd_mandel(rng, D), orthonormalize(dlvp_rule(M, [0.3] * d)))
+        assert table.table.shape == (D * (D + 1) // 2, M.m)
+        tau = rng.standard_normal((D, M.m)) + 1j * rng.standard_normal((D, M.m))
+        want = stiffness_product_einsum(unpack_symmetric(table.table), tau.T).T
+        assert np.abs(table.apply_hat(tau) - want).max() <= 1e-14 * np.abs(want).max()

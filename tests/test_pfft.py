@@ -140,11 +140,20 @@ class TestFastTransform:
             fft(M, np.zeros(5))
 
     def test_batched_components(self):
+        # leading axes are independent transforms over the trailing pattern index
         rng = np.random.default_rng(29)
         M = PatternMatrix.from_any([[3, 1], [1, 4]])
-        a = rng.standard_normal((M.m, 3))
-        stacked = np.stack([fft(M, a[:, i]) for i in range(3)], axis=1)
+        a = rng.standard_normal((3, M.m))
+        stacked = np.stack([fft(M, a[i]) for i in range(3)])
         assert np.abs(fft(M, a) - stacked).max() < 1e-14
+
+    def test_trailing_axis_matches_dense_3d(self):
+        rng = np.random.default_rng(30)
+        M = PatternMatrix.from_any([[4, 1, 0], [0, 6, 2], [0, 0, 2]])
+        F = fourier_matrix(M)
+        a = rng.standard_normal((2, 3, M.m)) + 1j * rng.standard_normal((2, 3, M.m))
+        assert np.abs(fft(M, a) - a @ F.T).max() < 1e-12
+        assert np.abs(ifft(M, a) - a @ F.conj()).max() < 1e-12
 
     def test_plan_is_cached_and_reusable(self):
         M = PatternMatrix.from_any([[3, 1], [1, 4]])

@@ -20,8 +20,11 @@ from spectralhom import (
     sample_stiffness,
     ve_krylov,
 )
+from spectralhom.elasticity import pack_symmetric
 from spectralhom.errors import CapacityError, DomainError, ShapeError
-from spectralhom.solver import field_norm
+from spectralhom.solver import _stiffness_square_roots, apply_stiffness, field_norm
+
+from oracles import random_spd_mandel, stiffness_product_einsum, stiffness_square_roots_einsum, unpack_symmetric
 
 EPS0 = np.array([1.0, 0.0, 0.0])
 
@@ -91,7 +94,7 @@ class TestFixedPoint:
         C = _random_two_phase(rng, M, 3.0)
         G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
         rep = ls_fixed_point(C, C0, EPS0, G, SolverConfig(tolerance=1e-10))
-        assert np.abs(fft(M, rep.strain)[0]).max() < 1e-12
+        assert np.abs(fft(M, rep.strain.T)[:, 0]).max() < 1e-12
         total_mean = (rep.strain + EPS0[None, :]).mean(axis=0)
         assert np.abs(total_mean - EPS0).max() < 1e-12
 
@@ -106,7 +109,7 @@ class TestFixedPoint:
         assert field_norm(r2.strain - 2.0 * r1.strain) / field_norm(r1.strain) < 1e-9
 
     def test_residual_reevaluates_below_tolerance(self):
-        from spectralhom.solver import _green_convolve, apply_stiffness
+        from spectralhom.solver import _green_convolve
 
         M = PatternMatrix.from_any([[8, 0], [0, 8]])
         C0 = iso_stiffness(1.5, 1.5, 2)
@@ -114,10 +117,9 @@ class TestFixedPoint:
         G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
         cfg = SolverConfig(tolerance=1e-9)
         rep = ls_fixed_point(C, C0, EPS0, G, cfg)
-        resid = rep.strain + _green_convolve(
-            G, apply_stiffness(C - C0[None], rep.strain + EPS0[None, :])
-        )
-        assert field_norm(resid) / np.linalg.norm(EPS0) <= cfg.tolerance
+        E = rep.strain.T  # component-major (D, m), the solver's internal layout
+        resid = E + _green_convolve(G, apply_stiffness(pack_symmetric(C - C0[None]), E + EPS0[:, None]))
+        assert field_norm(resid.T) / np.linalg.norm(EPS0) <= cfg.tolerance
 
     def test_nonconvergence_flagged(self):
         M = PatternMatrix.from_any([[8, 0], [0, 8]])
@@ -233,6 +235,39 @@ class TestKrylov:
         rep = ve_krylov(C, C0, EPS0, G, SolverConfig(tolerance=1e-11))
         E = dense_oracle(C, C0, EPS0, G)
         assert field_norm(rep.strain - E) / field_norm(E) < 1e-8
+
+
+class TestComponentMajorKernels:
+    """Unrolled (D, m) kernels against the pattern-major einsum formulas."""
+
+    @staticmethod
+    def _stiffness_stack(rng, d, m=40):
+        D = d * (d + 1) // 2
+        return np.stack([random_spd_mandel(rng, D) for _ in range(m)])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_apply_stiffness_packed_and_dense_rows(self, d):
+        rng = np.random.default_rng(70 + d)
+        C = self._stiffness_stack(rng, d)
+        m, D, _ = C.shape
+        x = rng.standard_normal((D, m)) + 1j * rng.standard_normal((D, m))
+        want = stiffness_product_einsum(C, x.T).T
+        for rows in (pack_symmetric(C), C.reshape(m, -1).T):
+            assert np.abs(apply_stiffness(rows, x) - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_square_root_factors(self, d):
+        rng = np.random.default_rng(80 + d)
+        C = self._stiffness_stack(rng, d)
+        m, D, _ = C.shape
+        C0 = random_spd_mandel(rng, D)
+        W, P = _stiffness_square_roots(C, C0)
+        W_ref, Winv_ref = stiffness_square_roots_einsum(C)
+        P_ref = C0 @ Winv_ref
+        W_full = unpack_symmetric(W)
+        P_full = P.reshape(D, D, m).transpose(2, 0, 1)
+        assert np.abs(W_full - W_ref).max() <= 1e-14 * np.abs(W_ref).max()
+        assert np.abs(P_full - P_ref).max() <= 1e-14 * np.abs(P_ref).max()
 
 
 class TestMinresFallback:
