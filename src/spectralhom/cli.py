@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -62,11 +63,32 @@ _OUTPUT_KEYS = dict.fromkeys(("report", "strain_field", "residuals", "elog_image
 _SWEEP_KEYS = {"axes": ([int], None), "interval": ([float], (0.0, 1.0)), "budget": (int, 16)}
 
 
-def _stage(name: str, fn, *args, **kwargs):
+def _stage(name: str, fn, *args, times: dict | None = None, **kwargs):
+    """Run one stage, naming it in any error; its wall seconds go to ``times`` under the snake-cased name."""
+    start = time.perf_counter()
     try:
         return fn(*args, **kwargs)
     except SpectralHomError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
+    finally:
+        if times is not None:
+            times[name.replace(" ", "_")] = time.perf_counter() - start
+
+
+def _finite(value):
+    """``value`` with every non-finite float replaced by None (null in JSON)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
+def _json_text(doc) -> str:
+    """Strict JSON text of a report; a solve stopped on overflow leaves nulls, not NaN."""
+    return json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False)
 
 
 class _Problem:
@@ -81,6 +103,7 @@ class _Problem:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {config_path} is not valid JSON: {exc}") from exc
         config = parse_object(doc, _CONFIG_KEYS, "config")
+        self.stage_times = {}  # wall seconds of the last run of each timed stage
         self.base_dir = base_dir = config_path.parent
         self.output = parse_object(config["output"], _OUTPUT_KEYS, "config 'output'")
         self.sweep = parse_object(config["sweep"], _SWEEP_KEYS, "config 'sweep'")
@@ -103,6 +126,7 @@ class _Problem:
             self.matrix,
             sampling["mode"],
             sampling["subsamples"],
+            times=self.stage_times,
         )
         ref = parse_object(config["reference_stiffness"], _REFERENCE_STIFFNESS_KEYS, "config 'reference_stiffness'")
         lam, mu = ref["lambda"], ref["mu"]
@@ -131,16 +155,22 @@ class _Problem:
 
     def solve(self, generator: GeneratorSpec | None = None) -> tuple[solver.SolveReport, GreenTable]:
         spec = generator or self.generator
-        rule = _stage("generator orthonormalisation", lambda: orthonormalize(make_rule(spec, self.matrix)))
+        times = self.stage_times
+        rule = _stage(
+            "generator orthonormalisation", lambda: orthonormalize(make_rule(spec, self.matrix)), times=times
+        )
         green = _stage(
             "green table",
             periodized_green,
             self.reference_stiffness,
             rule,
             periods=self.green_periods,
+            times=times,
         )
         run = solver.ls_fixed_point if self.solver_config.scheme == "ls_fixed_point" else solver.ve_krylov
-        report = _stage("solve", run, self.stiffness, self.reference_stiffness, self.eps0, green, self.solver_config)
+        report = _stage(
+            "solve", run, self.stiffness, self.reference_stiffness, self.eps0, green, self.solver_config, times=times
+        )
         return report, green
 
     def metrics(self, report: solver.SolveReport):
@@ -205,7 +235,7 @@ def _report_dict(problem: _Problem, report: solver.SolveReport, metrics, green: 
         "effective_action": report.effective_action.tolist(),
         "loading": problem.eps0.tolist(),
         "metrics": None,
-        "timing": {"wall_s": report.wall_time},
+        "timing": {"wall_s": report.wall_time, "stages": dict(problem.stage_times)},
     }
     if metrics is not None:
         doc["metrics"] = {"e_l2": metrics.e_l2, "e_eff": metrics.e_eff, "log_form": metrics.log_form}
@@ -242,7 +272,7 @@ def _write_artifacts(problem: _Problem, report: solver.SolveReport, metrics, doc
     if out["report"]:
         path = base / out["report"]
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        path.write_text(_json_text(doc) + "\n")
 
 
 def run_solve(config_path) -> tuple[int, dict]:
@@ -374,7 +404,7 @@ def sweep_alpha(config_path) -> tuple[int, dict]:
     if problem.output["sweep_report"]:
         path = problem.base_dir / problem.output["sweep_report"]
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        path.write_text(_json_text(doc) + "\n")
     return (0 if all(run["converged"] for run in runs) else 2), doc
 
 
@@ -444,17 +474,17 @@ def main(argv=None) -> int:
     try:
         if args.command == "solve":
             code, doc = run_solve(args.config)
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            print(_json_text(doc))
             return code
         if args.command == "sweep-alpha":
             code, doc = sweep_alpha(args.config)
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            print(_json_text(doc))
             return code
         if args.command == "pattern-info":
-            print(json.dumps(pattern_info(PatternMatrix.from_any(args.matrix)), indent=2, sort_keys=True))
+            print(_json_text(pattern_info(PatternMatrix.from_any(args.matrix))))
             return 0
         doc = errors_command(args.field, args.reference)
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_json_text(doc))
         return 0
     except SpectralHomError as exc:
         print(f"error: {exc}", file=sys.stderr)

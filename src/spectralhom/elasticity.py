@@ -24,23 +24,36 @@ variable drops out.  The zero-frequency entry is set to zero, which pins the
 mean of the fluctuation strain to zero while the prescribed macroscopic
 strain carries the mean.
 
-A batch of frequencies is evaluated without per-frequency linear algebra.
+Both G0 and the periodised table are evaluated through polynomials.
 S(k) = sum_a k_a E_a is linear in k with constant D x d matrices E_a = S(e_a),
-so the acoustic matrix A(k) = S(k)^T C0 S(k) is the quadratic form
+so A(k) = S(k)^T C0 S(k) has quadratic entries and
 
-    A(k) = (k (x) k) Q,       Q[(a, b), (i, j)] = (E_a^T C0 E_b)[i, j],
+    G0(k) = N(k) / det A(k),        N(k) = S(k) adj(A(k)) S(k)^T,
 
-one (n, d^2) x (d^2, d^2) product with Q built once per call for any SPD C0.
-A is inverted in closed form as adj(A) / det(A), and G0 = S A^{-1} S^T is
-synthesised as the product (k (x) k (x) A^{-1}) T with the constant
-(d^4, D^2) matrix T[(a, b, i, j), (p, q)] = E_a[p, i] E_b[q, j].  Since G0
-is 0-homogeneous, k is first scaled to unit length, which keeps det A of
-order one for any |k|; k = 0 gives k (x) k = 0 and hence G0 = 0.
+where N (stored as its D (D + 1) / 2 symmetric-packed rows) and det A are
+homogeneous of degree 2d in k: 5 monomials k^alpha in 2-D, 28 in 3-D.  Their
+monomial coefficients are built once per call from C0 by exact products of
+polynomial coefficient rows (the linear S entries, the quadratic A entries,
+the cofactors of A), never by fitting.  A batch of frequencies then costs
+one row of monomials per k and two small matrix products; since G0 is
+0-homogeneous, ``green_coeff_batch`` evaluates them on unit k, which keeps
+det A of order one, and k = 0 (zero monomials) gives G0 = 0.
 
-The periodised Green operator of a generator rule accumulates weighted
-class sums m sum_z G0(h + M^T z) |c_{h + M^T z}|^2 over the dual generating
-set.  For the orthonormalised Dirichlet rule (|c|^2 = 1/m on its support)
-the table reproduces G0 on G(M^T) exactly; it is stored as symmetric-packed rows.
+The periodised Green operator of a generator rule is the weighted class sum
+
+    Gamma(h) = m sum_z |c_{h + M^T z}|^2 G0(h + M^T z)
+             = w(h) N . sum_z W_z(h) k_z^alpha / det A(k_z),    k_z = h + M^T z,
+
+over the dual generating set.  The generator weight separates: since
+M^{-T} k_z = xi_h + z, the squared coefficient is the per-class factor
+w(h) = m (raw_scale / class_scale(h))^2 times W_z(h) = prod_j F_j(xi_h,j + z_j)^2,
+a product of one-axis factors tabulated once for |z_j| <= periods.  The
+(shift, class) frequencies are processed in fixed-size chunks that accumulate
+the (monomials, m) moment rows sum_z W_z k_z^alpha / det A(k_z); one final
+(D (D + 1) / 2 x monomials) product with the numerator coefficients gives the
+packed table.  Shifts with an all-zero axis factor are skipped, and the class
+of h = 0 is left at zero.  For the orthonormalised Dirichlet rule (|c|^2 = 1/m
+on its support) the table reproduces G0 on G(M^T) exactly.
 """
 
 from __future__ import annotations
@@ -69,6 +82,7 @@ __all__ = [
 
 _SHEAR_PAIRS = {1: (), 2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
 _SQRT2 = np.sqrt(2.0)
+_CHUNK = 8192  # (shift, class) frequencies per pass of the Green-table accumulation
 
 
 def mandel_dim(d: int) -> int:
@@ -129,32 +143,63 @@ def _gradient_basis(d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _green_synthesis(d: int) -> np.ndarray:
-    """(d^4, D^2) matrix T[(a, b, i, j), (p, q)] = E_a[p, i] E_b[q, j]."""
-    E = _gradient_basis(d)
-    D = mandel_dim(d)
-    T = np.einsum("api,bqj->abijpq", E, E).reshape(d**4, D * D)
-    T.setflags(write=False)
-    return T
-
-
-def _adjugate_det(A: np.ndarray, d: int):
-    """Adjugate (d^2, n) and determinant (n,) of d x d matrices stored as rows (d^2, n)."""
+def _monomials(d: int, n: int) -> tuple:
+    """Exponents of the degree-n monomials in d variables, in descending lexicographic order."""
     if d == 1:
-        return np.ones_like(A), A[0]
-    a = [[A[d * i + j] for j in range(d)] for i in range(d)]
-    if d == 2:
-        adj = [a[1][1], -a[0][1], -a[1][0], a[0][0]]
+        return ((n,),)
+    return tuple((a,) + rest for a in range(n, -1, -1) for rest in _monomials(d - 1, n - a))
+
+
+@lru_cache(maxsize=None)
+def _product_map(d: int, a: int, b: int) -> np.ndarray:
+    """0/1 matrix taking flattened outer products of degree-a and degree-b coefficients to degree a + b."""
+    index = {e: i for i, e in enumerate(_monomials(d, a + b))}
+    pairs = [(x, y) for x in _monomials(d, a) for y in _monomials(d, b)]
+    P = np.zeros((len(pairs), len(index)))
+    for row, (x, y) in enumerate(pairs):
+        P[row, index[tuple(i + j for i, j in zip(x, y))]] = 1.0
+    P.setflags(write=False)
+    return P
+
+
+def _poly_mul(p: np.ndarray, q: np.ndarray, d: int, a: int, b: int) -> np.ndarray:
+    """Products of homogeneous polynomials given by coefficient rows (..., monomials) of degrees a, b."""
+    outer = p[..., :, None] * q[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (-1,)) @ _product_map(d, a, b)
+
+
+def _green_polynomials(C0: np.ndarray, d: int):
+    """Degree-2d coefficients of the packed numerator N(k) (D (D + 1) / 2 rows) and of det A(k)."""
+    S = _gradient_basis(d).transpose(1, 2, 0)  # S[p, i] as linear coefficients over k_a
+    A = _poly_mul(S[:, :, None], np.tensordot(C0, S, axes=1)[:, None, :], d, 1, 1).sum(axis=0)
+    i, j = np.indices((d, d))
+    if d == 1:
+        adj, deg = np.ones((1, 1, 1)), 0
+    elif d == 2:
+        adj, deg = A[1 - j, 1 - i] * np.where(i == j, 1.0, -1.0)[..., None], 2
     else:
         # adj[i][j] is the (j, i) cofactor; the cyclic index form carries its sign
-        adj = [
-            a[(j + 1) % 3][(i + 1) % 3] * a[(j + 2) % 3][(i + 2) % 3]
-            - a[(j + 1) % 3][(i + 2) % 3] * a[(j + 2) % 3][(i + 1) % 3]
-            for i in range(3)
-            for j in range(3)
-        ]
-    det = sum(a[0][j] * adj[d * j] for j in range(d))
-    return np.stack(adj), det
+        r1, r2, c1, c2 = (j + 1) % 3, (j + 2) % 3, (i + 1) % 3, (i + 2) % 3
+        adj = _poly_mul(A[r1, c1], A[r2, c2], d, 2, 2) - _poly_mul(A[r1, c2], A[r2, c1], d, 2, 2)
+        deg = 4
+    det = _poly_mul(A[0], adj[:, 0], d, 2, deg).sum(axis=0)
+    S_adj = _poly_mul(S[:, :, None], adj[None], d, 1, deg).sum(axis=1)
+    rows, cols = np.triu_indices(mandel_dim(d))
+    return _poly_mul(S_adj[rows], S[cols], d, deg + 1, 1).sum(axis=1), det
+
+
+def _monomial_rows(k: np.ndarray, n: int) -> np.ndarray:
+    """Rows k^alpha over the degree-n monomials (n >= 1) at frequencies given as rows k (d, ...)."""
+    if n == 1:
+        return k
+    low = _monomial_rows(k, n // 2)
+    high = low if n % 2 == 0 else _monomial_rows(k, n - n // 2)
+    # each monomial is one product of a low and a high row: the first pair that forms it
+    first = _product_map(len(k), n // 2, n - n // 2).argmax(axis=0)
+    out = np.empty((len(first),) + k.shape[1:])
+    for row, pair in zip(out, first):
+        np.multiply(low[pair // len(high)], high[pair % len(high)], out=row)
+    return out
 
 
 def green_coeff_batch(C0: np.ndarray, ks: np.ndarray, check: bool = True) -> np.ndarray:
@@ -168,21 +213,18 @@ def green_coeff_batch(C0: np.ndarray, ks: np.ndarray, check: bool = True) -> np.
         if np.asarray(C0).shape != (mandel_dim(d), mandel_dim(d)):
             raise ShapeError("reference stiffness does not match the spatial dimension")
     D = mandel_dim(d)
-    E = _gradient_basis(d)
-    # Q[(a, b), (i, j)] = (E_a^T C0 E_b)[i, j], so that A(k) = (k (x) k) Q
-    Q = np.tensordot(E.transpose(0, 2, 1) @ C0, E, axes=([2], [1]))
-    Q = Q.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    numer, det = _green_polynomials(C0, d)
     k = np.ascontiguousarray(ks.T)  # frequency index last throughout
     norm = np.sqrt(sum(row**2 for row in k))
     zero = norm == 0.0
     norm[zero] = 1.0
-    u = k / norm  # G is 0-homogeneous; unit directions keep det A of order one
-    kk = (u[:, None, :] * u[None, :, :]).reshape(d * d, n)
-    adj, det = _adjugate_det(Q.T @ kk, d)
-    det[zero] = 1.0  # k = 0 leaves kk = 0, hence G = 0
-    adj /= det
-    X = (kk[:, None, :] * adj[None, :, :]).reshape(d**4, n)
-    return (X.T @ _green_synthesis(d)).reshape(n, D, D)
+    mono = _monomial_rows(k / norm, 2 * d)  # G is 0-homogeneous; unit k keeps det A of order one
+    den = det @ mono
+    den[zero] = 1.0  # k = 0 has zero monomials, hence G = 0
+    rows, cols = np.triu_indices(D)
+    G = np.empty((n, D, D))
+    G[:, rows, cols] = G[:, cols, rows] = (numer @ mono / den).T
+    return G
 
 
 def green_coeff(C0: np.ndarray, k) -> np.ndarray:
@@ -272,21 +314,35 @@ def periodized_green(
         raise ShapeError("reference stiffness does not match the spatial dimension")
     if periods is None:
         periods = rule.default_periods
-    freqs = frequency_set(M).freqs
-    D = mandel_dim(d)
-    classes = np.arange(M.m)  # h + M^T z stays in the class of h
-    acc = np.zeros((M.m, D, D))
-    for shift in period_shifts(d, periods):
-        ks = freqs + (shift @ M.array)[None, :]
-        weights = M.m * np.abs(rule.coefficients(ks, classes)) ** 2
-        live = weights > 0.0
-        if not np.any(live):
-            continue
-        if np.all(live):
-            live = slice(None)  # views instead of gathered copies
-        acc[live] += green_coeff_batch(C0, ks[live], check=False) * weights[live, None, None]
-    acc[0] = 0.0  # class of h = 0 is always first in canonical order
-    table = pack_symmetric(acc)
+    tail = rule.truncation_tail(int(periods))
+    # the class of h = 0 comes first in canonical order and keeps a zero entry,
+    # so no accumulated frequency is zero
+    freqs = frequency_set(M).freqs[1:].T.astype(np.float64)
+    factors = rule.axis_factors(periods)[:, :, 1:]
+    factors **= 2  # in place: squared coefficient factors
+    shifts = period_shifts(d, periods)
+    taps = shifts.T + periods  # row of each shift in the per-axis factor tables
+    live = np.all(factors.any(axis=2)[np.arange(d)[:, None], taps], axis=0)  # no all-zero axis factor
+    taps = taps[:, live]
+    offsets = (shifts[live] @ M.array).T.astype(np.float64)
+    numer, det = _green_polynomials(C0, d)
+    n = M.m - 1
+    width = max(1, min(n, _CHUNK))
+    depth = max(1, _CHUNK // width)
+    moments = np.zeros((len(det), n))
+    for lo in range(0, n, width):
+        cls = slice(lo, lo + width)
+        for first in range(0, taps.shape[1], depth):
+            sh = slice(first, first + depth)
+            weight = factors[0, taps[0, sh], cls]
+            for j in range(1, d):
+                weight *= factors[j, taps[j, sh], cls]
+            mono = _monomial_rows(freqs[:, None, cls] + offsets[:, sh, None], 2 * d)
+            weight /= np.tensordot(det, mono, axes=1)
+            mono *= weight
+            moments[:, cls] += mono.sum(axis=1)
+    table = np.zeros((len(numer), M.m))
+    table[:, 1:] = numer @ (moments * (M.m * (rule.raw_scale / rule.class_scale[1:]) ** 2))
     table.setflags(write=False)
     return GreenTable(
         matrix=M,
@@ -294,5 +350,5 @@ def periodized_green(
         reference=np.array(C0, dtype=np.float64),
         generator=rule.spec(),
         periods=int(periods),
-        tail_estimate=rule.truncation_tail(int(periods)),
+        tail_estimate=tail,
     )

@@ -158,6 +158,7 @@ def effective_stiffness(C: np.ndarray, strain: np.ndarray, eps0: np.ndarray) -> 
     return np.real(apply_stiffness(C.reshape(len(C), -1).T, strain.T + eps0[:, None]).mean(axis=1))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite residual stops it unconverged
 def ls_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> SolveReport:
     """Fixed-point (Neumann series) solve of the nodal cell problem.
 
@@ -215,6 +216,7 @@ def _stiffness_square_roots(C: np.ndarray, C0: np.ndarray):
     return W, P
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite residual stops it unconverged
 def ve_krylov(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> SolveReport:
     """Krylov solve of the projected nodal equation C0 G (C : (E + eps0)) = 0.
 

@@ -20,11 +20,15 @@ Dirichlet rule itself.  For alpha_j > 0 the trapezoid is the continuous one
 and carries the value 1/2 at |xi_j| = 1/2, sharing the weight of a boundary
 frequency with its congruent mirror.
 
-Bracket sums (sums over a congruence class k + M^T Z^d) are evaluated
-exactly: the Dirichlet and trapezoid rules have finite support, and for the
-B-spline rules the tensor structure collapses each class sum into a finite
-cosine polynomial whose weights are integer samples of a higher-order
-cardinal B-spline.
+Every rule is a product over axes of one factor of the scaled frequency:
+sinc^p, the trapezoid, or the half-open indicator (the alpha = 0 trapezoid).
+Since M^{-T}(h + M^T z) = xi_h + z, a congruence class h + M^T Z^d is the
+grid xi_h + Z^d in scaled frequencies, so functions of the class factor into
+per-axis tables (``CoefficientRule.axis_factors``).  Bracket sums (sums over
+a class) are therefore products of one-axis sums and are evaluated exactly:
+the Dirichlet and trapezoid factors have finite support, and each B-spline
+axis sum is a finite cosine polynomial whose weights are integer samples of
+a higher-order cardinal B-spline.
 """
 
 from __future__ import annotations
@@ -200,19 +204,36 @@ class CoefficientRule:
         """Integer numerators of M^{-T} k over the positive denominator."""
         return k @ self._adj
 
+    @property
+    def raw_scale(self) -> float:
+        """Constant factor of the unscaled coefficients: 1 for dirichlet, m^{-1/2} otherwise."""
+        return 1.0 if self.kind == "dirichlet" else 1.0 / np.sqrt(self.m)
+
+    def _axis_factor(self, axis: int, nums: np.ndarray) -> np.ndarray:
+        """One axis' factor of the unscaled coefficient at xi_axis = nums / den."""
+        if self.kind == "bspline":
+            return np.sinc(nums / self._den) ** self.order
+        return _trapezoid(nums, self._den, self.alpha[axis] if self.kind == "dlvp" else 0.0)
+
     def _raw(self, k: np.ndarray) -> np.ndarray:
         nums = self._scaled_nums(k)
-        den = self._den
-        if self.kind == "dirichlet":
-            inside = np.all((2 * nums >= -den) & (2 * nums < den), axis=1)
-            return inside.astype(np.float64)
-        if self.kind == "dlvp":
-            out = np.ones(k.shape[0])
-            for axis, a in enumerate(self.alpha):
-                out *= _trapezoid(nums[:, axis], den, a)
-            return out / np.sqrt(self.m)
-        xi = nums / den
-        return np.prod(np.sinc(xi) ** self.order, axis=1) / np.sqrt(self.m)
+        out = self._axis_factor(0, nums[:, 0])
+        for axis in range(1, self.matrix.d):
+            out *= self._axis_factor(axis, nums[:, axis])
+        return out * self.raw_scale
+
+    def axis_factors(self, periods: int) -> np.ndarray:
+        """Per-axis factors F[j, t + periods, h] at xi_h + t e_j, |t| <= periods.
+
+        Since M^{-T}(h + M^T z) = xi_h + z, the unscaled coefficient at
+        h + M^T z is raw_scale * prod_j F[j, z_j + periods, h]; the result
+        has shape (d, 2 periods + 1, m), classes in canonical order.
+        """
+        nums = self._scaled_nums(self._freqs.freqs)
+        out = np.empty((self.matrix.d, 2 * periods + 1, self.m))
+        for j, row in np.ndindex(out.shape[:2]):  # row by row keeps temporaries at one class vector
+            out[j, row] = self._axis_factor(j, nums[:, j] + (row - periods) * self._den)
+        return out
 
     def coefficients(self, k, classes=None) -> np.ndarray:
         """c_k for one integer vector or an (n, d) batch of them.
@@ -236,17 +257,18 @@ class CoefficientRule:
     # -- exact class sums ----------------------------------------------------
 
     def _raw_class_sum(self, power: int) -> np.ndarray:
-        """[c^power] over every congruence class, for the unscaled rule."""
-        nums = self._scaled_nums(self._freqs.freqs)
-        den = self._den
+        """[c^power] over every congruence class, for the unscaled rule.
+
+        The coefficient is a product over axes and a class sum runs over
+        xi_h + Z^d, so the class sum is the product of per-axis sums: the
+        closed cosine form for bspline, finite sums over the support else.
+        """
         if self.kind == "bspline":
-            per_axis = _sampled_autocos(power * self.order, nums / den)
-            return np.prod(per_axis, axis=1) / self.m ** (power / 2.0)
-        acc = np.zeros(self.m)
-        for shift in period_shifts(self.matrix.d, self.support_periods):
-            ks = self._freqs.freqs + (shift @ self.matrix.array)[None, :]
-            acc += self._raw(ks) ** power
-        return acc
+            nums = self._scaled_nums(self._freqs.freqs)
+            per_axis = _sampled_autocos(power * self.order, nums.T / self._den)
+        else:
+            per_axis = np.sum(self.axis_factors(self.support_periods) ** power, axis=1)
+        return np.prod(per_axis, axis=0) * self.raw_scale**power
 
     def gram_bracket(self) -> np.ndarray:
         """m [|c|^2] per frequency class (1.0 everywhere iff orthonormal)."""

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,36 @@ class TestConfigValidation:
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert doc["converged"] is False
         assert 1 <= doc["iterations"] <= 2
+
+    @pytest.mark.parametrize("scheme", ["ls_fixed_point", "ve_krylov"])
+    def test_overflowing_loading_writes_strict_json(self, tmp_path, capsys, scheme):
+        # the stop shows only as converged: false and exit 2; non-finite
+        # numbers are written as null and no overflow warning is printed
+        path = _laminate_config(
+            tmp_path, loading=[1e308, 1e308, 0.0], solver={"scheme": scheme, "max_iterations": 5000}
+        )
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["solve", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "RuntimeWarning" not in captured.err
+        printed = json.loads(captured.out, parse_constant=reject)
+        written = json.loads((tmp_path / "out" / "report.json").read_text(), parse_constant=reject)
+        assert printed == written
+        assert written["converged"] is False
+        assert written["final_residual"] is None
+
+    def test_stage_times_reported(self, tmp_path):
+        path = _laminate_config(tmp_path)
+        _, doc = run_solve(path)
+        report = json.loads((tmp_path / "out/report.json").read_text())
+        for stages in (doc["timing"]["stages"], report["timing"]["stages"]):
+            assert set(stages) == {"stiffness_sampling", "generator_orthonormalisation", "green_table", "solve"}
+            assert all(seconds >= 0.0 for seconds in stages.values())
 
     def test_documented_defaults_and_nulls_accepted(self, tmp_path):
         path = _laminate_config(

@@ -14,6 +14,7 @@ from spectralhom import (
     periodized_green,
     sym_grad_hat,
 )
+from spectralhom import elasticity
 from spectralhom.errors import DomainError, ShapeError
 
 from oracles import (
@@ -180,6 +181,34 @@ class TestGreenKernelOracles:
         assert np.abs(unpack_symmetric(table.table) - want).max() < 1e-14
 
 
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            dirichlet_rule,
+            lambda M: dlvp_rule(M, [0.4, 0.7]),
+            lambda M: bspline_rule(M, 1),
+            lambda M: bspline_rule(M, 2),
+        ],
+        ids=["dirichlet", "dlvp", "bspline1", "bspline2"],
+    )
+    def test_sheared_tables_match_einsum_inverse(self, factory):
+        M = PatternMatrix.from_any([[16, 34], [0, 16]])
+        C0 = random_spd_mandel(np.random.default_rng(71), 3)
+        rule = orthonormalize(factory(M))
+        table = periodized_green(C0, rule)
+        want = periodized_green_einsum(C0, rule, frequency_set(M).freqs, periods=rule.default_periods)
+        assert np.abs(unpack_symmetric(table.table) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+    def test_sheared_3d_anisotropic_table_matches_einsum_inverse(self):
+        M = PatternMatrix.from_any([[4, 1, 0], [0, 6, 2], [0, 0, 2]])
+        C0 = random_spd_mandel(np.random.default_rng(72), 6)
+        for rule in (orthonormalize(dlvp_rule(M, [0.3, 0.6, 0.0])), orthonormalize(bspline_rule(M, 2))):
+            table = periodized_green(C0, rule, periods=2)
+            want = periodized_green_einsum(C0, rule, frequency_set(M).freqs, periods=2)
+            assert np.abs(unpack_symmetric(table.table) - want).max() <= 1e-14 * np.abs(want).max()
+
+
 class TestPeriodizedGreen:
     def test_dirichlet_reduction_random(self):
         rng = np.random.default_rng(46)
@@ -256,6 +285,17 @@ class TestPeriodizedGreen:
         t16 = periodized_green(C0, rule, periods=16)
         assert np.abs(unpack_symmetric(t8.table) - unpack_symmetric(t16.table)).max() < 1e-4
         assert t16.tail_estimate < t8.tail_estimate
+
+    @pytest.mark.parametrize("chunk", [7, 256, 1000])
+    def test_chunking_leaves_table_unchanged(self, monkeypatch, chunk):
+        # chunks that split the classes, hold whole shifts or straddle both
+        M = PatternMatrix.from_any([[16, 34], [0, 16]])
+        C0 = iso_stiffness(1.3, 0.8, 2)
+        rule = orthonormalize(bspline_rule(M, 2))
+        want = periodized_green(C0, rule).table
+        monkeypatch.setattr(elasticity, "_CHUNK", chunk)
+        got = periodized_green(C0, rule).table
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_packed_apply_hat_matches_einsum(self, d):

@@ -14,6 +14,7 @@ from spectralhom import (
     nodal_synthesis,
     orthonormalize,
     pattern,
+    period_shifts,
     synthesize,
 )
 from spectralhom.errors import DegenerateGeneratorError, DomainError
@@ -220,6 +221,33 @@ class TestBracketSum:
                 ).real
                 tail = 2.0 / (np.pi**2 * (Z - 0.5))
                 assert approx - 1e-13 <= closed[idx] <= approx + tail
+
+
+class TestAxisFactors:
+    @pytest.mark.parametrize(
+        "rows, factory",
+        [
+            ([[16, 34], [0, 16]], dirichlet_rule),
+            ([[16, 34], [0, 16]], lambda M: dlvp_rule(M, [0.4, 0.7])),
+            ([[16, 34], [0, 16]], lambda M: bspline_rule(M, 2)),
+            ([[4, 1, 0], [0, 6, 2], [0, 0, 2]], dirichlet_rule),
+            ([[4, 1, 0], [0, 6, 2], [0, 0, 2]], lambda M: dlvp_rule(M, [0.3, 0.0, 1.0])),
+            ([[4, 1, 0], [0, 6, 2], [0, 0, 2]], lambda M: bspline_rule(M, 3)),
+        ],
+    )
+    def test_product_reproduces_coefficients(self, rows, factory):
+        # c at h + M^T z is raw_scale * prod_j F[j, z_j + periods, h] / class_scale(h)
+        M = PatternMatrix.from_any(rows)
+        freqs = frequency_set(M).freqs
+        periods = 2
+        for rule in (factory(M), orthonormalize(factory(M))):
+            F = rule.axis_factors(periods)
+            assert F.shape == (M.d, 2 * periods + 1, M.m)
+            scale = np.ones(M.m) if rule.class_scale is None else rule.class_scale
+            for z in period_shifts(M.d, periods):
+                got = rule.raw_scale * np.prod(F[np.arange(M.d), z + periods], axis=0) / scale
+                want = rule.coefficients(freqs + z @ M.array)
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(initial=1.0)
 
 
 class TestOrthonormalize:
