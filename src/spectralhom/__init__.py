@@ -2,12 +2,10 @@
 
 from .elasticity import (
     GreenTable,
-    green_coeff,
     green_coeff_batch,
     iso_stiffness,
     mandel_dim,
     periodized_green,
-    sym_grad_hat,
 )
 from .errors import SpectralHomError
 from .geometry import (
@@ -28,19 +26,17 @@ from .lattice import (
     Pattern,
     PatternMatrix,
     SmithDecomposition,
-    canonical_residue,
     frequency_set,
     generating_set,
     pattern,
     period_shifts,
     smith_normal_form,
 )
-from .pfft import FftPlan, fft, fourier_matrix, ifft, plan
+from .pfft import FftPlan, fft, ifft, plan
 from .solver import (
     ErrorMetrics,
     SolveReport,
     SolverConfig,
-    dense_oracle,
     effective_stiffness,
     error_metrics,
     ls_fixed_point,
@@ -49,15 +45,11 @@ from .solver import (
 from .translates import (
     CoefficientRule,
     GeneratorSpec,
-    bracket_sum,
     bspline_rule,
     dirichlet_rule,
     dlvp_rule,
-    fundamental_interpolant,
     make_rule,
-    nodal_synthesis,
     orthonormalize,
-    synthesize,
 )
 
 __version__ = "0.1.0"

@@ -97,11 +97,11 @@ class _Problem:
     def __init__(self, config_path):
         config_path = Path(config_path)
         try:
-            doc = json.loads(config_path.read_text())
+            doc = json.loads(config_path.read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {config_path} is not valid JSON: {exc}") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"config {config_path} is not valid UTF-8 JSON: {exc}") from exc
         config = parse_object(doc, _CONFIG_KEYS, "config")
         self.stage_times = {}  # wall seconds of the last run of each timed stage
         self.base_dir = base_dir = config_path.parent
@@ -200,18 +200,6 @@ def write_gray_image(path, values: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5 {arr.shape[1]} {arr.shape[0]} 255\n".encode("ascii"))
         fh.write(scaled.tobytes())
-
-
-def read_gray_image(path):
-    """Read back a P5 graymap written by :func:`write_gray_image`."""
-    raw = Path(path).read_bytes()
-    header, _, rest = raw.partition(b"\n")
-    magic, w, h, maxval = header.split()
-    if magic != b"P5" or maxval != b"255":
-        raise ConfigError(f"{path}: unsupported graymap header")
-    w, h = int(w), int(h)
-    img = np.frombuffer(rest, dtype=np.uint8, count=w * h).reshape(h, w)
-    return img
 
 
 def _report_dict(problem: _Problem, report: solver.SolveReport, metrics, green: GreenTable):

@@ -71,8 +71,6 @@ __all__ = [
     "mandel_dim",
     "iso_stiffness",
     "sym_grad_matrix",
-    "sym_grad_hat",
-    "green_coeff",
     "green_coeff_batch",
     "pack_symmetric",
     "mandel_product",
@@ -89,14 +87,17 @@ def mandel_dim(d: int) -> int:
     return d * (d + 1) // 2
 
 
-def _check_spd(C: np.ndarray, what: str) -> None:
-    C = np.asarray(C)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise ShapeError(f"{what} must be a square Mandel matrix, got shape {C.shape}")
-    if not np.allclose(C, C.T, atol=1e-12 * max(1.0, float(np.abs(C).max()))):
-        raise DomainError(f"{what} must be symmetric")
-    if np.linalg.eigvalsh(C).min() <= 0.0:
-        raise DomainError(f"{what} must be positive definite")
+def _check_reference(C0: np.ndarray, d: int) -> None:
+    """Reject a reference stiffness that is not a symmetric positive-definite d-dimensional Mandel matrix."""
+    C0 = np.asarray(C0)
+    if C0.ndim != 2 or C0.shape[0] != C0.shape[1]:
+        raise ShapeError(f"reference stiffness must be a square Mandel matrix, got shape {C0.shape}")
+    if not np.allclose(C0, C0.T, atol=1e-12 * max(1.0, float(np.abs(C0).max()))):
+        raise DomainError("reference stiffness must be symmetric")
+    if np.linalg.eigvalsh(C0).min() <= 0.0:
+        raise DomainError("reference stiffness must be positive definite")
+    if C0.shape != (mandel_dim(d), mandel_dim(d)):
+        raise ShapeError("reference stiffness does not match the spatial dimension")
 
 
 def iso_stiffness(lam: float, mu: float, d: int) -> np.ndarray:
@@ -126,12 +127,6 @@ def sym_grad_matrix(k) -> np.ndarray:
         S[row, b] += k[a] / _SQRT2
         S[row, a] += k[b] / _SQRT2
     return S
-
-
-def sym_grad_hat(k, u_hat) -> np.ndarray:
-    """Mandel vector of the symmetrised gradient (i/2)(k u^T + u k^T)."""
-    u_hat = np.asarray(u_hat)
-    return 1j * (sym_grad_matrix(k) @ u_hat)
 
 
 @lru_cache(maxsize=None)
@@ -202,16 +197,13 @@ def _monomial_rows(k: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def green_coeff_batch(C0: np.ndarray, ks: np.ndarray, check: bool = True) -> np.ndarray:
-    """Green operator matrices for an (n, d) batch of integer frequencies."""
+def green_coeff_batch(C0: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Green operator matrices for an (n, d) batch of integer frequencies (zero at k = 0)."""
     ks = np.asarray(ks, dtype=np.float64)
     if ks.ndim != 2:
         raise ShapeError(f"expected an (n, d) frequency batch, got shape {ks.shape}")
     n, d = ks.shape
-    if check:
-        _check_spd(C0, "reference stiffness")
-        if np.asarray(C0).shape != (mandel_dim(d), mandel_dim(d)):
-            raise ShapeError("reference stiffness does not match the spatial dimension")
+    _check_reference(C0, d)
     D = mandel_dim(d)
     numer, det = _green_polynomials(C0, d)
     k = np.ascontiguousarray(ks.T)  # frequency index last throughout
@@ -225,12 +217,6 @@ def green_coeff_batch(C0: np.ndarray, ks: np.ndarray, check: bool = True) -> np.
     G = np.empty((n, D, D))
     G[:, rows, cols] = G[:, cols, rows] = (numer @ mono / den).T
     return G
-
-
-def green_coeff(C0: np.ndarray, k) -> np.ndarray:
-    """Green operator matrix at a single integer frequency (zero at k = 0)."""
-    k = np.asarray(k, dtype=np.int64)
-    return green_coeff_batch(C0, k[None, :])[0]
 
 
 def pack_symmetric(A) -> np.ndarray:
@@ -273,7 +259,6 @@ class GreenTable:
 
     matrix: PatternMatrix
     table: np.ndarray  # (D (D + 1) / 2, m) float64 packed rows, read-only
-    reference: np.ndarray  # (D, D) reference stiffness
     generator: GeneratorSpec
     periods: int
     tail_estimate: float
@@ -289,29 +274,19 @@ class GreenTable:
         return mandel_product(self.table, tau_hat)
 
 
-def periodized_green(
-    C0: np.ndarray,
-    rule: CoefficientRule,
-    M: PatternMatrix | None = None,
-    periods: int | None = None,
-) -> GreenTable:
-    """Build the generator-weighted periodisation of the Green operator.
+def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None = None) -> GreenTable:
+    """Build the generator-weighted periodisation of the Green operator on ``rule.matrix``.
 
     ``rule`` must be orthonormalised.  ``periods`` bounds the class sums at
     |z|_inf <= periods, by default at the rule's ``default_periods``, which
     covers finitely supported rules exactly; the resulting tail estimate is
     recorded on the table.
     """
-    if M is None:
-        M = rule.matrix
-    elif M != rule.matrix:
-        raise ShapeError("pattern matrix does not match the generator rule")
     if not rule.orthonormalized:
         raise DomainError("periodised Green operator requires an orthonormalised generator")
-    _check_spd(C0, "reference stiffness")
+    M = rule.matrix
     d = M.d
-    if np.asarray(C0).shape != (mandel_dim(d), mandel_dim(d)):
-        raise ShapeError("reference stiffness does not match the spatial dimension")
+    _check_reference(C0, d)
     if periods is None:
         periods = rule.default_periods
     tail = rule.truncation_tail(int(periods))
@@ -347,7 +322,6 @@ def periodized_green(
     return GreenTable(
         matrix=M,
         table=table,
-        reference=np.array(C0, dtype=np.float64),
         generator=rule.spec(),
         periods=int(periods),
         tail_estimate=tail,

@@ -11,10 +11,6 @@ class RegularityError(SpectralHomError):
     """A pattern matrix is singular or otherwise not a valid lattice matrix."""
 
 
-class CapacityError(SpectralHomError):
-    """A size guard for dense reference computations was exceeded."""
-
-
 class ShapeError(SpectralHomError):
     """Array arguments do not match the pattern they are indexed by."""
 
@@ -25,10 +21,6 @@ class DomainError(SpectralHomError):
 
 class DegenerateGeneratorError(SpectralHomError):
     """A generator does not span an m-dimensional translate space."""
-
-
-class SingularSystemError(SpectralHomError):
-    """A dense reference system could not be solved reliably."""
 
 
 class GeometryError(SpectralHomError):

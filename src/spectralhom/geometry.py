@@ -341,26 +341,36 @@ def write_field(path, M: PatternMatrix, values: np.ndarray, domain: int = DOMAIN
 
 
 def read_field(path, expected: PatternMatrix | None = None):
-    """Read a PFLD field; returns (PatternMatrix, values, domain)."""
+    """Read a PFLD field; returns (PatternMatrix, values, domain).
+
+    A truncated or inconsistent file, and a payload holding NaN or Inf,
+    raise IngestionError.
+    """
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"field file {path} does not exist")
     raw = path.read_bytes()
     if raw[:4] != _PFLD_MAGIC:
         raise IngestionError(f"{path}: not a PFLD file")
+    if len(raw) < 12:
+        raise IngestionError(f"{path}: file ends inside the PFLD header")
     version, d = struct.unpack_from("<II", raw, 4)
     if version != _PFLD_VERSION:
         raise IngestionError(f"{path}: unsupported PFLD version {version}")
-    off = 12
-    rows = np.frombuffer(raw, dtype="<i8", count=d * d, offset=off).reshape(d, d)
-    off += 8 * d * d
+    if not 1 <= d <= 3:
+        raise IngestionError(f"{path}: header dimension {d} is not in 1..3")
+    off = 12 + 8 * d * d
+    if len(raw) < off + 8:
+        raise IngestionError(f"{path}: file ends inside the PFLD header")
+    rows = np.frombuffer(raw, dtype="<i8", count=d * d, offset=12).reshape(d, d)
     ncomp, domain = struct.unpack_from("<II", raw, off)
     off += 8
     M = PatternMatrix.from_any(rows)
-    values = np.frombuffer(raw, dtype="<f8", offset=off)
-    if values.size != M.m * ncomp:
-        raise IngestionError(f"{path}: payload has {values.size} values, expected {M.m * ncomp}")
-    values = values.reshape(M.m, ncomp).copy()
+    if len(raw) - off != 8 * M.m * ncomp:
+        raise IngestionError(f"{path}: payload has {len(raw) - off} bytes, expected {8 * M.m * ncomp}")
+    values = np.frombuffer(raw, dtype="<f8", offset=off).reshape(M.m, ncomp).copy()
+    if not np.all(np.isfinite(values)):
+        raise IngestionError(f"{path}: payload holds non-finite values")
     if expected is not None and M != expected:
         raise IngestionError(f"{path}: pattern matrix {M} does not match the expected {expected}")
     return M, values, int(domain)
@@ -379,9 +389,9 @@ def load_reference_values(path, M: PatternMatrix) -> ReferenceSolution:
     if path.suffix.lower() == ".pfld":
         return ReferenceSolution(strain=_reference_strain(path, M), effective_action=None, note=str(path))
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise IngestionError(f"{path}: invalid JSON ({exc})") from exc
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise IngestionError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     spec = {"effective_action": ([float], None), "strain_field": (str, None), "note": (str, str(path))}
     v = parse_object(doc, spec, str(path), IngestionError)
     strain = None

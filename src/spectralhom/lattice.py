@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, RegularityError, ShapeError
+from .errors import DomainError, RegularityError
 
 __all__ = [
     "PatternMatrix",
@@ -41,7 +41,6 @@ __all__ = [
     "pattern",
     "generating_set",
     "frequency_set",
-    "canonical_residue",
     "period_shifts",
 ]
 
@@ -141,10 +140,6 @@ class PatternMatrix:
     def adjugate(self) -> tuple:
         return _adjugate_int(self.rows)
 
-    @property
-    def transpose(self) -> "PatternMatrix":
-        return PatternMatrix(tuple(zip(*self.rows)))
-
     def __str__(self):
         return json.dumps([list(r) for r in self.rows])
 
@@ -164,16 +159,6 @@ class SmithDecomposition:
     @property
     def V_array(self) -> np.ndarray:
         return _frozen(np.array(self.V, dtype=np.int64))
-
-    @property
-    def V_inverse(self) -> np.ndarray:
-        det = _det_int(self.V)
-        adj = np.array(_adjugate_int(self.V), dtype=np.int64)
-        return _frozen(det * adj)  # det is +-1
-
-    @property
-    def D_array(self) -> np.ndarray:
-        return _frozen(np.diag(np.array(self.diag, dtype=np.int64)))
 
 
 def _round_div(a: int, b: int) -> int:
@@ -297,47 +282,23 @@ class Pattern:
         return self.matrix.m
 
     @property
-    def d(self) -> int:
-        return self.matrix.d
-
-    @property
     def points(self) -> np.ndarray:
         """(m, d) float64 points in [-1/2, 1/2)^d."""
         return self.nums / float(self.m)
-
-    def index_of_nums(self, nums: np.ndarray) -> np.ndarray:
-        """Positions of points given as numerators over m (vectorised)."""
-        nums = np.atleast_2d(np.asarray(nums, dtype=np.int64))
-        dv = np.array(self.smith.diag, dtype=np.int64)[:, None] * self.smith.V_inverse
-        jm = nums @ dv.T
-        if np.any(jm % self.m != 0):
-            raise ShapeError("coordinates do not lie on the pattern lattice")
-        j = (jm // self.m) % np.array(self.smith.diag, dtype=np.int64)
-        return np.ravel_multi_index(j.T, self.smith.diag)
 
 
 @dataclass(frozen=True, eq=False)
 class GeneratingSet:
     """Integer frequency representatives modulo a matrix, in canonical order.
 
-    ``modulus`` is the matrix whose multiples are factored out (M for the
-    spatial set, M^T for the dual set used by the Fourier transform); the
-    ``coords`` matrix maps any integer vector to the Smith coordinates of its
-    congruence class.
+    The matrix is M for the spatial set and M^T for the dual set used by the
+    Fourier transform; the ``coords`` matrix maps any integer vector to the
+    Smith coordinates of its congruence class.
     """
 
-    modulus: PatternMatrix
     freqs: np.ndarray  # (m, d) int64
     diag: tuple
     coords: np.ndarray  # (d, d) int64
-
-    @property
-    def m(self) -> int:
-        return self.freqs.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.freqs.shape[1]
 
     def class_index(self, k: np.ndarray) -> np.ndarray:
         """Canonical position of the congruence class of each row of k."""
@@ -367,7 +328,6 @@ def generating_set(M: PatternMatrix) -> GeneratingSet:
     if np.any(gm % M.m != 0):
         raise RegularityError("internal error: pattern points left the lattice")
     return GeneratingSet(
-        modulus=M,
         freqs=_frozen(gm // M.m),
         diag=pat.smith.diag,
         coords=pat.smith.U_array,
@@ -392,35 +352,10 @@ def frequency_set(M: PatternMatrix) -> GeneratingSet:
     if np.any(hm % m != 0):
         raise RegularityError("internal error: dual points left the lattice")
     return GeneratingSet(
-        modulus=M.transpose,
         freqs=_frozen(hm // m),
         diag=snf.diag,
         coords=_frozen(snf.V_array.T.copy()),
     )
-
-
-def canonical_residue(k, M: PatternMatrix) -> np.ndarray:
-    """The unique representative of k modulo M Z^d inside M [-1/2, 1/2)^d.
-
-    Accepts a single integer vector or an (n, d) batch; exact for all inputs
-    within the supported integer range.
-    """
-    arr = np.asarray(k, dtype=np.int64)
-    single = arr.ndim == 1
-    kk = np.atleast_2d(arr)
-    if kk.shape[1] != M.d:
-        raise ShapeError(f"expected vectors of length {M.d}, got shape {arr.shape}")
-    adj = np.array(M.adjugate, dtype=np.int64)
-    den = M.det
-    nums = kk @ adj.T
-    if den < 0:
-        nums, den = -nums, -den
-    r = _wrap_half_open(nums, den)
-    hm = r @ M.array.T
-    if np.any(hm % den != 0):
-        raise RegularityError("internal error: residue left the integer lattice")
-    h = hm // den
-    return h[0] if single else h
 
 
 def period_shifts(d: int, periods: int) -> np.ndarray:

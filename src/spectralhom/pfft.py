@@ -1,14 +1,11 @@
 """Discrete Fourier transform on patterns.
 
-The dense reference matrix is assembled from exact rational phases: the
-phase h^T y of every entry is an integer multiple of 1/m, reduced modulo m
-in integer arithmetic before the complex exponential is evaluated, so there
-is no phase drift at large m.  The fast transform reshapes the last (pattern)
-axis onto the Smith-coordinate grid (d_1, ..., d_d) as trailing axes, where
-the kernel separates, and runs ordinary mixed-radix FFTs along each; numpy's
-pocketfft supplies the butterflies including the Bluestein fallback for
-large prime factors, and its "ortho" mode applies each axis's 1/sqrt(d_l)
-inside the transform, so the pair is unitary without a separate pass.
+The transform reshapes the last (pattern) axis onto the Smith-coordinate
+grid (d_1, ..., d_d) as trailing axes, where the kernel separates, and runs
+ordinary mixed-radix FFTs along each; numpy's pocketfft supplies the
+butterflies including the Bluestein fallback for large prime factors, and
+its "ortho" mode applies each axis's 1/sqrt(d_l) inside the transform, so
+the pair is unitary without a separate pass.
 """
 
 from __future__ import annotations
@@ -18,12 +15,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, ShapeError
+from .errors import ShapeError
 from .lattice import PatternMatrix, smith_normal_form
 
-__all__ = ["FftPlan", "plan", "fourier_matrix", "fft", "ifft"]
-
-_DENSE_LIMIT = 4096
+__all__ = ["FftPlan", "plan", "fft", "ifft"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,23 +60,6 @@ class FftPlan:
 @lru_cache(maxsize=128)
 def plan(M: PatternMatrix) -> FftPlan:
     return FftPlan(matrix=M, diag=smith_normal_form(M).diag)
-
-
-def fourier_matrix(M: PatternMatrix) -> np.ndarray:
-    """Dense unitary Fourier matrix with rows over G(M^T), columns over P(M).
-
-    Entry (h, y) is exp(-2 pi i h^T y) / sqrt(m).  Intended as the reference
-    implementation for testing; guarded to m <= 4096.
-    """
-    m = M.m
-    if m > _DENSE_LIMIT:
-        raise CapacityError(f"dense Fourier matrix limited to m <= {_DENSE_LIMIT}, got m = {m}")
-    diag = np.array(smith_normal_form(M).diag, dtype=np.int64)
-    grids = np.indices(tuple(diag), dtype=np.int64)
-    J = grids.reshape(len(diag), -1).T
-    # h(j')^T y(j) = sum_l j'_l j_l / d_l mod 1; numerators over m stay integer
-    phases = ((J * (m // diag)[None, :]) @ J.T) % m
-    return np.exp((-2j * np.pi / m) * phases) / np.sqrt(m)
 
 
 def fft(M: PatternMatrix, values: np.ndarray) -> np.ndarray:

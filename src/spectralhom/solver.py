@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elasticity import GreenTable, mandel_dim, mandel_product, pack_symmetric
-from .errors import CapacityError, DomainError, ShapeError, SingularSystemError
+from .errors import DomainError, ShapeError
 from .pfft import plan as fft_plan
 
 __all__ = [
@@ -51,14 +51,12 @@ __all__ = [
     "ErrorMetrics",
     "ls_fixed_point",
     "ve_krylov",
-    "dense_oracle",
     "effective_stiffness",
     "error_metrics",
     "field_norm",
     "apply_stiffness",
 ]
 
-_DENSE_LIMIT = 2048
 LOG_ERROR_FORMS = ("difference", "sum")
 
 
@@ -305,39 +303,6 @@ def _minres_fallback(operator, b, x0, cfg: SolverConfig):
     real = [np.ascontiguousarray(v).ravel().view(np.float64) for v in (b, x0)]
     sol, info = minres(A, real[0], x0=real[1], rtol=cfg.tolerance * 1e-2, maxiter=cfg.max_iterations)
     return sol.view(np.complex128).reshape(b.shape), info == 0
-
-
-def dense_oracle(C, C0, eps0, G: GreenTable) -> np.ndarray:
-    """Direct dense solve of the fixed-point equations on small instances.
-
-    Assembles the (m D) x (m D) matrix of E -> E + G((C - C0) : E) from the
-    images of all unit fields at once, solves against -G((C - C0) : eps0),
-    and returns the fluctuation strain.  Guarded to m D <= 2048.
-    """
-    C, C0, eps0 = _validate_problem(C, C0, eps0, G)
-    m = G.m
-    D = C.shape[1]
-    n = m * D
-    if n > _DENSE_LIMIT:
-        raise CapacityError(f"dense oracle limited to m*D <= {_DENSE_LIMIT}, got {n}")
-    dC = pack_symmetric(C - C0)
-    eps0_field = np.tile(eps0.astype(np.complex128)[:, None], m)
-    const = _green_convolve(G, apply_stiffness(dC, eps0_field))
-    # every unit field at once, as a (D, n, m) batch with field i at [:, i]
-    basis = np.eye(n, dtype=np.complex128).reshape(n, D, m).transpose(1, 0, 2)
-    A = (basis + _green_convolve(G, apply_stiffness(dC, basis))).transpose(0, 2, 1).reshape(n, n)
-    try:
-        solution = np.linalg.solve(A, -const.reshape(-1))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            f"dense system is singular (condition estimate {np.linalg.cond(A):.3e})"
-        ) from exc
-    residual = np.linalg.norm(A @ solution + const.reshape(-1))
-    if not np.isfinite(residual) or residual > 1e-6 * max(1.0, float(np.linalg.norm(const))):
-        raise SingularSystemError(
-            f"dense solve unreliable (condition estimate {np.linalg.cond(A):.3e})"
-        )
-    return solution.reshape(D, m).T
 
 
 def error_metrics(

@@ -40,8 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateGeneratorError, DomainError, ShapeError, parse_kind
-from .lattice import PatternMatrix, frequency_set, period_shifts
-from .pfft import plan as fft_plan
+from .lattice import PatternMatrix, frequency_set
 
 __all__ = [
     "GeneratorSpec",
@@ -50,11 +49,7 @@ __all__ = [
     "dlvp_rule",
     "bspline_rule",
     "make_rule",
-    "bracket_sum",
     "orthonormalize",
-    "fundamental_interpolant",
-    "synthesize",
-    "nodal_synthesis",
 ]
 
 
@@ -235,13 +230,8 @@ class CoefficientRule:
             out[j, row] = self._axis_factor(j, nums[:, j] + (row - periods) * self._den)
         return out
 
-    def coefficients(self, k, classes=None) -> np.ndarray:
-        """c_k for one integer vector or an (n, d) batch of them.
-
-        ``classes`` optionally gives the canonical class position of each k,
-        for callers that already know it (a period sum over h + M^T z keeps
-        the class of h); otherwise it is looked up.
-        """
+    def coefficients(self, k) -> np.ndarray:
+        """c_k for one integer vector or an (n, d) batch of them."""
         arr = np.asarray(k, dtype=np.int64)
         single = arr.ndim == 1
         kk = np.atleast_2d(arr)
@@ -249,15 +239,13 @@ class CoefficientRule:
             raise ShapeError(f"expected frequency vectors of length {self.matrix.d}")
         vals = self._raw(kk)
         if self._class_scale is not None:
-            if classes is None:
-                classes = self._freqs.class_index(kk)
-            vals = vals / self._class_scale[classes]
+            vals = vals / self._class_scale[self._freqs.class_index(kk)]
         return vals[0] if single else vals
 
     # -- exact class sums ----------------------------------------------------
 
-    def _raw_class_sum(self, power: int) -> np.ndarray:
-        """[c^power] over every congruence class, for the unscaled rule.
+    def _raw_class_sum(self) -> np.ndarray:
+        """[c^2] over every congruence class, for the unscaled rule.
 
         The coefficient is a product over axes and a class sum runs over
         xi_h + Z^d, so the class sum is the product of per-axis sums: the
@@ -265,23 +253,16 @@ class CoefficientRule:
         """
         if self.kind == "bspline":
             nums = self._scaled_nums(self._freqs.freqs)
-            per_axis = _sampled_autocos(power * self.order, nums.T / self._den)
+            per_axis = _sampled_autocos(2 * self.order, nums.T / self._den)
         else:
-            per_axis = np.sum(self.axis_factors(self.support_periods) ** power, axis=1)
-        return np.prod(per_axis, axis=0) * self.raw_scale**power
+            per_axis = np.sum(self.axis_factors(self.support_periods) ** 2, axis=1)
+        return np.prod(per_axis, axis=0) * self.raw_scale**2
 
     def gram_bracket(self) -> np.ndarray:
         """m [|c|^2] per frequency class (1.0 everywhere iff orthonormal)."""
-        vals = self.m * self._raw_class_sum(2)
+        vals = self.m * self._raw_class_sum()
         if self._class_scale is not None:
             vals = vals / self._class_scale**2
-        return vals
-
-    def coeff_bracket(self) -> np.ndarray:
-        """[c] per frequency class (the interpolation denominators)."""
-        vals = self._raw_class_sum(1)
-        if self._class_scale is not None:
-            vals = vals / self._class_scale
         return vals
 
     def truncation_tail(self, periods: int) -> float:
@@ -331,17 +312,6 @@ def make_rule(spec: GeneratorSpec, M: PatternMatrix) -> CoefficientRule:
     return bspline_rule(M, spec.order)
 
 
-def bracket_sum(values, M: PatternMatrix, h, periods: int):
-    """Truncated class sum sum_{|z|_inf <= periods} a(h + M^T z).
-
-    ``values`` maps an (n, d) integer array to n sequence values.  Exact
-    whenever the sequence is supported within ``periods`` translates.
-    """
-    h = np.asarray(h, dtype=np.int64).reshape(1, -1)
-    ks = h + period_shifts(M.d, periods) @ M.array
-    return complex(np.sum(values(ks)))
-
-
 def orthonormalize(rule: CoefficientRule) -> CoefficientRule:
     """Rescale a rule so its translates become an orthonormal basis.
 
@@ -361,60 +331,3 @@ def orthonormalize(rule: CoefficientRule) -> CoefficientRule:
     return CoefficientRule(
         rule.matrix, rule.kind, alpha=rule.alpha, order=rule.order, class_scale=scale
     )
-
-
-def fundamental_interpolant(rule: CoefficientRule) -> np.ndarray:
-    """Frequency coefficients of the cardinal interpolant of the rule's space.
-
-    The returned a_hat solve the nodal interpolation problem: synthesising
-    sum_h a_hat_h [c]_h e^{i h^T x} gives 1 at the origin node and 0 at every
-    other pattern node.
-    """
-    brackets = rule.coeff_bracket()
-    worst = int(np.argmin(np.abs(brackets)))
-    if abs(brackets[worst]) < 1e-14:
-        h = rule._freqs.freqs[worst]
-        raise DegenerateGeneratorError(
-            f"interpolation is degenerate: coefficient class sum vanishes at h = {h.tolist()}"
-        )
-    return 1.0 / (rule.m * brackets)
-
-
-def synthesize(rule: CoefficientRule, ahat: np.ndarray, x, periods=None):
-    """Evaluate g(x) = sum_h sum_z ahat_h c_{h + M^T z} exp(i (h + M^T z)^T x).
-
-    ``x`` is a point (or array of points) on the torus [-pi, pi)^d.  The
-    period sum is truncated at |z|_inf <= periods, by default at the rule's
-    ``default_periods``; exact when the rule's support fits.
-    """
-    M = rule.matrix
-    ahat = np.asarray(ahat)
-    if ahat.shape != (M.m,):
-        raise ShapeError(f"expected {M.m} frequency coefficients, got {ahat.shape}")
-    if periods is None:
-        periods = rule.default_periods
-    pts = np.asarray(x, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    freqs = rule._freqs.freqs
-    classes = np.arange(M.m)
-    out = np.zeros(pts.shape[0], dtype=np.complex128)
-    for shift in period_shifts(M.d, periods):
-        ks = freqs + (shift @ M.array)[None, :]
-        weights = ahat * rule.coefficients(ks, classes)
-        out += np.exp(1j * (pts @ ks.T)) @ weights
-    return out[0] if single else out
-
-
-def nodal_synthesis(rule: CoefficientRule, ahat: np.ndarray) -> np.ndarray:
-    """Values of the synthesised function at all pattern nodes x = 2 pi y.
-
-    Uses the class-sum identity: at nodes every translate in a congruence
-    class carries the same character value, so the period sum collapses to
-    the coefficient bracket and one inverse transform.
-    """
-    M = rule.matrix
-    ahat = np.asarray(ahat)
-    if ahat.shape != (M.m,):
-        raise ShapeError(f"expected {M.m} frequency coefficients, got {ahat.shape}")
-    return fft_plan(M).ifft(ahat * rule.coeff_bracket()) * np.sqrt(M.m)

@@ -1,14 +1,23 @@
 """Independent brute-force oracles used to pin expected values in the tests.
 
 Everything here is computed from first principles (exhaustive enumeration,
-Fraction arithmetic, the textbook closed forms), deliberately avoiding the
-code paths under test.
+Fraction arithmetic, the textbook closed forms, dense matrices), avoiding
+the code paths under test; ``dense_oracle`` reuses the solver's operator
+kernels but replaces the iteration by a direct solve.
 """
 
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
+
+from spectralhom.elasticity import pack_symmetric
+from spectralhom.lattice import smith_normal_form
+from spectralhom.solver import _green_convolve, apply_stiffness
+
+_DENSE_FOURIER_LIMIT = 4096  # m; the complex matrix takes 16 m^2 bytes
+_DENSE_SOLVE_LIMIT = 2048  # m D
 
 
 def det_int(rows):
@@ -221,3 +230,67 @@ def unpack_symmetric(rows):
     out = np.empty((rows.shape[1], D, D))
     out[:, r, c] = out[:, c, r] = rows.T
     return out
+
+
+def fourier_matrix(M):
+    """Dense unitary Fourier matrix with rows over G(M^T), columns over P(M), for m <= 4096.
+
+    Entry (h, y) is exp(-2 pi i h^T y) / sqrt(m).  In Smith coordinates
+    h(j')^T y(j) = sum_l j'_l j_l / d_l mod 1, so every phase is an integer
+    multiple of 1/m, reduced modulo m before the exponential is evaluated.
+    """
+    m = M.m
+    if m > _DENSE_FOURIER_LIMIT:
+        raise ValueError(f"dense Fourier matrix limited to m <= {_DENSE_FOURIER_LIMIT}, got m = {m}")
+    diag = np.array(smith_normal_form(M).diag, dtype=np.int64)
+    J = np.indices(tuple(diag), dtype=np.int64).reshape(len(diag), -1).T
+    phases = ((J * (m // diag)[None, :]) @ J.T) % m
+    return np.exp((-2j * np.pi / m) * phases) / np.sqrt(m)
+
+
+def index_of_nums(pat, nums):
+    """Canonical positions of pattern points given as integer numerators over m.
+
+    A point is y = V D^{-1} j, so its Smith coordinates are j = D V^{-1} y mod d.
+    """
+    diag = np.array(pat.smith.diag, dtype=np.int64)
+    v_inverse = np.array([[int(v) for v in row] for row in inverse_fraction(pat.smith.V)], dtype=np.int64)
+    jm = np.atleast_2d(nums) @ (diag[:, None] * v_inverse).T
+    assert np.all(jm % pat.m == 0), "coordinates do not lie on the pattern lattice"
+    return np.ravel_multi_index(((jm // pat.m) % diag).T, pat.smith.diag)
+
+
+def bracket_sum(values, M, h, periods):
+    """Truncated class sum sum_{|z|_inf <= periods} a(h + M^T z); ``values`` maps (n, d) frequencies to a(k)."""
+    shifts = np.array(list(product(range(-periods, periods + 1), repeat=M.d)), dtype=np.int64)
+    ks = np.asarray(h, dtype=np.int64)[None, :] + shifts @ M.array
+    return complex(np.sum(values(ks)))
+
+
+def dense_oracle(C, C0, eps0, G):
+    """Direct dense solve of the fixed-point equations E + G((C - C0) : (E + eps0)) = 0, for m D <= 2048.
+
+    Assembles the (m D) x (m D) matrix of E -> E + G((C - C0) : E) from the
+    images of all unit fields at once and returns the (m, D) fluctuation strain.
+    """
+    m, D = G.m, len(eps0)
+    n = m * D
+    if n > _DENSE_SOLVE_LIMIT:
+        raise ValueError(f"dense oracle limited to m*D <= {_DENSE_SOLVE_LIMIT}, got {n}")
+    dC = pack_symmetric(np.asarray(C) - C0)
+    const = _green_convolve(G, apply_stiffness(dC, np.tile(np.asarray(eps0, dtype=complex)[:, None], m)))
+    # every unit field at once, as a (D, n, m) batch with field i at [:, i]
+    basis = np.eye(n, dtype=np.complex128).reshape(n, D, m).transpose(1, 0, 2)
+    A = (basis + _green_convolve(G, apply_stiffness(dC, basis))).transpose(0, 2, 1).reshape(n, n)
+    solution = np.linalg.solve(A, -const.reshape(-1))
+    residual = np.linalg.norm(A @ solution + const.reshape(-1))
+    assert residual <= 1e-6 * max(1.0, float(np.linalg.norm(const))), f"condition estimate {np.linalg.cond(A):.3e}"
+    return solution.reshape(D, m).T
+
+
+def read_gray_image(path):
+    """(height, width) uint8 pixels of a binary P5 graymap with maxval 255."""
+    header, _, rest = Path(path).read_bytes().partition(b"\n")
+    magic, w, h, maxval = header.split()
+    assert magic == b"P5" and maxval == b"255", f"{path}: unsupported graymap header"
+    return np.frombuffer(rest, dtype=np.uint8, count=int(w) * int(h)).reshape(int(h), int(w))

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import warnings
 from pathlib import Path
@@ -5,18 +6,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectralhom import PatternMatrix, bspline_rule, laminate_reference, read_field
+from spectralhom import PatternMatrix, bspline_rule, cli, laminate_reference, read_field, solver
 from spectralhom.cli import (
     golden_section,
     main,
     pattern_info,
-    read_gray_image,
     run_solve,
     sweep_alpha,
     write_gray_image,
 )
 from spectralhom.errors import ConfigError
 from spectralhom.geometry import IsoPhase, Laminate
+
+from oracles import read_gray_image
 
 
 def _laminate_config(tmp_path, **overrides):
@@ -195,6 +197,25 @@ class TestRunSolve:
         assert main(["solve", str(missing)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_benchmark_tracer_wraps_a_solve(self, tmp_path):
+        # perfbench/tracer.py patches package attributes by name: renaming or deleting one fails here
+        spec = importlib.util.spec_from_file_location("tracer", Path(__file__).parents[1] / "perfbench" / "tracer.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        originals = (cli.run_solve, solver.apply_stiffness, solver._green_convolve)
+        tracer = tracing.Tracer()
+        try:
+            read_layers = tracing.install(tracer)
+            code, doc = cli.run_solve(_laminate_config(tmp_path))
+            layers = read_layers()
+        finally:
+            tracer.restore()
+        assert code == 0
+        assert (cli.run_solve, solver.apply_stiffness, solver._green_convolve) == originals
+        assert layers["cli.solves"] == layers["elasticity.green_table_calls"] == 1
+        assert layers["solver.operator_applications"] == doc["iterations"]
+        assert layers["pfft.calls"] == 2 * doc["iterations"]
+
 
 def _with(config, path, value):
     """Copy of ``config`` with the value at the key path ``path`` replaced (None deletes it)."""
@@ -310,6 +331,18 @@ class TestConfigValidation:
         for stages in (doc["timing"]["stages"], report["timing"]["stages"]):
             assert set(stages) == {"stiffness_sampling", "generator_orthonormalisation", "green_table", "solve"}
             assert all(seconds >= 0.0 for seconds in stages.values())
+
+    @pytest.mark.parametrize("target", ["config", "reference"])
+    def test_invalid_utf8_rejected(self, tmp_path, capsys, target):
+        ref = _write_laminate_reference(tmp_path, [[8, 0], [0, 8]], with_strain=False)
+        path = _laminate_config(tmp_path, reference_values=ref)
+        damaged = path if target == "config" else tmp_path / ref
+        damaged.write_bytes(damaged.read_bytes().replace(b"{", b"{\xff", 1))
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "UTF-8" in err
+        assert not (tmp_path / "out").exists()
 
     def test_documented_defaults_and_nulls_accepted(self, tmp_path):
         path = _laminate_config(

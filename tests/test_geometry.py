@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -254,6 +255,33 @@ class TestFieldIO:
         M = PatternMatrix.from_any([[2, 0], [0, 2]])
         with pytest.raises(ShapeError):
             write_field(tmp_path / "f.pfld", M, np.zeros((5, 3)))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda raw: raw[:6],  # ends inside the version word
+            lambda raw: raw[:8] + struct.pack("<I", 0) + raw[12:],
+            lambda raw: raw[:8] + struct.pack("<I", 4) + raw[12:],  # the 2-D file is as long as a 4-D header
+            lambda raw: raw[:30],  # ends inside the matrix block
+            lambda raw: raw[:-3],  # ends inside the last value
+        ],
+        ids=["six_bytes", "dimension_0", "dimension_4", "short_matrix_block", "short_last_value"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, damage):
+        path = tmp_path / "f.pfld"
+        write_field(path, PatternMatrix.from_any([[2, 0], [0, 2]]), np.zeros((4, 3)))
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(IngestionError):
+            read_field(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, bad):
+        values = np.zeros((4, 3))
+        values[2, 1] = bad
+        path = tmp_path / "f.pfld"
+        write_field(path, PatternMatrix.from_any([[2, 0], [0, 2]]), values)
+        with pytest.raises(IngestionError, match="non-finite"):
+            read_field(path)
 
 
 class TestReferenceIngestion:

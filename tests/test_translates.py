@@ -4,22 +4,17 @@ import pytest
 from spectralhom import (
     GeneratorSpec,
     PatternMatrix,
-    bracket_sum,
     bspline_rule,
     dirichlet_rule,
     dlvp_rule,
     frequency_set,
-    fundamental_interpolant,
     make_rule,
-    nodal_synthesis,
     orthonormalize,
-    pattern,
     period_shifts,
-    synthesize,
 )
 from spectralhom.errors import DegenerateGeneratorError, DomainError
 
-from oracles import random_regular_matrix
+from oracles import bracket_sum, random_regular_matrix
 
 M44 = PatternMatrix.from_any([[4, 1], [0, 4]])
 
@@ -90,7 +85,6 @@ class TestDlvpRule:
         # outside (1+alpha)/2 per axis the coefficients vanish
         ks = np.array([[i, j] for i in range(-12, 13) for j in range(-12, 13)])
         vals = rule.coefficients(ks)
-        adj = np.array(M44.transpose.adjugate, dtype=np.int64).T
         xi = (ks @ np.array(M44.adjugate, dtype=np.int64)) / M44.det
         live = np.abs(vals) > 0
         assert np.all(np.abs(xi[live, 0]) <= 0.7 + 1e-12)
@@ -209,15 +203,16 @@ class TestBracketSum:
                     assert abs(spline[idx] - val) < 5e-4
 
     def test_first_power_closed_form_bounds(self):
-        # even-order summands are nonnegative; the truncated sum brackets the
-        # closed form together with an integral tail bound
+        # the first-power class sum of order 2, sum_t sinc^2(pi (xi + t)), is
+        # m [|c|^2] of order 1; its summands are nonnegative, so the truncated
+        # sum brackets the closed form together with an integral tail bound
         M = PatternMatrix.from_any([[3]])
-        rule = bspline_rule(M, 2)
-        closed = rule.coeff_bracket() * np.sqrt(M.m)
+        rule = bspline_rule(M, 1)
+        closed = rule.gram_bracket()
         for idx, h in enumerate(frequency_set(M).freqs):
             for Z in (50, 200):
                 approx = bracket_sum(
-                    lambda ks: rule.coefficients(ks) * np.sqrt(M.m), M, h, Z
+                    lambda ks: M.m * np.abs(rule.coefficients(ks)) ** 2, M, h, Z
                 ).real
                 tail = 2.0 / (np.pi**2 * (Z - 0.5))
                 assert approx - 1e-13 <= closed[idx] <= approx + tail
@@ -285,110 +280,18 @@ class TestOrthonormalize:
         assert np.abs(rule.coefficients(ks) - again.coefficients(ks)).max() < 1e-14
 
     def test_degenerate_generator_rejected(self):
-        # zero out an entire congruence class by erasing every dlvp plateau:
-        # a one-axis alpha of 1 with a pattern whose class hits only the tip
-        class Broken:
-            pass
-
-        rule = dlvp_rule(M44, [1.0, 1.0])
-        # monkey-light: scale one class to zero through the public surface is
-        # not possible, so check the error path with a synthetic rule
+        # no generator of the three families leaves a class sum at zero, so
+        # one is zeroed on an instance to reach the error path
         import spectralhom.translates as tr
 
         broken = tr.CoefficientRule(M44, "dlvp", alpha=(1.0, 1.0))
         orig = broken._raw_class_sum
 
-        def patched(power):
-            vals = orig(power)
+        def patched():
+            vals = orig()
             vals[3] = 0.0
             return vals
 
         broken._raw_class_sum = patched
         with pytest.raises(DegenerateGeneratorError):
             orthonormalize(broken)
-
-
-class TestInterpolation:
-    def test_dirichlet_interpolant_is_uniform(self):
-        rule = dirichlet_rule(M44)
-        ahat = fundamental_interpolant(rule)
-        assert np.abs(ahat - 1.0 / M44.m).max() < 1e-15
-
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda M: orthonormalize(dirichlet_rule(M)),
-            lambda M: orthonormalize(dlvp_rule(M, [0.4, 0.0])),
-            lambda M: orthonormalize(bspline_rule(M, 2)),
-        ],
-    )
-    def test_cardinal_property_at_nodes(self, factory):
-        rule = factory(M44)
-        ahat = fundamental_interpolant(rule)
-        vals = nodal_synthesis(rule, ahat)
-        assert abs(vals[0] - 1.0) < 1e-10
-        assert np.abs(vals[1:]).max() < 1e-10
-
-    def test_nodal_synthesis_matches_brute_force(self):
-        M = PatternMatrix.from_any([[8, 17], [0, 8]])
-        rule = orthonormalize(dlvp_rule(M, [0.4, 0.0]))
-        ahat = fundamental_interpolant(rule)
-        nodes = 2.0 * np.pi * pattern(M).points[:9]
-        direct = synthesize(rule, ahat, nodes)
-        fast = nodal_synthesis(rule, ahat)[:9]
-        assert np.abs(direct - fast).max() < 1e-10
-
-    def test_scaled_anisotropic_interpolation(self):
-        M = PatternMatrix.from_any([[8, 17], [0, 8]])
-        rule = orthonormalize(dlvp_rule(M, [0.4, 0.0]))
-        vals = nodal_synthesis(rule, fundamental_interpolant(rule))
-        assert abs(vals[0] - 1.0) < 1e-10
-        assert np.abs(vals[1:]).max() < 1e-10
-
-    def test_vanishing_coefficient_class_sum_rejected(self):
-        import spectralhom.translates as tr
-
-        rule = tr.CoefficientRule(M44, "bspline", order=2)
-        orig = rule._raw_class_sum
-
-        def patched(power):
-            vals = orig(power)
-            if power == 1:
-                vals[2] = 0.0
-            return vals
-
-        rule._raw_class_sum = patched
-        with pytest.raises(DegenerateGeneratorError):
-            fundamental_interpolant(rule)
-
-
-class TestSynthesize:
-    def test_constant_function(self):
-        rule = orthonormalize(dirichlet_rule(M44))
-        ahat = np.zeros(M44.m)
-        ahat[0] = 1.0
-        xs = np.array([[0.1, -0.7], [2.0, 1.0], [0.0, 0.0]])
-        vals = synthesize(rule, ahat, xs)
-        assert np.abs(vals - vals[0]).max() < 1e-12
-
-    def test_dirichlet_kernel_peaks_at_origin(self):
-        rule = dirichlet_rule(M44)
-        ahat = fundamental_interpolant(rule)
-        xs = np.concatenate([[[0.0, 0.0]], 2.0 * np.pi * pattern(M44).points[1:]])
-        vals = synthesize(rule, ahat, xs)
-        assert vals[0].real == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(vals[1:]).max() < np.abs(vals[0])
-
-    def test_real_synthesis_from_symmetric_coefficients(self):
-        # an even-magnitude generator and conjugate-symmetric weights give a
-        # real function
-        M = PatternMatrix.from_any([[5, 0], [0, 5]])
-        rule = orthonormalize(bspline_rule(M, 2))
-        freqs = frequency_set(M)
-        rng = np.random.default_rng(33)
-        ahat = rng.standard_normal(M.m) + 1j * rng.standard_normal(M.m)
-        neg = freqs.class_index(-freqs.freqs)
-        ahat = ahat + np.conj(ahat[neg])
-        xs = rng.uniform(-np.pi, np.pi, (20, 2))
-        vals = synthesize(rule, ahat, xs, periods=6)
-        assert np.abs(vals.imag).max() < 1e-12 * max(1.0, np.abs(vals.real).max())
