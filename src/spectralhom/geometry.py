@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .elasticity import iso_stiffness, mandel_dim, sym_grad_matrix
-from .errors import DomainError, GeometryError, IngestionError, ShapeError, parse_kind, parse_object
+from .errors import DomainError, GeometryError, IngestionError, RegularityError, ShapeError, parse_kind, parse_object
 from .lattice import PatternMatrix, pattern
 
 __all__ = [
@@ -365,7 +365,10 @@ def read_field(path, expected: PatternMatrix | None = None):
     rows = np.frombuffer(raw, dtype="<i8", count=d * d, offset=12).reshape(d, d)
     ncomp, domain = struct.unpack_from("<II", raw, off)
     off += 8
-    M = PatternMatrix.from_any(rows)
+    try:
+        M = PatternMatrix.from_any(rows)
+    except RegularityError as exc:
+        raise IngestionError(f"{path}: matrix block: {exc}") from exc
     if len(raw) - off != 8 * M.m * ncomp:
         raise IngestionError(f"{path}: payload has {len(raw) - off} bytes, expected {8 * M.m * ncomp}")
     values = np.frombuffer(raw, dtype="<f8", offset=off).reshape(M.m, ncomp).copy()

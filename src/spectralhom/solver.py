@@ -8,12 +8,16 @@ mean.  Two schemes are provided:
   E <- -G((C - C0) : (E + eps0)), the classical basic scheme of Moulinec
   and Suquet generalised to an arbitrary periodised Green table.
 * ``ve_krylov`` solves the projected form G(C : (E + eps0)) = 0 as a linear
-  system.  After the substitution w = C^{1/2} E the operator
-  w -> C^{1/2} G (C^{1/2} w) is Hermitian positive semidefinite, so a
-  conjugate-gradient iteration applies; a minimal-residual solve takes over
-  on the (round-off only) event of nonpositive curvature.  The constant
-  reference factor C0 in front of the equation is invertible and is dropped
-  from the solve; the reported residual retains it.
+  system.  G C is self-adjoint and positive semidefinite in the
+  stiffness-weighted inner product <a, b>_C = Re a^H C b, so conjugate
+  gradients run on E in that inner product (Zeman, Vondřejc, Novák & Marek,
+  J. Comput. Phys. 2010), one Green convolution and one stiffness product
+  per iteration.  On the (round-off only) event of nonpositive curvature a
+  minimal-residual solve of the Euclidean-Hermitian system G C G z = rho
+  takes over and adds the correction G z, which keeps E in the range of G
+  where the CG iterates lie.  The constant reference factor C0 in front of
+  the equation is invertible and is dropped from the solve; the reported
+  residual retains it.
 
 Coefficient fields are complex.  Generators whose coefficient magnitudes
 are even in k (B-splines, trapezoids with positive slopes) and any pattern
@@ -58,6 +62,7 @@ __all__ = [
 ]
 
 LOG_ERROR_FORMS = ("difference", "sum")
+_ELLIPTIC_FLOOR = 1e-12  # smallest admissible Gaussian pivot, relative to the largest diagonal entry
 
 
 @dataclass(frozen=True)
@@ -199,88 +204,99 @@ def ls_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) 
     )
 
 
-def _stiffness_square_roots(C: np.ndarray, C0: np.ndarray):
-    """Packed rows of W = C^{1/2} and dense rows of P = C0 W^{-1}, over nodes."""
-    w, v = np.linalg.eigh(C)
-    if w.min() <= 0.0:
-        raise DomainError("stiffness field is not uniformly elliptic")
-    v = np.ascontiguousarray(v.transpose(1, 2, 0))  # v[i, k]: component i of eigenvector k
-    root = np.sqrt(w.T)
-    D = len(root)
-    vw = v * root
-    u = np.tensordot(C0, v / root, axes=1)  # u[i, k] = (C0 v_k)[i] / sqrt(w_k)
-    W = np.stack([sum(vw[i, k] * v[j, k] for k in range(D)) for i, j in zip(*np.triu_indices(D))])
-    P = np.stack([sum(u[i, k] * v[j, k] for k in range(D)) for i in range(D) for j in range(D)])
-    return W, P
+def _check_elliptic(C: np.ndarray) -> None:
+    """Raise DomainError unless every nodal stiffness in the (m, D, D) stack is positive definite.
+
+    Gaussian elimination runs on all nodes at once over (D, D, m) rows.  Every
+    pivot of a node with condition number below 1 / ``_ELLIPTIC_FLOOR`` exceeds
+    that fraction of its largest diagonal entry; a smaller (or non-finite)
+    pivot marks a node that is indefinite or singular to round-off.
+    """
+    A = C.transpose(1, 2, 0).copy()  # Schur complements are formed in place
+    floor = _ELLIPTIC_FLOOR * np.diagonal(A).max(axis=1)
+    for k in range(len(A)):
+        if not np.all(A[k, k] > floor):
+            raise DomainError("stiffness field is not uniformly elliptic")
+        A[k + 1 :, k + 1 :] -= A[k + 1 :, k, None] * (A[k, k + 1 :] / A[k, k])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite residual stops it unconverged
 def ve_krylov(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> SolveReport:
-    """Krylov solve of the projected nodal equation C0 G (C : (E + eps0)) = 0.
+    """Conjugate-gradient solve of the projected nodal equation C0 G (C : (E + eps0)) = 0.
 
-    Solves the Hermitian PSD system C^{1/2} G C^{1/2} w = -C^{1/2} G (C eps0)
-    with conjugate gradients; the reported residual is the projected one,
-    ||C0 G C (E + eps0)|| / ||C0 G C eps0||, evaluated as ||P r|| with
-    P = C0 C^{-1/2}, and the strain is recovered as E = C0^{-1} (P w).
+    Runs CG on G C E = -G C eps0 in the stiffness-weighted inner product
+    <a, b>_C = Re a^H C b, in which G C is self-adjoint and positive
+    semidefinite.  Beside the residual rho = -G C (E + eps0) it carries
+    u = C rho and the search stress t = C p, so an iteration costs one Green
+    convolution q = G t and one stiffness product u = C rho.  The reported
+    residual is the projected one, ||C0 rho|| / ||C0 G C eps0||.  In exact
+    arithmetic the iterates are those of CG on the Hermitian system
+    C^{1/2} G C^{1/2} w = -C^{1/2} G C eps0 under w = C^{1/2} E.
     """
     cfg = cfg or SolverConfig()
     C, C0, eps0 = _validate_problem(C, C0, eps0, G)
     start = time.perf_counter()
-    W, P = _stiffness_square_roots(C, C0)
+    _check_elliptic(C)
+    Cp = pack_symmetric(C)
 
-    def operator(w_vec: np.ndarray) -> np.ndarray:
-        return apply_stiffness(W, _green_convolve(G, apply_stiffness(W, w_vec)))
-
-    def projected_norm(r_vec: np.ndarray) -> float:
+    def projected_norm(rho: np.ndarray) -> float:
         # nodal VE residual carries the constant reference factor
-        return field_norm(apply_stiffness(P, r_vec).T)
+        return field_norm((C0 @ rho).T)
 
-    eps0_field = np.tile(eps0.astype(np.complex128)[:, None], G.m)
-    b = -apply_stiffness(W, _green_convolve(G, apply_stiffness(C.reshape(G.m, -1).T, eps0_field)))
+    b = -_green_convolve(G, apply_stiffness(Cp, np.broadcast_to(eps0[:, None], (len(eps0), G.m))))
     rho0 = projected_norm(b)
     residuals: list[float] = []
-    x = np.zeros_like(b)
+    E = np.zeros_like(b)
     converged = False
     iterations = 0
     if rho0 == 0.0:
         converged = True
         residuals.append(0.0)
     else:
-        r = b.copy()
-        p = r.copy()
-        rs = float(np.vdot(r, r).real)
+        rho = b.copy()
+        u = apply_stiffness(Cp, rho)
+        p = rho.copy()
+        t = u.copy()
+        rs = float(np.vdot(rho, u).real)
         for iterations in range(1, cfg.max_iterations + 1):
-            Lp = operator(p)
-            curvature = float(np.vdot(p, Lp).real)
+            q = _green_convolve(G, t)
+            curvature = float(np.vdot(t, q).real)
             if not np.isfinite(curvature):
                 residuals.append(float("nan"))
                 break
             if curvature <= 0.0:
-                x, _ = _minres_fallback(operator, b, x, cfg)
-                r = b - operator(x)
-                residuals.append(projected_norm(r) / rho0)
+                # the correction G z with G C G z = rho keeps E in the range of G, as CG does
+                def operator(z: np.ndarray) -> np.ndarray:
+                    return _green_convolve(G, apply_stiffness(Cp, _green_convolve(G, z)))
+
+                z, _ = _minres_fallback(operator, rho, np.zeros_like(rho), cfg)
+                E += _green_convolve(G, z)
+                residuals.append(projected_norm(b - _green_convolve(G, apply_stiffness(Cp, E))) / rho0)
                 converged = residuals[-1] <= cfg.tolerance
                 break
             alpha = rs / curvature
-            x += alpha * p
-            r -= alpha * Lp
-            rho = projected_norm(r) / rho0
-            residuals.append(rho)
-            if rho <= cfg.tolerance:
+            E += alpha * p
+            rho -= alpha * q
+            r = projected_norm(rho) / rho0
+            residuals.append(r)
+            if r <= cfg.tolerance:
                 converged = True
                 break
-            if not np.isfinite(rho):
+            if not np.isfinite(r):
                 break
-            rs_next = float(np.vdot(r, r).real)
-            p *= rs_next / rs
-            p += r
+            u = apply_stiffness(Cp, rho)
+            rs_next = float(np.vdot(rho, u).real)
+            beta = rs_next / rs
+            p *= beta
+            p += rho
+            t *= beta
+            t += u
             rs = rs_next
-    strain = np.linalg.solve(C0, apply_stiffness(P, x)).T
     return SolveReport(
-        strain=strain,
+        strain=E.T,
         iterations=iterations,
         residuals=tuple(residuals),
-        effective_action=effective_stiffness(C, strain, eps0),
+        effective_action=effective_stiffness(C, E.T, eps0),
         converged=converged,
         scheme="ve_krylov",
         wall_time=time.perf_counter() - start,
@@ -318,7 +334,9 @@ def error_metrics(
     compares effective-stiffness actions; e_log is the per-node logarithmic
     deviation log(1 + |e - e_ref|).  ``log_form = "sum"`` switches the last
     to log(1 + |e + e_ref|) for compatibility with that printed convention.
-    Complex strain coefficients are compared in full.
+    Complex strain coefficients are compared in full.  A zero reference
+    field or action leaves its relative error undefined and raises
+    DomainError.
     """
     if log_form not in LOG_ERROR_FORMS:
         raise DomainError(f"unknown log-error form {log_form!r}")
@@ -329,7 +347,10 @@ def error_metrics(
         ref_strain = np.asarray(ref_strain)
         if strain.shape != ref_strain.shape:
             raise ShapeError("strain fields have mismatched shapes")
-        e_l2 = float(np.linalg.norm(strain - ref_strain) / np.linalg.norm(ref_strain))
+        ref_norm = np.linalg.norm(ref_strain)
+        if ref_norm == 0.0:
+            raise DomainError("reference strain field is zero; relative errors are undefined")
+        e_l2 = float(np.linalg.norm(strain - ref_strain) / ref_norm)
         mixed = strain - ref_strain if log_form == "difference" else strain + ref_strain
         e_log = np.log1p(np.linalg.norm(mixed, axis=1))
     e_eff = None
@@ -340,8 +361,8 @@ def error_metrics(
         ref_effective_action = np.asarray(ref_effective_action, dtype=np.float64)
         if effective_action.shape != ref_effective_action.shape:
             raise ShapeError("effective actions have mismatched shapes")
-        e_eff = float(
-            np.linalg.norm(effective_action - ref_effective_action)
-            / np.linalg.norm(ref_effective_action)
-        )
+        ref_norm = np.linalg.norm(ref_effective_action)
+        if ref_norm == 0.0:
+            raise DomainError("reference effective action is zero; relative errors are undefined")
+        e_eff = float(np.linalg.norm(effective_action - ref_effective_action) / ref_norm)
     return ErrorMetrics(e_l2=e_l2, e_eff=e_eff, e_log=e_log, log_form=log_form)

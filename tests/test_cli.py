@@ -518,6 +518,17 @@ class TestErrorsCommand:
         write_field(tmp_path / "b.pfld", PatternMatrix.from_any([[2, 0], [0, 2]]), np.zeros((4, 3)))
         assert main(["errors", "--field", str(tmp_path / "a.pfld"), "--reference", str(tmp_path / "b.pfld")]) == 1
 
+    def test_zero_reference_field_rejected(self, tmp_path, capsys):
+        from spectralhom.geometry import write_field
+
+        M = PatternMatrix.from_any([[2, 0], [0, 2]])
+        write_field(tmp_path / "a.pfld", M, np.ones((4, 3)))
+        write_field(tmp_path / "z.pfld", M, np.zeros((4, 3)))
+        assert main(["errors", "--field", str(tmp_path / "a.pfld"), "--reference", str(tmp_path / "z.pfld")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: reference strain field is zero; relative errors are undefined\n"
+
 
 class TestGrayImage:
     def test_round_trip(self, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -272,6 +273,15 @@ class TestFieldIO:
         write_field(path, PatternMatrix.from_any([[2, 0], [0, 2]]), np.zeros((4, 3)))
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(IngestionError):
+            read_field(path)
+
+    def test_singular_matrix_block_names_the_file(self, tmp_path):
+        path = tmp_path / "f.pfld"
+        write_field(path, PatternMatrix.from_any([[2, 0], [0, 2]]), np.zeros((4, 3)))
+        raw = bytearray(path.read_bytes())
+        raw[12:44] = struct.pack("<4q", 1, 1, 1, 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(IngestionError, match=r"^" + re.escape(str(path)) + ": matrix block: .*singular"):
             read_field(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -19,16 +19,16 @@ from spectralhom import (
     sample_stiffness,
     ve_krylov,
 )
+from spectralhom import solver
 from spectralhom.elasticity import pack_symmetric
 from spectralhom.errors import DomainError, ShapeError
-from spectralhom.solver import _stiffness_square_roots, apply_stiffness, field_norm
+from spectralhom.solver import apply_stiffness, field_norm
 
 from oracles import (
     dense_oracle,
     random_spd_mandel,
+    square_root_cg,
     stiffness_product_einsum,
-    stiffness_square_roots_einsum,
-    unpack_symmetric,
 )
 
 EPS0 = np.array([1.0, 0.0, 0.0])
@@ -242,6 +242,97 @@ class TestKrylov:
         assert field_norm(rep.strain - E) / field_norm(E) < 1e-8
 
 
+class TestWeightedConjugateGradients:
+    """The stiffness-weighted CG against the square-root form it replaces."""
+
+    RULES = {
+        "dirichlet": dirichlet_rule,
+        "dlvp": lambda M: dlvp_rule(M, [0.4, 0.7, 0.2][: M.d]),
+        "bspline2": lambda M: bspline_rule(M, 2),
+    }
+
+    @staticmethod
+    def _problem(rows):
+        M = PatternMatrix.from_any(rows)
+        C = _random_two_phase(np.random.default_rng(90), M, 5.0)
+        C0 = iso_stiffness(3.0, 3.0, M.d)
+        eps0 = np.arange(1.0, M.d * (M.d + 1) // 2 + 1)
+        return M, C, C0, eps0
+
+    @pytest.mark.parametrize("rows", [[[16, 6], [0, 16]], [[6, 2, 0], [0, 6, 1], [0, 0, 6]]], ids=["2d", "3d"])
+    @pytest.mark.parametrize("generator", ["dirichlet", "dlvp", "bspline2"])
+    def test_matches_square_root_iteration(self, rows, generator):
+        M, C, C0, eps0 = self._problem(rows)
+        G = periodized_green(C0, orthonormalize(self.RULES[generator](M)))
+        cfg = SolverConfig(tolerance=1e-6, max_iterations=2000)
+        rep = ve_krylov(C, C0, eps0, G, cfg)
+        strain, residuals = square_root_cg(C, C0, eps0, G, cfg.tolerance, cfg.max_iterations)
+        assert rep.converged
+        assert rep.iterations == len(residuals)
+        head = min(20, len(residuals))
+        assert np.abs(np.array(rep.residuals[:head]) / residuals[:head] - 1.0).max() <= 1e-8
+        if generator == "dirichlet":
+            assert field_norm(rep.strain - strain) / field_norm(strain) < 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("defect", ["negative", "singular"])
+    def test_non_elliptic_node_rejected(self, d, defect):
+        M = PatternMatrix.from_any(np.diag([4] * d).tolist())
+        C0 = iso_stiffness(1.5, 1.5, d)
+        C = np.tile(C0, (M.m, 1, 1))
+        rng = np.random.default_rng(91 + d)
+        D = len(C0)
+        v = np.linalg.qr(rng.standard_normal((D, D)))[0]
+        w = np.linspace(1.0, 2.0, D)
+        w[-1] = -0.5 if defect == "negative" else 0.0
+        C[M.m // 2] = (v * w) @ v.T
+        G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
+        with pytest.raises(DomainError, match="not uniformly elliptic"):
+            ve_krylov(C, C0, np.ones(D), G)
+
+    def test_one_stiffness_product_and_convolution_per_iteration(self, monkeypatch):
+        M, C, C0, eps0 = self._problem([[16, 6], [0, 16]])
+        G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
+        calls = {"apply_stiffness": 0, "_green_convolve": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(solver, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(solver, name, counted)
+        rep = ve_krylov(C, C0, eps0, G, SolverConfig(tolerance=1e-8))
+        assert rep.converged and rep.iterations > 5
+        # C eps0 and C rho0 before the loop, none after the converged last residual, one for the action
+        assert calls["apply_stiffness"] == rep.iterations + 2
+        # G (C eps0) before the loop
+        assert calls["_green_convolve"] == rep.iterations + 1
+
+    def test_nonpositive_curvature_hands_over_to_minres(self, monkeypatch):
+        # flip the sign of the first search-direction convolution: the rescue must still solve the VE system
+        M = PatternMatrix.from_any([[6, 1], [2, 5]])
+        C0 = iso_stiffness(2.0, 1.5, 2)
+        C = _random_two_phase(np.random.default_rng(52), M, 4.0)
+        G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
+        convolve, rescue = solver._green_convolve, solver._minres_fallback
+        calls = {"convolve": 0, "rescue": 0}
+
+        def flipped(G_, tau):
+            calls["convolve"] += 1
+            return -convolve(G_, tau) if calls["convolve"] == 2 else convolve(G_, tau)
+
+        def counted(*args):
+            calls["rescue"] += 1
+            return rescue(*args)
+
+        monkeypatch.setattr(solver, "_green_convolve", flipped)
+        monkeypatch.setattr(solver, "_minres_fallback", counted)
+        rep = ve_krylov(C, C0, EPS0, G, SolverConfig(tolerance=1e-10))
+        assert calls["rescue"] == 1 and rep.iterations == 1
+        assert rep.converged and rep.residuals[-1] <= 1e-10
+        E = dense_oracle(C, C0, EPS0, G)
+        assert field_norm(rep.strain - E) / field_norm(E) < 1e-8
+
+
 class TestComponentMajorKernels:
     """Unrolled (D, m) kernels against the pattern-major einsum formulas."""
 
@@ -259,20 +350,6 @@ class TestComponentMajorKernels:
         want = stiffness_product_einsum(C, x.T).T
         for rows in (pack_symmetric(C), C.reshape(m, -1).T):
             assert np.abs(apply_stiffness(rows, x) - want).max() <= 1e-14 * np.abs(want).max()
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_square_root_factors(self, d):
-        rng = np.random.default_rng(80 + d)
-        C = self._stiffness_stack(rng, d)
-        m, D, _ = C.shape
-        C0 = random_spd_mandel(rng, D)
-        W, P = _stiffness_square_roots(C, C0)
-        W_ref, Winv_ref = stiffness_square_roots_einsum(C)
-        P_ref = C0 @ Winv_ref
-        W_full = unpack_symmetric(W)
-        P_full = P.reshape(D, D, m).transpose(2, 0, 1)
-        assert np.abs(W_full - W_ref).max() <= 1e-14 * np.abs(W_ref).max()
-        assert np.abs(P_full - P_ref).max() <= 1e-14 * np.abs(P_ref).max()
 
 
 class TestMinresFallback:
@@ -367,6 +444,12 @@ class TestErrorMetrics:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             error_metrics(np.zeros((4, 3)), ref_strain=np.zeros((5, 3)))
+
+    def test_zero_references_rejected(self):
+        with pytest.raises(DomainError, match="reference strain field is zero"):
+            error_metrics(np.ones((4, 3)), ref_strain=np.zeros((4, 3)))
+        with pytest.raises(DomainError, match="reference effective action is zero"):
+            error_metrics(np.zeros((4, 3)), effective_action=np.ones(3), ref_effective_action=np.zeros(3))
 
     def test_partial_references(self):
         m = error_metrics(np.zeros((4, 3)), effective_action=np.ones(3), ref_effective_action=np.ones(3))
