@@ -213,6 +213,7 @@ def _report_dict(problem: _Problem, report: solver.SolveReport, metrics, green: 
         },
         "generator": problem.generator.to_json(),
         "green": {"periods": green.periods, "tail_estimate": green.tail_estimate},
+        "diagnostics": {"real_fields": green.real, "minres_rescue": report.minres_rescue},
         "scheme": report.scheme,
         "tolerance": problem.solver_config.tolerance,
         "converged": bool(report.converged),

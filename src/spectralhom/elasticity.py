@@ -54,6 +54,16 @@ the (monomials, m) moment rows sum_z W_z k_z^alpha / det A(k_z); one final
 packed table.  Shifts with an all-zero axis factor are skipped, and the class
 of h = 0 is left at zero.  For the orthonormalised Dirichlet rule (|c|^2 = 1/m
 on its support) the table reproduces G0 on G(M^T) exactly.
+
+Since G0 is even in k, a rule with |c_{-k}| = |c_k| (``conjugate_symmetric``)
+gives Gamma(-h) = Gamma(h): the operator maps real fields to real fields, and
+the table is built and stored only on the half Smith grid that a real
+transform keeps (``FftPlan.classes``); the other classes are the negations of
+stored ones.  A truncated B-spline sum is even only up to its tail, and the
+real path applies the even extension of the stored half (where h and -h are
+both stored, j_d = 0 or d_d / 2, the inverse real transform applies their
+mean).  Other rules (Dirichlet-type factors on even patterns) keep the full
+table and complex fields.
 """
 
 from __future__ import annotations
@@ -65,6 +75,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .lattice import PatternMatrix, frequency_set, period_shifts
+from .pfft import FftPlan, plan as fft_plan
 from .translates import CoefficientRule, GeneratorSpec
 
 __all__ = [
@@ -253,23 +264,31 @@ def mandel_product(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 class GreenTable:
     """Periodised Green operator over the dual generating set.
 
-    One real symmetric PSD Mandel matrix per frequency class, in canonical
-    order; the entry for the class of h = 0 is zero.
+    One real symmetric PSD Mandel matrix per stored frequency class, in the
+    order of ``plan.classes``: every class in canonical order, or on a
+    ``real`` table only the half Smith grid of a real transform.  The entry
+    for the class of h = 0 comes first and is zero.
     """
 
     matrix: PatternMatrix
-    table: np.ndarray  # (D (D + 1) / 2, m) float64 packed rows, read-only
+    table: np.ndarray  # (D (D + 1) / 2, stored classes) float64 packed rows, read-only
     generator: GeneratorSpec
     periods: int
     tail_estimate: float
+    real: bool  # even in the class: real fields, half-spectrum table
 
     @property
     def m(self) -> int:
         return self.matrix.m
 
+    @property
+    def plan(self) -> FftPlan:
+        """The transform whose spectrum the table covers (a real plan for a real table)."""
+        return fft_plan(self.matrix, self.real)
+
     def apply_hat(self, tau_hat: np.ndarray) -> np.ndarray:
-        """Multiply component-major (D, m) frequency fields by the per-class matrices."""
-        if tau_hat.shape[-1] != self.m:
+        """Multiply component-major (D, stored classes) frequency fields by the per-class matrices."""
+        if tau_hat.shape[-1] != self.table.shape[-1]:
             raise ShapeError("frequency field does not match the Green table")
         return mandel_product(self.table, tau_hat)
 
@@ -280,7 +299,8 @@ def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None 
     ``rule`` must be orthonormalised.  ``periods`` bounds the class sums at
     |z|_inf <= periods, by default at the rule's ``default_periods``, which
     covers finitely supported rules exactly; the resulting tail estimate is
-    recorded on the table.
+    recorded on the table.  A conjugate-symmetric rule gives a real table on
+    the half Smith grid.
     """
     if not rule.orthonormalized:
         raise DomainError("periodised Green operator requires an orthonormalised generator")
@@ -290,10 +310,12 @@ def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None 
     if periods is None:
         periods = rule.default_periods
     tail = rule.truncation_tail(int(periods))
-    # the class of h = 0 comes first in canonical order and keeps a zero entry,
-    # so no accumulated frequency is zero
-    freqs = frequency_set(M).freqs[1:].T.astype(np.float64)
-    factors = rule.axis_factors(periods)[:, :, 1:]
+    real = rule.conjugate_symmetric
+    # the class of h = 0 comes first among the stored classes and keeps a zero
+    # entry, so no accumulated frequency is zero; a full table keeps a slice
+    kept = fft_plan(M, real).classes[1:] if real else slice(1, None)
+    freqs = frequency_set(M).freqs[kept].T.astype(np.float64)
+    factors = rule.axis_factors(periods, kept)
     factors **= 2  # in place: squared coefficient factors
     shifts = period_shifts(d, periods)
     taps = shifts.T + periods  # row of each shift in the per-axis factor tables
@@ -301,7 +323,7 @@ def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None 
     taps = taps[:, live]
     offsets = (shifts[live] @ M.array).T.astype(np.float64)
     numer, det = _green_polynomials(C0, d)
-    n = M.m - 1
+    n = freqs.shape[1]
     width = max(1, min(n, _CHUNK))
     depth = max(1, _CHUNK // width)
     moments = np.zeros((len(det), n))
@@ -316,8 +338,8 @@ def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None 
             weight /= np.tensordot(det, mono, axes=1)
             mono *= weight
             moments[:, cls] += mono.sum(axis=1)
-    table = np.zeros((len(numer), M.m))
-    table[:, 1:] = numer @ (moments * (M.m * (rule.raw_scale / rule.class_scale[1:]) ** 2))
+    table = np.zeros((len(numer), n + 1))
+    table[:, 1:] = numer @ (moments * (M.m * (rule.raw_scale / rule.class_scale[kept]) ** 2))
     table.setflags(write=False)
     return GreenTable(
         matrix=M,
@@ -325,4 +347,5 @@ def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None 
         generator=rule.spec(),
         periods=int(periods),
         tail_estimate=tail,
+        real=real,
     )

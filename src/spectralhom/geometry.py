@@ -384,7 +384,8 @@ def load_reference_values(path, M: PatternMatrix) -> ReferenceSolution:
 
     ``path`` is either a PFLD strain field or a JSON object with optional
     keys "effective_action" (a Mandel vector) and "strain_field" (a path to
-    a PFLD file, resolved relative to the JSON document).
+    a PFLD file, resolved relative to the JSON document).  An all-zero field
+    or action is rejected: relative errors against it are undefined.
     """
     path = Path(path)
     if not path.exists():
@@ -407,6 +408,8 @@ def load_reference_values(path, M: PatternMatrix) -> ReferenceSolution:
             raise IngestionError(
                 f"effective action must have {mandel_dim(M.d)} components, got {action.shape}"
             )
+        if not action.any():
+            raise IngestionError(f"{path}: reference effective action is zero; relative errors are undefined")
     if strain is None and action is None:
         raise IngestionError(f"{path}: reference provides neither a strain field nor an action")
     return ReferenceSolution(strain=strain, effective_action=action, note=v["note"])
@@ -421,4 +424,6 @@ def _reference_strain(path, M: PatternMatrix) -> np.ndarray:
         raise IngestionError(
             f"field has {values.shape[1]} components, expected {mandel_dim(M.d)} for d = {M.d}"
         )
+    if not values.any():
+        raise IngestionError(f"{path}: reference strain field is zero; relative errors are undefined")
     return values

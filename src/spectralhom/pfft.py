@@ -6,6 +6,12 @@ ordinary mixed-radix FFTs along each; numpy's pocketfft supplies the
 butterflies including the Bluestein fallback for large prime factors, and
 its "ortho" mode applies each axis's 1/sqrt(d_l) inside the transform, so
 the pair is unitary without a separate pass.
+
+A real plan transforms real fields.  Their spectra are conjugate-symmetric
+(the class of -h holds the conjugate of the class of h), so only the half
+Smith grid j_d <= d_d // 2 is stored: ``rfftn`` forward and ``irfftn`` back,
+the canonical frequency order restricted to those classes
+(``FftPlan.classes``).
 """
 
 from __future__ import annotations
@@ -28,38 +34,55 @@ class FftPlan:
     Immutable after construction; safe to share across threads.  Input arrays
     are indexed by the canonical pattern order along the last axis (forward)
     or the canonical dual-frequency order (inverse); leading axes are
-    transformed independently.
+    transformed independently.  A ``real`` plan maps real fields to the half
+    spectrum over ``classes`` and back.
     """
 
     matrix: PatternMatrix
     diag: tuple
+    real: bool = False
 
     @property
     def m(self) -> int:
         return self.matrix.m
 
-    def _transform(self, fn, values: np.ndarray) -> np.ndarray:
+    @property
+    def spectrum_shape(self) -> tuple:
+        """Smith grid of the stored frequencies: the last axis halved on a real plan."""
+        return self.diag[:-1] + (self.diag[-1] // 2 + 1,) if self.real else self.diag
+
+    @property
+    def classes(self) -> np.ndarray:
+        """Canonical positions of the stored frequency classes, in spectrum order (h = 0 first)."""
+        return np.arange(self.m).reshape(self.diag)[..., : self.spectrum_shape[-1]].ravel()
+
+    def _transform(self, fn, values, grid: tuple, shape: tuple, dtype, **kwargs) -> np.ndarray:
         values = np.asarray(values)
-        if values.shape[-1:] != (self.m,):
-            raise ShapeError(f"expected trailing axis {self.m}, got {values.shape}")
-        grid = values.reshape(values.shape[:-1] + self.diag)
-        axes = tuple(range(-len(self.diag), 0))
+        size = int(np.prod(grid))
+        if values.shape[-1:] != (size,):
+            raise ShapeError(f"expected trailing axis {size}, got {values.shape}")
+        lead = values.shape[:-1]
+        axes = tuple(range(-len(grid), 0))
         # one output buffer: every axis pass after the first runs in place
-        out = np.empty(grid.shape, dtype=np.result_type(grid, 1j))
-        return fn(grid, axes=axes, norm="ortho", out=out).reshape(values.shape)
+        out = np.empty(lead + shape, dtype=dtype)
+        return fn(values.reshape(lead + grid), axes=axes, norm="ortho", out=out, **kwargs).reshape(lead + (-1,))
 
     def fft(self, values: np.ndarray) -> np.ndarray:
-        """Unitary forward transform, pattern order -> dual frequency order."""
-        return self._transform(np.fft.fftn, values)
+        """Unitary forward transform, pattern order -> dual frequency order (half spectrum if real)."""
+        if self.real:
+            return self._transform(np.fft.rfftn, values, self.diag, self.spectrum_shape, np.complex128)
+        return self._transform(np.fft.fftn, values, self.diag, self.diag, np.result_type(values, 1j))
 
     def ifft(self, values: np.ndarray) -> np.ndarray:
-        """Unitary inverse transform (the adjoint of :meth:`fft`)."""
-        return self._transform(np.fft.ifftn, values)
+        """Unitary inverse transform: the adjoint of :meth:`fft`, or on a real plan its inverse on real fields."""
+        if self.real:
+            return self._transform(np.fft.irfftn, values, self.spectrum_shape, self.diag, np.float64, s=self.diag)
+        return self._transform(np.fft.ifftn, values, self.diag, self.diag, np.result_type(values, 1j))
 
 
 @lru_cache(maxsize=128)
-def plan(M: PatternMatrix) -> FftPlan:
-    return FftPlan(matrix=M, diag=smith_normal_form(M).diag)
+def plan(M: PatternMatrix, real: bool = False) -> FftPlan:
+    return FftPlan(matrix=M, diag=smith_normal_form(M).diag, real=real)
 
 
 def fft(M: PatternMatrix, values: np.ndarray) -> np.ndarray:

@@ -19,14 +19,16 @@ mean.  Two schemes are provided:
   the equation is invertible and is dropped from the solve; the reported
   residual retains it.
 
-Coefficient fields are complex.  Generators whose coefficient magnitudes
-are even in k (B-splines, trapezoids with positive slopes) and any pattern
-with odd Smith factors give solutions that are real to round-off; the
-half-open frequency cell of a Dirichlet-type rule on an even pattern is not
-closed under conjugation, and there the exact discrete solution carries a
-small imaginary component on the boundary (Nyquist) rows, reported as
-``imbalance``.  Keeping it is what makes the fixed-point and projected
-solutions coincide exactly on the Dirichlet space.
+Field dtypes follow the Green table.  Generators whose coefficient
+magnitudes are even in k (B-splines, trapezoids with positive slopes) and
+every rule on a pattern with odd det M give a table that is even in the
+class (``GreenTable.real``): the solution is real, and the iteration runs on
+real fields with real transforms over a half-spectrum table.  The half-open
+frequency cell of a Dirichlet-type rule on an even pattern is not closed
+under conjugation; there the fields are complex, and the exact discrete
+solution carries a small imaginary component on the boundary (Nyquist) rows,
+reported as ``imbalance``.  Keeping it is what makes the fixed-point and
+projected solutions coincide exactly on the Dirichlet space.
 
 Iterates are component-major (D, m) fields (FFTs over the trailing Smith
 axes, pointwise products as ``mandel_product`` row sums); the symmetric
@@ -47,7 +49,6 @@ import numpy as np
 
 from .elasticity import GreenTable, mandel_dim, mandel_product, pack_symmetric
 from .errors import DomainError, ShapeError
-from .pfft import plan as fft_plan
 
 __all__ = [
     "SolverConfig",
@@ -86,13 +87,14 @@ class SolverConfig:
 class SolveReport:
     """Converged (or partial) state of one cell-problem solve."""
 
-    strain: np.ndarray  # (m, D) complex fluctuation coefficients, space domain
+    strain: np.ndarray  # (m, D) fluctuation coefficients, space domain; complex unless the table is real
     iterations: int
     residuals: tuple
     effective_action: np.ndarray  # (D,) real effective stiffness applied to eps0
     converged: bool
     scheme: str
     wall_time: float
+    minres_rescue: bool = False  # whether the VE solve handed over to the MINRES rescue
 
     @property
     def imbalance(self) -> float:
@@ -126,8 +128,8 @@ apply_stiffness = mandel_product  # pointwise stress C(y) : strain(y), C as rows
 
 
 def _green_convolve(G: GreenTable, tau: np.ndarray) -> np.ndarray:
-    """Action of the periodised Green operator on a (D, m) nodal field (complex)."""
-    p = fft_plan(G.matrix)
+    """Action of the periodised Green operator on a (D, m) nodal field (real on a real table)."""
+    p = G.plan
     return p.ifft(G.apply_hat(p.fft(tau)))
 
 
@@ -175,7 +177,7 @@ def ls_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) 
     start = time.perf_counter()
     dC = pack_symmetric(C - C0)
     scale = float(np.linalg.norm(eps0))
-    E = np.zeros((len(eps0), G.m), dtype=np.complex128)
+    E = np.zeros((len(eps0), G.m), dtype=np.float64 if G.real else np.complex128)
     residuals: list[float] = []
     converged = False
     iterations = 0
@@ -248,6 +250,7 @@ def ve_krylov(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> So
     residuals: list[float] = []
     E = np.zeros_like(b)
     converged = False
+    rescued = False
     iterations = 0
     if rho0 == 0.0:
         converged = True
@@ -270,6 +273,7 @@ def ve_krylov(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> So
                     return _green_convolve(G, apply_stiffness(Cp, _green_convolve(G, z)))
 
                 z, _ = _minres_fallback(operator, rho, np.zeros_like(rho), cfg)
+                rescued = True
                 E += _green_convolve(G, z)
                 residuals.append(projected_norm(b - _green_convolve(G, apply_stiffness(Cp, E))) / rho0)
                 converged = residuals[-1] <= cfg.tolerance
@@ -300,25 +304,31 @@ def ve_krylov(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> So
         converged=converged,
         scheme="ve_krylov",
         wall_time=time.perf_counter() - start,
+        minres_rescue=rescued,
     )
 
 
 def _minres_fallback(operator, b, x0, cfg: SolverConfig):
     """Minimal-residual rescue for (round-off) loss of positive curvature.
 
-    scipy's minres is real-symmetric; the Hermitian operator is lifted to
-    the equivalent real system on interleaved real/imaginary parts.
+    scipy's minres is real-symmetric; a Hermitian operator on complex fields
+    is lifted to the equivalent real system on interleaved real/imaginary
+    parts, and real fields are passed as they are.
     """
     from scipy.sparse.linalg import LinearOperator, minres
 
-    def matvec(vec):
-        w = np.ascontiguousarray(vec).view(np.complex128).reshape(b.shape)
-        return operator(w).ravel().view(np.float64)
+    dtype = b.dtype
 
-    A = LinearOperator((2 * b.size,) * 2, matvec=matvec, dtype=np.float64)
-    real = [np.ascontiguousarray(v).ravel().view(np.float64) for v in (b, x0)]
-    sol, info = minres(A, real[0], x0=real[1], rtol=cfg.tolerance * 1e-2, maxiter=cfg.max_iterations)
-    return sol.view(np.complex128).reshape(b.shape), info == 0
+    def flat(v):
+        return np.ascontiguousarray(v).ravel().view(np.float64)
+
+    def matvec(vec):
+        return flat(operator(flat(vec).view(dtype).reshape(b.shape)))
+
+    rhs = flat(b)
+    A = LinearOperator((rhs.size,) * 2, matvec=matvec, dtype=np.float64)
+    sol, info = minres(A, rhs, x0=flat(x0), rtol=cfg.tolerance * 1e-2, maxiter=cfg.max_iterations)
+    return sol.view(dtype).reshape(b.shape), info == 0
 
 
 def error_metrics(

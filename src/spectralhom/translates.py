@@ -190,6 +190,19 @@ class CoefficientRule:
         """Class-sum truncation when none is given: the support, else 8 translates."""
         return 8 if self.support_periods is None else self.support_periods
 
+    @property
+    def conjugate_symmetric(self) -> bool:
+        """Whether |c_{-k}| = |c_k| at every frequency of the pattern's classes.
+
+        Then the periodised Green table is even in the class and real fields
+        stay real.  Every axis factor is even except the half-open indicator
+        (Dirichlet, and a trapezoid with alpha_j = 0), which differs only at
+        xi_j = -1/2; that needs an even det M.
+        """
+        if self._den % 2 == 1 or self.kind == "bspline":
+            return True
+        return self.kind == "dlvp" and all(a > 0.0 for a in self.alpha)
+
     def spec(self) -> GeneratorSpec:
         return GeneratorSpec(kind=self.kind, alpha=self.alpha, order=self.order)
 
@@ -217,15 +230,16 @@ class CoefficientRule:
             out *= self._axis_factor(axis, nums[:, axis])
         return out * self.raw_scale
 
-    def axis_factors(self, periods: int) -> np.ndarray:
+    def axis_factors(self, periods: int, classes=slice(None)) -> np.ndarray:
         """Per-axis factors F[j, t + periods, h] at xi_h + t e_j, |t| <= periods.
 
         Since M^{-T}(h + M^T z) = xi_h + z, the unscaled coefficient at
         h + M^T z is raw_scale * prod_j F[j, z_j + periods, h]; the result
-        has shape (d, 2 periods + 1, m), classes in canonical order.
+        has shape (d, 2 periods + 1, n) over the canonical positions
+        ``classes`` (all m classes by default).
         """
-        nums = self._scaled_nums(self._freqs.freqs)
-        out = np.empty((self.matrix.d, 2 * periods + 1, self.m))
+        nums = self._scaled_nums(self._freqs.freqs[classes])
+        out = np.empty((self.matrix.d, 2 * periods + 1, len(nums)))
         for j, row in np.ndindex(out.shape[:2]):  # row by row keeps temporaries at one class vector
             out[j, row] = self._axis_factor(j, nums[:, j] + (row - periods) * self._den)
         return out

@@ -3,9 +3,11 @@
 Everything here is computed from first principles (exhaustive enumeration,
 Fraction arithmetic, the textbook closed forms, dense matrices), avoiding
 the code paths under test; ``dense_oracle`` reuses the solver's operator
-kernels but replaces the iteration by a direct solve.
+kernels but replaces the iteration by a direct solve, on the full table that
+``full_table`` rebuilds from a half-spectrum one by class negation.
 """
 
+import dataclasses
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -228,9 +230,11 @@ def square_root_cg(C, C0, eps0, G, tolerance, max_iterations):
 
     Plain CG on the Euclidean-Hermitian system W G W w = -W G C eps0 with
     W = C^{1/2} per node, the strain recovered as E = W^{-1} w; residuals are
-    ||C0 W^{-1} r|| relative to their initial value.
+    ||C0 W^{-1} r|| relative to their initial value.  A real table is
+    expanded by ``full_table`` and iterated with complex fields.
     """
     W, Winv = stiffness_square_roots_einsum(np.asarray(C, dtype=np.float64))
+    G = full_table(G)
     m, D = G.m, len(eps0)
 
     def product(A, field):  # (m, D, D) matrices times a (D, m) field
@@ -307,12 +311,56 @@ def bracket_sum(values, M, h, periods):
     return complex(np.sum(values(ks)))
 
 
+def _smith_coordinates(M):
+    """All Smith coordinates j of M, lexicographically (the canonical class order), and the factors."""
+    diag = smith_normal_form(M).diag
+    return np.array(list(product(*[range(n) for n in diag])), dtype=np.int64).reshape(-1, len(diag)), diag
+
+
+def half_spectrum_classes(M):
+    """Canonical positions of the Smith coordinates with j_d <= d_d // 2, lexicographically."""
+    J, diag = _smith_coordinates(M)
+    return np.ravel_multi_index(J[J[:, -1] <= diag[-1] // 2].T, diag)
+
+
+def stored_classes(G):
+    """Canonical positions of the classes a Green table stores, in table order: the half spectrum if real."""
+    return half_spectrum_classes(G.matrix) if G.real else np.arange(G.m)
+
+
+def negated_classes(M):
+    """Canonical position of the class of -h for every class h: Smith coordinates negate modulo d_l."""
+    J, diag = _smith_coordinates(M)
+    return np.ravel_multi_index(((-J) % np.array(diag)).T, diag)
+
+
+def full_table(G):
+    """The operator of a real half table as a complex-path table over every class.
+
+    A missing class takes the entry of its negation.  Where both h and -h are
+    stored (j_d = 0, or d_d / 2 for even d_d), the inverse real transform
+    keeps only the real part, which applies the mean of the two entries, so
+    the result is the even part (Gamma(h) + Gamma(-h)) / 2 of the filled table.
+    """
+    if not G.real:
+        return G
+    neg = negated_classes(G.matrix)
+    filled = np.full((len(G.table), G.m), np.nan)
+    filled[:, stored_classes(G)] = G.table
+    missing = np.isnan(filled[0])
+    filled[:, missing] = filled[:, neg[missing]]
+    assert not np.isnan(filled).any(), "a class and its negation are both missing"
+    return dataclasses.replace(G, table=(filled + filled[:, neg]) / 2, real=False)
+
+
 def dense_oracle(C, C0, eps0, G):
     """Direct dense solve of the fixed-point equations E + G((C - C0) : (E + eps0)) = 0, for m D <= 2048.
 
     Assembles the (m D) x (m D) matrix of E -> E + G((C - C0) : E) from the
     images of all unit fields at once and returns the (m, D) fluctuation strain.
+    A real table is expanded by ``full_table`` and solved with complex fields.
     """
+    G = full_table(G)
     m, D = G.m, len(eps0)
     n = m * D
     if n > _DENSE_SOLVE_LIMIT:

@@ -45,6 +45,15 @@ def _laminate_config(tmp_path, **overrides):
     return path
 
 
+def _docs_config(tmp_path, name, **overrides):
+    """A docs/ config copied into ``tmp_path``, its outputs landing there."""
+    config = json.loads((Path(__file__).parents[1] / "docs" / name).read_text())
+    config.update(overrides)
+    path = tmp_path / name
+    path.write_text(json.dumps(config))
+    return path
+
+
 def _write_laminate_reference(tmp_path, matrix_rows, with_strain=True):
     from spectralhom.geometry import write_field
 
@@ -203,18 +212,45 @@ class TestRunSolve:
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
         originals = (cli.run_solve, solver.apply_stiffness, solver._green_convolve)
-        tracer = tracing.Tracer()
-        try:
-            read_layers = tracing.install(tracer)
-            code, doc = cli.run_solve(_laminate_config(tmp_path))
-            layers = read_layers()
-        finally:
-            tracer.restore()
+        # the complex path (Dirichlet laminate) and the real path (docs B-spline checkerboard)
+        configs = {False: _laminate_config(tmp_path), True: _docs_config(tmp_path, "checkerboard_bspline_solve.json")}
+        for real, config in configs.items():
+            tracer = tracing.Tracer()
+            try:
+                read_layers = tracing.install(tracer)
+                code, doc = cli.run_solve(config)
+                layers = read_layers()
+            finally:
+                tracer.restore()
+            assert code == 0
+            assert doc["diagnostics"]["real_fields"] is real
+            assert (cli.run_solve, solver.apply_stiffness, solver._green_convolve) == originals
+            assert layers["cli.solves"] == layers["elasticity.green_table_calls"] == 1
+            assert layers["solver.operator_applications"] == doc["iterations"]
+            assert layers["pfft.calls"] == 2 * doc["iterations"]
+
+    def test_diagnostics_report_real_fields(self, tmp_path):
+        _, doc = run_solve(_laminate_config(tmp_path))
+        assert doc["diagnostics"] == {"real_fields": False, "minres_rescue": False}  # Dirichlet, even pattern
+        _, doc = run_solve(_laminate_config(tmp_path, generator={"kind": "bspline", "order": 2}))
+        report = json.loads((tmp_path / "out/report.json").read_text())
+        assert report["diagnostics"] == doc["diagnostics"] == {"real_fields": True, "minres_rescue": False}
+        assert report["nyquist_imbalance"] == 0.0
+
+    def test_diagnostics_report_minres_rescue(self, tmp_path, monkeypatch):
+        # flip the sign of the first search-direction convolution: the VE solve hands over to MINRES
+        convolve = solver._green_convolve
+        calls = []
+
+        def flipped(G, tau):
+            calls.append(None)
+            return -convolve(G, tau) if len(calls) == 2 else convolve(G, tau)
+
+        monkeypatch.setattr(solver, "_green_convolve", flipped)
+        code, doc = run_solve(_laminate_config(tmp_path, solver={"scheme": "ve_krylov", "tolerance": 1e-10}))
         assert code == 0
-        assert (cli.run_solve, solver.apply_stiffness, solver._green_convolve) == originals
-        assert layers["cli.solves"] == layers["elasticity.green_table_calls"] == 1
-        assert layers["solver.operator_applications"] == doc["iterations"]
-        assert layers["pfft.calls"] == 2 * doc["iterations"]
+        assert doc["diagnostics"] == {"real_fields": False, "minres_rescue": True}
+        assert json.loads((tmp_path / "out/report.json").read_text())["diagnostics"] == doc["diagnostics"]
 
 
 def _with(config, path, value):
@@ -288,6 +324,26 @@ class TestConfigValidation:
         assert named in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()  # nothing was solved or written
+
+    @pytest.mark.parametrize("reference", [{"effective_action": [0, 0, 0]}, {"strain_field": "zero.pfld"}])
+    def test_zero_reference_rejected_at_ingestion(self, tmp_path, capsys, monkeypatch, reference):
+        # the docs laminate against an all-zero reference: exit 1 naming the file, before any solve
+        from spectralhom.geometry import write_field
+
+        write_field(tmp_path / "zero.pfld", PatternMatrix.from_any([[32, 0], [0, 32]]), np.zeros((1024, 3)))
+        (tmp_path / "reference.json").write_text(json.dumps(reference))
+        path = _docs_config(tmp_path, "laminate_solve.json", reference_values="reference.json")
+
+        def no_solve(*args):
+            raise AssertionError("solved against a zero reference")
+
+        monkeypatch.setattr(cli, "periodized_green", no_solve)
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: reference ingestion: ") and err.count("\n") == 1
+        named = "reference.json" if "effective_action" in reference else "zero.pfld"
+        assert f"{named}: reference " in err and "is zero" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("scheme", ["ls_fixed_point", "ve_krylov"])
     def test_overflowing_loading_stops_unconverged(self, tmp_path, scheme):

@@ -19,10 +19,12 @@ from spectralhom.errors import DomainError
 from oracles import (
     green_dense_solve,
     isotropic_green_mandel,
+    negated_classes,
     periodized_green_einsum,
     random_regular_matrix,
     random_spd_mandel,
     stiffness_product_einsum,
+    stored_classes,
     unpack_symmetric,
 )
 
@@ -178,7 +180,7 @@ class TestGreenKernelOracles:
         C0 = iso_stiffness(1.3, 0.8, 3)
         rule = orthonormalize(bspline_rule(M, 2))
         table = periodized_green(C0, rule, periods=2)
-        want = periodized_green_einsum(C0, rule, frequency_set(M).freqs, periods=2)
+        want = periodized_green_einsum(C0, rule, frequency_set(M).freqs, periods=2)[stored_classes(table)]
         assert np.abs(unpack_symmetric(table.table) - want).max() < 1e-14
 
 
@@ -198,6 +200,7 @@ class TestGreenKernelOracles:
         rule = orthonormalize(factory(M))
         table = periodized_green(C0, rule)
         want = periodized_green_einsum(C0, rule, frequency_set(M).freqs, periods=rule.default_periods)
+        want = want[stored_classes(table)]
         assert np.abs(unpack_symmetric(table.table) - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -206,7 +209,7 @@ class TestGreenKernelOracles:
         C0 = random_spd_mandel(np.random.default_rng(72), 6)
         for rule in (orthonormalize(dlvp_rule(M, [0.3, 0.6, 0.0])), orthonormalize(bspline_rule(M, 2))):
             table = periodized_green(C0, rule, periods=2)
-            want = periodized_green_einsum(C0, rule, frequency_set(M).freqs, periods=2)
+            want = periodized_green_einsum(C0, rule, frequency_set(M).freqs, periods=2)[stored_classes(table)]
             assert np.abs(unpack_symmetric(table.table) - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -219,7 +222,7 @@ class TestPeriodizedGreen:
             C0 = random_spd_mandel(rng, d * (d + 1) // 2)
             rule = orthonormalize(dirichlet_rule(M))
             table = periodized_green(C0, rule)
-            direct = green_coeff_batch(C0, frequency_set(M).freqs)
+            direct = green_coeff_batch(C0, frequency_set(M).freqs[stored_classes(table)])
             assert np.abs(unpack_symmetric(table.table) - direct).max() < 1e-12
 
     def test_requires_orthonormal_rule(self):
@@ -252,24 +255,61 @@ class TestPeriodizedGreen:
         ):
             table = unpack_symmetric(periodized_green(C0, rule).table)
             assert np.abs(table - table.transpose(0, 2, 1)).max() < 1e-12
-            for i in range(M.m):
+            for i in range(len(table)):
                 assert np.linalg.eigvalsh(table[i]).min() > -1e-10
 
     def test_even_symmetry_for_even_generators(self):
-        # |c_{-k}| = |c_k| makes the table invariant under h -> rep(-h),
-        # which is what keeps solver fields real for these generators;
-        # exact for finitely supported rules, truncation-tail small otherwise
+        # |c_{-k}| = |c_k| makes the full table invariant under h -> rep(-h),
+        # which is what lets these generators run on real fields and a half
+        # table; exact for finitely supported rules, truncation-tail small otherwise
         M = PatternMatrix.from_any([[4, 0], [0, 4]])
         C0 = iso_stiffness(1.0, 1.0, 2)
-        freqs = frequency_set(M)
-        neg = freqs.class_index(-freqs.freqs)
-        table = unpack_symmetric(periodized_green(C0, orthonormalize(dlvp_rule(M, [0.4, 0.25]))).table)
-        assert np.abs(table - table[neg]).max() < 1e-14
+        freqs = frequency_set(M).freqs
+        neg = negated_classes(M)
+
+        def defect(rule, periods):
+            table = periodized_green_einsum(C0, rule, freqs, periods)
+            return np.abs(table - table[neg]).max()
+
+        assert defect(orthonormalize(dlvp_rule(M, [0.4, 0.25])), 1) < 1e-14
         rule = orthonormalize(bspline_rule(M, 2))
-        defect12 = np.abs((t := unpack_symmetric(periodized_green(C0, rule, periods=12).table)) - t[neg]).max()
-        defect30 = np.abs((t := unpack_symmetric(periodized_green(C0, rule, periods=30).table)) - t[neg]).max()
+        defect12 = defect(rule, 12)
+        defect30 = defect(rule, 30)
         assert defect12 < 1e-7
         assert defect30 < defect12 / 10
+
+    @pytest.mark.parametrize(
+        "rows, factory, symmetric, asymmetry",
+        [
+            ([[4, 0], [0, 4]], dirichlet_rule, False, 0.1),
+            ([[4, 0], [0, 4]], lambda M: dlvp_rule(M, [0.4, 0.0]), False, 0.1),
+            ([[4, 0], [0, 4]], lambda M: dlvp_rule(M, [0.4, 0.7]), True, 1e-14),
+            ([[4, 0], [0, 4]], lambda M: bspline_rule(M, 1), True, 1e-4),  # truncation at 8 periods
+            ([[4, 0], [0, 4]], lambda M: bspline_rule(M, 2), True, 1e-6),
+            ([[5, 2], [0, 3]], dirichlet_rule, True, 1e-14),  # odd det M
+            ([[5, 2], [0, 3]], lambda M: dlvp_rule(M, [0.4, 0.0]), True, 1e-14),
+            ([[16, 34], [0, 16]], dirichlet_rule, False, 0.1),
+            # even anyway: the property is sufficient, not necessary
+            ([[16, 34], [0, 16]], lambda M: dlvp_rule(M, [0.4, 0.0]), False, None),
+            ([[4, 1, 0], [0, 6, 2], [0, 0, 2]], dirichlet_rule, False, 0.1),
+            ([[4, 1, 0], [0, 6, 2], [0, 0, 2]], lambda M: dlvp_rule(M, [0.3, 0.6, 0.2]), True, 1e-14),
+            ([[3, 1, 0], [0, 3, 1], [0, 0, 5]], dirichlet_rule, True, 1e-14),
+        ],
+    )
+    def test_conjugate_symmetry_property_against_full_table(self, rows, factory, symmetric, asymmetry):
+        # the rule's property against the measured asymmetry of the full (einsum) table,
+        # max |Gamma(h) - Gamma(-h)| relative to the table maximum; the built table is real exactly then
+        M = PatternMatrix.from_any(rows)
+        C0 = random_spd_mandel(np.random.default_rng(73), M.d * (M.d + 1) // 2)
+        rule = orthonormalize(factory(M))
+        assert rule.conjugate_symmetric is symmetric
+        assert periodized_green(C0, rule).real is symmetric
+        full = periodized_green_einsum(C0, rule, frequency_set(M).freqs, periods=rule.default_periods)
+        measured = np.abs(full - full[negated_classes(M)]).max() / np.abs(full).max()
+        if symmetric:
+            assert measured <= asymmetry
+        elif asymmetry is not None:
+            assert measured >= asymmetry
 
     def test_bspline_table_converges_in_periods(self):
         M = PatternMatrix.from_any([[3, 0], [0, 3]])
@@ -297,7 +337,8 @@ class TestPeriodizedGreen:
         M = PatternMatrix(tuple(map(tuple, random_regular_matrix(rng, d, 64))))
         D = d * (d + 1) // 2
         table = periodized_green(random_spd_mandel(rng, D), orthonormalize(dlvp_rule(M, [0.3] * d)))
-        assert table.table.shape == (D * (D + 1) // 2, M.m)
-        tau = rng.standard_normal((D, M.m)) + 1j * rng.standard_normal((D, M.m))
+        n = len(stored_classes(table))
+        assert table.table.shape == (D * (D + 1) // 2, n)
+        tau = rng.standard_normal((D, n)) + 1j * rng.standard_normal((D, n))
         want = stiffness_product_einsum(unpack_symmetric(table.table), tau.T).T
         assert np.abs(table.apply_hat(tau) - want).max() <= 1e-14 * np.abs(want).max()

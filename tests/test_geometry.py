@@ -329,6 +329,20 @@ class TestReferenceIngestion:
         with pytest.raises(IngestionError):
             load_reference_values(tmp_path / "strain.pfld", PatternMatrix.from_any([[4, 0], [0, 4]]))
 
+    def test_zero_references_rejected(self, tmp_path):
+        M = PatternMatrix.from_any([[2, 0], [0, 2]])
+        write_field(tmp_path / "zero.pfld", M, np.zeros((4, 3)))
+        with pytest.raises(IngestionError, match=r"zero\.pfld: reference strain field is zero"):
+            load_reference_values(tmp_path / "zero.pfld", M)
+        cases = {
+            "effective action": {"effective_action": [0.0, -0.0, 0.0]},
+            "strain field": {"strain_field": "zero.pfld"},
+        }
+        for what, doc in cases.items():
+            (tmp_path / "ref.json").write_text(json.dumps(doc))
+            with pytest.raises(IngestionError, match=f"reference {what} is zero"):
+                load_reference_values(tmp_path / "ref.json", M)
+
     def test_empty_reference_rejected(self, tmp_path):
         (tmp_path / "ref.json").write_text("{}")
         with pytest.raises(IngestionError):

@@ -4,7 +4,14 @@ import pytest
 from spectralhom import PatternMatrix, fft, frequency_set, ifft, pattern, plan
 from spectralhom.errors import ShapeError
 
-from oracles import dense_dft_direct, fourier_matrix, index_of_nums, random_regular_matrix
+from oracles import (
+    dense_dft_direct,
+    fourier_matrix,
+    half_spectrum_classes,
+    index_of_nums,
+    negated_classes,
+    random_regular_matrix,
+)
 
 
 def _fraction_points(M):
@@ -158,3 +165,59 @@ class TestFastTransform:
     def test_plan_is_cached_and_reusable(self):
         M = PatternMatrix.from_any([[3, 1], [1, 4]])
         assert plan(M) is plan(PatternMatrix.from_any([[3, 1], [1, 4]]))
+
+
+# sheared patterns with nontrivial leading Smith factors and odd or even last factors
+REAL_PATTERNS = {
+    "2d-even": [[6, 3], [0, 6]],  # Smith (3, 12)
+    "2d-odd": [[3, 3], [0, 9]],  # Smith (3, 9)
+    "3d-even": [[4, 1, 0], [0, 6, 2], [0, 0, 2]],  # Smith (1, 2, 24)
+    "3d-odd": [[3, 0, 0], [0, 3, 1], [0, 0, 3]],  # Smith (1, 3, 9)
+}
+
+
+class TestRealTransform:
+    """Real plans against the dense Fourier matrix restricted to the half-spectrum rows."""
+
+    @pytest.mark.parametrize("rows", REAL_PATTERNS.values(), ids=REAL_PATTERNS.keys())
+    def test_forward_matches_dense_half_rows(self, rows):
+        M = PatternMatrix.from_any(rows)
+        p = plan(M, True)
+        half = half_spectrum_classes(M)
+        assert np.array_equal(p.classes, half)
+        F = fourier_matrix(M)
+        a = np.random.default_rng(31).standard_normal((2, 3, M.m))
+        got = p.fft(a)
+        assert got.shape == (2, 3, len(half))
+        assert np.abs(got - a @ F[half].T).max() < 1e-12
+
+    @pytest.mark.parametrize("rows", REAL_PATTERNS.values(), ids=REAL_PATTERNS.keys())
+    def test_inverse_matches_dense_and_round_trips(self, rows):
+        M = PatternMatrix.from_any(rows)
+        p = plan(M, True)
+        half = half_spectrum_classes(M)
+        F = fourier_matrix(M)
+        rng = np.random.default_rng(32)
+        a = rng.standard_normal((3, M.m))
+        ahat = a @ F.T  # conjugate-symmetric: the class of -h holds the conjugate
+        assert np.abs(ahat[:, negated_classes(M)] - ahat.conj()).max() < 1e-12
+        back = p.ifft(ahat[:, half])
+        assert back.dtype == np.float64
+        assert np.abs(back - (ahat @ F.conj()).real).max() < 1e-12
+        assert np.abs(p.ifft(p.fft(a)) - a).max() < 1e-12
+
+    def test_real_plans_cached_apart(self):
+        M = PatternMatrix.from_any([[6, 3], [0, 6]])
+        assert plan(M, True) is plan(PatternMatrix.from_any([[6, 3], [0, 6]]), True)
+        assert plan(M, True).real and not plan(M).real
+        assert plan(M).spectrum_shape == (3, 12) and plan(M, True).spectrum_shape == (3, 7)
+        with pytest.raises(ShapeError):
+            plan(M, True).ifft(np.zeros(M.m, dtype=complex))
+
+    def test_negated_classes_are_congruent(self):
+        # oracle check: h + rep(-h) lies in M^T Z^d, i.e. M^{-T} of it is integral
+        for rows in REAL_PATTERNS.values():
+            M = PatternMatrix.from_any(rows)
+            h = frequency_set(M).freqs
+            total = h + h[negated_classes(M)]
+            assert np.all((total @ np.array(M.adjugate, dtype=np.int64)) % M.det == 0)

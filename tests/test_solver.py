@@ -26,6 +26,7 @@ from spectralhom.solver import apply_stiffness, field_norm
 
 from oracles import (
     dense_oracle,
+    full_table,
     random_spd_mandel,
     square_root_cg,
     stiffness_product_einsum,
@@ -308,11 +309,19 @@ class TestWeightedConjugateGradients:
         assert calls["_green_convolve"] == rep.iterations + 1
 
     def test_nonpositive_curvature_hands_over_to_minres(self, monkeypatch):
+        self._forced_rescue(monkeypatch, [[6, 1], [2, 5]], real=False)
+
+    def test_nonpositive_curvature_hands_over_to_minres_on_real_fields(self, monkeypatch):
+        self._forced_rescue(monkeypatch, [[5, 2], [1, 7]], real=True)  # Dirichlet on odd det M = 33
+
+    @staticmethod
+    def _forced_rescue(monkeypatch, rows, real):
         # flip the sign of the first search-direction convolution: the rescue must still solve the VE system
-        M = PatternMatrix.from_any([[6, 1], [2, 5]])
+        M = PatternMatrix.from_any(rows)
         C0 = iso_stiffness(2.0, 1.5, 2)
         C = _random_two_phase(np.random.default_rng(52), M, 4.0)
         G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
+        assert G.real is real
         convolve, rescue = solver._green_convolve, solver._minres_fallback
         calls = {"convolve": 0, "rescue": 0}
 
@@ -327,10 +336,47 @@ class TestWeightedConjugateGradients:
         monkeypatch.setattr(solver, "_green_convolve", flipped)
         monkeypatch.setattr(solver, "_minres_fallback", counted)
         rep = ve_krylov(C, C0, EPS0, G, SolverConfig(tolerance=1e-10))
-        assert calls["rescue"] == 1 and rep.iterations == 1
+        assert calls["rescue"] == 1 and rep.iterations == 1 and rep.minres_rescue
         assert rep.converged and rep.residuals[-1] <= 1e-10
+        assert np.iscomplexobj(rep.strain) is not real
         E = dense_oracle(C, C0, EPS0, G)
         assert field_norm(rep.strain - E) / field_norm(E) < 1e-8
+
+
+class TestRealFields:
+    """Conjugate-symmetric rules run on real fields and a half table; dense solves use the expanded table."""
+
+    CASES = {
+        "bspline2-2d": ([[12, 3], [0, 12]], lambda M: bspline_rule(M, 2)),
+        "dlvp-2d": ([[12, 3], [0, 12]], lambda M: dlvp_rule(M, [0.4, 0.7])),
+        "dirichlet-odd-2d": ([[9, 3], [0, 9]], dirichlet_rule),
+        "bspline2-3d": ([[4, 1, 0], [0, 6, 2], [0, 0, 2]], lambda M: bspline_rule(M, 2)),
+        "dlvp-3d": ([[4, 1, 0], [0, 6, 2], [0, 0, 2]], lambda M: dlvp_rule(M, [0.4, 0.7, 0.2])),
+        "dirichlet-odd-3d": ([[3, 1, 0], [0, 3, 1], [0, 0, 5]], dirichlet_rule),
+    }
+
+    @pytest.mark.parametrize("rows, factory", CASES.values(), ids=CASES.keys())
+    def test_ls_and_ve_match_dense_solves(self, rows, factory):
+        M = PatternMatrix.from_any(rows)
+        C = _random_two_phase(np.random.default_rng(56), M, 3.0)
+        C0 = iso_stiffness(2.0, 2.0, M.d)
+        eps0 = np.arange(1.0, M.d * (M.d + 1) // 2 + 1)
+        G = periodized_green(C0, orthonormalize(factory(M)))
+        assert G.real and G.table.shape[1] < M.m
+        cfg = SolverConfig(tolerance=1e-11, max_iterations=20000)
+        ls = ls_fixed_point(C, C0, eps0, G, cfg)
+        ve = ve_krylov(C, C0, eps0, G, cfg)
+        assert ls.converged and ve.converged
+        assert ls.strain.dtype == ve.strain.dtype == np.float64
+        E = dense_oracle(C, C0, eps0, G)
+        assert np.abs(E.imag).max() <= 1e-12 * np.abs(E).max()  # the expanded table is even
+        assert field_norm(ls.strain - E) / field_norm(E) < 1e-8
+        if factory is dirichlet_rule:  # the fixed-point and projected forms coincide on the Dirichlet space
+            assert field_norm(ve.strain - E) / field_norm(E) < 1e-8
+        # off it, VE against its own iteration with complex fields on the expanded table
+        ve_complex = ve_krylov(C, C0, eps0, full_table(G), cfg)
+        assert ve_complex.converged and ve_complex.imbalance < 1e-9  # round-off over hundreds of iterations
+        assert field_norm(ve.strain - ve_complex.strain) / field_norm(ve_complex.strain) < 1e-8
 
 
 class TestComponentMajorKernels:
