@@ -224,7 +224,7 @@ def _report_dict(problem: _Problem, report: solver.SolveReport, metrics, green: 
         "effective_action": report.effective_action.tolist(),
         "loading": problem.eps0.tolist(),
         "metrics": None,
-        "timing": {"wall_s": report.wall_time, "stages": dict(problem.stage_times)},
+        "timing": {"wall_s": problem.stage_times["solve"], "stages": dict(problem.stage_times)},
     }
     if metrics is not None:
         doc["metrics"] = {"e_l2": metrics.e_l2, "e_eff": metrics.e_eff, "log_form": metrics.log_form}
@@ -475,10 +475,7 @@ def main(argv=None) -> int:
         doc = errors_command(args.field, args.reference)
         print(_json_text(doc))
         return 0
-    except SpectralHomError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SpectralHomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

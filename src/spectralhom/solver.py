@@ -42,7 +42,6 @@ repeated runs bit-identical.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +92,6 @@ class SolveReport:
     effective_action: np.ndarray  # (D,) real effective stiffness applied to eps0
     converged: bool
     scheme: str
-    wall_time: float
     minres_rescue: bool = False  # whether the VE solve handed over to the MINRES rescue
 
     @property
@@ -174,7 +172,6 @@ def ls_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) 
     """
     cfg = cfg or SolverConfig()
     C, C0, eps0 = _validate_problem(C, C0, eps0, G)
-    start = time.perf_counter()
     dC = pack_symmetric(C - C0)
     scale = float(np.linalg.norm(eps0))
     E = np.zeros((len(eps0), G.m), dtype=np.float64 if G.real else np.complex128)
@@ -202,7 +199,6 @@ def ls_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) 
         effective_action=effective_stiffness(C, E.T, eps0),
         converged=converged,
         scheme="ls_fixed_point",
-        wall_time=time.perf_counter() - start,
     )
 
 
@@ -237,7 +233,6 @@ def ve_krylov(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> So
     """
     cfg = cfg or SolverConfig()
     C, C0, eps0 = _validate_problem(C, C0, eps0, G)
-    start = time.perf_counter()
     _check_elliptic(C)
     Cp = pack_symmetric(C)
 
@@ -303,7 +298,6 @@ def ve_krylov(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> So
         effective_action=effective_stiffness(C, E.T, eps0),
         converged=converged,
         scheme="ve_krylov",
-        wall_time=time.perf_counter() - start,
         minres_rescue=rescued,
     )
 

@@ -279,22 +279,6 @@ class CoefficientRule:
             vals = vals / self._class_scale**2
         return vals
 
-    def truncation_tail(self, periods: int) -> float:
-        """Bound on the |c|^2 mass outside |z|_inf <= periods translates."""
-        sp = self.support_periods
-        if sp is not None:
-            if periods < sp:
-                raise DomainError(f"truncation below the rule's support ({sp} periods)")
-            return 0.0
-        if periods < 1:
-            raise DomainError("B-spline class sums need at least one period")
-        p2 = 2 * self.order
-        t = np.arange(1, periods + 1)
-        inner = 1.0 + 2.0 * np.sum((np.pi * (t - 0.5)) ** (-p2))
-        tail_1d = 2.0 / (np.pi**p2 * (p2 - 1) * (periods - 0.5) ** (p2 - 1))
-        d = self.matrix.d
-        return float(((inner + tail_1d) ** d - inner**d) / self.m)
-
 
 def dirichlet_rule(M: PatternMatrix) -> CoefficientRule:
     """Indicator rule of the dual generating set (c_k = 1 on G(M^T))."""

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from spectralhom.elasticity import pack_symmetric
-from spectralhom.lattice import smith_normal_form
+from spectralhom.lattice import frequency_set, smith_normal_form
 from spectralhom.solver import _green_convolve, apply_stiffness
 
 _DENSE_FOURIER_LIMIT = 4096  # m; the complex matrix takes 16 m^2 bytes
@@ -309,6 +309,20 @@ def bracket_sum(values, M, h, periods):
     shifts = np.array(list(product(range(-periods, periods + 1), repeat=M.d)), dtype=np.int64)
     ks = np.asarray(h, dtype=np.int64)[None, :] + shifts @ M.array
     return complex(np.sum(values(ks)))
+
+
+def omitted_class_share(rule, periods):
+    """Largest share of an orthonormal class's weight outside |z|_inf <= periods, over the classes h != 0.
+
+    The share is 1 - m sum |c_{h + M^T z}|^2 over the box, from the rule's
+    coefficients one frequency at a time.
+    """
+    M = rule.matrix
+
+    def weight(ks):
+        return np.abs(rule.coefficients(ks)) ** 2
+
+    return max(1.0 - M.m * bracket_sum(weight, M, h, periods).real for h in frequency_set(M).freqs[1:])
 
 
 def _smith_coordinates(M):

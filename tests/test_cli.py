@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectralhom import PatternMatrix, bspline_rule, cli, laminate_reference, read_field, solver
+from spectralhom import PatternMatrix, bspline_rule, cli, laminate_reference, orthonormalize, read_field, solver
 from spectralhom.cli import (
     golden_section,
     main,
@@ -18,7 +18,7 @@ from spectralhom.cli import (
 from spectralhom.errors import ConfigError
 from spectralhom.geometry import IsoPhase, Laminate
 
-from oracles import read_gray_image
+from oracles import omitted_class_share, read_gray_image
 
 
 def _laminate_config(tmp_path, **overrides):
@@ -116,9 +116,27 @@ class TestRunSolve:
         path = _laminate_config(tmp_path, generator={"kind": "bspline", "order": 2}, green_periods=3)
         _, doc = run_solve(path)
         report = json.loads((tmp_path / "out/report.json").read_text())
-        tail = bspline_rule(PatternMatrix.from_any([[8, 0], [0, 8]]), 2).truncation_tail(3)
-        assert report["green"] == doc["green"] == {"periods": 3, "tail_estimate": tail}
+        assert report["green"] == doc["green"]
+        assert report["green"]["periods"] == 3
+        # the largest share of a class's orthonormal weight left outside |z|_inf <= 3
+        tail = omitted_class_share(orthonormalize(bspline_rule(PatternMatrix.from_any([[8, 0], [0, 8]]), 2)), 3)
+        assert abs(report["green"]["tail_estimate"] - tail) < 1e-12
         assert tail > 0.0
+
+    def test_one_class_pattern_reports_no_tail(self, tmp_path):
+        # only h = 0 is stored, and its entry is zero: nothing to truncate
+        path = _laminate_config(tmp_path, pattern_matrix=[[1, 0], [0, 1]], generator={"kind": "bspline", "order": 2})
+        assert main(["solve", str(path)]) == 0
+        report = json.loads((tmp_path / "out/report.json").read_text())
+        assert report["green"] == {"periods": 8, "tail_estimate": 0.0}
+
+    @pytest.mark.parametrize("generator", [{"kind": "bspline", "order": 2}, {"kind": "dlvp", "alpha": [0.4, 0.3]}])
+    def test_truncation_below_support_rejected(self, tmp_path, capsys, generator):
+        path = _laminate_config(tmp_path, generator=generator, green_periods=0)
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: green table: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_exit_code_on_nonconvergence(self, tmp_path):
         # a checkerboard needs more than two fixed-point sweeps
@@ -387,6 +405,7 @@ class TestConfigValidation:
         for stages in (doc["timing"]["stages"], report["timing"]["stages"]):
             assert set(stages) == {"stiffness_sampling", "generator_orthonormalisation", "green_table", "solve"}
             assert all(seconds >= 0.0 for seconds in stages.values())
+        assert report["timing"]["wall_s"] == report["timing"]["stages"]["solve"]
 
     @pytest.mark.parametrize("target", ["config", "reference"])
     def test_invalid_utf8_rejected(self, tmp_path, capsys, target):

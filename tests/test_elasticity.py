@@ -320,6 +320,23 @@ class TestPeriodizedGreen:
         assert np.abs(unpack_symmetric(t8.table) - unpack_symmetric(t16.table)).max() < 1e-4
         assert t16.tail_estimate < t8.tail_estimate
 
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize(
+        "rows, periods, reference",
+        [([[16, 34], [0, 16]], (2, 8), 32), ([[6, 2, 0], [0, 6, 1], [0, 0, 6]], (1, 2, 3), 8)],
+    )
+    def test_tail_bounds_table_gap(self, rows, periods, reference, order):
+        # the largest table difference to a long-period table, relative to its maximum,
+        # lies below the reported tail and within a small factor of it
+        M = PatternMatrix.from_any(rows)
+        C0 = iso_stiffness(1.3, 0.8, M.d)
+        rule = orthonormalize(bspline_rule(M, order))
+        far = periodized_green(C0, rule, periods=reference).table
+        for p in periods:
+            table = periodized_green(C0, rule, periods=p)
+            gap = np.abs(table.table - far).max() / np.abs(far).max()
+            assert gap <= table.tail_estimate <= 3.0 * gap
+
     @pytest.mark.parametrize("chunk", [7, 256, 1000])
     def test_chunking_leaves_table_unchanged(self, monkeypatch, chunk):
         # chunks that split the classes, hold whole shifts or straddle both
