@@ -48,10 +48,10 @@ over the dual generating set.  The generator weight separates: since
 M^{-T} k_z = xi_h + z, the squared coefficient is the per-class factor
 w(h) = m (raw_scale / class_scale(h))^2 times W_z(h) = prod_j F_j(xi_h,j + z_j)^2,
 a product of one-axis factors tabulated once for |z_j| <= periods.  The
-(shift, class) frequencies are processed in fixed-size chunks that accumulate
-the (monomials, m) moment rows sum_z W_z k_z^alpha / det A(k_z); one final
-(D (D + 1) / 2 x monomials) product with the numerator coefficients gives the
-packed table.  Shifts with an all-zero axis factor are skipped, and the class
+(shift, class) frequencies are processed in fixed-size chunks, on views of
+buffers allocated once per call, that accumulate the (monomials, m) moment
+rows sum_z W_z k_z^alpha / det A(k_z); one final (D (D + 1) / 2 x monomials)
+product with the numerator coefficients gives the packed table.  Shifts with an all-zero axis factor are skipped, and the class
 of h = 0 is left at zero.  For the orthonormalised Dirichlet rule (|c|^2 = 1/m
 on its support) the table reproduces G0 on G(M^T) exactly.
 
@@ -200,15 +200,30 @@ def _green_polynomials(C0: np.ndarray, d: int):
     return _poly_mul(S_adj[rows], S[cols], d, deg + 1, 1).sum(axis=1), det
 
 
-def _monomial_rows(k: np.ndarray, n: int) -> np.ndarray:
-    """Rows k^alpha over the degree-n monomials (n >= 1) at frequencies given as rows k (d, ...)."""
+def _workspace_view(work: dict, key, shape: tuple) -> np.ndarray:
+    """A C-contiguous float64 array of ``shape``: the front of buffer ``work[key]``, which grows on demand.
+
+    Passes that reuse one ``work`` and start with their largest shapes
+    allocate every buffer once.
+    """
+    size = int(np.prod(shape))
+    if key not in work or work[key].size < size:
+        work[key] = np.empty(size)
+    return work[key][:size].reshape(shape)
+
+
+def _monomial_rows(k: np.ndarray, n: int, work: dict) -> np.ndarray:
+    """Rows k^alpha over the degree-n monomials (n >= 1) at frequencies given as rows k (d, ...).
+
+    The rows of each intermediate degree are written into ``work`` (see ``_workspace_view``).
+    """
     if n == 1:
         return k
-    low = _monomial_rows(k, n // 2)
-    high = low if n % 2 == 0 else _monomial_rows(k, n - n // 2)
+    low = _monomial_rows(k, n // 2, work)
+    high = low if n % 2 == 0 else _monomial_rows(k, n - n // 2, work)
     # each monomial is one product of a low and a high row: the first pair that forms it
     first = _product_map(len(k), n // 2, n - n // 2).argmax(axis=0)
-    out = np.empty((len(first),) + k.shape[1:])
+    out = _workspace_view(work, n, (len(first),) + k.shape[1:])
     for row, pair in zip(out, first):
         np.multiply(low[pair // len(high)], high[pair % len(high)], out=row)
     return out
@@ -227,7 +242,7 @@ def green_coeff_batch(C0: np.ndarray, ks: np.ndarray) -> np.ndarray:
     norm = np.sqrt(sum(row**2 for row in k))
     zero = norm == 0.0
     norm[zero] = 1.0
-    mono = _monomial_rows(k / norm, 2 * d)  # G is 0-homogeneous; unit k keeps det A of order one
+    mono = _monomial_rows(k / norm, 2 * d, {})  # G is 0-homogeneous; unit k keeps det A of order one
     den = det @ mono
     den[zero] = 1.0  # k = 0 has zero monomials, hence G = 0
     rows, cols = np.triu_indices(D)
@@ -345,17 +360,22 @@ def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None 
     width = max(1, min(n, _CHUNK))
     depth = max(1, _CHUNK // width)
     moments = np.zeros((len(det), n))
+    work: dict = {}  # the first chunk is the widest and deepest, so each buffer is allocated once
     for lo in range(0, n, width):
         cls = slice(lo, lo + width)
         for first in range(0, taps.shape[1], depth):
             sh = slice(first, first + depth)
-            weight = factors[0, taps[0, sh], cls]
+            shape = (len(taps[0, sh]), len(freqs[0, cls]))
+            weight = _workspace_view(work, "weight", shape)
+            factor = _workspace_view(work, "factor", shape)
+            np.take(factors[0, :, cls], taps[0, sh], axis=0, out=weight, mode="clip")
             for j in range(1, d):
-                weight *= factors[j, taps[j, sh], cls]
-            mono = _monomial_rows(freqs[:, None, cls] + offsets[:, sh, None], 2 * d)
+                weight *= np.take(factors[j, :, cls], taps[j, sh], axis=0, out=factor, mode="clip")
+            k = np.add(freqs[:, None, cls], offsets[:, sh, None], out=_workspace_view(work, "k", (d,) + shape))
+            mono = _monomial_rows(k, 2 * d, work)
             weight /= np.tensordot(det, mono, axes=1)
             mono *= weight
-            moments[:, cls] += mono.sum(axis=1)
+            moments[:, cls] += mono.sum(axis=1, out=_workspace_view(work, "sum", (len(det), shape[1])))
     table = np.zeros((len(numer), n + 1))
     table[:, 1:] = numer @ (moments * class_weight)
     table.setflags(write=False)

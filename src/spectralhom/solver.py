@@ -4,9 +4,11 @@ Nodal unknowns are the fluctuation strain coefficients E, one Mandel vector
 per pattern node, with the prescribed macroscopic strain eps0 carrying the
 mean.  Two schemes are provided:
 
-* ``ls_fixed_point`` iterates the Neumann series of the fixed-point form
-  E <- -G((C - C0) : (E + eps0)), the classical basic scheme of Moulinec
-  and Suquet generalised to an arbitrary periodised Green table.
+* ``ls_fixed_point`` solves the fixed-point (Lippmann-Schwinger) form
+  E + G((C - C0) : (E + eps0)) = 0 of Moulinec and Suquet's basic scheme,
+  generalised to an arbitrary periodised Green table, by conjugate gradients
+  in the Green-weighted inner product <G a, G b> = Re a^H G b, one Green
+  convolution and one stiffness product per iteration.
 * ``ve_krylov`` solves the projected form G(C : (E + eps0)) = 0 as a linear
   system.  G C is self-adjoint and positive semidefinite in the
   stiffness-weighted inner product <a, b>_C = Re a^H C b, so conjugate
@@ -18,6 +20,18 @@ mean.  Two schemes are provided:
   where the CG iterates lie.  The constant reference factor C0 in front of
   the equation is invertible and is dropped from the solve; the reported
   residual retains it.
+
+Why CG applies to the fixed-point form: every periodised table is a class
+sum m sum_z |c_z|^2 G0(k_z) whose weights sum to one (less the truncated
+tail), and C0^{1/2} G0(k) C0^{1/2} is an orthogonal projector, so each class
+matrix C0^{1/2} G(h) C0^{1/2} is a convex combination of projectors with
+eigenvalues in [0, 1].  Hence G >= G C0 G, and for x = G z the operator
+A = I + G (C - C0) satisfies <x, A x> = Re z^H G z - Re x^H C0 x + Re x^H C x
+>= Re x^H C x.  So A is self-adjoint in the Green-weighted inner product and
+positive definite whenever every nodal stiffness is, whatever the reference
+C0, while the Neumann series E <- -G((C - C0) : (E + eps0)) needs the
+spectral radius of G (C - C0) below one.  Both schemes therefore reject a
+stiffness field that is not uniformly elliptic.
 
 Field dtypes follow the Green table.  Generators whose coefficient
 magnitudes are even in k (B-splines, trapezoids with positive slopes) and
@@ -163,35 +177,65 @@ def effective_stiffness(C: np.ndarray, strain: np.ndarray, eps0: np.ndarray) -> 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite residual stops it unconverged
 def ls_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> SolveReport:
-    """Fixed-point (Neumann series) solve of the nodal cell problem.
+    """Conjugate-gradient solve of the fixed-point nodal equation E + G((C - C0) : (E + eps0)) = 0.
 
-    Iterates E <- -G((C - C0) : (E + eps0)) from E = 0 and stops when the
-    relative nodal residual ||E + G((C - C0)(E + eps0))|| / ||eps0|| drops
-    below the tolerance.  On non-convergence the partial field is returned
-    with the flag cleared.
+    Runs CG on A E = b, with A = I + G dC, dC = C - C0 and b = -G dC eps0, in
+    the Green-weighted inner product <G a, G b> = Re a^H G b on the range of G,
+    where A is self-adjoint with <x, A x> >= Re x^H C x > 0.  Beside the
+    residual r = G zeta and the direction p = G pi it carries their
+    pre-images, so <r, r> = Re zeta^H r and the curvature <p, A p> is
+    Re pi^H p + Re p^H dC p.  Iteration 1 is the convolution that forms b;
+    every later one costs one stiffness product dC p and one Green
+    convolution.  It stops when the relative nodal residual
+    ||E + G(dC (E + eps0))|| / ||eps0|| drops below the tolerance.  A
+    non-finite residual or curvature, or a nonpositive curvature, ends the
+    solve unconverged, and the partial field is returned with the flag
+    cleared.
     """
     cfg = cfg or SolverConfig()
     C, C0, eps0 = _validate_problem(C, C0, eps0, G)
+    _check_elliptic(C)
     dC = pack_symmetric(C - C0)
     scale = float(np.linalg.norm(eps0))
     E = np.zeros((len(eps0), G.m), dtype=np.float64 if G.real else np.complex128)
     residuals: list[float] = []
-    converged = False
     iterations = 0
     if scale == 0.0:
         converged = True
         residuals.append(0.0)
     else:
-        for iterations in range(1, cfg.max_iterations + 1):
-            E_next = -_green_convolve(G, apply_stiffness(dC, E + eps0[:, None]))
-            r = field_norm((E - E_next).T) / scale
-            residuals.append(r)
-            E = E_next
-            if r <= cfg.tolerance:
-                converged = True
+        zeta = -apply_stiffness(dC, E + eps0[:, None])  # the pre-image of r = b
+        r = _green_convolve(G, zeta)
+        p, pi = r.copy(), zeta.copy()
+        rs = float(np.vdot(zeta, r).real)
+        iterations = 1
+        residuals.append(field_norm(r.T) / scale)
+        while residuals[-1] > cfg.tolerance and np.isfinite(residuals[-1]) and iterations < cfg.max_iterations:
+            if iterations > 1:
+                rs_next = float(np.vdot(zeta, r).real)
+                beta = rs_next / rs
+                p *= beta
+                p += r
+                pi *= beta
+                pi += zeta
+                rs = rs_next
+            iterations += 1
+            dCp = apply_stiffness(dC, p)
+            q = _green_convolve(G, dCp)
+            curvature = float(np.vdot(pi, p).real + np.vdot(p, dCp).real)
+            if not 0.0 < curvature < np.inf:
+                residuals.append(residuals[-1] if curvature <= 0.0 else float("nan"))
                 break
-            if not np.isfinite(r):
-                break
+            alpha = rs / curvature
+            E += alpha * p
+            q += p  # A p
+            q *= alpha
+            r -= q
+            dCp += pi  # the pre-image of A p
+            dCp *= alpha
+            zeta -= dCp
+            residuals.append(field_norm(r.T) / scale)
+        converged = residuals[-1] <= cfg.tolerance
     return SolveReport(
         strain=E.T,
         iterations=iterations,

@@ -14,9 +14,17 @@ from pathlib import Path
 
 import numpy as np
 
-from spectralhom.elasticity import pack_symmetric
+from spectralhom.elasticity import GreenTable, pack_symmetric
 from spectralhom.lattice import frequency_set, smith_normal_form
-from spectralhom.solver import _green_convolve, apply_stiffness
+from spectralhom.solver import (
+    SolverConfig,
+    SolveReport,
+    _green_convolve,
+    _validate_problem,
+    apply_stiffness,
+    effective_stiffness,
+    field_norm,
+)
 
 _DENSE_FOURIER_LIMIT = 4096  # m; the complex matrix takes 16 m^2 bytes
 _DENSE_SOLVE_LIMIT = 2048  # m D
@@ -265,6 +273,50 @@ def square_root_cg(C, C0, eps0, G, tolerance, max_iterations):
         p = r + (rs_next / rs) * p
         rs = rs_next
     return product(Winv, x).T, residuals
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite residual stops it unconverged
+def neumann_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> SolveReport:
+    """Fixed-point (Neumann series) solve of the nodal cell problem.
+
+    Iterates E <- -G((C - C0) : (E + eps0)) from E = 0 and stops when the
+    relative nodal residual ||E + G((C - C0)(E + eps0))|| / ||eps0|| drops
+    below the tolerance.  On non-convergence the partial field is returned
+    with the flag cleared.  This is the basic scheme of Moulinec and Suquet
+    that ``ls_fixed_point`` replaced by conjugate gradients; it diverges once
+    G (C - C0) has spectral radius one or more, for example with C0 the soft
+    phase of a high-contrast field.
+    """
+    cfg = cfg or SolverConfig()
+    C, C0, eps0 = _validate_problem(C, C0, eps0, G)
+    dC = pack_symmetric(C - C0)
+    scale = float(np.linalg.norm(eps0))
+    E = np.zeros((len(eps0), G.m), dtype=np.float64 if G.real else np.complex128)
+    residuals: list[float] = []
+    converged = False
+    iterations = 0
+    if scale == 0.0:
+        converged = True
+        residuals.append(0.0)
+    else:
+        for iterations in range(1, cfg.max_iterations + 1):
+            E_next = -_green_convolve(G, apply_stiffness(dC, E + eps0[:, None]))
+            r = field_norm((E - E_next).T) / scale
+            residuals.append(r)
+            E = E_next
+            if r <= cfg.tolerance:
+                converged = True
+                break
+            if not np.isfinite(r):
+                break
+    return SolveReport(
+        strain=E.T,
+        iterations=iterations,
+        residuals=tuple(residuals),
+        effective_action=effective_stiffness(C, E.T, eps0),
+        converged=converged,
+        scheme="ls_fixed_point",
+    )
 
 
 def unpack_symmetric(rows):

@@ -348,6 +348,39 @@ class TestPeriodizedGreen:
         got = periodized_green(C0, rule).table
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
+    @pytest.mark.parametrize("chunk", [7, 100])
+    @pytest.mark.parametrize(
+        "rows, factory",
+        [
+            ([[16, 34], [0, 16]], lambda M: bspline_rule(M, 1)),
+            ([[3, 1, 0], [0, 3, 1], [0, 0, 3]], lambda M: bspline_rule(M, 2)),
+            ([[16, 0], [0, 16]], lambda M: dlvp_rule(M, [0.4, 0.0])),  # complex: the full table
+        ],
+        ids=["bspline1-2d", "bspline2-3d", "dlvp-complex"],
+    )
+    def test_ragged_chunks_reuse_one_workspace(self, monkeypatch, rows, factory, chunk):
+        # a short last chunk of classes or shifts runs on views of the first chunk's buffers
+        M = PatternMatrix.from_any(rows)
+        C0 = iso_stiffness(1.3, 0.8, M.d)
+        rule = orthonormalize(factory(M))
+        want = periodized_green(C0, rule).table
+        view = elasticity._workspace_view
+        shapes, buffers = [], {}
+
+        def recorded(work, key, shape):
+            out = view(work, key, shape)
+            if key == "weight":
+                shapes.append(shape)
+            buffers.setdefault(key, []).append(work[key])
+            return out
+
+        monkeypatch.setattr(elasticity, "_CHUNK", chunk)
+        monkeypatch.setattr(elasticity, "_workspace_view", recorded)
+        got = periodized_green(C0, rule).table
+        assert any(s[0] < shapes[0][0] or s[1] < shapes[0][1] for s in shapes)
+        assert all(b is held[0] for held in buffers.values() for b in held)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_packed_apply_hat_matches_einsum(self, d):
         rng = np.random.default_rng(60 + d)

@@ -27,6 +27,7 @@ from spectralhom.solver import apply_stiffness, field_norm
 from oracles import (
     dense_oracle,
     full_table,
+    neumann_fixed_point,
     random_spd_mandel,
     square_root_cg,
     stiffness_product_einsum,
@@ -114,18 +115,37 @@ class TestFixedPoint:
         r2 = ls_fixed_point(C, C0, 2.0 * EPS0, G, cfg)
         assert field_norm(r2.strain - 2.0 * r1.strain) / field_norm(r1.strain) < 1e-9
 
-    def test_residual_reevaluates_below_tolerance(self):
-        from spectralhom.solver import _green_convolve
+    @staticmethod
+    def _true_residual(rep, C, C0, eps0, G):
+        E = rep.strain.T  # component-major (D, m), the solver's internal layout
+        resid = E + solver._green_convolve(G, apply_stiffness(pack_symmetric(C - C0[None]), E + eps0[:, None]))
+        return field_norm(resid.T) / np.linalg.norm(eps0)
 
+    def test_residual_reevaluates_below_tolerance(self):
         M = PatternMatrix.from_any([[8, 0], [0, 8]])
         C0 = iso_stiffness(1.5, 1.5, 2)
         C = _checkerboard(M)
         G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
         cfg = SolverConfig(tolerance=1e-9)
         rep = ls_fixed_point(C, C0, EPS0, G, cfg)
-        E = rep.strain.T  # component-major (D, m), the solver's internal layout
-        resid = E + _green_convolve(G, apply_stiffness(pack_symmetric(C - C0[None]), E + EPS0[:, None]))
-        assert field_norm(resid.T) / np.linalg.norm(EPS0) <= cfg.tolerance
+        assert self._true_residual(rep, C, C0, EPS0, G) <= cfg.tolerance
+
+    @pytest.mark.parametrize(
+        "rows", [[[12, 3], [0, 12]], [[4, 1, 0], [0, 6, 2], [0, 0, 2]]], ids=["bspline2-2d", "bspline2-3d"]
+    )
+    def test_residual_reevaluates_below_tolerance_on_real_fields(self, rows):
+        # the recurred CG residual against the residual of the returned strain
+        M = PatternMatrix.from_any(rows)
+        C = _random_two_phase(np.random.default_rng(57), M, 8.0)
+        C0 = iso_stiffness(4.5, 4.5, M.d)
+        eps0 = np.arange(1.0, M.d * (M.d + 1) // 2 + 1)
+        G = periodized_green(C0, orthonormalize(bspline_rule(M, 2)))
+        assert G.real
+        for tolerance in (1e-6, 1e-9, 1e-11):
+            cfg = SolverConfig(tolerance=tolerance)
+            rep = ls_fixed_point(C, C0, eps0, G, cfg)
+            assert rep.converged and rep.strain.dtype == np.float64
+            assert self._true_residual(rep, C, C0, eps0, G) <= tolerance
 
     def test_nonconvergence_flagged(self):
         M = PatternMatrix.from_any([[8, 0], [0, 8]])
@@ -178,6 +198,17 @@ class TestFixedPoint:
         total_mean = (rep.strain + eps0[None, :]).mean(axis=0)
         assert np.abs(total_mean - eps0).max() < 1e-12
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_indefinite_node_rejected(self, d):
+        # the conjugate gradients rest on a positive-definite stiffness at every node
+        M = PatternMatrix.from_any(np.diag([4] * d).tolist())
+        C0 = iso_stiffness(1.5, 1.5, d)
+        C = np.tile(C0, (M.m, 1, 1))
+        C[1] = -C0
+        G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
+        with pytest.raises(DomainError, match="stiffness field is not uniformly elliptic"):
+            ls_fixed_point(C, C0, np.ones(len(C0)), G)
+
     def test_contrast_hundred_converges_with_mean_reference(self):
         M = PatternMatrix.from_any([[8, 0], [0, 8]])
         C = _checkerboard(M, soft=(1.0, 1.0), stiff=(100.0, 100.0))
@@ -185,6 +216,87 @@ class TestFixedPoint:
         G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
         rep = ls_fixed_point(C, C0, EPS0, G, SolverConfig(tolerance=1e-8))
         assert rep.converged
+
+
+class TestFixedPointConjugateGradients:
+    """The Green-weighted CG of ``ls_fixed_point`` against the Neumann series it replaces."""
+
+    CASES = {
+        "dirichlet-even-complex": ([[16, 6], [0, 16]], dirichlet_rule, False),
+        "dlvp": ([[12, 3], [0, 12]], lambda M: dlvp_rule(M, [0.4, 0.7]), True),
+        "dlvp-complex": ([[16, 0], [0, 16]], lambda M: dlvp_rule(M, [0.4, 0.0]), False),
+        "bspline1": ([[12, 3], [0, 12]], lambda M: bspline_rule(M, 1), True),
+        "bspline2": ([[12, 3], [0, 12]], lambda M: bspline_rule(M, 2), True),
+        "bspline2-3d": ([[4, 1, 0], [0, 6, 2], [0, 0, 2]], lambda M: bspline_rule(M, 2), True),
+        "dirichlet-3d": ([[4, 1, 0], [0, 4, 0], [0, 0, 4]], dirichlet_rule, False),
+    }
+
+    @pytest.mark.parametrize("rows, factory, real", CASES.values(), ids=CASES.keys())
+    def test_matches_neumann_series_in_fewer_iterations(self, rows, factory, real):
+        M = PatternMatrix.from_any(rows)
+        C = _random_two_phase(np.random.default_rng(58), M, 4.0)
+        C0 = iso_stiffness(2.5, 2.5, M.d)  # the phase mean: the Neumann series converges
+        eps0 = np.arange(1.0, M.d * (M.d + 1) // 2 + 1)
+        G = periodized_green(C0, orthonormalize(factory(M)))
+        assert G.real is real
+        cfg = SolverConfig(tolerance=1e-9, max_iterations=5000)
+        cg = ls_fixed_point(C, C0, eps0, G, cfg)
+        neumann = neumann_fixed_point(C, C0, eps0, G, cfg)
+        assert cg.converged and neumann.converged
+        assert cg.strain.dtype == neumann.strain.dtype == (np.float64 if real else np.complex128)
+        assert field_norm(cg.strain - neumann.strain) / field_norm(neumann.strain) <= 10 * cfg.tolerance
+        assert cg.iterations <= neumann.iterations
+        assert cg.residuals[0] == neumann.residuals[0]  # iteration 1 forms b = -G dC eps0 in both
+
+    def test_converges_where_neumann_series_diverges(self):
+        # C0 = the soft phase: G (C - C0) has spectral radius above one, A stays positive definite
+        M = PatternMatrix.from_any([[12, 3], [0, 12]])
+        C = _random_two_phase(np.random.default_rng(59), M, 10.0)
+        C0 = iso_stiffness(1.0, 1.0, 2)
+        G = periodized_green(C0, orthonormalize(bspline_rule(M, 2)))
+        cfg = SolverConfig(tolerance=1e-10, max_iterations=300)
+        neumann = neumann_fixed_point(C, C0, EPS0, G, cfg)
+        assert not neumann.converged and not neumann.residuals[-1] < neumann.residuals[0]
+        cg = ls_fixed_point(C, C0, EPS0, G, cfg)
+        assert cg.converged
+        E = dense_oracle(C, C0, EPS0, G)
+        assert field_norm(cg.strain - E) / field_norm(E) < 1e-8
+
+    def test_one_stiffness_product_and_convolution_per_iteration(self, monkeypatch):
+        M = PatternMatrix.from_any([[12, 3], [0, 12]])
+        C = _random_two_phase(np.random.default_rng(58), M, 4.0)
+        C0 = iso_stiffness(2.5, 2.5, 2)
+        G = periodized_green(C0, orthonormalize(bspline_rule(M, 2)))
+        calls = {"apply_stiffness": 0, "_green_convolve": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(solver, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(solver, name, counted)
+        rep = ls_fixed_point(C, C0, EPS0, G, SolverConfig(tolerance=1e-8))
+        assert rep.converged and rep.iterations > 5
+        # dC eps0 in iteration 1 and one for the action
+        assert calls["apply_stiffness"] == rep.iterations + 1
+        assert calls["_green_convolve"] == rep.iterations
+
+    def test_nonpositive_curvature_stops_unconverged(self, monkeypatch):
+        # shift the first search-direction product dC p far below zero: no rescue, the solve ends
+        M = PatternMatrix.from_any([[12, 3], [0, 12]])
+        C = _random_two_phase(np.random.default_rng(58), M, 4.0)
+        C0 = iso_stiffness(2.5, 2.5, 2)
+        G = periodized_green(C0, orthonormalize(bspline_rule(M, 2)))
+        product = solver.apply_stiffness
+        calls = []
+
+        def flipped(A, x):
+            calls.append(None)
+            return product(A, x) - 1e3 * x if len(calls) == 2 else product(A, x)
+
+        monkeypatch.setattr(solver, "apply_stiffness", flipped)
+        rep = ls_fixed_point(C, C0, EPS0, G, SolverConfig(tolerance=1e-8))
+        assert not rep.converged and rep.iterations == 2
+        assert rep.residuals[1] == rep.residuals[0] and field_norm(rep.strain) == 0.0
 
 
 class TestKrylov:
