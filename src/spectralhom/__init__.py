@@ -2,6 +2,7 @@
 
 from .elasticity import (
     GreenTable,
+    compatible_green,
     green_coeff_batch,
     iso_stiffness,
     mandel_dim,

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry, solver
-from .elasticity import GreenTable, iso_stiffness, mandel_dim, periodized_green
+from .elasticity import GreenTable, compatible_green, iso_stiffness, mandel_dim, periodized_green
 from .errors import ConfigError, SpectralHomError, parse_object
 from .lattice import PatternMatrix, frequency_set, pattern, smith_normal_form
 from .translates import GeneratorSpec, make_rule, orthonormalize
@@ -144,6 +144,8 @@ class _Problem:
             "solver config", solver.SolverConfig, **parse_object(config["solver"], _SOLVER_KEYS, "config 'solver'")
         )
         self.green_periods = config["green_periods"]
+        if self.green_periods is not None and self.solver_config.scheme == "ve_krylov":
+            raise ConfigError("config 'green_periods': ve_krylov runs on a compatible table, which has no truncation")
         self.reference = None
         if config["reference_values"]:
             self.reference = _stage(
@@ -159,18 +161,14 @@ class _Problem:
         rule = _stage(
             "generator orthonormalisation", lambda: orthonormalize(make_rule(spec, self.matrix)), times=times
         )
-        green = _stage(
-            "green table",
-            periodized_green,
-            self.reference_stiffness,
-            rule,
-            periods=self.green_periods,
-            times=times,
-        )
-        run = solver.ls_fixed_point if self.solver_config.scheme == "ls_fixed_point" else solver.ve_krylov
-        report = _stage(
-            "solve", run, self.stiffness, self.reference_stiffness, self.eps0, green, self.solver_config, times=times
-        )
+        C0 = self.reference_stiffness
+        if self.solver_config.scheme == "ve_krylov":
+            green = _stage("green table", compatible_green, C0, rule, times=times)
+            run = solver.ve_krylov
+        else:
+            green = _stage("green table", periodized_green, C0, rule, periods=self.green_periods, times=times)
+            run = solver.ls_fixed_point
+        report = _stage("solve", run, self.stiffness, C0, self.eps0, green, self.solver_config, times=times)
         return report, green
 
     def metrics(self, report: solver.SolveReport):
@@ -213,7 +211,7 @@ def _report_dict(problem: _Problem, report: solver.SolveReport, metrics, green: 
         },
         "generator": problem.generator.to_json(),
         "green": {"periods": green.periods, "tail_estimate": green.tail_estimate},
-        "diagnostics": {"real_fields": green.real, "minres_rescue": report.minres_rescue},
+        "diagnostics": {"real_fields": green.real},
         "scheme": report.scheme,
         "tolerance": problem.solver_config.tolerance,
         "converged": bool(report.converged),

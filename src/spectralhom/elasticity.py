@@ -93,6 +93,7 @@ __all__ = [
     "mandel_product",
     "GreenTable",
     "periodized_green",
+    "compatible_green",
 ]
 
 _SHEAR_PAIRS = {1: (), 2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
@@ -229,6 +230,18 @@ def _monomial_rows(k: np.ndarray, n: int, work: dict) -> np.ndarray:
     return out
 
 
+def _green_rows(C0: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Packed rows (D (D + 1) / 2, n) of G0 at frequencies given as rows k (d, n), zero at k = 0."""
+    numer, det = _green_polynomials(C0, len(k))
+    norm = np.sqrt(sum(row**2 for row in k))
+    zero = norm == 0.0
+    norm[zero] = 1.0
+    mono = _monomial_rows(k / norm, 2 * len(k), {})  # G0 is 0-homogeneous; unit k keeps det A of order one
+    den = det @ mono
+    den[zero] = 1.0  # k = 0 has zero monomials, hence G0 = 0
+    return numer @ mono / den
+
+
 def green_coeff_batch(C0: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Green operator matrices for an (n, d) batch of integer frequencies (zero at k = 0)."""
     ks = np.asarray(ks, dtype=np.float64)
@@ -236,18 +249,9 @@ def green_coeff_batch(C0: np.ndarray, ks: np.ndarray) -> np.ndarray:
         raise ShapeError(f"expected an (n, d) frequency batch, got shape {ks.shape}")
     n, d = ks.shape
     _check_reference(C0, d)
-    D = mandel_dim(d)
-    numer, det = _green_polynomials(C0, d)
-    k = np.ascontiguousarray(ks.T)  # frequency index last throughout
-    norm = np.sqrt(sum(row**2 for row in k))
-    zero = norm == 0.0
-    norm[zero] = 1.0
-    mono = _monomial_rows(k / norm, 2 * d, {})  # G is 0-homogeneous; unit k keeps det A of order one
-    den = det @ mono
-    den[zero] = 1.0  # k = 0 has zero monomials, hence G = 0
-    rows, cols = np.triu_indices(D)
-    G = np.empty((n, D, D))
-    G[:, rows, cols] = G[:, cols, rows] = (numer @ mono / den).T
+    rows, cols = np.triu_indices(mandel_dim(d))
+    G = np.empty((n,) + (mandel_dim(d),) * 2)
+    G[:, rows, cols] = G[:, cols, rows] = _green_rows(C0, np.ascontiguousarray(ks.T)).T
     return G
 
 
@@ -294,9 +298,10 @@ class GreenTable:
     matrix: PatternMatrix
     table: np.ndarray  # (D (D + 1) / 2, stored classes) float64 packed rows, read-only
     generator: GeneratorSpec
-    periods: int
+    periods: int | None  # class-sum truncation; None on a ``compatible_green`` table
     tail_estimate: float
     real: bool  # even in the class: real fields, half-spectrum table
+    compatible: bool  # every class matrix is a C0-projector (or zero): the VE and LS equations coincide
 
     @property
     def m(self) -> int:
@@ -386,4 +391,33 @@ def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None 
         periods=periods,
         tail_estimate=tail,
         real=real,
+        compatible=rule.kind == "dirichlet",
+    )
+
+
+def compatible_green(C0: np.ndarray, rule: CoefficientRule) -> GreenTable:
+    """The C0-projector table Gamma(h) = G0(mu_h) at the class-mean frequencies mu_h of ``rule``.
+
+    mu_h = h + M^T delta_h (``CoefficientRule.class_mean_shift``) is the mean
+    of the class frequencies under the weights |c_k|^2.  Each class matrix is
+    a C0-projector, or zero where mu_h = 0 (as at h = 0); there is no class
+    sum, no ``periods`` and no tail.  For dirichlet mu_h = h, which gives
+    ``periodized_green``'s table.  Conjugate-symmetric rules keep the real
+    half table.
+    """
+    M = rule.matrix
+    _check_reference(C0, M.d)
+    real = rule.conjugate_symmetric
+    kept = fft_plan(M, real).classes if real else slice(None)
+    mu = frequency_set(M).freqs[kept].T + M.array.T @ rule.class_mean_shift(kept)
+    table = _green_rows(np.asarray(C0, dtype=np.float64), mu)
+    table.setflags(write=False)
+    return GreenTable(
+        matrix=M,
+        table=table,
+        generator=rule.spec(),
+        periods=None,
+        tail_estimate=0.0,
+        real=real,
+        compatible=True,
     )

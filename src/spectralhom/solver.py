@@ -2,36 +2,31 @@
 
 Nodal unknowns are the fluctuation strain coefficients E, one Mandel vector
 per pattern node, with the prescribed macroscopic strain eps0 carrying the
-mean.  Two schemes are provided:
+mean.  Two schemes are provided, both run by one conjugate-gradient loop:
 
 * ``ls_fixed_point`` solves the fixed-point (Lippmann-Schwinger) form
   E + G((C - C0) : (E + eps0)) = 0 of Moulinec and Suquet's basic scheme,
   generalised to an arbitrary periodised Green table, by conjugate gradients
   in the Green-weighted inner product <G a, G b> = Re a^H G b, one Green
   convolution and one stiffness product per iteration.
-* ``ve_krylov`` solves the projected form G(C : (E + eps0)) = 0 as a linear
-  system.  G C is self-adjoint and positive semidefinite in the
-  stiffness-weighted inner product <a, b>_C = Re a^H C b, so conjugate
-  gradients run on E in that inner product (Zeman, Vondřejc, Novák & Marek,
-  J. Comput. Phys. 2010), one Green convolution and one stiffness product
-  per iteration.  On the (round-off only) event of nonpositive curvature a
-  minimal-residual solve of the Euclidean-Hermitian system G C G z = rho
-  takes over and adds the correction G z, which keeps E in the range of G
-  where the CG iterates lie.  The constant reference factor C0 in front of
-  the equation is invertible and is dropped from the solve; the reported
-  residual retains it.
+* ``ve_krylov`` solves the variational (Galerkin) form G(C : (E + eps0)) = 0
+  on a compatible table (``compatible_green``) of C0-projectors, where
+  G C0 E = E on the range of G and G C0 eps0 = 0: the two equations and
+  residuals coincide, and the same iteration runs (Zeman et al., J. Comput.
+  Phys. 2010; Vondřejc, Zeman & Marek, Comput. Math. Appl. 2014).
 
 Why CG applies to the fixed-point form: every periodised table is a class
 sum m sum_z |c_z|^2 G0(k_z) whose weights sum to one (less the truncated
 tail), and C0^{1/2} G0(k) C0^{1/2} is an orthogonal projector, so each class
 matrix C0^{1/2} G(h) C0^{1/2} is a convex combination of projectors with
-eigenvalues in [0, 1].  Hence G >= G C0 G, and for x = G z the operator
-A = I + G (C - C0) satisfies <x, A x> = Re z^H G z - Re x^H C0 x + Re x^H C x
->= Re x^H C x.  So A is self-adjoint in the Green-weighted inner product and
-positive definite whenever every nodal stiffness is, whatever the reference
-C0, while the Neumann series E <- -G((C - C0) : (E + eps0)) needs the
-spectral radius of G (C - C0) below one.  Both schemes therefore reject a
-stiffness field that is not uniformly elliptic.
+eigenvalues in [0, 1] (one projector, or zero, on a compatible table).
+Hence G >= G C0 G, and for x = G z the operator A = I + G (C - C0) satisfies
+<x, A x> = Re z^H G z - Re x^H C0 x + Re x^H C x >= Re x^H C x.  So A is
+self-adjoint in the Green-weighted inner product and positive definite
+whenever every nodal stiffness is, whatever the reference C0, while the
+Neumann series E <- -G((C - C0) : (E + eps0)) needs the spectral radius of
+G (C - C0) below one.  Both schemes therefore reject a stiffness field that
+is not uniformly elliptic.
 
 Field dtypes follow the Green table.  Generators whose coefficient
 magnitudes are even in k (B-splines, trapezoids with positive slopes) and
@@ -42,7 +37,7 @@ frequency cell of a Dirichlet-type rule on an even pattern is not closed
 under conjugation; there the fields are complex, and the exact discrete
 solution carries a small imaginary component on the boundary (Nyquist) rows,
 reported as ``imbalance``.  Keeping it is what makes the fixed-point and
-projected solutions coincide exactly on the Dirichlet space.
+variational solutions coincide exactly on the Dirichlet space.
 
 Iterates are component-major (D, m) fields (FFTs over the trailing Smith
 axes, pointwise products as ``mandel_product`` row sums); the symmetric
@@ -60,8 +55,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elasticity import GreenTable, mandel_dim, mandel_product, pack_symmetric
+from .elasticity import GreenTable, compatible_green, mandel_dim, mandel_product, pack_symmetric
 from .errors import DomainError, ShapeError
+from .translates import make_rule
 
 __all__ = [
     "SolverConfig",
@@ -106,7 +102,6 @@ class SolveReport:
     effective_action: np.ndarray  # (D,) real effective stiffness applied to eps0
     converged: bool
     scheme: str
-    minres_rescue: bool = False  # whether the VE solve handed over to the MINRES rescue
 
     @property
     def imbalance(self) -> float:
@@ -176,22 +171,8 @@ def effective_stiffness(C: np.ndarray, strain: np.ndarray, eps0: np.ndarray) -> 
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite residual stops it unconverged
-def ls_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> SolveReport:
-    """Conjugate-gradient solve of the fixed-point nodal equation E + G((C - C0) : (E + eps0)) = 0.
-
-    Runs CG on A E = b, with A = I + G dC, dC = C - C0 and b = -G dC eps0, in
-    the Green-weighted inner product <G a, G b> = Re a^H G b on the range of G,
-    where A is self-adjoint with <x, A x> >= Re x^H C x > 0.  Beside the
-    residual r = G zeta and the direction p = G pi it carries their
-    pre-images, so <r, r> = Re zeta^H r and the curvature <p, A p> is
-    Re pi^H p + Re p^H dC p.  Iteration 1 is the convolution that forms b;
-    every later one costs one stiffness product dC p and one Green
-    convolution.  It stops when the relative nodal residual
-    ||E + G(dC (E + eps0))|| / ||eps0|| drops below the tolerance.  A
-    non-finite residual or curvature, or a nonpositive curvature, ends the
-    solve unconverged, and the partial field is returned with the flag
-    cleared.
-    """
+def _conjugate_gradients(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None, scheme: str) -> SolveReport:
+    """The iteration of both schemes (see ``ls_fixed_point``), reported under ``scheme``."""
     cfg = cfg or SolverConfig()
     C, C0, eps0 = _validate_problem(C, C0, eps0, G)
     _check_elliptic(C)
@@ -242,8 +223,40 @@ def ls_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) 
         residuals=tuple(residuals),
         effective_action=effective_stiffness(C, E.T, eps0),
         converged=converged,
-        scheme="ls_fixed_point",
+        scheme=scheme,
     )
+
+
+def ls_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> SolveReport:
+    """Conjugate-gradient solve of the fixed-point nodal equation E + G((C - C0) : (E + eps0)) = 0.
+
+    Runs CG on A E = b, with A = I + G dC, dC = C - C0 and b = -G dC eps0, in
+    the Green-weighted inner product <G a, G b> = Re a^H G b on the range of G,
+    where A is self-adjoint with <x, A x> >= Re x^H C x > 0.  Beside the
+    residual r = G zeta and the direction p = G pi it carries their
+    pre-images, so <r, r> = Re zeta^H r and the curvature <p, A p> is
+    Re pi^H p + Re p^H dC p.  Iteration 1 is the convolution that forms b;
+    every later one costs one stiffness product dC p and one Green
+    convolution.  It stops when the relative nodal residual
+    ||E + G(dC (E + eps0))|| / ||eps0|| drops below the tolerance.  A
+    non-finite residual or curvature, or a nonpositive curvature, ends the
+    solve unconverged, and the partial field is returned with the flag
+    cleared.
+    """
+    return _conjugate_gradients(C, C0, eps0, G, cfg, "ls_fixed_point")
+
+
+def ve_krylov(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> SolveReport:
+    """Variational solve G(C : (E + eps0)) = 0 on the compatible table of ``G``'s generator.
+
+    A table that is not ``compatible`` is rebuilt by ``compatible_green``.
+    There the equation is the fixed-point one, so the iteration, its count
+    and its residual, now ||G(C : (E + eps0))|| / ||eps0||, are those of
+    ``ls_fixed_point``.
+    """
+    if not G.compatible:
+        G = compatible_green(C0, make_rule(G.generator, G.matrix))
+    return _conjugate_gradients(C, C0, eps0, G, cfg, "ve_krylov")
 
 
 def _check_elliptic(C: np.ndarray) -> None:
@@ -262,92 +275,10 @@ def _check_elliptic(C: np.ndarray) -> None:
         A[k + 1 :, k + 1 :] -= A[k + 1 :, k, None] * (A[k, k + 1 :] / A[k, k])
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite residual stops it unconverged
-def ve_krylov(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> SolveReport:
-    """Conjugate-gradient solve of the projected nodal equation C0 G (C : (E + eps0)) = 0.
-
-    Runs CG on G C E = -G C eps0 in the stiffness-weighted inner product
-    <a, b>_C = Re a^H C b, in which G C is self-adjoint and positive
-    semidefinite.  Beside the residual rho = -G C (E + eps0) it carries
-    u = C rho and the search stress t = C p, so an iteration costs one Green
-    convolution q = G t and one stiffness product u = C rho.  The reported
-    residual is the projected one, ||C0 rho|| / ||C0 G C eps0||.  In exact
-    arithmetic the iterates are those of CG on the Hermitian system
-    C^{1/2} G C^{1/2} w = -C^{1/2} G C eps0 under w = C^{1/2} E.
-    """
-    cfg = cfg or SolverConfig()
-    C, C0, eps0 = _validate_problem(C, C0, eps0, G)
-    _check_elliptic(C)
-    Cp = pack_symmetric(C)
-
-    def projected_norm(rho: np.ndarray) -> float:
-        # nodal VE residual carries the constant reference factor
-        return field_norm((C0 @ rho).T)
-
-    b = -_green_convolve(G, apply_stiffness(Cp, np.broadcast_to(eps0[:, None], (len(eps0), G.m))))
-    rho0 = projected_norm(b)
-    residuals: list[float] = []
-    E = np.zeros_like(b)
-    converged = False
-    rescued = False
-    iterations = 0
-    if rho0 == 0.0:
-        converged = True
-        residuals.append(0.0)
-    else:
-        rho = b.copy()
-        u = apply_stiffness(Cp, rho)
-        p = rho.copy()
-        t = u.copy()
-        rs = float(np.vdot(rho, u).real)
-        for iterations in range(1, cfg.max_iterations + 1):
-            q = _green_convolve(G, t)
-            curvature = float(np.vdot(t, q).real)
-            if not np.isfinite(curvature):
-                residuals.append(float("nan"))
-                break
-            if curvature <= 0.0:
-                # the correction G z with G C G z = rho keeps E in the range of G, as CG does
-                def operator(z: np.ndarray) -> np.ndarray:
-                    return _green_convolve(G, apply_stiffness(Cp, _green_convolve(G, z)))
-
-                z, _ = _minres_fallback(operator, rho, np.zeros_like(rho), cfg)
-                rescued = True
-                E += _green_convolve(G, z)
-                residuals.append(projected_norm(b - _green_convolve(G, apply_stiffness(Cp, E))) / rho0)
-                converged = residuals[-1] <= cfg.tolerance
-                break
-            alpha = rs / curvature
-            E += alpha * p
-            rho -= alpha * q
-            r = projected_norm(rho) / rho0
-            residuals.append(r)
-            if r <= cfg.tolerance:
-                converged = True
-                break
-            if not np.isfinite(r):
-                break
-            u = apply_stiffness(Cp, rho)
-            rs_next = float(np.vdot(rho, u).real)
-            beta = rs_next / rs
-            p *= beta
-            p += rho
-            t *= beta
-            t += u
-            rs = rs_next
-    return SolveReport(
-        strain=E.T,
-        iterations=iterations,
-        residuals=tuple(residuals),
-        effective_action=effective_stiffness(C, E.T, eps0),
-        converged=converged,
-        scheme="ve_krylov",
-        minres_rescue=rescued,
-    )
-
-
 def _minres_fallback(operator, b, x0, cfg: SolverConfig):
-    """Minimal-residual rescue for (round-off) loss of positive curvature.
+    """Minimal-residual solve of a Hermitian system on (D, m) fields.
+
+    No solver calls it; the benchmark tracer (perfbench/tracer.py) wraps it by name.
 
     scipy's minres is real-symmetric; a Hermitian operator on complex fields
     is lifted to the equivalent real system on interleaved real/imaginary

@@ -114,6 +114,23 @@ def _sampled_autocos(order: int, xi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sampled_autosin(order: int, xi: np.ndarray) -> np.ndarray:
+    """sum_t sinc^order(pi (xi + t)) (xi + t) = -(1 / pi) sum_{j >= 1} B'(j) sin(2 pi j xi), for even orders.
+
+    B'(j) = N(j + order/2) - N(j + order/2 - 1) with N the mirror mean of N_{order-1}: the mean of
+    the one-sided slopes of the centred B-spline B at the kinks of order 2, and N_{order-1} itself above.
+    """
+    half = Fraction(order, 2)
+
+    def mean(x: Fraction) -> Fraction:
+        return (_cardinal_bspline(order - 1, x) + _cardinal_bspline(order - 1, order - 1 - x)) / 2
+
+    out = np.zeros(xi.shape)
+    for j in range(1, order // 2 + 1):
+        out -= float(mean(j + half) - mean(j + half - 1)) / np.pi * np.sin(2.0 * np.pi * j * xi)
+    return out
+
+
 def _trapezoid(nums: np.ndarray, den: int, alpha: float) -> np.ndarray:
     """Centred trapezoid factor at xi = nums/den.
 
@@ -255,6 +272,24 @@ class CoefficientRule:
         if self._class_scale is not None:
             vals = vals / self._class_scale[self._freqs.class_index(kk)]
         return vals[0] if single else vals
+
+    def class_mean_shift(self, classes=slice(None)) -> np.ndarray:
+        """Mean shift delta[a, h] = sum_t F_a(xi_h,a + t)^2 t / sum_t F_a(xi_h,a + t)^2, shape (d, n).
+
+        The weighted mean of class h's frequencies is h + M^T delta_h.  Sums
+        run over the support (delta = 0 for dirichlet) or through the closed
+        sine and cosine forms of a B-spline, whose aliases at xi_a = -1/2 pair
+        off: delta_a = 1/2 exactly.  Classes as in ``axis_factors``.
+        """
+        if self.kind == "bspline":
+            nums = self._scaled_nums(self._freqs.freqs[classes]).T
+            xi = nums / self._den
+            mean = _sampled_autosin(2 * self.order, xi) / _sampled_autocos(2 * self.order, xi)
+            mean[2 * nums == -self._den] = 0.0
+            return mean - xi
+        periods = self.support_periods
+        weight = self.axis_factors(periods, classes) ** 2
+        return np.tensordot(np.arange(-periods, periods + 1.0), weight, axes=(0, 1)) / weight.sum(axis=1)
 
     # -- exact class sums ----------------------------------------------------
 

@@ -225,56 +225,6 @@ def stiffness_product_einsum(C, strain):
     return np.einsum("hij,hj->hi", C, strain)
 
 
-def stiffness_square_roots_einsum(C):
-    """C^{1/2} and C^{-1/2} per node, (m, D, D) each, from a batched eigendecomposition."""
-    w, v = np.linalg.eigh(C)
-    W = np.einsum("hij,hj,hkj->hik", v, np.sqrt(w), v)
-    Winv = np.einsum("hij,hj,hkj->hik", v, 1.0 / np.sqrt(w), v)
-    return W, Winv
-
-
-def square_root_cg(C, C0, eps0, G, tolerance, max_iterations):
-    """The square-root form of the VE conjugate gradients: (m, D) strain and residual history.
-
-    Plain CG on the Euclidean-Hermitian system W G W w = -W G C eps0 with
-    W = C^{1/2} per node, the strain recovered as E = W^{-1} w; residuals are
-    ||C0 W^{-1} r|| relative to their initial value.  A real table is
-    expanded by ``full_table`` and iterated with complex fields.
-    """
-    W, Winv = stiffness_square_roots_einsum(np.asarray(C, dtype=np.float64))
-    G = full_table(G)
-    m, D = G.m, len(eps0)
-
-    def product(A, field):  # (m, D, D) matrices times a (D, m) field
-        return stiffness_product_einsum(A, field.T).T
-
-    def operator(w):
-        return product(W, _green_convolve(G, product(W, w)))
-
-    def projected_norm(r):
-        return np.linalg.norm(C0 @ product(Winv, r))
-
-    b = -product(W, _green_convolve(G, product(C, np.tile(np.asarray(eps0, dtype=complex)[:, None], m))))
-    rho0 = projected_norm(b)
-    x = np.zeros((D, m), dtype=complex)
-    r = b.copy()
-    p = r.copy()
-    rs = np.vdot(r, r).real
-    residuals = []
-    for _ in range(max_iterations):
-        Lp = operator(p)
-        alpha = rs / np.vdot(p, Lp).real
-        x += alpha * p
-        r -= alpha * Lp
-        residuals.append(projected_norm(r) / rho0)
-        if residuals[-1] <= tolerance:
-            break
-        rs_next = np.vdot(r, r).real
-        p = r + (rs_next / rs) * p
-        rs = rs_next
-    return product(Winv, x).T, residuals
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite residual stops it unconverged
 def neumann_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> SolveReport:
     """Fixed-point (Neumann series) solve of the nodal cell problem.

@@ -212,9 +212,8 @@ def hashin_style_setup(tmp_path_factory):
     Dirichlet solve used as the surrogate reference.
     """
     base = tmp_path_factory.mktemp("hashin")
-    # contrast 10; the conjugate-gradient conditioning of trapezoid tables
-    # degrades with contrast, so this keeps each sweep evaluation to a few
-    # hundred iterations while the window benefit stays large
+    # contrast 10; VE runs on the compatible table of each generator, where
+    # every sweep evaluation converges in a few dozen iterations
     micro = {
         "kind": "inclusion",
         "shape": "ellipse",

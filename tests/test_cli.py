@@ -249,26 +249,34 @@ class TestRunSolve:
 
     def test_diagnostics_report_real_fields(self, tmp_path):
         _, doc = run_solve(_laminate_config(tmp_path))
-        assert doc["diagnostics"] == {"real_fields": False, "minres_rescue": False}  # Dirichlet, even pattern
+        assert doc["diagnostics"] == {"real_fields": False}  # Dirichlet, even pattern
         _, doc = run_solve(_laminate_config(tmp_path, generator={"kind": "bspline", "order": 2}))
         report = json.loads((tmp_path / "out/report.json").read_text())
-        assert report["diagnostics"] == doc["diagnostics"] == {"real_fields": True, "minres_rescue": False}
+        assert report["diagnostics"] == doc["diagnostics"] == {"real_fields": True}
         assert report["nyquist_imbalance"] == 0.0
 
-    def test_diagnostics_report_minres_rescue(self, tmp_path, monkeypatch):
-        # flip the sign of the first search-direction convolution: the VE solve hands over to MINRES
-        convolve = solver._green_convolve
-        calls = []
+    def test_ve_runs_on_the_compatible_table(self, tmp_path, monkeypatch):
+        # VE builds the compatible table (no truncation) and never the class-sum table
+        def no_paper_table(*args, **kwargs):
+            raise AssertionError("ve_krylov built the periodised class-sum table")
 
-        def flipped(G, tau):
-            calls.append(None)
-            return -convolve(G, tau) if len(calls) == 2 else convolve(G, tau)
+        monkeypatch.setattr(cli, "periodized_green", no_paper_table)
+        path = _laminate_config(
+            tmp_path, generator={"kind": "bspline", "order": 2}, solver={"scheme": "ve_krylov", "tolerance": 1e-10}
+        )
+        code, doc = run_solve(path)
+        assert code == 0 and doc["scheme"] == "ve_krylov"
+        assert doc["green"] == {"periods": None, "tail_estimate": 0.0}
+        assert doc["diagnostics"] == {"real_fields": True}
 
-        monkeypatch.setattr(solver, "_green_convolve", flipped)
-        code, doc = run_solve(_laminate_config(tmp_path, solver={"scheme": "ve_krylov", "tolerance": 1e-10}))
-        assert code == 0
-        assert doc["diagnostics"] == {"real_fields": False, "minres_rescue": True}
-        assert json.loads((tmp_path / "out/report.json").read_text())["diagnostics"] == doc["diagnostics"]
+    def test_green_periods_rejected_for_ve(self, tmp_path, capsys):
+        path = _laminate_config(tmp_path, green_periods=3, solver={"scheme": "ve_krylov"})
+        with pytest.raises(ConfigError, match="'green_periods'"):
+            run_solve(path)
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config 'green_periods': ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 def _with(config, path, value):

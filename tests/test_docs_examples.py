@@ -42,3 +42,16 @@ def test_sweep_example(tmp_path, capsys):
     assert doc["best_e_eff"] <= doc["dirichlet_e_eff"]
     assert (work / "out/sweep_report.json").exists()
 
+
+
+def test_variational_solves_converge_quickly(tmp_path, capsys):
+    # VE on the compatible table takes a few dozen iterations; on the paper's class-sum table
+    # off the Dirichlet space it drifted for hundreds (476 on the dlvp inclusion)
+    _run_from_copy(tmp_path, "inclusion_dlvp_solve.json", "solve")
+    solve = json.loads(capsys.readouterr().out)
+    _run_from_copy(tmp_path, "sweep_alpha.json", "sweep-alpha")
+    sweep = json.loads(capsys.readouterr().out)
+    runs = [solve] + [run for axis in sweep["trace"] for run in axis["evaluations"]]
+    runs += [sweep["best_evaluation"], sweep["dirichlet_evaluation"]]
+    assert solve["scheme"] == "ve_krylov" and len(runs) == 27
+    assert all(run["converged"] and run["iterations"] <= 40 for run in runs)

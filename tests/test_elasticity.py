@@ -4,6 +4,7 @@ import pytest
 from spectralhom import (
     PatternMatrix,
     bspline_rule,
+    compatible_green,
     dirichlet_rule,
     dlvp_rule,
     frequency_set,
@@ -18,6 +19,7 @@ from spectralhom.errors import DomainError
 
 from oracles import (
     green_dense_solve,
+    green_einsum_inverse,
     isotropic_green_mandel,
     negated_classes,
     periodized_green_einsum,
@@ -392,3 +394,77 @@ class TestPeriodizedGreen:
         tau = rng.standard_normal((D, n)) + 1j * rng.standard_normal((D, n))
         want = stiffness_product_einsum(unpack_symmetric(table.table), tau.T).T
         assert np.abs(table.apply_hat(tau) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+class TestCompatibleGreen:
+    """The table G0(mu_h) at the class-mean frequencies: one C0-projector per class."""
+
+    CASES = {
+        "dirichlet": ([[16, 6], [0, 16]], dirichlet_rule),
+        "dlvp-zero-slope": ([[16, 0], [0, 16]], lambda M: dlvp_rule(M, [0.4, 0.0])),
+        "dlvp": ([[12, 3], [0, 12]], lambda M: dlvp_rule(M, [0.4, 1.0])),
+        "bspline1": ([[16, 0], [0, 16]], lambda M: bspline_rule(M, 1)),
+        "bspline2": ([[12, 3], [0, 12]], lambda M: bspline_rule(M, 2)),
+        "dirichlet-odd": ([[9, 3], [0, 9]], dirichlet_rule),
+        "dlvp-3d": ([[4, 1, 0], [0, 6, 2], [0, 0, 2]], lambda M: dlvp_rule(M, [0.3, 0.0, 1.0])),
+        "bspline2-3d": ([[4, 1, 0], [0, 6, 2], [0, 0, 2]], lambda M: bspline_rule(M, 2)),
+    }
+
+    @staticmethod
+    def _build(rows, factory, seed=80):
+        M = PatternMatrix.from_any(rows)
+        C0 = random_spd_mandel(np.random.default_rng(seed), M.d * (M.d + 1) // 2)
+        rule = orthonormalize(factory(M))
+        return M, C0, rule, compatible_green(C0, rule)
+
+    @pytest.mark.parametrize("rows, factory", CASES.values(), ids=CASES.keys())
+    def test_every_class_is_a_reference_projector(self, rows, factory):
+        M, C0, rule, G = self._build(rows, factory)
+        assert G.compatible and G.periods is None and G.tail_estimate == 0.0
+        assert G.real is rule.conjugate_symmetric
+        table = unpack_symmetric(G.table)
+        scale = np.abs(table).max()
+        assert np.abs(table @ C0 @ table - table).max() <= 1e-13 * scale
+        # rank d where the class mean is nonzero, zero where it vanishes
+        stored = frequency_set(M).freqs[stored_classes(G)].T
+        mean = stored + M.array.T @ rule.class_mean_shift(stored_classes(G))
+        rank = np.trace(C0 @ table, axis1=1, axis2=2)
+        assert np.abs(rank - np.where(mean.any(axis=0), M.d, 0)).max() <= 1e-12
+
+    def test_zero_class_means_give_zero_entries(self):
+        # bspline1 on diag(16, 16): classes with every xi_a in {0, -1/2} have mean zero
+        M, C0, rule, G = self._build(*self.CASES["bspline1"])
+        freqs = frequency_set(M).freqs[stored_classes(G)]
+        zero = np.all((freqs == 0) | (freqs == -8), axis=1)
+        assert zero.sum() == 4
+        assert not G.table[:, zero].any() and G.table[:, ~zero].any(axis=0).all()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[16, 6], [0, 16]], [[9, 3], [0, 9]], [[4, 1, 0], [0, 4, 0], [0, 0, 4]], [[3, 1, 0], [0, 3, 1], [0, 0, 5]]],
+    )
+    def test_dirichlet_equals_periodized_table(self, rows):
+        M = PatternMatrix.from_any(rows)
+        C0 = random_spd_mandel(np.random.default_rng(81), M.d * (M.d + 1) // 2)
+        rule = orthonormalize(dirichlet_rule(M))
+        paper = periodized_green(C0, rule)
+        assert paper.compatible
+        table = compatible_green(C0, rule).table
+        assert table.shape == paper.table.shape
+        assert np.abs(table - paper.table).max() <= 1e-14 * np.abs(paper.table).max()
+        assert not periodized_green(C0, orthonormalize(dlvp_rule(M, [0.4] * M.d))).compatible
+
+    @pytest.mark.parametrize("name", ["dlvp", "bspline1", "bspline2", "dirichlet-odd", "bspline2-3d"])
+    def test_even_real_half_table(self, name):
+        # class means of conjugate-symmetric rules are odd in the class, so the table is even and
+        # the stored half holds einsum-inverse Green matrices at those means
+        M, C0, rule, G = self._build(*self.CASES[name])
+        assert G.real and G.table.shape[1] == len(stored_classes(G)) < M.m
+        freqs = frequency_set(M).freqs
+        mean = freqs.T + M.array.T @ rule.class_mean_shift()
+        neg = negated_classes(M)
+        assert np.abs(mean[:, neg] + mean).max() <= 1e-13 * np.abs(mean).max()
+        full = green_einsum_inverse(C0, mean.T)
+        assert np.abs(full[neg] - full).max() <= 1e-13 * np.abs(full).max()
+        want = full[stored_classes(G)]
+        assert np.abs(unpack_symmetric(G.table) - want).max() <= 1e-13 * np.abs(want).max()

@@ -7,6 +7,7 @@ from spectralhom import (
     SolverConfig,
     VoxelMap,
     bspline_rule,
+    compatible_green,
     dirichlet_rule,
     dlvp_rule,
     effective_stiffness,
@@ -29,7 +30,6 @@ from oracles import (
     full_table,
     neumann_fixed_point,
     random_spd_mandel,
-    square_root_cg,
     stiffness_product_einsum,
 )
 
@@ -262,7 +262,8 @@ class TestFixedPointConjugateGradients:
         E = dense_oracle(C, C0, EPS0, G)
         assert field_norm(cg.strain - E) / field_norm(E) < 1e-8
 
-    def test_one_stiffness_product_and_convolution_per_iteration(self, monkeypatch):
+    @pytest.mark.parametrize("run", [ls_fixed_point, ve_krylov], ids=["ls", "ve"])
+    def test_one_stiffness_product_and_convolution_per_iteration(self, monkeypatch, run):
         M = PatternMatrix.from_any([[12, 3], [0, 12]])
         C = _random_two_phase(np.random.default_rng(58), M, 4.0)
         C0 = iso_stiffness(2.5, 2.5, 2)
@@ -274,13 +275,14 @@ class TestFixedPointConjugateGradients:
                 return _fn(*args)
 
             monkeypatch.setattr(solver, name, counted)
-        rep = ls_fixed_point(C, C0, EPS0, G, SolverConfig(tolerance=1e-8))
+        rep = run(C, C0, EPS0, G, SolverConfig(tolerance=1e-8))
         assert rep.converged and rep.iterations > 5
         # dC eps0 in iteration 1 and one for the action
         assert calls["apply_stiffness"] == rep.iterations + 1
         assert calls["_green_convolve"] == rep.iterations
 
-    def test_nonpositive_curvature_stops_unconverged(self, monkeypatch):
+    @pytest.mark.parametrize("run", [ls_fixed_point, ve_krylov], ids=["ls", "ve"])
+    def test_nonpositive_curvature_stops_unconverged(self, monkeypatch, run):
         # shift the first search-direction product dC p far below zero: no rescue, the solve ends
         M = PatternMatrix.from_any([[12, 3], [0, 12]])
         C = _random_two_phase(np.random.default_rng(58), M, 4.0)
@@ -294,7 +296,7 @@ class TestFixedPointConjugateGradients:
             return product(A, x) - 1e3 * x if len(calls) == 2 else product(A, x)
 
         monkeypatch.setattr(solver, "apply_stiffness", flipped)
-        rep = ls_fixed_point(C, C0, EPS0, G, SolverConfig(tolerance=1e-8))
+        rep = run(C, C0, EPS0, G, SolverConfig(tolerance=1e-8))
         assert not rep.converged and rep.iterations == 2
         assert rep.residuals[1] == rep.residuals[0] and field_norm(rep.strain) == 0.0
 
@@ -355,37 +357,45 @@ class TestKrylov:
         assert field_norm(rep.strain - E) / field_norm(E) < 1e-8
 
 
-class TestWeightedConjugateGradients:
-    """The stiffness-weighted CG against the square-root form it replaces."""
+class TestCompatibleScheme:
+    """VE runs the fixed-point iteration on the compatible table of its generator."""
 
-    RULES = {
-        "dirichlet": dirichlet_rule,
-        "dlvp": lambda M: dlvp_rule(M, [0.4, 0.7, 0.2][: M.d]),
-        "bspline2": lambda M: bspline_rule(M, 2),
+    CASES = {
+        "dirichlet-sheared": ([[16, 6], [0, 16]], dirichlet_rule),
+        "dlvp-zero-slope": ([[16, 0], [0, 16]], lambda M: dlvp_rule(M, [0.4, 0.0])),
+        "dlvp": ([[12, 3], [0, 12]], lambda M: dlvp_rule(M, [0.4, 0.7])),
+        "bspline1": ([[12, 3], [0, 12]], lambda M: bspline_rule(M, 1)),
+        "bspline2": ([[12, 3], [0, 12]], lambda M: bspline_rule(M, 2)),
+        "bspline1-even": ([[16, 0], [0, 16]], lambda M: bspline_rule(M, 1)),
+        "dirichlet-3d": ([[4, 1, 0], [0, 4, 0], [0, 0, 4]], dirichlet_rule),
+        "dlvp-3d": ([[4, 1, 0], [0, 6, 2], [0, 0, 2]], lambda M: dlvp_rule(M, [0.4, 0.7, 0.0])),
+        "bspline2-3d": ([[4, 1, 0], [0, 6, 2], [0, 0, 2]], lambda M: bspline_rule(M, 2)),
     }
 
-    @staticmethod
-    def _problem(rows):
+    @pytest.mark.parametrize("rows, factory", CASES.values(), ids=CASES.keys())
+    def test_matches_dense_oracle_on_compatible_table(self, rows, factory):
         M = PatternMatrix.from_any(rows)
         C = _random_two_phase(np.random.default_rng(90), M, 5.0)
         C0 = iso_stiffness(3.0, 3.0, M.d)
         eps0 = np.arange(1.0, M.d * (M.d + 1) // 2 + 1)
-        return M, C, C0, eps0
+        rule = orthonormalize(factory(M))
+        Gc = compatible_green(C0, rule)
+        cfg = SolverConfig(tolerance=1e-11, max_iterations=2000)
+        rep = ve_krylov(C, C0, eps0, Gc, cfg)
+        assert rep.converged and rep.iterations <= 40
+        # a paper table is rebuilt as the compatible one (the Dirichlet table is one, up to round-off)
+        paper = ve_krylov(C, C0, eps0, periodized_green(C0, rule), cfg)
+        assert field_norm(paper.strain - rep.strain) <= 1e-12 * field_norm(rep.strain)
+        E = dense_oracle(C, C0, eps0, Gc)
+        assert field_norm(rep.strain - E) / field_norm(E) <= 1e-8
+        # the variational residual C0 G C (E + eps0), relative to its value at E = 0
+        Cp = pack_symmetric(C)
+        strain = rep.strain.T
 
-    @pytest.mark.parametrize("rows", [[[16, 6], [0, 16]], [[6, 2, 0], [0, 6, 1], [0, 0, 6]]], ids=["2d", "3d"])
-    @pytest.mark.parametrize("generator", ["dirichlet", "dlvp", "bspline2"])
-    def test_matches_square_root_iteration(self, rows, generator):
-        M, C, C0, eps0 = self._problem(rows)
-        G = periodized_green(C0, orthonormalize(self.RULES[generator](M)))
-        cfg = SolverConfig(tolerance=1e-6, max_iterations=2000)
-        rep = ve_krylov(C, C0, eps0, G, cfg)
-        strain, residuals = square_root_cg(C, C0, eps0, G, cfg.tolerance, cfg.max_iterations)
-        assert rep.converged
-        assert rep.iterations == len(residuals)
-        head = min(20, len(residuals))
-        assert np.abs(np.array(rep.residuals[:head]) / residuals[:head] - 1.0).max() <= 1e-8
-        if generator == "dirichlet":
-            assert field_norm(rep.strain - strain) / field_norm(strain) < 1e-10
+        def projected(field):
+            return field_norm((C0 @ solver._green_convolve(Gc, apply_stiffness(Cp, field))).T)
+
+        assert projected(strain + eps0[:, None]) <= 1e-9 * projected(np.zeros_like(strain) + eps0[:, None])
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("defect", ["negative", "singular"])
@@ -402,57 +412,6 @@ class TestWeightedConjugateGradients:
         G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
         with pytest.raises(DomainError, match="not uniformly elliptic"):
             ve_krylov(C, C0, np.ones(D), G)
-
-    def test_one_stiffness_product_and_convolution_per_iteration(self, monkeypatch):
-        M, C, C0, eps0 = self._problem([[16, 6], [0, 16]])
-        G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
-        calls = {"apply_stiffness": 0, "_green_convolve": 0}
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(solver, name)):
-                calls[_name] += 1
-                return _fn(*args)
-
-            monkeypatch.setattr(solver, name, counted)
-        rep = ve_krylov(C, C0, eps0, G, SolverConfig(tolerance=1e-8))
-        assert rep.converged and rep.iterations > 5
-        # C eps0 and C rho0 before the loop, none after the converged last residual, one for the action
-        assert calls["apply_stiffness"] == rep.iterations + 2
-        # G (C eps0) before the loop
-        assert calls["_green_convolve"] == rep.iterations + 1
-
-    def test_nonpositive_curvature_hands_over_to_minres(self, monkeypatch):
-        self._forced_rescue(monkeypatch, [[6, 1], [2, 5]], real=False)
-
-    def test_nonpositive_curvature_hands_over_to_minres_on_real_fields(self, monkeypatch):
-        self._forced_rescue(monkeypatch, [[5, 2], [1, 7]], real=True)  # Dirichlet on odd det M = 33
-
-    @staticmethod
-    def _forced_rescue(monkeypatch, rows, real):
-        # flip the sign of the first search-direction convolution: the rescue must still solve the VE system
-        M = PatternMatrix.from_any(rows)
-        C0 = iso_stiffness(2.0, 1.5, 2)
-        C = _random_two_phase(np.random.default_rng(52), M, 4.0)
-        G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
-        assert G.real is real
-        convolve, rescue = solver._green_convolve, solver._minres_fallback
-        calls = {"convolve": 0, "rescue": 0}
-
-        def flipped(G_, tau):
-            calls["convolve"] += 1
-            return -convolve(G_, tau) if calls["convolve"] == 2 else convolve(G_, tau)
-
-        def counted(*args):
-            calls["rescue"] += 1
-            return rescue(*args)
-
-        monkeypatch.setattr(solver, "_green_convolve", flipped)
-        monkeypatch.setattr(solver, "_minres_fallback", counted)
-        rep = ve_krylov(C, C0, EPS0, G, SolverConfig(tolerance=1e-10))
-        assert calls["rescue"] == 1 and rep.iterations == 1 and rep.minres_rescue
-        assert rep.converged and rep.residuals[-1] <= 1e-10
-        assert np.iscomplexobj(rep.strain) is not real
-        E = dense_oracle(C, C0, EPS0, G)
-        assert field_norm(rep.strain - E) / field_norm(E) < 1e-8
 
 
 class TestRealFields:
@@ -473,22 +432,19 @@ class TestRealFields:
         C = _random_two_phase(np.random.default_rng(56), M, 3.0)
         C0 = iso_stiffness(2.0, 2.0, M.d)
         eps0 = np.arange(1.0, M.d * (M.d + 1) // 2 + 1)
-        G = periodized_green(C0, orthonormalize(factory(M)))
-        assert G.real and G.table.shape[1] < M.m
+        rule = orthonormalize(factory(M))
         cfg = SolverConfig(tolerance=1e-11, max_iterations=20000)
-        ls = ls_fixed_point(C, C0, eps0, G, cfg)
-        ve = ve_krylov(C, C0, eps0, G, cfg)
-        assert ls.converged and ve.converged
-        assert ls.strain.dtype == ve.strain.dtype == np.float64
-        E = dense_oracle(C, C0, eps0, G)
-        assert np.abs(E.imag).max() <= 1e-12 * np.abs(E).max()  # the expanded table is even
-        assert field_norm(ls.strain - E) / field_norm(E) < 1e-8
-        if factory is dirichlet_rule:  # the fixed-point and projected forms coincide on the Dirichlet space
-            assert field_norm(ve.strain - E) / field_norm(E) < 1e-8
-        # off it, VE against its own iteration with complex fields on the expanded table
-        ve_complex = ve_krylov(C, C0, eps0, full_table(G), cfg)
-        assert ve_complex.converged and ve_complex.imbalance < 1e-9  # round-off over hundreds of iterations
-        assert field_norm(ve.strain - ve_complex.strain) / field_norm(ve_complex.strain) < 1e-8
+        for G, run in ((periodized_green(C0, rule), ls_fixed_point), (compatible_green(C0, rule), ve_krylov)):
+            assert G.real and G.table.shape[1] < M.m
+            rep = run(C, C0, eps0, G, cfg)
+            assert rep.converged and rep.strain.dtype == np.float64
+            E = dense_oracle(C, C0, eps0, G)
+            assert np.abs(E.imag).max() <= 1e-12 * np.abs(E).max()  # the expanded table is even
+            assert field_norm(rep.strain - E) / field_norm(E) < 1e-8
+            # against the same iteration with complex fields on the expanded table
+            complex_rep = run(C, C0, eps0, full_table(G), cfg)
+            assert complex_rep.converged and complex_rep.imbalance < 1e-12
+            assert field_norm(rep.strain - complex_rep.strain) / field_norm(complex_rep.strain) < 1e-9
 
 
 class TestComponentMajorKernels:

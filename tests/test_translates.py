@@ -245,6 +245,54 @@ class TestAxisFactors:
                 assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(initial=1.0)
 
 
+class TestClassMeanShift:
+    """delta_h against brute-force weighted means over the class frequencies."""
+
+    @pytest.mark.parametrize(
+        "rows, factory",
+        [
+            ([[16, 34], [0, 16]], dirichlet_rule),
+            ([[16, 34], [0, 16]], lambda M: dlvp_rule(M, [0.4, 0.0])),
+            ([[12, 3], [0, 12]], lambda M: dlvp_rule(M, [0.4, 1.0])),
+            ([[4, 1, 0], [0, 6, 2], [0, 0, 2]], lambda M: dlvp_rule(M, [0.3, 0.0, 1.0])),
+        ],
+    )
+    def test_finite_rules_match_weighted_means(self, rows, factory):
+        # weights |c_{h + M^T z}|^2 from the coefficients one frequency at a time, over a box past the support
+        M = PatternMatrix.from_any(rows)
+        rule = orthonormalize(factory(M))
+        freqs = frequency_set(M).freqs
+        shifts = period_shifts(M.d, 2)
+        weight = np.stack([np.abs(rule.coefficients(freqs + z @ M.array)) ** 2 for z in shifts])
+        want = (shifts.T @ weight) / weight.sum(axis=0)
+        got = rule.class_mean_shift()
+        assert np.abs(got - want).max() <= 1e-14
+        if rule.kind == "dirichlet":
+            assert not got.any()
+
+    @pytest.mark.parametrize("order, tolerance", [(1, 1e-4), (2, 1e-12), (3, 1e-12)])
+    def test_bspline_matches_truncated_sums(self, order, tolerance):
+        # sum_t sinc^{2p}(pi (xi + t)) t over |t| <= 4000; at order 1 the truncated terms decay only like 1/t
+        M = PatternMatrix.from_any([[12, 3], [0, 12]])
+        rule = bspline_rule(M, order)
+        xi = np.linalg.solve(M.array.T, frequency_set(M).freqs.T.astype(float))  # M^{-T} h, (d, m)
+        t = np.arange(-4000, 4001.0)
+        weight = np.sinc(xi[..., None] + t) ** (2 * order)
+        want = (weight * t).sum(axis=-1) / weight.sum(axis=-1)
+        assert np.abs(rule.class_mean_shift() - want).max() <= tolerance
+
+    def test_bspline_self_mirrored_axis_is_exact(self):
+        # at xi_a = -1/2 the aliases pair off about zero (delta_a = 1/2), and at xi_a = 0 only t = 0 has
+        # weight: the mean frequency is exactly zero where every axis is one of the two
+        M = PatternMatrix.from_any([[8, 0], [0, 8]])
+        freqs = frequency_set(M).freqs
+        for order in (1, 2):
+            delta = bspline_rule(M, order).class_mean_shift()
+            assert np.all(delta[freqs.T == -4] == 0.5)
+            mean = freqs.T + M.array.T @ delta
+            assert np.array_equal(~mean.any(axis=0), np.all((freqs == 0) | (freqs == -4), axis=1))
+
+
 class TestOrthonormalize:
     @pytest.mark.parametrize(
         "factory",
