@@ -74,6 +74,7 @@ table and complex fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -105,9 +106,9 @@ def mandel_dim(d: int) -> int:
     return d * (d + 1) // 2
 
 
-def _check_reference(C0: np.ndarray, d: int) -> None:
-    """Reject a reference stiffness that is not a symmetric positive-definite d-dimensional Mandel matrix."""
-    C0 = np.asarray(C0)
+def _check_reference(C0: np.ndarray, d: int) -> np.ndarray:
+    """A read-only float64 copy of C0; raises unless it is a symmetric positive-definite d-dimensional Mandel matrix."""
+    C0 = np.array(C0, dtype=np.float64)
     if C0.ndim != 2 or C0.shape[0] != C0.shape[1]:
         raise ShapeError(f"reference stiffness must be a square Mandel matrix, got shape {C0.shape}")
     if not np.allclose(C0, C0.T, atol=1e-12 * max(1.0, float(np.abs(C0).max()))):
@@ -116,6 +117,8 @@ def _check_reference(C0: np.ndarray, d: int) -> None:
         raise DomainError("reference stiffness must be positive definite")
     if C0.shape != (mandel_dim(d), mandel_dim(d)):
         raise ShapeError("reference stiffness does not match the spatial dimension")
+    C0.setflags(write=False)
+    return C0
 
 
 def iso_stiffness(lam: float, mu: float, d: int) -> np.ndarray:
@@ -207,7 +210,7 @@ def _workspace_view(work: dict, key, shape: tuple) -> np.ndarray:
     Passes that reuse one ``work`` and start with their largest shapes
     allocate every buffer once.
     """
-    size = int(np.prod(shape))
+    size = math.prod(shape)
     if key not in work or work[key].size < size:
         work[key] = np.empty(size)
     return work[key][:size].reshape(shape)
@@ -302,6 +305,7 @@ class GreenTable:
     tail_estimate: float
     real: bool  # even in the class: real fields, half-spectrum table
     compatible: bool  # every class matrix is a C0-projector (or zero): the VE and LS equations coincide
+    reference: np.ndarray  # (D, D) read-only copy of the C0 the table was built for; the solvers require it
 
     @property
     def m(self) -> int:
@@ -336,7 +340,7 @@ def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None 
         raise DomainError("periodised Green operator requires an orthonormalised generator")
     M = rule.matrix
     d = M.d
-    _check_reference(C0, d)
+    C0 = _check_reference(C0, d)
     periods = rule.default_periods if periods is None else int(periods)
     support = rule.support_periods
     if support is not None and periods < support:
@@ -392,6 +396,7 @@ def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None 
         tail_estimate=tail,
         real=real,
         compatible=rule.kind == "dirichlet",
+        reference=C0,
     )
 
 
@@ -406,11 +411,11 @@ def compatible_green(C0: np.ndarray, rule: CoefficientRule) -> GreenTable:
     half table.
     """
     M = rule.matrix
-    _check_reference(C0, M.d)
+    C0 = _check_reference(C0, M.d)
     real = rule.conjugate_symmetric
     kept = fft_plan(M, real).classes if real else slice(None)
     mu = frequency_set(M).freqs[kept].T + M.array.T @ rule.class_mean_shift(kept)
-    table = _green_rows(np.asarray(C0, dtype=np.float64), mu)
+    table = _green_rows(C0, mu)
     table.setflags(write=False)
     return GreenTable(
         matrix=M,
@@ -420,4 +425,5 @@ def compatible_green(C0: np.ndarray, rule: CoefficientRule) -> GreenTable:
         tail_estimate=0.0,
         real=real,
         compatible=True,
+        reference=C0,
     )

@@ -152,6 +152,14 @@ def _validate_problem(C, C0, eps0, G: GreenTable):
         raise ShapeError(f"reference stiffness must have shape {(D, D)}, got {C0.shape}")
     if eps0.shape != (D,):
         raise ShapeError(f"macroscopic strain must have shape {(D,)}, got {eps0.shape}")
+    if not np.all(np.abs(C0 - G.reference) <= 1e-12 * np.abs(G.reference).max()):
+        raise DomainError("reference stiffness differs from the one the Green table was built for")
+    for name, value in (("stiffness field", C), ("macroscopic strain", eps0)):
+        if not np.isfinite(value).all():
+            raise DomainError(f"{name} must be finite")
+    rows, cols = np.triu_indices(D, 1)  # the iteration packs the upper triangle; the effective stiffness reads all of C
+    if np.abs(C[:, rows, cols] - C[:, cols, rows]).max(initial=0.0) > 1e-12 * max(1.0, float(np.abs(C).max())):
+        raise DomainError("stiffness field must be symmetric at every node")
     return C, C0, eps0
 
 
@@ -241,7 +249,8 @@ def ls_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) 
     ||E + G(dC (E + eps0))|| / ||eps0|| drops below the tolerance.  A
     non-finite residual or curvature, or a nonpositive curvature, ends the
     solve unconverged, and the partial field is returned with the flag
-    cleared.
+    cleared.  C0 must be ``G.reference``, C finite, symmetric and uniformly
+    elliptic, and eps0 finite; DomainError names the input that is not.
     """
     return _conjugate_gradients(C, C0, eps0, G, cfg, "ls_fixed_point")
 
@@ -249,13 +258,14 @@ def ls_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) 
 def ve_krylov(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> SolveReport:
     """Variational solve G(C : (E + eps0)) = 0 on the compatible table of ``G``'s generator.
 
-    A table that is not ``compatible`` is rebuilt by ``compatible_green``.
+    A table that is not ``compatible`` is rebuilt by ``compatible_green``
+    on its ``reference``; the inputs are checked as in ``ls_fixed_point``.
     There the equation is the fixed-point one, so the iteration, its count
     and its residual, now ||G(C : (E + eps0))|| / ||eps0||, are those of
     ``ls_fixed_point``.
     """
     if not G.compatible:
-        G = compatible_green(C0, make_rule(G.generator, G.matrix))
+        G = compatible_green(G.reference, make_rule(G.generator, G.matrix))
     return _conjugate_gradients(C, C0, eps0, G, cfg, "ve_krylov")
 
 

@@ -20,15 +20,17 @@ Dirichlet rule itself.  For alpha_j > 0 the trapezoid is the continuous one
 and carries the value 1/2 at |xi_j| = 1/2, sharing the weight of a boundary
 frequency with its congruent mirror.
 
-Every rule is a product over axes of one factor of the scaled frequency:
+Every rule is a product over axes of one factor F_a of the scaled frequency:
 sinc^p, the trapezoid, or the half-open indicator (the alpha = 0 trapezoid).
 Since M^{-T}(h + M^T z) = xi_h + z, a congruence class h + M^T Z^d is the
 grid xi_h + Z^d in scaled frequencies, so functions of the class factor into
-per-axis tables (``CoefficientRule.axis_factors``).  Bracket sums (sums over
-a class) are therefore products of one-axis sums and are evaluated exactly:
-the Dirichlet and trapezoid factors have finite support, and each B-spline
-axis sum is a finite cosine polynomial whose weights are integer samples of
-a higher-order cardinal B-spline.
+per-axis tables (``CoefficientRule.axis_factors``), and every class sum the
+code needs comes from the two one-axis sums of ``CoefficientRule._class_sums``:
+S0 = sum_t F_a^2(xi_a + t) for orthonormalisation and S1 = sum_t F_a^2(xi_a + t) t
+for the class-mean shift.  Both are exact: the Dirichlet and trapezoid factors
+have finite support, and the B-spline sums are finite cosine and sine series
+whose weights are integer samples of a higher-order cardinal B-spline and of
+its slope (Unser, Aldroubi & Eden, IEEE Trans. Signal Process. 1993).
 """
 
 from __future__ import annotations
@@ -79,56 +81,33 @@ class GeneratorSpec:
         return {"kind": "bspline", "order": self.order}
 
 
-def _cardinal_bspline(order: int, x: Fraction) -> Fraction:
-    """Cardinal B-spline N_order on [0, order], exact at rational arguments."""
+@lru_cache(maxsize=None)
+def _cardinal_bspline(order: int, x) -> Fraction:
+    """Cardinal B-spline N_order on [0, order], exact at rational x; memoised, so O(order^2) calls."""
     if order == 1:
         return Fraction(1) if 0 <= x < 1 else Fraction(0)
     if x <= 0 or x >= order:
         return Fraction(0)
-    n = order
-    return (x * _cardinal_bspline(n - 1, x) + (n - x) * _cardinal_bspline(n - 1, x - 1)) / (n - 1)
+    return (x * _cardinal_bspline(order - 1, x) + (order - x) * _cardinal_bspline(order - 1, x - 1)) / (order - 1)
 
 
-@lru_cache(maxsize=32)
-def _centred_bspline_samples(order: int) -> tuple:
-    """Integer samples of the centred cardinal B-spline of the given order.
+@lru_cache(maxsize=None)
+def _series_weights(order: int, moment: int) -> tuple:
+    """Weights w_j, j < order + moment, of the B-spline sums of ``CoefficientRule._class_sums``.
 
-    Returns (b_0, b_1, ..., b_r) with b_j the value at +-j; by Poisson
-    summation sum_t sinc^order(pi (xi + t)) = b_0 + 2 sum_j b_j cos(2 pi j xi).
+    With B the centred cardinal B-spline of order n = 2 order, the Fourier
+    transform of sinc^n(pi .), Poisson summation gives
+        sum_t sinc^n(pi (xi + t))          = sum_j w_j cos(2 pi j xi),  w = (B(0), 2 B(1), 2 B(2), ...),
+        sum_t sinc^n(pi (xi + t)) (xi + t) = sum_j w_j sin(2 pi j xi),  w_j = -B'(j) / pi,
+    for moments 0 and 1.  B'(j) = N(j + order) - N(j + order - 1), with N the
+    mean of N_{n-1} and its mirror image: the mean of B's one-sided slopes at
+    the kinks of order 1, N_{n-1} itself above.
     """
-    half = Fraction(order, 2)
-    vals = []
-    for j in range(order // 2 + 1):
-        vals.append(float(_cardinal_bspline(order, Fraction(j) + half)))
-    while len(vals) > 1 and vals[-1] == 0.0:
-        vals.pop()
-    return tuple(vals)
-
-
-def _sampled_autocos(order: int, xi: np.ndarray) -> np.ndarray:
-    """sum_t sinc^order(pi (xi + t)) evaluated through the finite cosine form."""
-    b = _centred_bspline_samples(order)
-    out = np.full(xi.shape, b[0])
-    for j in range(1, len(b)):
-        out += 2.0 * b[j] * np.cos(2.0 * np.pi * j * xi)
-    return out
-
-
-def _sampled_autosin(order: int, xi: np.ndarray) -> np.ndarray:
-    """sum_t sinc^order(pi (xi + t)) (xi + t) = -(1 / pi) sum_{j >= 1} B'(j) sin(2 pi j xi), for even orders.
-
-    B'(j) = N(j + order/2) - N(j + order/2 - 1) with N the mirror mean of N_{order-1}: the mean of
-    the one-sided slopes of the centred B-spline B at the kinks of order 2, and N_{order-1} itself above.
-    """
-    half = Fraction(order, 2)
-
-    def mean(x: Fraction) -> Fraction:
-        return (_cardinal_bspline(order - 1, x) + _cardinal_bspline(order - 1, order - 1 - x)) / 2
-
-    out = np.zeros(xi.shape)
-    for j in range(1, order // 2 + 1):
-        out -= float(mean(j + half) - mean(j + half - 1)) / np.pi * np.sin(2.0 * np.pi * j * xi)
-    return out
+    n = 2 * order
+    if moment == 0:
+        return tuple(float(_cardinal_bspline(n, j + order)) * (2.0 if j else 1.0) for j in range(order))
+    mean = [(_cardinal_bspline(n - 1, x) + _cardinal_bspline(n - 1, n - 1 - x)) / 2 for x in range(order - 1, n + 1)]
+    return tuple(float(mean[j] - mean[j + 1]) / np.pi for j in range(order + 1))
 
 
 def _trapezoid(nums: np.ndarray, den: int, alpha: float) -> np.ndarray:
@@ -273,43 +252,41 @@ class CoefficientRule:
             vals = vals / self._class_scale[self._freqs.class_index(kk)]
         return vals[0] if single else vals
 
-    def class_mean_shift(self, classes=slice(None)) -> np.ndarray:
-        """Mean shift delta[a, h] = sum_t F_a(xi_h,a + t)^2 t / sum_t F_a(xi_h,a + t)^2, shape (d, n).
+    def _class_sums(self, classes=slice(None)) -> tuple:
+        """Per-axis class sums S0[a, h] = sum_t F_a(xi_h,a + t)^2 and S1[a, h] = sum_t F_a(xi_h,a + t)^2 t.
 
-        The weighted mean of class h's frequencies is h + M^T delta_h.  Sums
-        run over the support (delta = 0 for dirichlet) or through the closed
-        sine and cosine forms of a B-spline, whose aliases at xi_a = -1/2 pair
-        off: delta_a = 1/2 exactly.  Classes as in ``axis_factors``.
+        They run over the support (S1 = 0 for dirichlet) or through the
+        B-spline series of ``_series_weights``, whose aliases at xi_a = -1/2
+        pair off: there S1 = S0 / 2 exactly.  Both are (d, n) over the classes
+        of ``axis_factors``, from one axis-factor table per call.
         """
         if self.kind == "bspline":
             nums = self._scaled_nums(self._freqs.freqs[classes]).T
             xi = nums / self._den
-            mean = _sampled_autosin(2 * self.order, xi) / _sampled_autocos(2 * self.order, xi)
-            mean[2 * nums == -self._den] = 0.0
-            return mean - xi
+            sums = []
+            for moment, wave in enumerate((np.cos, np.sin)):
+                weights = _series_weights(self.order, moment)
+                sums.append(np.full(xi.shape, weights[0]))
+                for j in range(1, len(weights)):
+                    sums[-1] += weights[j] * wave(2.0 * np.pi * j * xi)
+            s0, s1 = sums
+            s1[2 * nums == -self._den] = 0.0
+            return s0, s1 - xi * s0
         periods = self.support_periods
         weight = self.axis_factors(periods, classes) ** 2
-        return np.tensordot(np.arange(-periods, periods + 1.0), weight, axes=(0, 1)) / weight.sum(axis=1)
+        return weight.sum(axis=1), np.tensordot(np.arange(-periods, periods + 1.0), weight, axes=(0, 1))
 
-    # -- exact class sums ----------------------------------------------------
+    def class_mean_shift(self, classes=slice(None)) -> np.ndarray:
+        """Mean shift delta[a, h] = S1[a, h] / S0[a, h] of ``_class_sums``, shape (d, n).
 
-    def _raw_class_sum(self) -> np.ndarray:
-        """[c^2] over every congruence class, for the unscaled rule.
-
-        The coefficient is a product over axes and a class sum runs over
-        xi_h + Z^d, so the class sum is the product of per-axis sums: the
-        closed cosine form for bspline, finite sums over the support else.
+        The weighted mean of class h's frequencies is h + M^T delta_h.
         """
-        if self.kind == "bspline":
-            nums = self._scaled_nums(self._freqs.freqs)
-            per_axis = _sampled_autocos(2 * self.order, nums.T / self._den)
-        else:
-            per_axis = np.sum(self.axis_factors(self.support_periods) ** 2, axis=1)
-        return np.prod(per_axis, axis=0) * self.raw_scale**2
+        s0, s1 = self._class_sums(classes)
+        return s1 / s0
 
     def gram_bracket(self) -> np.ndarray:
-        """m [|c|^2] per frequency class (1.0 everywhere iff orthonormal)."""
-        vals = self.m * self._raw_class_sum()
+        """m [|c|^2] = m raw_scale^2 prod_a S0[a, h] / class_scale^2 per frequency class (1.0 iff orthonormal)."""
+        vals = self.m * (np.prod(self._class_sums()[0], axis=0) * self.raw_scale**2)
         if self._class_scale is not None:
             vals = vals / self._class_scale**2
         return vals

@@ -1,6 +1,7 @@
-"""Every config in docs/ must run verbatim through the CLI."""
+"""Every config in docs/ must run verbatim through the CLI, and the README's Python quick tour as written."""
 
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from spectralhom.cli import main
 
 DOCS = Path(__file__).parent.parent / "docs"
+README = DOCS.parent / "README.md"
 
 
 _COUNTER = [0]
@@ -55,3 +57,11 @@ def test_variational_solves_converge_quickly(tmp_path, capsys):
     runs += [sweep["best_evaluation"], sweep["dirichlet_evaluation"]]
     assert solve["scheme"] == "ve_krylov" and len(runs) == 27
     assert all(run["converged"] and run["iterations"] <= 40 for run in runs)
+
+
+def test_readme_quick_tour_runs(capsys):
+    # the one fenced python block of the README, executed as written
+    (tour,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    exec(compile(tour, str(README), "exec"), {})
+    converged, iterations = capsys.readouterr().out.split()[:2]
+    assert converged == "True" and int(iterations) > 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spectralhom import (
+    Inclusion,
     IsoPhase,
     PatternMatrix,
     SolverConfig,
@@ -412,6 +413,55 @@ class TestCompatibleScheme:
         G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
         with pytest.raises(DomainError, match="not uniformly elliptic"):
             ve_krylov(C, C0, np.ones(D), G)
+
+
+class TestInputContract:
+    """Inputs that the iteration would misread are rejected before it starts, under both schemes."""
+
+    @staticmethod
+    def _inclusion(factory):
+        M = PatternMatrix.from_any([[32, 0], [0, 32]])
+        ms = Inclusion("ellipse", [0.3, 0.2], [0.5, 0.5], 0.3, IsoPhase(10.0, 8.0), IsoPhase(1.0, 1.0))
+        C0 = iso_stiffness(5.5, 4.5, 2)
+        return sample_stiffness(ms, M), C0, periodized_green(C0, orthonormalize(factory(M)))
+
+    @pytest.mark.parametrize("run", [ls_fixed_point, ve_krylov])
+    @pytest.mark.parametrize("factory", [dirichlet_rule, lambda M: bspline_rule(M, 2)])
+    def test_reference_other_than_the_tables_rejected(self, run, factory):
+        # with another C0 the iteration solved another problem: a converged wrong action, or a stall
+        C, C0, G = self._inclusion(factory)
+        cfg = SolverConfig(tolerance=1e-10)
+        assert np.array_equal(G.reference, C0) and not G.reference.flags.writeable
+        for lam, mu in ((1.0, 1.0), (20.0, 20.0)):
+            with pytest.raises(DomainError, match="reference stiffness differs"):
+                run(C, iso_stiffness(lam, mu, 2), EPS0, G, cfg)
+        assert run(C, C0 * (1.0 + 1e-14), EPS0, G, cfg).converged  # round-off is not a different reference
+
+    @pytest.mark.parametrize("run", [ls_fixed_point, ve_krylov])
+    def test_asymmetric_stiffness_rejected(self, run):
+        # the iteration reads the upper triangle of C and the effective stiffness all of it
+        M = PatternMatrix.from_any([[16, 0], [0, 16]])
+        C0 = iso_stiffness(1.5, 1.5, 2)
+        C = _checkerboard(M)
+        G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
+        C[:, 1, 0] *= 1.0 + 1e-15
+        assert run(C, C0, EPS0, G).converged
+        C[:, 2, 0] += 0.5
+        with pytest.raises(DomainError, match="stiffness field must be symmetric"):
+            run(C, C0, EPS0, G)
+
+    @pytest.mark.parametrize("run", [ls_fixed_point, ve_krylov])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, run, bad):
+        M = PatternMatrix.from_any([[8, 0], [0, 8]])
+        C0 = iso_stiffness(1.5, 1.5, 2)
+        C = _checkerboard(M)
+        G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
+        with pytest.raises(DomainError, match="macroscopic strain must be finite"):
+            run(C, C0, np.array([1.0, bad, 0.0]), G)
+        C[5, 1, 1] = bad
+        with pytest.raises(DomainError, match="stiffness field must be finite"):
+            run(C, C0, EPS0, G)
 
 
 class TestRealFields:

@@ -5,12 +5,15 @@ from spectralhom import (
     GeneratorSpec,
     PatternMatrix,
     bspline_rule,
+    compatible_green,
     dirichlet_rule,
     dlvp_rule,
     frequency_set,
+    iso_stiffness,
     make_rule,
     orthonormalize,
     period_shifts,
+    periodized_green,
 )
 from spectralhom.errors import DegenerateGeneratorError, DomainError
 
@@ -184,9 +187,10 @@ class TestBracketSum:
                 assert closed[idx] - hi < tail
 
     def test_bspline_integer_samples_match_convolution_quadrature(self):
-        # the closed-form cosine weights are integer samples of the centred
-        # cardinal B-spline; rebuild them by repeated numerical convolution
-        from spectralhom.translates import _centred_bspline_samples
+        # the closed-form cosine weights (B(0), 2 B(1), ...) and sine weights -B'(j) / pi are integer
+        # samples of the centred cardinal B-spline B of even order 2p and of its slope (the mean of the
+        # one-sided slopes at a kink); rebuild B by repeated numerical convolution
+        from spectralhom.translates import _series_weights
 
         h = 1e-4
         x = np.arange(-0.5 + h / 2, 0.5, h)
@@ -194,13 +198,45 @@ class TestBracketSum:
         spline = box.copy()
         for order in range(2, 7):
             spline = np.convolve(spline, box) * h
+            if order % 2:
+                continue
             half_support = order / 2.0
-            grid = np.arange(-(spline.size // 2), spline.size // 2 + 1) * h
-            samples = _centred_bspline_samples(order)
+            samples = [w / (2.0 if j else 1.0) for j, w in enumerate(_series_weights(order // 2, 0))]
             for j, val in enumerate(samples):
                 idx = int(round(j / h)) + spline.size // 2
                 if abs(j) < half_support:
                     assert abs(spline[idx] - val) < 5e-4
+            for j, w in enumerate(_series_weights(order // 2, 1)):
+                idx = int(round(j / h)) + spline.size // 2
+                if abs(j) < half_support:
+                    assert abs((spline[idx + 1] - spline[idx - 1]) / (2 * h) + np.pi * w) < 5e-4
+
+    def test_high_orders_need_few_spline_evaluations(self, monkeypatch):
+        # the exact B-spline recursion is memoised: O(order^2) calls build every series weight,
+        # where the unmemoised one made about 2^(2 order) per sample; a budget stops it early
+        import spectralhom.translates as tr
+
+        M = PatternMatrix.from_any([[16, 0], [0, 16]])
+        C0 = iso_stiffness(2.0, 1.5, 2)
+        inner = tr._cardinal_bspline
+        calls = []
+
+        def counted(n, x):
+            calls.append(n)
+            if len(calls) > 8 * order**2:
+                raise AssertionError(f"more than {8 * order**2} B-spline evaluations at order {order}")
+            return inner(n, x)
+
+        monkeypatch.setattr(tr, "_cardinal_bspline", counted)  # the recursion calls through the module name
+        for order in (12, 16):
+            calls.clear()
+            inner.cache_clear()
+            tr._series_weights.cache_clear()
+            rule = orthonormalize(bspline_rule(M, order))
+            tables = (periodized_green(C0, rule), compatible_green(C0, rule))
+            assert calls
+            assert np.abs(rule.gram_bracket() - 1.0).max() < 1e-12
+            assert all(np.isfinite(table.table).all() for table in tables)
 
     def test_first_power_closed_form_bounds(self):
         # the first-power class sum of order 2, sum_t sinc^2(pi (xi + t)), is
@@ -333,13 +369,13 @@ class TestOrthonormalize:
         import spectralhom.translates as tr
 
         broken = tr.CoefficientRule(M44, "dlvp", alpha=(1.0, 1.0))
-        orig = broken._raw_class_sum
+        orig = broken._class_sums
 
-        def patched():
-            vals = orig()
-            vals[3] = 0.0
-            return vals
+        def patched(classes=slice(None)):
+            s0, s1 = orig(classes)
+            s0[:, 3] = 0.0
+            return s0, s1
 
-        broken._raw_class_sum = patched
+        broken._class_sums = patched
         with pytest.raises(DegenerateGeneratorError):
             orthonormalize(broken)
