@@ -267,19 +267,29 @@ def pack_symmetric(A) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(np.asarray(A)[..., rows, cols], -1, 0))
 
 
-def mandel_product(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _row_of_entry(D: int, packed: bool) -> np.ndarray:
+    """(D, D) row of entry (i, j) among D^2 dense row-major rows, or among the rows of ``pack_symmetric``."""
+    idx = np.arange(D * D).reshape(D, D)
+    if packed:
+        rows, cols = np.triu_indices(D)
+        idx[rows, cols] = idx[cols, rows] = np.arange(rows.size)
+    idx.setflags(write=False)
+    return idx
+
+
+def mandel_product(A: np.ndarray, x: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Pointwise products A(y) x(y) of component-major (D, m) fields.
 
     ``A`` holds one matrix per node as rows over nodes: D^2 dense row-major
     rows, or the D (D + 1) / 2 rows of ``pack_symmetric``.  Each output row
     is an unrolled sum of contiguous row products, so A is never cast whole.
+    ``out``, if given, receives the products; it must not overlap ``x``.
     """
     D = len(x)
-    idx = np.arange(D * D).reshape(D, D)  # row of entry (i, j)
-    if len(A) != D * D:
-        rows, cols = np.triu_indices(D)
-        idx[rows, cols] = idx[cols, rows] = np.arange(rows.size)
-    out = np.empty(x.shape, dtype=np.result_type(A, x))
+    idx = _row_of_entry(D, len(A) != D * D)
+    if out is None:
+        out = np.empty(x.shape, dtype=np.result_type(A, x))
     term = np.empty(x.shape[1:], dtype=out.dtype)
     for i, row in enumerate(out):
         np.multiply(A[idx[i, 0]], x[0], out=row)
@@ -316,11 +326,11 @@ class GreenTable:
         """The transform whose spectrum the table covers (a real plan for a real table)."""
         return fft_plan(self.matrix, self.real)
 
-    def apply_hat(self, tau_hat: np.ndarray) -> np.ndarray:
-        """Multiply component-major (D, stored classes) frequency fields by the per-class matrices."""
+    def apply_hat(self, tau_hat: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+        """Multiply component-major (D, stored classes) frequency fields by the per-class matrices (into ``out``)."""
         if tau_hat.shape[-1] != self.table.shape[-1]:
             raise ShapeError("frequency field does not match the Green table")
-        return mandel_product(self.table, tau_hat)
+        return mandel_product(self.table, tau_hat, out=out)
 
 
 def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None = None) -> GreenTable:

@@ -12,6 +12,9 @@ A real plan transforms real fields.  Their spectra are conjugate-symmetric
 Smith grid j_d <= d_d // 2 is stored: ``rfftn`` forward and ``irfftn`` back,
 the canonical frequency order restricted to those classes
 (``FftPlan.classes``).
+
+Transforms keep the input's precision: float32 and complex64 fields give
+complex64 spectra, which a real plan maps back to float32.
 """
 
 from __future__ import annotations
@@ -56,28 +59,43 @@ class FftPlan:
         """Canonical positions of the stored frequency classes, in spectrum order (h = 0 first)."""
         return np.arange(self.m).reshape(self.diag)[..., : self.spectrum_shape[-1]].ravel()
 
-    def _transform(self, fn, values, grid: tuple, shape: tuple, dtype, **kwargs) -> np.ndarray:
+    def _transform(self, fn, values, grid: tuple, shape: tuple, dtype, out, **kwargs) -> np.ndarray:
         values = np.asarray(values)
         size = int(np.prod(grid))
         if values.shape[-1:] != (size,):
             raise ShapeError(f"expected trailing axis {size}, got {values.shape}")
         lead = values.shape[:-1]
-        axes = tuple(range(-len(grid), 0))
+        flat = lead + (int(np.prod(shape)),)
+        if out is None:
+            out = np.empty(flat, dtype=dtype)
+        elif out.shape != flat or out.dtype != dtype or not out.flags.c_contiguous:
+            raise ShapeError(f"output buffer must be a contiguous {np.dtype(dtype)} array of shape {flat}")
         # one output buffer: every axis pass after the first runs in place
-        out = np.empty(lead + shape, dtype=dtype)
-        return fn(values.reshape(lead + grid), axes=axes, norm="ortho", out=out, **kwargs).reshape(lead + (-1,))
+        axes = tuple(range(-len(grid), 0))
+        fn(values.reshape(lead + grid), axes=axes, norm="ortho", out=out.reshape(lead + shape), **kwargs)
+        return out
 
-    def fft(self, values: np.ndarray) -> np.ndarray:
-        """Unitary forward transform, pattern order -> dual frequency order (half spectrum if real)."""
-        if self.real:
-            return self._transform(np.fft.rfftn, values, self.diag, self.spectrum_shape, np.complex128)
-        return self._transform(np.fft.fftn, values, self.diag, self.diag, np.result_type(values, 1j))
+    def fft(self, values: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+        """Unitary forward transform, pattern order -> dual frequency order (half spectrum if real).
 
-    def ifft(self, values: np.ndarray) -> np.ndarray:
-        """Unitary inverse transform: the adjoint of :meth:`fft`, or on a real plan its inverse on real fields."""
+        The spectrum has the complex type of the input's precision; ``out``,
+        if given, is the contiguous buffer it is written to.
+        """
+        dtype = np.result_type(values, 1j)
         if self.real:
-            return self._transform(np.fft.irfftn, values, self.spectrum_shape, self.diag, np.float64, s=self.diag)
-        return self._transform(np.fft.ifftn, values, self.diag, self.diag, np.result_type(values, 1j))
+            return self._transform(np.fft.rfftn, values, self.diag, self.spectrum_shape, dtype, out)
+        return self._transform(np.fft.fftn, values, self.diag, self.diag, dtype, out)
+
+    def ifft(self, values: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+        """Unitary inverse transform: the adjoint of :meth:`fft`, or on a real plan its inverse on real fields.
+
+        A real plan returns the real type of the spectrum's precision; ``out`` is as in :meth:`fft`.
+        """
+        dtype = np.result_type(values, 1j)
+        if self.real:
+            real = np.finfo(dtype).dtype
+            return self._transform(np.fft.irfftn, values, self.spectrum_shape, self.diag, real, out, s=self.diag)
+        return self._transform(np.fft.ifftn, values, self.diag, self.diag, dtype, out)
 
 
 @lru_cache(maxsize=128)

@@ -39,6 +39,27 @@ solution carries a small imaginary component on the boundary (Nyquist) rows,
 reported as ``imbalance``.  Keeping it is what makes the fixed-point and
 variational solutions coincide exactly on the Dirichlet space.
 
+The iterations run in single precision: complex64 fields, or float32 on a
+real table, against float32 copies of the packed stiffness rows and of the
+Green table, made once per solve.  They solve the problem scaled to unit
+loading and unit reference stiffness (strains divided by ||eps0||, stresses
+by ||eps0|| max|C0|, the table multiplied by max|C0|), so the float32 range
+never limits them.  Double precision holds the strain, as the pre-image
+zeta_E of E = G zeta_E, and every convergence decision: when the recurred
+residual has fallen by sqrt(eps) of float32 since the last refresh, or below
+the tolerance, a refresh flushes the single-precision increment into zeta_E,
+forms E and the residual by float64 convolutions, and re-casts the residual
+and its pre-image; the search direction is kept (reliable updates, van der
+Vorst & Ye, SIAM J. Sci. Comput. 2000).  The single-precision recurrences
+cannot resolve a pre-image whose part in the null space of G dwarfs its
+image, so pre-images drop that part where it is cheap: where G C0 G = G,
+C0 maps an image to a pre-image without it, and G annihilates constants.
+On a compatible table the recurrences use C0 G dC p for dC p and each
+refresh C0 r; elsewhere they subtract the mean, and each refresh puts C0 r
+in the classes that are C0-projectors.  So the residual history holds
+single-precision recurred estimates between refreshes, its last entry is the
+float64 residual of the returned strain, and a solve converges only on that.
+
 Iterates are component-major (D, m) fields (FFTs over the trailing Smith
 axes, pointwise products as ``mandel_product`` row sums); the symmetric
 stiffness (m, D, D) and the reported strain (m, D) stay pattern-major.  A
@@ -51,6 +72,8 @@ repeated runs bit-identical.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +96,7 @@ __all__ = [
 
 LOG_ERROR_FORMS = ("difference", "sum")
 _ELLIPTIC_FLOOR = 1e-12  # smallest admissible Gaussian pivot, relative to the largest diagonal entry
+_REFRESH_FALL = float(np.sqrt(np.finfo(np.float32).eps))  # recurred-residual fall that calls a float64 refresh
 
 
 @dataclass(frozen=True)
@@ -102,6 +126,7 @@ class SolveReport:
     effective_action: np.ndarray  # (D,) real effective stiffness applied to eps0
     converged: bool
     scheme: str
+    residual_refreshes: int = 0  # float64 recomputations of the residual
 
     @property
     def imbalance(self) -> float:
@@ -134,10 +159,15 @@ def field_norm(values: np.ndarray) -> float:
 apply_stiffness = mandel_product  # pointwise stress C(y) : strain(y), C as rows over nodes
 
 
-def _green_convolve(G: GreenTable, tau: np.ndarray) -> np.ndarray:
-    """Action of the periodised Green operator on a (D, m) nodal field (real on a real table)."""
+def _green_convolve(G: GreenTable, tau: np.ndarray, out=None, spectra=(None, None)) -> np.ndarray:
+    """Action of the periodised Green operator on a (D, m) nodal field (real on a real table).
+
+    ``out`` receives the result, and the two (D, stored classes) ``spectra``
+    the transform and its Green product; buffers not given are allocated.
+    """
     p = G.plan
-    return p.ifft(G.apply_hat(p.fft(tau)))
+    tau_hat, product = spectra
+    return p.ifft(G.apply_hat(p.fft(tau, out=tau_hat), out=product), out=out)
 
 
 def _validate_problem(C, C0, eps0, G: GreenTable):
@@ -178,61 +208,159 @@ def effective_stiffness(C: np.ndarray, strain: np.ndarray, eps0: np.ndarray) -> 
     return np.real(apply_stiffness(C.reshape(len(C), -1).T, strain.T + eps0[:, None]).mean(axis=1))
 
 
+def _carve(buffer: np.ndarray, dtype, shape: tuple, part: int = 0) -> np.ndarray:
+    """The ``part``-th C-contiguous (shape, dtype) array laid end to end over the bytes of a contiguous ``buffer``."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    return buffer.reshape(-1).view(np.uint8)[part * size : (part + 1) * size].view(dtype).reshape(shape)
+
+
+def _projector_classes(G: GreenTable) -> np.ndarray:
+    """Mask of the stored classes whose matrix is a C0-projector or zero: every class of a compatible table.
+
+    There G C0 G = G, so C0 r is a pre-image of r = G zeta with no part in the null space of G.  The
+    eigenvalues lambda of C0 G(h) lie in [0, 1], so sum lambda - lambda^2 = tr X - tr X^2, X = C0 G(h),
+    vanishes exactly on those classes.
+    """
+    if G.compatible:
+        return np.ones(G.table.shape[-1], dtype=bool)
+    D = len(G.reference)
+    rows, cols = np.triu_indices(D)
+    full = np.empty((D, D, G.table.shape[-1]))
+    full[rows, cols] = full[cols, rows] = G.table
+    X = np.tensordot(G.reference, full, axes=1)
+    return np.trace(X) - np.einsum("ijh,jih->h", X, X) <= 1e-12
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite residual stops it unconverged
 def _conjugate_gradients(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None, scheme: str) -> SolveReport:
     """The iteration of both schemes (see ``ls_fixed_point``), reported under ``scheme``."""
     cfg = cfg or SolverConfig()
     C, C0, eps0 = _validate_problem(C, C0, eps0, G)
     _check_elliptic(C)
-    dC = pack_symmetric(C - C0)
-    scale = float(np.linalg.norm(eps0))
-    E = np.zeros((len(eps0), G.m), dtype=np.float64 if G.real else np.complex128)
-    residuals: list[float] = []
-    iterations = 0
-    if scale == 0.0:
-        converged = True
-        residuals.append(0.0)
-    else:
-        zeta = -apply_stiffness(dC, E + eps0[:, None])  # the pre-image of r = b
-        r = _green_convolve(G, zeta)
-        p, pi = r.copy(), zeta.copy()
-        rs = float(np.vdot(zeta, r).real)
-        iterations = 1
-        residuals.append(field_norm(r.T) / scale)
-        while residuals[-1] > cfg.tolerance and np.isfinite(residuals[-1]) and iterations < cfg.max_iterations:
-            if iterations > 1:
-                rs_next = float(np.vdot(zeta, r).real)
-                beta = rs_next / rs
-                p *= beta
-                p += r
-                pi *= beta
-                pi += zeta
-                rs = rs_next
-            iterations += 1
-            dCp = apply_stiffness(dC, p)
-            q = _green_convolve(G, dCp)
-            curvature = float(np.vdot(pi, p).real + np.vdot(p, dCp).real)
-            if not 0.0 < curvature < np.inf:
-                residuals.append(residuals[-1] if curvature <= 0.0 else float("nan"))
-                break
-            alpha = rs / curvature
-            E += alpha * p
-            q += p  # A p
-            q *= alpha
-            r -= q
-            dCp += pi  # the pre-image of A p
-            dCp *= alpha
-            zeta -= dCp
-            residuals.append(field_norm(r.T) / scale)
-        converged = residuals[-1] <= cfg.tolerance
+    E, residuals, iterations, refreshes = _iterate(pack_symmetric(C - C0), eps0, G, cfg)
     return SolveReport(
         strain=E.T,
         iterations=iterations,
         residuals=tuple(residuals),
         effective_action=effective_stiffness(C, E.T, eps0),
-        converged=converged,
+        converged=residuals[-1] <= cfg.tolerance,
         scheme=scheme,
+        residual_refreshes=refreshes,
     )
+
+
+def _iterate(dC, eps0, G: GreenTable, cfg: SolverConfig) -> tuple:
+    """CG with float64 refreshes on packed dC = C - C0: the strain (D, m), residuals, iterations and refreshes."""
+    scale = float(np.linalg.norm(eps0))
+    E = np.zeros((len(eps0), G.m), dtype=np.float64 if G.real else np.complex128)
+    if scale == 0.0:
+        return E, [0.0], 0, 0
+    # the single-precision state is that of the unit problem: strains divided by ||eps0|| and stresses by
+    # stress_unit, so the stiffness is divided by stiffness_unit and the Green table multiplied by it
+    C0 = G.reference
+    stiffness_unit = float(np.abs(C0).max())
+    stress_unit = scale * stiffness_unit
+    dC1 = np.divide(dC, stiffness_unit, out=np.empty(dC.shape, np.float32), casting="same_kind")
+    C1 = (C0 / stiffness_unit).astype(np.float32)
+    table = np.multiply(G.table, stiffness_unit, out=np.empty(G.table.shape, np.float32), casting="same_kind")
+    G1 = dataclasses.replace(G, table=table, reference=C0 / stiffness_unit)
+    single = np.float32 if G.real else np.complex64
+    r, zeta, p, pi = (np.empty(E.shape, dtype=single) for _ in range(4))
+    zeta_E = np.zeros_like(E)  # E = G zeta_E, carried in double precision
+    dzeta_E = np.zeros_like(r)  # the increment of zeta_E since the last refresh
+    # the refreshes' double-precision field and spectra; the iterations' scratch lies on the same bytes
+    spectrum = (len(eps0), G.table.shape[-1])
+    field, zeta_hat, r_hat = np.empty_like(E), np.empty(spectrum, np.complex128), np.empty(spectrum, np.complex128)
+    dCp, q = (_carve(field, single, E.shape, part) for part in (0, 1))
+    spectra = tuple(_carve(buffer, np.complex64, spectrum) for buffer in (zeta_hat, r_hat))
+    # a pre-image whose part in the null space of G dwarfs its image cannot be resolved in single
+    # precision; where G C0 G = G, C0 maps an image to a pre-image without such a part
+    projector = _projector_classes(G)
+    projector_table = bool(projector.all())
+    spectral_pre_image = not projector_table and bool(projector[1:].any())  # beyond the class of h = 0
+
+    def true_residual() -> float:
+        """The float64 residual of E relative to ||eps0||; writes it and a pre-image into r and zeta.
+
+        zeta = -dC (E + eps0) - zeta_E is a pre-image of r = b - A E; the one
+        cast to single precision takes C0 r in the ``projector`` classes.
+        """
+        total = np.add(E, eps0[:, None], out=_carve(zeta_hat, E.dtype, E.shape))
+        zeta64 = apply_stiffness(dC, total, out=field)
+        zeta64 += zeta_E
+        np.negative(zeta64, out=zeta64)
+        # the transform of zeta stays in zeta_hat where the pre-image is formed class by class
+        r64 = field if spectral_pre_image else _carve(zeta_hat, E.dtype, E.shape)
+        r64 = _green_convolve(G, zeta64, out=r64, spectra=(zeta_hat, r_hat))
+        np.divide(r64, scale, out=r, casting="same_kind")
+        residual = field_norm(r64.T) / scale
+        if projector_table:
+            zeta64 = np.matmul(C0, r64, out=field)
+        elif spectral_pre_image:
+            zeta_hat[:, projector] = C0 @ r_hat[:, projector]
+            zeta64 = G.plan.ifft(zeta_hat, out=field)
+        else:  # the class of h = 0 alone, where G vanishes: the mean
+            zeta64 -= zeta64.mean(axis=1, keepdims=True)
+        np.divide(zeta64, stress_unit, out=zeta, casting="same_kind")
+        return residual
+
+    def refresh() -> float:
+        """Flush the single-precision increment into zeta_E, rebuild E = G zeta_E and return ``true_residual``."""
+        np.multiply(dzeta_E, stress_unit, out=E, dtype=E.dtype)  # E is rebuilt below
+        np.add(zeta_E, E, out=zeta_E)
+        dzeta_E.fill(0.0)
+        _green_convolve(G, zeta_E, out=E, spectra=(zeta_hat, r_hat))
+        return true_residual()
+
+    residuals = [true_residual()]
+    np.copyto(p, r)
+    np.copyto(pi, zeta)
+    rs = float(np.vdot(zeta, r).real)
+    iterations = 1
+    refreshes = 0
+    fresh = residuals[-1]  # the float64 residual of the last refresh
+    steps = 0  # iterations since then
+    while residuals[-1] > cfg.tolerance and np.isfinite(residuals[-1]) and iterations < cfg.max_iterations:
+        if iterations > 1:
+            rs_next = float(np.vdot(zeta, r).real)
+            beta = rs_next / rs
+            p *= beta
+            p += r
+            pi *= beta
+            pi += zeta
+            rs = rs_next
+        iterations += 1
+        dCp = apply_stiffness(dC1, p, out=dCp)
+        q = _green_convolve(G1, dCp, out=q, spectra=spectra)
+        curvature = float(np.vdot(pi, p).real) + float(np.vdot(p, dCp).real)
+        if not 0.0 < curvature < np.inf:
+            residuals.append(residuals[-1] if curvature <= 0.0 else float("nan"))
+            break
+        alpha = rs / curvature
+        # a pre-image of q = G dC p with less of the null space of G than dC p: C0 q on a projector
+        # table, else dC p less its mean, which G annihilates
+        if projector_table:
+            dCp = np.matmul(C1, q, out=dCp)
+        else:
+            dCp -= dCp.mean(axis=1, keepdims=True)
+        q += p  # A p
+        q *= alpha
+        r -= q
+        np.multiply(pi, alpha, out=q)  # the step's increment of zeta_E
+        dzeta_E += q
+        dCp *= alpha
+        dCp += q  # a pre-image of alpha A p
+        zeta -= dCp
+        steps += 1
+        residuals.append(field_norm(r.T))  # recurred; the unit loading has norm one
+        if residuals[-1] <= max(cfg.tolerance, _REFRESH_FALL * fresh):
+            residuals[-1] = fresh = refresh()
+            refreshes += 1
+            steps = 0
+    if steps:  # stopped between refreshes: the returned strain and the last residual come from one
+        residuals[-1] = refresh()
+        refreshes += 1
+    return E, residuals, iterations, refreshes
 
 
 def ls_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> SolveReport:
@@ -244,13 +372,15 @@ def ls_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) 
     residual r = G zeta and the direction p = G pi it carries their
     pre-images, so <r, r> = Re zeta^H r and the curvature <p, A p> is
     Re pi^H p + Re p^H dC p.  Iteration 1 is the convolution that forms b;
-    every later one costs one stiffness product dC p and one Green
-    convolution.  It stops when the relative nodal residual
-    ||E + G(dC (E + eps0))|| / ||eps0|| drops below the tolerance.  A
-    non-finite residual or curvature, or a nonpositive curvature, ends the
-    solve unconverged, and the partial field is returned with the flag
-    cleared.  C0 must be ``G.reference``, C finite, symmetric and uniformly
-    elliptic, and eps0 finite; DomainError names the input that is not.
+    every later one costs one single-precision stiffness product dC p and
+    Green convolution, and each of the ``residual_refreshes`` (see the
+    module notes) one float64 stiffness product and two convolutions.  It
+    stops when the relative nodal residual ||E + G(dC (E + eps0))|| / ||eps0||,
+    recomputed in float64, drops below the tolerance.  A non-finite residual
+    or curvature, or a nonpositive curvature, ends the solve unconverged, and
+    the partial field is returned with the flag cleared.  C0 must be
+    ``G.reference``, C finite, symmetric and uniformly elliptic, and eps0
+    finite; DomainError names the input that is not.
     """
     return _conjugate_gradients(C, C0, eps0, G, cfg, "ls_fixed_point")
 

@@ -4,7 +4,9 @@ Everything here is computed from first principles (exhaustive enumeration,
 Fraction arithmetic, the textbook closed forms, dense matrices), avoiding
 the code paths under test; ``dense_oracle`` reuses the solver's operator
 kernels but replaces the iteration by a direct solve, on the full table that
-``full_table`` rebuilds from a half-spectrum one by class negation.
+``full_table`` rebuilds from a half-spectrum one by class negation, and
+``float64_conjugate_gradients`` is the solver's iteration run wholly in
+double precision.
 """
 
 import dataclasses
@@ -19,6 +21,7 @@ from spectralhom.lattice import frequency_set, smith_normal_form
 from spectralhom.solver import (
     SolverConfig,
     SolveReport,
+    _check_elliptic,
     _green_convolve,
     _validate_problem,
     apply_stiffness,
@@ -269,6 +272,70 @@ def neumann_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = N
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite residual stops it unconverged
+def float64_conjugate_gradients(
+    C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None, scheme: str = "ls_fixed_point"
+) -> SolveReport:
+    """The conjugate-gradient loop of ``ls_fixed_point`` and ``ve_krylov`` run wholly in double precision.
+
+    The reference for the solver's single-precision iteration: the same
+    Green-weighted CG on the table it is given, every field in float64, and
+    the recurred residual as the stopping test.
+    """
+    cfg = cfg or SolverConfig()
+    C, C0, eps0 = _validate_problem(C, C0, eps0, G)
+    _check_elliptic(C)
+    dC = pack_symmetric(C - C0)
+    scale = float(np.linalg.norm(eps0))
+    E = np.zeros((len(eps0), G.m), dtype=np.float64 if G.real else np.complex128)
+    residuals: list[float] = []
+    iterations = 0
+    if scale == 0.0:
+        converged = True
+        residuals.append(0.0)
+    else:
+        zeta = -apply_stiffness(dC, E + eps0[:, None])  # the pre-image of r = b
+        r = _green_convolve(G, zeta)
+        p, pi = r.copy(), zeta.copy()
+        rs = float(np.vdot(zeta, r).real)
+        iterations = 1
+        residuals.append(field_norm(r.T) / scale)
+        while residuals[-1] > cfg.tolerance and np.isfinite(residuals[-1]) and iterations < cfg.max_iterations:
+            if iterations > 1:
+                rs_next = float(np.vdot(zeta, r).real)
+                beta = rs_next / rs
+                p *= beta
+                p += r
+                pi *= beta
+                pi += zeta
+                rs = rs_next
+            iterations += 1
+            dCp = apply_stiffness(dC, p)
+            q = _green_convolve(G, dCp)
+            curvature = float(np.vdot(pi, p).real + np.vdot(p, dCp).real)
+            if not 0.0 < curvature < np.inf:
+                residuals.append(residuals[-1] if curvature <= 0.0 else float("nan"))
+                break
+            alpha = rs / curvature
+            E += alpha * p
+            q += p  # A p
+            q *= alpha
+            r -= q
+            dCp += pi  # the pre-image of A p
+            dCp *= alpha
+            zeta -= dCp
+            residuals.append(field_norm(r.T) / scale)
+        converged = residuals[-1] <= cfg.tolerance
+    return SolveReport(
+        strain=E.T,
+        iterations=iterations,
+        residuals=tuple(residuals),
+        effective_action=effective_stiffness(C, E.T, eps0),
+        converged=converged,
+        scheme=scheme,
+    )
+
+
 def unpack_symmetric(rows):
     """(m, D, D) matrices from (D (D + 1) / 2, m) symmetric-packed rows (upper triangle, row by row)."""
     D = int(round((np.sqrt(8 * rows.shape[0] + 1) - 1) / 2))
@@ -311,6 +378,22 @@ def bracket_sum(values, M, h, periods):
     shifts = np.array(list(product(range(-periods, periods + 1), repeat=M.d)), dtype=np.int64)
     ks = np.asarray(h, dtype=np.int64)[None, :] + shifts @ M.array
     return complex(np.sum(values(ks)))
+
+
+def bspline_axis_sum(xi, order, terms=200):
+    """S0 = sum_t sinc(xi + t)^(2 order) over all integers t, at scaled frequencies xi in [-1/2, 1/2].
+
+    The terms |t| <= ``terms`` are summed directly; beyond them sinc(xi + t)^(2 order)
+    = (sin(pi xi) / pi)^(2 order) (xi + t)^(-2 order) exactly, and the two tails are
+    Hurwitz zeta values.
+    """
+    from scipy.special import zeta
+
+    xi = np.asarray(xi, dtype=np.float64)
+    t = np.arange(-terms, terms + 1)
+    direct = (np.sinc(xi[..., None] + t) ** (2 * order)).sum(axis=-1)
+    tails = zeta(2 * order, terms + 1 + xi) + zeta(2 * order, terms + 1 - xi)
+    return direct + (np.sin(np.pi * xi) / np.pi) ** (2 * order) * tails
 
 
 def omitted_class_share(rule, periods):

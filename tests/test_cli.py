@@ -17,6 +17,7 @@ from spectralhom.cli import (
 )
 from spectralhom.errors import ConfigError
 from spectralhom.geometry import IsoPhase, Laminate
+from spectralhom.translates import _BSPLINE_MAX_ORDER
 
 from oracles import omitted_class_share, read_gray_image
 
@@ -244,15 +245,21 @@ class TestRunSolve:
             assert doc["diagnostics"]["real_fields"] is real
             assert (cli.run_solve, solver.apply_stiffness, solver._green_convolve) == originals
             assert layers["cli.solves"] == layers["elasticity.green_table_calls"] == 1
-            assert layers["solver.operator_applications"] == doc["iterations"]
-            assert layers["pfft.calls"] == 2 * doc["iterations"]
+            # each float64 refresh convolves zeta_E into E and the residual pre-image
+            convolutions = doc["iterations"] + 2 * doc["diagnostics"]["residual_refreshes"]
+            assert layers["solver.operator_applications"] == convolutions
+            assert layers["pfft.calls"] == 2 * convolutions
 
     def test_diagnostics_report_real_fields(self, tmp_path):
         _, doc = run_solve(_laminate_config(tmp_path))
-        assert doc["diagnostics"] == {"real_fields": False}  # Dirichlet, even pattern
+        assert doc["diagnostics"]["real_fields"] is False  # Dirichlet, even pattern
         _, doc = run_solve(_laminate_config(tmp_path, generator={"kind": "bspline", "order": 2}))
         report = json.loads((tmp_path / "out/report.json").read_text())
-        assert report["diagnostics"] == doc["diagnostics"] == {"real_fields": True}
+        assert report["diagnostics"] == doc["diagnostics"]
+        assert report["diagnostics"].keys() == {"real_fields", "residual_refreshes"}
+        assert report["diagnostics"]["real_fields"] is True
+        # the converged tol 1e-10 solve ends on a float64 refresh, which recomputes the last residual
+        assert 1 <= report["diagnostics"]["residual_refreshes"] < report["iterations"]
         assert report["nyquist_imbalance"] == 0.0
 
     def test_ve_runs_on_the_compatible_table(self, tmp_path, monkeypatch):
@@ -267,7 +274,7 @@ class TestRunSolve:
         code, doc = run_solve(path)
         assert code == 0 and doc["scheme"] == "ve_krylov"
         assert doc["green"] == {"periods": None, "tail_estimate": 0.0}
-        assert doc["diagnostics"] == {"real_fields": True}
+        assert doc["diagnostics"]["real_fields"] is True
 
     def test_green_periods_rejected_for_ve(self, tmp_path, capsys):
         path = _laminate_config(tmp_path, green_periods=3, solver={"scheme": "ve_krylov"})
@@ -276,6 +283,15 @@ class TestRunSolve:
         assert main(["solve", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: config 'green_periods': ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_bspline_order_above_the_limit_rejected(self, tmp_path, capsys):
+        order = _BSPLINE_MAX_ORDER + 1  # the first order whose class sums miss 1e-10
+        path = _laminate_config(tmp_path, generator={"kind": "bspline", "order": order})
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: generator orthonormalisation: B-spline order {order} is above ")
+        assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
 

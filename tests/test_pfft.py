@@ -206,6 +206,33 @@ class TestRealTransform:
         assert np.abs(back - (ahat @ F.conj()).real).max() < 1e-12
         assert np.abs(p.ifft(p.fft(a)) - a).max() < 1e-12
 
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_single_precision_follows_the_input(self, real):
+        # float32 fields transform to complex64 spectra and back, within single-precision round-off
+        M = PatternMatrix.from_any([[6, 3], [0, 6]])
+        p = plan(M, real)
+        a = np.random.default_rng(33).standard_normal((3, M.m))
+        if not real:
+            a = a + 1j * np.random.default_rng(34).standard_normal((3, M.m))
+        single = a.astype(np.float32 if real else np.complex64)
+        spectrum = p.fft(single)
+        assert spectrum.dtype == np.complex64
+        back = p.ifft(spectrum)
+        assert back.dtype == single.dtype
+        assert np.abs(spectrum - p.fft(a)).max() < 1e-5 and np.abs(back - a).max() < 1e-5
+
+    def test_output_buffers_are_written_and_checked(self):
+        M = PatternMatrix.from_any([[6, 3], [0, 6]])
+        p = plan(M, True)
+        a = np.random.default_rng(35).standard_normal((3, M.m))
+        spectrum = np.empty((3, len(p.classes)), dtype=np.complex128)
+        field = np.empty((3, M.m))
+        assert p.fft(a, out=spectrum) is spectrum and p.ifft(spectrum, out=field) is field
+        assert np.abs(field - a).max() < 1e-12
+        for bad in (np.empty((3, M.m), dtype=np.float32), np.empty((3, M.m + 1)), np.empty((M.m, 3)).T):
+            with pytest.raises(ShapeError, match="output buffer"):
+                p.ifft(spectrum, out=bad)
+
     def test_real_plans_cached_apart(self):
         M = PatternMatrix.from_any([[6, 3], [0, 6]])
         assert plan(M, True) is plan(PatternMatrix.from_any([[6, 3], [0, 6]]), True)

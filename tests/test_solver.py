@@ -28,6 +28,7 @@ from spectralhom.solver import apply_stiffness, field_norm
 
 from oracles import (
     dense_oracle,
+    float64_conjugate_gradients,
     full_table,
     neumann_fixed_point,
     random_spd_mandel,
@@ -271,16 +272,17 @@ class TestFixedPointConjugateGradients:
         G = periodized_green(C0, orthonormalize(bspline_rule(M, 2)))
         calls = {"apply_stiffness": 0, "_green_convolve": 0}
         for name in calls:
-            def counted(*args, _name=name, _fn=getattr(solver, name)):
+            def counted(*args, _name=name, _fn=getattr(solver, name), **kwargs):
                 calls[_name] += 1
-                return _fn(*args)
+                return _fn(*args, **kwargs)
 
             monkeypatch.setattr(solver, name, counted)
         rep = run(C, C0, EPS0, G, SolverConfig(tolerance=1e-8))
-        assert rep.converged and rep.iterations > 5
-        # dC eps0 in iteration 1 and one for the action
-        assert calls["apply_stiffness"] == rep.iterations + 1
-        assert calls["_green_convolve"] == rep.iterations
+        assert rep.converged and rep.iterations > 5 and rep.residual_refreshes >= 1
+        # dC eps0 in iteration 1, dC (E + eps0) in each refresh and one for the action
+        assert calls["apply_stiffness"] == rep.iterations + rep.residual_refreshes + 1
+        # each refresh also convolves zeta_E into E and the recomputed residual pre-image
+        assert calls["_green_convolve"] == rep.iterations + 2 * rep.residual_refreshes
 
     @pytest.mark.parametrize("run", [ls_fixed_point, ve_krylov], ids=["ls", "ve"])
     def test_nonpositive_curvature_stops_unconverged(self, monkeypatch, run):
@@ -292,14 +294,100 @@ class TestFixedPointConjugateGradients:
         product = solver.apply_stiffness
         calls = []
 
-        def flipped(A, x):
+        def flipped(A, x, **kwargs):
             calls.append(None)
-            return product(A, x) - 1e3 * x if len(calls) == 2 else product(A, x)
+            return product(A, x, **kwargs) - 1e3 * x if len(calls) == 2 else product(A, x, **kwargs)
 
         monkeypatch.setattr(solver, "apply_stiffness", flipped)
         rep = run(C, C0, EPS0, G, SolverConfig(tolerance=1e-8))
         assert not rep.converged and rep.iterations == 2
         assert rep.residuals[1] == rep.residuals[0] and field_norm(rep.strain) == 0.0
+
+
+class TestSinglePrecisionIteration:
+    """The single-precision CG with float64 refreshes against the float64 loop it replaced."""
+
+    CASES = {
+        "dirichlet-2d-sheared-complex": ([[16, 6], [0, 16]], dirichlet_rule),
+        "dirichlet-2d-odd-real": ([[15, 4], [0, 15]], dirichlet_rule),
+        "dlvp-2d-sheared": ([[12, 3], [0, 12]], lambda M: dlvp_rule(M, [0.4, 0.7])),
+        "dlvp-2d-complex": ([[16, 0], [0, 16]], lambda M: dlvp_rule(M, [0.4, 0.0])),
+        "bspline1-2d-sheared": ([[12, 3], [0, 12]], lambda M: bspline_rule(M, 1)),
+        "bspline2-2d-sheared": ([[12, 3], [0, 12]], lambda M: bspline_rule(M, 2)),
+        "dirichlet-3d-complex": ([[4, 1, 0], [0, 4, 0], [0, 0, 4]], dirichlet_rule),
+        "dlvp-3d": ([[4, 1, 0], [0, 6, 2], [0, 0, 4]], lambda M: dlvp_rule(M, [0.4, 0.7, 0.2])),
+        "bspline1-3d": ([[4, 1, 0], [0, 6, 2], [0, 0, 2]], lambda M: bspline_rule(M, 1)),
+        "bspline2-3d": ([[4, 1, 0], [0, 6, 2], [0, 0, 2]], lambda M: bspline_rule(M, 2)),
+    }
+
+    @pytest.mark.parametrize("scheme", ["ls", "ve"])
+    @pytest.mark.parametrize("rows, factory", CASES.values(), ids=CASES.keys())
+    def test_matches_float64_oracle(self, rows, factory, scheme):
+        M = PatternMatrix.from_any(rows)
+        C = _random_two_phase(np.random.default_rng(60), M, 4.0)
+        C0 = iso_stiffness(2.5, 2.5, M.d)
+        eps0 = np.arange(1.0, M.d * (M.d + 1) // 2 + 1)
+        rule = orthonormalize(factory(M))
+        G = periodized_green(C0, rule) if scheme == "ls" else compatible_green(C0, rule)
+        cfg = SolverConfig(tolerance=1e-9)
+        rep = (ls_fixed_point if scheme == "ls" else ve_krylov)(C, C0, eps0, G, cfg)
+        ref = float64_conjugate_gradients(C, C0, eps0, G, cfg)
+        assert rep.converged and ref.converged and rep.residual_refreshes >= 1
+        assert rep.strain.dtype == ref.strain.dtype == (np.float64 if G.real else np.complex128)
+        assert field_norm(rep.strain - ref.strain) <= 10 * cfg.tolerance * field_norm(ref.strain)
+        assert rep.iterations <= ref.iterations + 1
+        assert rep.residuals[0] == ref.residuals[0]  # both form b = -G dC eps0 in float64
+
+    def test_last_residual_is_the_float64_residual_of_the_strain(self):
+        M = PatternMatrix.from_any([[12, 3], [0, 12]])
+        C = _random_two_phase(np.random.default_rng(61), M, 4.0)
+        C0 = iso_stiffness(2.5, 2.5, 2)
+        G = periodized_green(C0, orthonormalize(bspline_rule(M, 2)))
+        for cfg in (SolverConfig(tolerance=1e-9), SolverConfig(tolerance=1e-12, max_iterations=7)):
+            rep = ls_fixed_point(C, C0, EPS0, G, cfg)
+            assert len(rep.residuals) == rep.iterations
+            true = TestFixedPoint._true_residual(rep, C, C0, EPS0, G)
+            assert abs(rep.residuals[-1] - true) <= 1e-4 * true
+            assert rep.converged is (cfg.max_iterations > 7)
+
+    def test_stiff_phase_converges_at_tight_tolerance(self):
+        # the stiff phase of the criterion-8 inclusion ten times stiffer, at tol 1e-11
+        M = PatternMatrix.from_any([[64, 136], [0, 64]])
+        inclusion = Inclusion("ellipse", (1.2, 1.0), (0.2, -0.3), 0.3, IsoPhase(50.0, 40.0), IsoPhase(0.5, 0.4))
+        C = sample_stiffness(inclusion, M)
+        C0 = iso_stiffness(2.75, 2.2, 2)
+        G = periodized_green(C0, orthonormalize(bspline_rule(M, 2)))
+        cfg = SolverConfig(tolerance=1e-11)
+        rep = ls_fixed_point(C, C0, EPS0, G, cfg)
+        ref = float64_conjugate_gradients(C, C0, EPS0, G, cfg)
+        assert rep.converged and TestFixedPoint._true_residual(rep, C, C0, EPS0, G) <= cfg.tolerance
+        assert rep.iterations <= ref.iterations + 1
+
+    @pytest.mark.parametrize("factor", [1e30, 1e-30])
+    def test_scaled_problem_gives_the_same_strain(self, factor):
+        # the single-precision state is that of the unit problem, so float32 range never limits it
+        M = PatternMatrix.from_any([[16, 6], [0, 16]])
+        C = _random_two_phase(np.random.default_rng(61), M, 4.0)
+        C0 = iso_stiffness(2.5, 2.5, 2)
+        eps0 = np.array([1.0, 2.0, 3.0])
+        rule = orthonormalize(dirichlet_rule(M))
+        cfg = SolverConfig(tolerance=1e-9)
+        base = ls_fixed_point(C, C0, eps0, periodized_green(C0, rule), cfg)
+        stiff = ls_fixed_point(factor * C, factor * C0, eps0, periodized_green(factor * C0, rule), cfg)
+        loaded = ls_fixed_point(C, C0, factor * eps0, periodized_green(C0, rule), cfg)
+        for rep, strain in ((stiff, stiff.strain), (loaded, loaded.strain / factor)):
+            assert rep.converged
+            assert field_norm(strain - base.strain) <= 10 * cfg.tolerance * field_norm(base.strain)
+
+    @pytest.mark.parametrize("run", [ls_fixed_point, ve_krylov], ids=["ls", "ve"])
+    def test_zero_loading_takes_no_iteration(self, run):
+        M = PatternMatrix.from_any([[12, 3], [0, 12]])
+        C = _random_two_phase(np.random.default_rng(61), M, 4.0)
+        C0 = iso_stiffness(2.5, 2.5, 2)
+        G = periodized_green(C0, orthonormalize(bspline_rule(M, 2)))
+        rep = run(C, C0, np.zeros(3), G)
+        assert rep.converged and rep.iterations == 0 and rep.residual_refreshes == 0
+        assert rep.residuals == (0.0,) and field_norm(rep.strain) == 0.0
 
 
 class TestKrylov:
@@ -514,6 +602,8 @@ class TestComponentMajorKernels:
         want = stiffness_product_einsum(C, x.T).T
         for rows in (pack_symmetric(C), C.reshape(m, -1).T):
             assert np.abs(apply_stiffness(rows, x) - want).max() <= 1e-14 * np.abs(want).max()
+            out = np.empty_like(x)
+            assert apply_stiffness(rows, x, out=out) is out and np.array_equal(out, apply_stiffness(rows, x))
 
 
 class TestMinresFallback:

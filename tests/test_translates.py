@@ -16,8 +16,9 @@ from spectralhom import (
     periodized_green,
 )
 from spectralhom.errors import DegenerateGeneratorError, DomainError
+from spectralhom.translates import _BSPLINE_MAX_ORDER, CoefficientRule
 
-from oracles import bracket_sum, random_regular_matrix
+from oracles import bracket_sum, bspline_axis_sum, random_regular_matrix
 
 M44 = PatternMatrix.from_any([[4, 1], [0, 4]])
 
@@ -129,6 +130,21 @@ class TestBsplineRule:
     def test_order_validation(self):
         with pytest.raises(DomainError):
             bspline_rule(M44, 0)
+        with pytest.raises(DomainError, match=f"B-spline order {_BSPLINE_MAX_ORDER + 1} is above"):
+            bspline_rule(M44, _BSPLINE_MAX_ORDER + 1)
+
+    def test_class_sums_match_direct_sums_at_every_accepted_order(self):
+        # the cosine series of S0 cancels near xi = +-1/2; every accepted order keeps 1e-10, and the
+        # first rejected one would not: the limit is the largest order that does
+        M = PatternMatrix.from_any([[16, 0], [0, 16]])  # its classes include xi = -1/2 on both axes
+        worst = {}
+        for order in range(1, _BSPLINE_MAX_ORDER + 2):
+            rule = CoefficientRule(M, "bspline", order=order)  # the constructor, bypassing the order check
+            s0, _ = rule._class_sums()
+            xi = (frequency_set(M).freqs @ np.array(M.adjugate)).T / M.det
+            worst[order] = float(np.abs(s0 / bspline_axis_sum(xi, order) - 1.0).max())
+        assert max(worst[order] for order in range(1, _BSPLINE_MAX_ORDER + 1)) <= 1e-10
+        assert worst[_BSPLINE_MAX_ORDER + 1] > 1e-10
 
     def test_conjugate_symmetry(self):
         rule = bspline_rule(M44, 3)
