@@ -211,7 +211,11 @@ def _report_dict(problem: _Problem, report: solver.SolveReport, metrics, green: 
         },
         "generator": problem.generator.to_json(),
         "green": {"periods": green.periods, "tail_estimate": green.tail_estimate},
-        "diagnostics": {"real_fields": green.real, "residual_refreshes": report.residual_refreshes},
+        "diagnostics": {
+            "real_fields": green.real,
+            "residual_refreshes": report.residual_refreshes,
+            "green_convolutions": dict(report.green_convolutions),
+        },
         "scheme": report.scheme,
         "tolerance": problem.solver_config.tolerance,
         "converged": bool(report.converged),

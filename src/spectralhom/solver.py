@@ -60,25 +60,38 @@ in the classes that are C0-projectors.  So the residual history holds
 single-precision recurred estimates between refreshes, its last entry is the
 float64 residual of the returned strain, and a solve converges only on that.
 
+The solve reads the (m, D, D) stiffness once: one (D, D, m) copy is checked
+for symmetry, packed as the rows of C0 - C (the sign the residual's
+pre-image needs, so no negation pass is made) and then consumed by the
+ellipticity check.  Rows of C - C0 that are zero at every node (2 of 6 in
+2-D and 12 of 21 in 3-D between isotropic phases) are found once and left
+out of every stiffness product; the Green table keeps all its rows.  Iteration
+1 forms b from the real products -dC eps0, E being zero.  A refresh costs one
+float64 stiffness product and two convolutions, and the effective action of
+its strain is read off that product, mean(dC (E + eps0)) + C0 (mean E + eps0),
+so the action needs no pass over C of its own.  ``SolveReport.green_convolutions``
+counts the convolutions of each precision.
+
 Iterates are component-major (D, m) fields (FFTs over the trailing Smith
 axes, pointwise products as ``mandel_product`` row sums); the symmetric
 stiffness (m, D, D) and the reported strain (m, D) stay pattern-major.  A
 non-finite residual or curvature (overflowing input) ends a solve unconverged.
 
 All norms are root-mean-square over nodes so tolerances are resolution
-independent; reductions use numpy's fixed pairwise summation, making
-repeated runs bit-identical.
+independent; each is one ``vdot`` over the field in memory order, and
+reductions have a fixed order, making repeated runs bit-identical.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elasticity import GreenTable, compatible_green, mandel_dim, mandel_product, pack_symmetric
+from .elasticity import GreenTable, compatible_green, live_rows, mandel_dim, mandel_product
 from .errors import DomainError, ShapeError
 from .translates import make_rule
 
@@ -108,10 +121,11 @@ class SolverConfig:
     scheme: str = "ls_fixed_point"  # or "ve_krylov"
 
     def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise DomainError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be >= 1")
+        tolerance, cap = self.tolerance, self.max_iterations
+        if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real) or not 0.0 < tolerance < math.inf:
+            raise DomainError(f"tolerance must be a finite positive number, got {tolerance!r}")
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+            raise DomainError(f"max_iterations must be an integer >= 1, got {cap!r}")
         if self.scheme not in ("ls_fixed_point", "ve_krylov"):
             raise DomainError(f"unknown scheme {self.scheme!r}")
 
@@ -127,14 +141,19 @@ class SolveReport:
     converged: bool
     scheme: str
     residual_refreshes: int = 0  # float64 recomputations of the residual
+    # Green convolutions made in each precision: "single" per iteration after the first, "double" for b and refreshes
+    green_convolutions: dict = dataclasses.field(default_factory=lambda: {"single": 0, "double": 0})
 
     @property
     def imbalance(self) -> float:
         """Relative size of the imaginary (Nyquist) component of the strain."""
-        scale = float(np.linalg.norm(self.strain))
+        if not np.iscomplexobj(self.strain):
+            return 0.0
+        flat = self.strain.ravel(order="K")  # memory order: a transposed view is not copied
+        scale = float(np.vdot(flat, flat).real)
         if scale == 0.0:
             return 0.0
-        return float(np.linalg.norm(self.strain.imag) / scale)
+        return float(np.sqrt(np.dot(flat.imag, flat.imag) / scale))
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,10 +169,13 @@ class ErrorMetrics:
 def field_norm(values: np.ndarray) -> float:
     """Root-mean-square norm over the nodes of an (m, ...) field.
 
-    A constant field keeps its vector norm; (D, m) fields are passed transposed.
+    A constant field keeps its vector norm; (D, m) fields are passed
+    transposed.  One ``vdot`` runs over the entries in memory order, so a
+    transposed view is not copied.
     """
     values = np.asarray(values)
-    return float(np.linalg.norm(values) / np.sqrt(values.shape[0]))
+    flat = values.ravel(order="K")
+    return float(np.sqrt(np.vdot(flat, flat).real / values.shape[0]))
 
 
 apply_stiffness = mandel_product  # pointwise stress C(y) : strain(y), C as rows over nodes
@@ -187,10 +209,30 @@ def _validate_problem(C, C0, eps0, G: GreenTable):
     for name, value in (("stiffness field", C), ("macroscopic strain", eps0)):
         if not np.isfinite(value).all():
             raise DomainError(f"{name} must be finite")
-    rows, cols = np.triu_indices(D, 1)  # the iteration packs the upper triangle; the effective stiffness reads all of C
-    if np.abs(C[:, rows, cols] - C[:, cols, rows]).max(initial=0.0) > 1e-12 * max(1.0, float(np.abs(C).max())):
-        raise DomainError("stiffness field must be symmetric at every node")
     return C, C0, eps0
+
+
+def _stiffness_rows(C: np.ndarray, C0: np.ndarray) -> np.ndarray:
+    """The symmetric-packed rows (D (D + 1) / 2, m) of C0 - C, read from one copy of the (m, D, D) field.
+
+    Raises DomainError unless every nodal stiffness is symmetric, to 1e-12 of
+    the largest diagonal entry, and uniformly elliptic (``_check_elliptic``,
+    which then consumes the copy).  An off-diagonal entry above every
+    diagonal one marks a node that is not positive definite, so the symmetry
+    scale is that of every accepted field.
+    """
+    A = C.transpose(1, 2, 0).copy()  # (D, D, m): contiguous rows over nodes
+    D = len(A)
+    bound = 1e-12 * max(1.0, float(np.abs(np.diagonal(A)).max()))
+    for i, j in zip(*np.triu_indices(D, 1)):
+        if np.abs(A[i, j] - A[j, i]).max(initial=0.0) > bound:
+            raise DomainError("stiffness field must be symmetric at every node")
+    rows, cols = np.triu_indices(D)
+    packed = np.empty((len(rows), A.shape[-1]))
+    for k, (i, j) in enumerate(zip(rows, cols)):
+        np.subtract(C0[i, j], A[i, j], out=packed[k])
+    _check_elliptic(A)
+    return packed
 
 
 def effective_stiffness(C: np.ndarray, strain: np.ndarray, eps0: np.ndarray) -> np.ndarray:
@@ -236,31 +278,23 @@ def _conjugate_gradients(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None, s
     """The iteration of both schemes (see ``ls_fixed_point``), reported under ``scheme``."""
     cfg = cfg or SolverConfig()
     C, C0, eps0 = _validate_problem(C, C0, eps0, G)
-    _check_elliptic(C)
-    E, residuals, iterations, refreshes = _iterate(pack_symmetric(C - C0), eps0, G, cfg)
-    return SolveReport(
-        strain=E.T,
-        iterations=iterations,
-        residuals=tuple(residuals),
-        effective_action=effective_stiffness(C, E.T, eps0),
-        converged=residuals[-1] <= cfg.tolerance,
-        scheme=scheme,
-        residual_refreshes=refreshes,
-    )
+    return _iterate(_stiffness_rows(C, C0), eps0, G, cfg, scheme)
 
 
-def _iterate(dC, eps0, G: GreenTable, cfg: SolverConfig) -> tuple:
-    """CG with float64 refreshes on packed dC = C - C0: the strain (D, m), residuals, iterations and refreshes."""
+def _iterate(neg_dC, eps0, G: GreenTable, cfg: SolverConfig, scheme: str) -> SolveReport:
+    """CG with float64 refreshes on the packed rows of -dC = C0 - C."""
     scale = float(np.linalg.norm(eps0))
     E = np.zeros((len(eps0), G.m), dtype=np.float64 if G.real else np.complex128)
+    convolutions = {"single": 0, "double": 0}
     if scale == 0.0:
-        return E, [0.0], 0, 0
+        return SolveReport(E.T, 0, (0.0,), np.zeros(len(eps0)), True, scheme, green_convolutions=convolutions)
     # the single-precision state is that of the unit problem: strains divided by ||eps0|| and stresses by
     # stress_unit, so the stiffness is divided by stiffness_unit and the Green table multiplied by it
     C0 = G.reference
     stiffness_unit = float(np.abs(C0).max())
     stress_unit = scale * stiffness_unit
-    dC1 = np.divide(dC, stiffness_unit, out=np.empty(dC.shape, np.float32), casting="same_kind")
+    live = live_rows(neg_dC)  # rows of dC that are zero at every node are skipped
+    dC1 = np.multiply(neg_dC, -1.0 / stiffness_unit, out=np.empty(neg_dC.shape, np.float32), casting="same_kind")
     C1 = (C0 / stiffness_unit).astype(np.float32)
     table = np.multiply(G.table, stiffness_unit, out=np.empty(G.table.shape, np.float32), casting="same_kind")
     G1 = dataclasses.replace(G, table=table, reference=C0 / stiffness_unit)
@@ -279,20 +313,16 @@ def _iterate(dC, eps0, G: GreenTable, cfg: SolverConfig) -> tuple:
     projector_table = bool(projector.all())
     spectral_pre_image = not projector_table and bool(projector[1:].any())  # beyond the class of h = 0
 
-    def true_residual() -> float:
-        """The float64 residual of E relative to ||eps0||; writes it and a pre-image into r and zeta.
+    def residual_of(zeta64) -> float:
+        """The float64 norm of r = G zeta64 relative to ||eps0||; writes r and a pre-image of it into r and zeta.
 
-        zeta = -dC (E + eps0) - zeta_E is a pre-image of r = b - A E; the one
-        cast to single precision takes C0 r in the ``projector`` classes.
+        The pre-image cast to single precision takes C0 r in the ``projector`` classes.
         """
-        total = np.add(E, eps0[:, None], out=_carve(zeta_hat, E.dtype, E.shape))
-        zeta64 = apply_stiffness(dC, total, out=field)
-        zeta64 += zeta_E
-        np.negative(zeta64, out=zeta64)
+        convolutions["double"] += 1
         # the transform of zeta stays in zeta_hat where the pre-image is formed class by class
         r64 = field if spectral_pre_image else _carve(zeta_hat, E.dtype, E.shape)
         r64 = _green_convolve(G, zeta64, out=r64, spectra=(zeta_hat, r_hat))
-        np.divide(r64, scale, out=r, casting="same_kind")
+        np.multiply(r64, 1.0 / scale, out=r, casting="same_kind")
         residual = field_norm(r64.T) / scale
         if projector_table:
             zeta64 = np.matmul(C0, r64, out=field)
@@ -301,18 +331,33 @@ def _iterate(dC, eps0, G: GreenTable, cfg: SolverConfig) -> tuple:
             zeta64 = G.plan.ifft(zeta_hat, out=field)
         else:  # the class of h = 0 alone, where G vanishes: the mean
             zeta64 -= zeta64.mean(axis=1, keepdims=True)
-        np.divide(zeta64, stress_unit, out=zeta, casting="same_kind")
+        np.multiply(zeta64, 1.0 / stress_unit, out=zeta, casting="same_kind")
         return residual
 
     def refresh() -> float:
-        """Flush the single-precision increment into zeta_E, rebuild E = G zeta_E and return ``true_residual``."""
+        """Flush the single-precision increment into zeta_E, rebuild E = G zeta_E and return its float64 residual.
+
+        zeta = -dC (E + eps0) - zeta_E is a pre-image of r = b - A E; the
+        effective action of E is read off the same stiffness product.
+        """
+        nonlocal action
         np.multiply(dzeta_E, stress_unit, out=E, dtype=E.dtype)  # E is rebuilt below
         np.add(zeta_E, E, out=zeta_E)
         dzeta_E.fill(0.0)
+        convolutions["double"] += 1
         _green_convolve(G, zeta_E, out=E, spectra=(zeta_hat, r_hat))
-        return true_residual()
+        total = np.add(E, eps0[:, None], out=_carve(zeta_hat, E.dtype, E.shape))
+        zeta64 = apply_stiffness(neg_dC, total, out=field, live=live)
+        action = np.real(C0 @ total.mean(axis=1) - zeta64.mean(axis=1))
+        zeta64 -= zeta_E
+        return residual_of(zeta64)
 
-    residuals = [true_residual()]
+    # iteration 1 forms b = -G dC eps0 by real products, E being zero; they are written in the field's
+    # dtype, as a complex transform would otherwise make a complex copy of a real input
+    zeta64 = apply_stiffness(neg_dC, np.broadcast_to(eps0[:, None], E.shape), out=field, live=live)
+    # the mean stress mean(C (E + eps0)) = mean(dC (E + eps0)) + C0 (mean E + eps0)
+    action = np.real(C0 @ eps0 - zeta64.mean(axis=1))
+    residuals = [residual_of(zeta64)]
     np.copyto(p, r)
     np.copyto(pi, zeta)
     rs = float(np.vdot(zeta, r).real)
@@ -330,7 +375,8 @@ def _iterate(dC, eps0, G: GreenTable, cfg: SolverConfig) -> tuple:
             pi += zeta
             rs = rs_next
         iterations += 1
-        dCp = apply_stiffness(dC1, p, out=dCp)
+        dCp = apply_stiffness(dC1, p, out=dCp, live=live)
+        convolutions["single"] += 1
         q = _green_convolve(G1, dCp, out=q, spectra=spectra)
         curvature = float(np.vdot(pi, p).real) + float(np.vdot(p, dCp).real)
         if not 0.0 < curvature < np.inf:
@@ -360,7 +406,16 @@ def _iterate(dC, eps0, G: GreenTable, cfg: SolverConfig) -> tuple:
     if steps:  # stopped between refreshes: the returned strain and the last residual come from one
         residuals[-1] = refresh()
         refreshes += 1
-    return E, residuals, iterations, refreshes
+    return SolveReport(
+        strain=E.T,
+        iterations=iterations,
+        residuals=tuple(residuals),
+        effective_action=action,
+        converged=residuals[-1] <= cfg.tolerance,
+        scheme=scheme,
+        residual_refreshes=refreshes,
+        green_convolutions=convolutions,
+    )
 
 
 def ls_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> SolveReport:
@@ -399,15 +454,15 @@ def ve_krylov(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> So
     return _conjugate_gradients(C, C0, eps0, G, cfg, "ve_krylov")
 
 
-def _check_elliptic(C: np.ndarray) -> None:
-    """Raise DomainError unless every nodal stiffness in the (m, D, D) stack is positive definite.
+def _check_elliptic(A: np.ndarray) -> None:
+    """Raise DomainError unless every nodal stiffness in the (D, D, m) rows ``A`` is positive definite.
 
-    Gaussian elimination runs on all nodes at once over (D, D, m) rows.  Every
-    pivot of a node with condition number below 1 / ``_ELLIPTIC_FLOOR`` exceeds
-    that fraction of its largest diagonal entry; a smaller (or non-finite)
-    pivot marks a node that is indefinite or singular to round-off.
+    Gaussian elimination runs on all nodes at once, forming the Schur
+    complements in place in ``A``.  Every pivot of a node with condition
+    number below 1 / ``_ELLIPTIC_FLOOR`` exceeds that fraction of its largest
+    diagonal entry; a smaller (or non-finite) pivot marks a node that is
+    indefinite or singular to round-off.
     """
-    A = C.transpose(1, 2, 0).copy()  # Schur complements are formed in place
     floor = _ELLIPTIC_FLOOR * np.diagonal(A).max(axis=1)
     for k in range(len(A)):
         if not np.all(A[k, k] > floor):

@@ -21,8 +21,8 @@ from spectralhom.lattice import frequency_set, smith_normal_form
 from spectralhom.solver import (
     SolverConfig,
     SolveReport,
-    _check_elliptic,
     _green_convolve,
+    _stiffness_rows,
     _validate_problem,
     apply_stiffness,
     effective_stiffness,
@@ -284,8 +284,7 @@ def float64_conjugate_gradients(
     """
     cfg = cfg or SolverConfig()
     C, C0, eps0 = _validate_problem(C, C0, eps0, G)
-    _check_elliptic(C)
-    dC = pack_symmetric(C - C0)
+    dC = -_stiffness_rows(C, C0)  # checks symmetry and ellipticity
     scale = float(np.linalg.norm(eps0))
     E = np.zeros((len(eps0), G.m), dtype=np.float64 if G.real else np.complex128)
     residuals: list[float] = []

@@ -247,6 +247,7 @@ class TestRunSolve:
             assert layers["cli.solves"] == layers["elasticity.green_table_calls"] == 1
             # each float64 refresh convolves zeta_E into E and the residual pre-image
             convolutions = doc["iterations"] + 2 * doc["diagnostics"]["residual_refreshes"]
+            assert sum(doc["diagnostics"]["green_convolutions"].values()) == convolutions
             assert layers["solver.operator_applications"] == convolutions
             assert layers["pfft.calls"] == 2 * convolutions
 
@@ -256,10 +257,14 @@ class TestRunSolve:
         _, doc = run_solve(_laminate_config(tmp_path, generator={"kind": "bspline", "order": 2}))
         report = json.loads((tmp_path / "out/report.json").read_text())
         assert report["diagnostics"] == doc["diagnostics"]
-        assert report["diagnostics"].keys() == {"real_fields", "residual_refreshes"}
+        assert report["diagnostics"].keys() == {"real_fields", "residual_refreshes", "green_convolutions"}
         assert report["diagnostics"]["real_fields"] is True
         # the converged tol 1e-10 solve ends on a float64 refresh, which recomputes the last residual
-        assert 1 <= report["diagnostics"]["residual_refreshes"] < report["iterations"]
+        refreshes = report["diagnostics"]["residual_refreshes"]
+        assert 1 <= refreshes < report["iterations"]
+        # b and each refresh's two convolutions run in float64, every later iteration's in float32
+        single, double = report["iterations"] - 1, 1 + 2 * refreshes
+        assert report["diagnostics"]["green_convolutions"] == {"single": single, "double": double}
         assert report["nyquist_imbalance"] == 0.0
 
     def test_ve_runs_on_the_compatible_table(self, tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from spectralhom import (
     ve_krylov,
 )
 from spectralhom import solver
-from spectralhom.elasticity import pack_symmetric
+from spectralhom.elasticity import live_rows, pack_symmetric
 from spectralhom.errors import DomainError, ShapeError
 from spectralhom.solver import apply_stiffness, field_norm
 
@@ -63,6 +65,25 @@ class TestConfig:
             SolverConfig(max_iterations=0)
         with pytest.raises(DomainError):
             SolverConfig(scheme="newton")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"tolerance": float("inf")},  # the loop would never run and report a zero strain as converged
+            {"tolerance": float("nan")},
+            {"tolerance": True},
+            {"tolerance": "1e-8"},
+            {"max_iterations": 2.5},
+            {"max_iterations": True},
+            {"max_iterations": "10"},
+        ],
+    )
+    def test_non_finite_tolerance_and_non_integer_cap_rejected(self, bad):
+        with pytest.raises(DomainError):
+            SolverConfig(**bad)
+
+    def test_integer_cap_of_any_integer_type_accepted(self):
+        assert SolverConfig(max_iterations=np.int64(3), tolerance=np.float32(1e-3)).max_iterations == 3
 
 
 class TestFixedPoint:
@@ -279,10 +300,11 @@ class TestFixedPointConjugateGradients:
             monkeypatch.setattr(solver, name, counted)
         rep = run(C, C0, EPS0, G, SolverConfig(tolerance=1e-8))
         assert rep.converged and rep.iterations > 5 and rep.residual_refreshes >= 1
-        # dC eps0 in iteration 1, dC (E + eps0) in each refresh and one for the action
-        assert calls["apply_stiffness"] == rep.iterations + rep.residual_refreshes + 1
+        # dC eps0 in iteration 1 and dC (E + eps0) in each refresh, which also gives the action
+        assert calls["apply_stiffness"] == rep.iterations + rep.residual_refreshes
         # each refresh also convolves zeta_E into E and the recomputed residual pre-image
         assert calls["_green_convolve"] == rep.iterations + 2 * rep.residual_refreshes
+        assert rep.green_convolutions == {"single": rep.iterations - 1, "double": 1 + 2 * rep.residual_refreshes}
 
     @pytest.mark.parametrize("run", [ls_fixed_point, ve_krylov], ids=["ls", "ve"])
     def test_nonpositive_curvature_stops_unconverged(self, monkeypatch, run):
@@ -604,6 +626,116 @@ class TestComponentMajorKernels:
             assert np.abs(apply_stiffness(rows, x) - want).max() <= 1e-14 * np.abs(want).max()
             out = np.empty_like(x)
             assert apply_stiffness(rows, x, out=out) is out and np.array_equal(out, apply_stiffness(rows, x))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.float64, np.complex128])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_structurally_zero_rows_skipped_exactly(self, d, dtype):
+        # the contrast of isotropic phases has zero rows (2 of 6 packed in 2-D, 12 of 21 in 3-D); one more
+        # entry, nonzero at a single node, keeps its row live
+        rng = np.random.default_rng(90 + d)
+        M = PatternMatrix.from_any(np.diag([8] * d))
+        dC = _random_two_phase(rng, M, 7.0) - iso_stiffness(2.0, 1.5, d)[None]
+        dC[3, 0, -1] = dC[3, -1, 0] = 0.25
+        m, D, _ = dC.shape
+        rows_dtype = np.finfo(dtype).dtype  # real rows of the field's precision, as the solver keeps them
+        x = rng.standard_normal((D, m)).astype(dtype)
+        if np.iscomplexobj(x):
+            x += 1j * rng.standard_normal((D, m)).astype(dtype)
+        packed = pack_symmetric(dC).astype(rows_dtype)
+        assert sum(live_rows(packed)) == {2: 5, 3: 10}[d]  # every entry of the lone node's row counts
+        for full in (dC.astype(rows_dtype), np.zeros_like(dC, dtype=rows_dtype)):
+            want = np.einsum("hij,jh->ih", full.astype(dtype), x)
+            for rows in (pack_symmetric(full), full.reshape(m, -1).T.copy()):
+                out = np.full(x.shape, np.nan, dtype=dtype)  # every output row is written, dead or live
+                got = apply_stiffness(rows, x, out=out, live=live_rows(rows))
+                assert got is out and np.array_equal(got, want)
+                assert np.array_equal(got, apply_stiffness(rows, x))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_field_norm_of_transposed_views(self, dtype):
+        rng = np.random.default_rng(93)
+        for D, m in ((3, 257), (6, 64), (1, 100)):
+            values = rng.standard_normal((D, m)).astype(dtype)
+            if np.iscomplexobj(values):
+                values += 1j * rng.standard_normal((D, m))
+            want = np.linalg.norm(values.T) / np.sqrt(m)
+            assert abs(field_norm(values.T) - want) <= 1e-15 * want
+        assert field_norm(np.zeros((5, 3))) == 0.0
+
+
+class TestReportedAction:
+    """The effective action read off the last float64 refresh against ``effective_stiffness``."""
+
+    CASES = {
+        "dirichlet-2d": ([[16, 6], [0, 16]], dirichlet_rule),
+        "bspline2-2d": ([[12, 3], [0, 12]], lambda M: bspline_rule(M, 2)),
+        "dirichlet-3d": ([[4, 1, 0], [0, 4, 0], [0, 0, 4]], dirichlet_rule),
+        "bspline2-3d": ([[4, 1, 0], [0, 6, 2], [0, 0, 2]], lambda M: bspline_rule(M, 2)),
+    }
+
+    @pytest.mark.parametrize("scheme", ["ls", "ve"])
+    @pytest.mark.parametrize("rows, factory", CASES.values(), ids=CASES.keys())
+    def test_matches_effective_stiffness(self, rows, factory, scheme):
+        M = PatternMatrix.from_any(rows)
+        C = _random_two_phase(np.random.default_rng(94), M, 6.0)
+        C0 = iso_stiffness(2.0, 2.0, M.d)
+        eps0 = np.linspace(1.0, -0.5, M.d * (M.d + 1) // 2)
+        rule = orthonormalize(factory(M))
+        G = periodized_green(C0, rule) if scheme == "ls" else compatible_green(C0, rule)
+        run = ls_fixed_point if scheme == "ls" else ve_krylov
+        # a converged solve, one stopped at the cap between refreshes, and one that never iterates (E = 0)
+        for cap in (10000, 4, 1):
+            rep = run(C, C0, eps0, G, SolverConfig(tolerance=1e-9, max_iterations=cap))
+            assert rep.converged == (cap == 10000) and rep.iterations == min(cap, rep.iterations)
+            want = effective_stiffness(C, rep.strain, eps0)
+            assert rep.effective_action.dtype == np.float64
+            assert np.abs(rep.effective_action - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestAllocations:
+    def test_iterations_allocate_no_field(self, monkeypatch):
+        # Dirichlet on an even pattern: complex fields, whose transforms write into their buffers; at
+        # m = 16384 numpy's cast buffers (at most 8192 elements) stay below a (D, m) field
+        M = PatternMatrix.from_any([[128, 32], [0, 128]])
+        C = _random_two_phase(np.random.default_rng(95), M, 4.0)
+        C0 = iso_stiffness(1.0, 1.0, 2)
+        G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
+        # every stiffness product and Green convolution opens a stretch that lasts to the next one; its
+        # traced peak, above the traced size at its start, counts the (D, m) fields of the precision of
+        # the opening call's output allocated in it (a stiffness product and a table product each hold
+        # one row and one cast buffer of scratch, below that size)
+        stretches = []  # [traced size at the start, field bytes, fields allocated]
+
+        def sampled(fn):
+            def call(*args, out, **kwargs):
+                if tracemalloc.is_tracing():
+                    current, peak = tracemalloc.get_traced_memory()
+                    if stretches:
+                        start, field, _ = stretches[-1]
+                        stretches[-1][2] = (peak - start) // field
+                    tracemalloc.reset_peak()
+                    stretches.append([current, out.nbytes, None])
+                return fn(*args, out=out, **kwargs)
+
+            return call
+
+        for name in ("apply_stiffness", "_green_convolve"):
+            monkeypatch.setattr(solver, name, sampled(getattr(solver, name)))
+        counts = {}
+        for cap in (3, 20):
+            cfg = SolverConfig(tolerance=1e-14, max_iterations=cap)
+            ls_fixed_point(C, C0, EPS0, G, cfg)  # plans, caches and the allocator settle
+            stretches.clear()
+            tracemalloc.start()
+            try:
+                rep = ls_fixed_point(C, C0, EPS0, G, cfg)
+            finally:
+                tracemalloc.stop()
+            assert rep.iterations == cap and not rep.converged
+            assert len(stretches) == 2 * rep.iterations + 3 * rep.residual_refreshes  # the last one is open
+            counts[cap] = sum(fields for _, _, fields in stretches[:-1]), rep.residual_refreshes
+        assert counts[20][1] > counts[3][1]  # more iterations and more refreshes, yet no more fields
+        assert counts[20][0] == counts[3][0] == 0
 
 
 class TestMinresFallback:
