@@ -269,16 +269,14 @@ def pack_symmetric(A) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _product_terms(D: int, packed: bool, live: tuple | None) -> tuple:
+def _product_terms(D: int, live: tuple | None) -> tuple:
     """Per output row i, the (row of A, component j) pairs of the entries (i, j) held by ``live`` rows.
 
-    Rows are numbered among D^2 dense row-major rows, or among the rows of
-    ``pack_symmetric``; ``live`` None holds every row.
+    Rows are numbered among the rows of ``pack_symmetric``; ``live`` None holds every row.
     """
-    idx = np.arange(D * D).reshape(D, D)
-    if packed:
-        rows, cols = np.triu_indices(D)
-        idx[rows, cols] = idx[cols, rows] = np.arange(rows.size)
+    idx = np.empty((D, D), dtype=int)
+    rows, cols = np.triu_indices(D)
+    idx[rows, cols] = idx[cols, rows] = np.arange(rows.size)
     return tuple(
         tuple((int(idx[i, j]), j) for j in range(D) if live is None or live[idx[i, j]]) for i in range(D)
     )
@@ -294,10 +292,11 @@ def mandel_product(
 ) -> np.ndarray:
     """Pointwise products A(y) x(y) of component-major (D, m) fields.
 
-    ``A`` holds one matrix per node as rows over nodes: D^2 dense row-major
-    rows, or the D (D + 1) / 2 rows of ``pack_symmetric``.  Each output row
-    is an unrolled sum of contiguous row products, so A is never cast whole.
-    ``live``, from ``live_rows(A)``, leaves out the rows of A that are zero
+    ``A`` holds one symmetric matrix per node as rows over nodes: packed
+    rows only, the D (D + 1) / 2 rows of ``pack_symmetric``; any other row
+    count raises ShapeError.  Each output row is an unrolled sum of
+    contiguous row products, so A is never cast whole.  ``live``, from
+    ``live_rows(A)``, leaves out the rows of A that are zero
     at every node: a stiffness contrast between isotropic phases has 2 such
     rows of 6 in 2-D and 12 of 21 in 3-D.  Adding an exact zero changes no
     sum, so the products are those of every row up to the sign of a zero
@@ -305,7 +304,9 @@ def mandel_product(
     receives the products; it must not overlap ``x``.
     """
     D = len(x)
-    terms = _product_terms(D, len(A) != D * D, live)
+    if len(A) != D * (D + 1) // 2:
+        raise ShapeError(f"expected the {D * (D + 1) // 2} packed rows of a {D} x {D} matrix field, got {len(A)} rows")
+    terms = _product_terms(D, live)
     if out is None:
         out = np.empty(x.shape, dtype=np.result_type(A, x))
     term = None
@@ -416,7 +417,9 @@ def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None 
                 weight *= np.take(factors[j, :, cls], taps[j, sh], axis=0, out=factor, mode="clip")
             k = np.add(freqs[:, None, cls], offsets[:, sh, None], out=_workspace_view(work, "k", (d,) + shape))
             mono = _monomial_rows(k, 2 * d, work)
-            weight /= np.tensordot(det, mono, axes=1)
+            # every per-chunk array is a workspace view: a fresh one left the stage's time to the allocator
+            den = _workspace_view(work, "den", (math.prod(shape),))
+            weight /= np.matmul(det, mono.reshape(len(det), -1), out=den).reshape(shape)
             mono *= weight
             moments[:, cls] += mono.sum(axis=1, out=_workspace_view(work, "sum", (len(det), shape[1])))
     table = np.zeros((len(numer), n + 1))

@@ -65,12 +65,13 @@ for symmetry, packed as the rows of C0 - C (the sign the residual's
 pre-image needs, so no negation pass is made) and then consumed by the
 ellipticity check.  Rows of C - C0 that are zero at every node (2 of 6 in
 2-D and 12 of 21 in 3-D between isotropic phases) are found once and left
-out of every stiffness product; the Green table keeps all its rows.  Iteration
-1 forms b from the real products -dC eps0, E being zero.  A refresh costs one
-float64 stiffness product and two convolutions, and the effective action of
-its strain is read off that product, mean(dC (E + eps0)) + C0 (mean E + eps0),
-so the action needs no pass over C of its own.  ``SolveReport.green_convolutions``
-counts the convolutions of each precision.
+out of every stiffness product; the Green table keeps all its rows.  A
+refresh costs one float64 stiffness product and two convolutions, and the
+effective action of its strain is read off that product, mean(dC (E + eps0))
++ C0 (mean E + eps0), so the action needs no pass over C of its own.
+Iteration 1 is the first refresh, at E = 0: it skips the convolution forming
+E and takes b from the real products -dC eps0.  ``SolveReport.green_convolutions``
+follows from the iteration and refresh counts.
 
 Iterates are component-major (D, m) fields (FFTs over the trailing Smith
 axes, pointwise products as ``mandel_product`` row sums); the symmetric
@@ -91,7 +92,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elasticity import GreenTable, compatible_green, live_rows, mandel_dim, mandel_product
+from .elasticity import GreenTable, compatible_green, live_rows, mandel_dim, mandel_product, pack_symmetric
 from .errors import DomainError, ShapeError
 from .translates import make_rule
 
@@ -140,9 +141,14 @@ class SolveReport:
     effective_action: np.ndarray  # (D,) real effective stiffness applied to eps0
     converged: bool
     scheme: str
-    residual_refreshes: int = 0  # float64 recomputations of the residual
-    # Green convolutions made in each precision: "single" per iteration after the first, "double" for b and refreshes
-    green_convolutions: dict = dataclasses.field(default_factory=lambda: {"single": 0, "double": 0})
+    residual_refreshes: int = 0  # float64 recomputations of the residual after iteration 1
+
+    @property
+    def green_convolutions(self) -> dict:
+        """Green convolutions in each precision: a single one per later iteration, double ones for b and refreshes."""
+        if not self.iterations:
+            return {"single": 0, "double": 0}
+        return {"single": self.iterations - 1, "double": 1 + 2 * self.residual_refreshes}
 
     @property
     def imbalance(self) -> float:
@@ -222,15 +228,12 @@ def _stiffness_rows(C: np.ndarray, C0: np.ndarray) -> np.ndarray:
     scale is that of every accepted field.
     """
     A = C.transpose(1, 2, 0).copy()  # (D, D, m): contiguous rows over nodes
-    D = len(A)
     bound = 1e-12 * max(1.0, float(np.abs(np.diagonal(A)).max()))
-    for i, j in zip(*np.triu_indices(D, 1)):
+    for i, j in zip(*np.triu_indices(len(A), 1)):
         if np.abs(A[i, j] - A[j, i]).max(initial=0.0) > bound:
             raise DomainError("stiffness field must be symmetric at every node")
-    rows, cols = np.triu_indices(D)
-    packed = np.empty((len(rows), A.shape[-1]))
-    for k, (i, j) in enumerate(zip(rows, cols)):
-        np.subtract(C0[i, j], A[i, j], out=packed[k])
+    packed = pack_symmetric(A.transpose(2, 0, 1))
+    np.subtract(pack_symmetric(C0)[:, None], packed, out=packed)
     _check_elliptic(A)
     return packed
 
@@ -238,16 +241,18 @@ def _stiffness_rows(C: np.ndarray, C0: np.ndarray) -> np.ndarray:
 def effective_stiffness(C: np.ndarray, strain: np.ndarray, eps0: np.ndarray) -> np.ndarray:
     """Equal-weight cell average of C : (total strain) under loading eps0.
 
-    Accepts complex strain coefficients; the returned action is the real
-    part (the response of a real material to a real mean strain; any
-    imaginary content is a Nyquist artifact that averages out to round-off).
+    C is an (m, D, D) field of symmetric stiffnesses, as the solvers
+    require; only its upper triangles are read.  Accepts complex strain
+    coefficients; the returned action is the real part (the response of a
+    real material to a real mean strain; any imaginary content is a Nyquist
+    artifact that averages out to round-off).
     """
     C = np.asarray(C, dtype=np.float64)
     strain = np.asarray(strain)
     eps0 = np.asarray(eps0, dtype=np.float64)
     if strain.shape != C.shape[:2]:
         raise ShapeError("strain field does not match the stiffness field")
-    return np.real(apply_stiffness(C.reshape(len(C), -1).T, strain.T + eps0[:, None]).mean(axis=1))
+    return np.real(apply_stiffness(pack_symmetric(C), strain.T + eps0[:, None]).mean(axis=1))
 
 
 def _carve(buffer: np.ndarray, dtype, shape: tuple, part: int = 0) -> np.ndarray:
@@ -275,19 +280,14 @@ def _projector_classes(G: GreenTable) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite residual stops it unconverged
 def _conjugate_gradients(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None, scheme: str) -> SolveReport:
-    """The iteration of both schemes (see ``ls_fixed_point``), reported under ``scheme``."""
+    """The iteration of both schemes (see ``ls_fixed_point``), reported under ``scheme``: CG with float64 refreshes."""
     cfg = cfg or SolverConfig()
     C, C0, eps0 = _validate_problem(C, C0, eps0, G)
-    return _iterate(_stiffness_rows(C, C0), eps0, G, cfg, scheme)
-
-
-def _iterate(neg_dC, eps0, G: GreenTable, cfg: SolverConfig, scheme: str) -> SolveReport:
-    """CG with float64 refreshes on the packed rows of -dC = C0 - C."""
+    neg_dC = _stiffness_rows(C, C0)  # the packed rows of -dC = C0 - C
     scale = float(np.linalg.norm(eps0))
     E = np.zeros((len(eps0), G.m), dtype=np.float64 if G.real else np.complex128)
-    convolutions = {"single": 0, "double": 0}
     if scale == 0.0:
-        return SolveReport(E.T, 0, (0.0,), np.zeros(len(eps0)), True, scheme, green_convolutions=convolutions)
+        return SolveReport(E.T, 0, (0.0,), np.zeros(len(eps0)), True, scheme)
     # the single-precision state is that of the unit problem: strains divided by ||eps0|| and stresses by
     # stress_unit, so the stiffness is divided by stiffness_unit and the Green table multiplied by it
     C0 = G.reference
@@ -299,7 +299,8 @@ def _iterate(neg_dC, eps0, G: GreenTable, cfg: SolverConfig, scheme: str) -> Sol
     table = np.multiply(G.table, stiffness_unit, out=np.empty(G.table.shape, np.float32), casting="same_kind")
     G1 = dataclasses.replace(G, table=table, reference=C0 / stiffness_unit)
     single = np.float32 if G.real else np.complex64
-    r, zeta, p, pi = (np.empty(E.shape, dtype=single) for _ in range(4))
+    r, zeta = (np.empty(E.shape, dtype=single) for _ in range(2))
+    p, pi = (np.zeros(E.shape, dtype=single) for _ in range(2))  # so that beta = 0 starts them at r and zeta
     zeta_E = np.zeros_like(E)  # E = G zeta_E, carried in double precision
     dzeta_E = np.zeros_like(r)  # the increment of zeta_E since the last refresh
     # the refreshes' double-precision field and spectra; the iterations' scratch lies on the same bytes
@@ -312,13 +313,30 @@ def _iterate(neg_dC, eps0, G: GreenTable, cfg: SolverConfig, scheme: str) -> Sol
     projector = _projector_classes(G)
     projector_table = bool(projector.all())
     spectral_pre_image = not projector_table and bool(projector[1:].any())  # beyond the class of h = 0
+    iterations = refreshes = steps = 0  # steps: iterations since the last refresh
+    action = None  # the effective action of E, read off each refresh
 
-    def residual_of(zeta64) -> float:
-        """The float64 norm of r = G zeta64 relative to ||eps0||; writes r and a pre-image of it into r and zeta.
+    def refresh() -> float:
+        """Flush the single-precision increment into zeta_E, rebuild E = G zeta_E and return its float64 residual.
 
-        The pre-image cast to single precision takes C0 r in the ``projector`` classes.
+        zeta64 = -dC (E + eps0) - zeta_E is a pre-image of r = b - A E (b at E = 0, before the first iteration);
+        r and a pre-image taking C0 r in the ``projector`` classes are cast into r and zeta.  The effective
+        action of E is read off the same stiffness product.
         """
-        convolutions["double"] += 1
+        nonlocal action
+        if iterations:  # else E = zeta_E = 0 and nothing has been accumulated
+            np.multiply(dzeta_E, stress_unit, out=E, dtype=E.dtype)  # E is rebuilt below
+            np.add(zeta_E, E, out=zeta_E)
+            dzeta_E.fill(0.0)
+            _green_convolve(G, zeta_E, out=E, spectra=(zeta_hat, r_hat))
+            total = np.add(E, eps0[:, None], out=_carve(zeta_hat, E.dtype, E.shape))
+            mean = total.mean(axis=1)
+        else:  # real products, written in the field's dtype: a complex transform would copy a real input
+            total, mean = np.broadcast_to(eps0[:, None], E.shape), eps0
+        zeta64 = apply_stiffness(neg_dC, total, out=field, live=live)
+        # the mean stress mean(C (E + eps0)) = mean(dC (E + eps0)) + C0 (mean E + eps0)
+        action = np.real(C0 @ mean - zeta64.mean(axis=1))
+        zeta64 -= zeta_E
         # the transform of zeta stays in zeta_hat where the pre-image is formed class by class
         r64 = field if spectral_pre_image else _carve(zeta_hat, E.dtype, E.shape)
         r64 = _green_convolve(G, zeta64, out=r64, spectra=(zeta_hat, r_hat))
@@ -334,49 +352,19 @@ def _iterate(neg_dC, eps0, G: GreenTable, cfg: SolverConfig, scheme: str) -> Sol
         np.multiply(zeta64, 1.0 / stress_unit, out=zeta, casting="same_kind")
         return residual
 
-    def refresh() -> float:
-        """Flush the single-precision increment into zeta_E, rebuild E = G zeta_E and return its float64 residual.
-
-        zeta = -dC (E + eps0) - zeta_E is a pre-image of r = b - A E; the
-        effective action of E is read off the same stiffness product.
-        """
-        nonlocal action
-        np.multiply(dzeta_E, stress_unit, out=E, dtype=E.dtype)  # E is rebuilt below
-        np.add(zeta_E, E, out=zeta_E)
-        dzeta_E.fill(0.0)
-        convolutions["double"] += 1
-        _green_convolve(G, zeta_E, out=E, spectra=(zeta_hat, r_hat))
-        total = np.add(E, eps0[:, None], out=_carve(zeta_hat, E.dtype, E.shape))
-        zeta64 = apply_stiffness(neg_dC, total, out=field, live=live)
-        action = np.real(C0 @ total.mean(axis=1) - zeta64.mean(axis=1))
-        zeta64 -= zeta_E
-        return residual_of(zeta64)
-
-    # iteration 1 forms b = -G dC eps0 by real products, E being zero; they are written in the field's
-    # dtype, as a complex transform would otherwise make a complex copy of a real input
-    zeta64 = apply_stiffness(neg_dC, np.broadcast_to(eps0[:, None], E.shape), out=field, live=live)
-    # the mean stress mean(C (E + eps0)) = mean(dC (E + eps0)) + C0 (mean E + eps0)
-    action = np.real(C0 @ eps0 - zeta64.mean(axis=1))
-    residuals = [residual_of(zeta64)]
-    np.copyto(p, r)
-    np.copyto(pi, zeta)
-    rs = float(np.vdot(zeta, r).real)
+    residuals = [refresh()]  # iteration 1 forms b = -G dC eps0
     iterations = 1
-    refreshes = 0
     fresh = residuals[-1]  # the float64 residual of the last refresh
-    steps = 0  # iterations since then
+    rs = math.inf  # beta = 0 on the first step
     while residuals[-1] > cfg.tolerance and np.isfinite(residuals[-1]) and iterations < cfg.max_iterations:
-        if iterations > 1:
-            rs_next = float(np.vdot(zeta, r).real)
-            beta = rs_next / rs
-            p *= beta
-            p += r
-            pi *= beta
-            pi += zeta
-            rs = rs_next
+        rs_next = float(np.vdot(zeta, r).real)
+        beta, rs = rs_next / rs, rs_next
+        p *= beta
+        p += r
+        pi *= beta
+        pi += zeta
         iterations += 1
         dCp = apply_stiffness(dC1, p, out=dCp, live=live)
-        convolutions["single"] += 1
         q = _green_convolve(G1, dCp, out=q, spectra=spectra)
         curvature = float(np.vdot(pi, p).real) + float(np.vdot(p, dCp).real)
         if not 0.0 < curvature < np.inf:
@@ -414,7 +402,6 @@ def _iterate(neg_dC, eps0, G: GreenTable, cfg: SolverConfig, scheme: str) -> Sol
         converged=residuals[-1] <= cfg.tolerance,
         scheme=scheme,
         residual_refreshes=refreshes,
-        green_convolutions=convolutions,
     )
 
 
@@ -426,7 +413,7 @@ def ls_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) 
     where A is self-adjoint with <x, A x> >= Re x^H C x > 0.  Beside the
     residual r = G zeta and the direction p = G pi it carries their
     pre-images, so <r, r> = Re zeta^H r and the curvature <p, A p> is
-    Re pi^H p + Re p^H dC p.  Iteration 1 is the convolution that forms b;
+    Re pi^H p + Re p^H dC p.  Iteration 1 is a refresh at E = 0 that forms b;
     every later one costs one single-precision stiffness product dC p and
     Green convolution, and each of the ``residual_refreshes`` (see the
     module notes) one float64 stiffness product and two convolutions.  It
@@ -474,6 +461,7 @@ def _minres_fallback(operator, b, x0, cfg: SolverConfig):
     """Minimal-residual solve of a Hermitian system on (D, m) fields.
 
     No solver calls it; the benchmark tracer (perfbench/tracer.py) wraps it by name.
+    scipy is imported on call: it is a dependency of the ``test`` extra only.
 
     scipy's minres is real-symmetric; a Hermitian operator on complex fields
     is lifted to the equivalent real system on interleaved real/imaginary

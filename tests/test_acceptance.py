@@ -2,6 +2,7 @@
 the measured quantities at the stated tolerance."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from oracles import (
 )
 
 EPS0 = np.array([1.0, 0.0, 0.0])
+DOCS = Path(__file__).parent.parent / "docs"
 
 
 def _random_matrix_pool(rng, count, max_m, dims=(2, 3)):
@@ -301,6 +303,37 @@ def test_criterion_8_elog_image_structure(tmp_path):
     print(
         f"criterion 8 PASS (structural): e_log graymap {img.shape[1]}x{img.shape[0]} "
         f"on the Smith raster, normalised, round-trip stable"
+    )
+
+
+def test_neutral_coated_disk_converges_to_the_exact_action():
+    # a coated disk in a matrix of the Hashin coated-cylinder bulk modulus kappa* is neutral under
+    # dilatation, so the action under (1, 1, 0) is exactly 2 kappa* (1, 1, 0): no surrogate is involved
+    config = json.loads((DOCS / "neutral_coated_disk_solve.json").read_text())
+    exact = np.array(json.loads((DOCS / config["reference_values"]).read_text())["effective_action"])
+    ms = sh.geometry.microstructure_from_json(config["microstructure"])
+    reference = config["reference_stiffness"]
+    C0 = sh.iso_stiffness(reference["lambda"], reference["mu"], 2)
+    eps0 = np.array(config["loading"])
+    cfg = sh.SolverConfig(tolerance=config["solver"]["tolerance"])
+    errors, gaps = [], []
+    for n in (64, 128, 256):
+        M = sh.PatternMatrix.from_any([[n, 0], [0, n]])
+        C = sh.sample_stiffness(ms, M)
+        rule = sh.orthonormalize(sh.dirichlet_rule(M))
+        ls = sh.ls_fixed_point(C, C0, eps0, sh.periodized_green(C0, rule), cfg)
+        ve = sh.ve_krylov(C, C0, eps0, sh.compatible_green(C0, rule), cfg)
+        assert ls.converged and ve.converged
+        met = sh.error_metrics(ls.strain, effective_action=ls.effective_action, ref_effective_action=exact)
+        errors.append(met.e_eff)
+        gaps.append(float(np.abs(ls.effective_action - ve.effective_action).max() / np.abs(ls.effective_action).max()))
+    assert all(b < a for a, b in zip(errors, errors[1:]))
+    assert errors[-1] <= 5e-4
+    assert max(gaps) <= 1e-12
+    seq = " > ".join(f"{e:.3e}" for e in errors)
+    print(
+        f"neutral coated disk PASS: Dirichlet LS e_eff {seq} at n = 64, 128, 256 against the exact action "
+        f"(monotone, final <=5e-4); LS/VE action gap {max(gaps):.1e} (<=1e-12)"
     )
 
 

@@ -27,7 +27,12 @@ def _run_from_copy(tmp_path, name, command):
 
 @pytest.mark.parametrize(
     "name",
-    ["laminate_solve.json", "inclusion_dlvp_solve.json", "checkerboard_bspline_solve.json"],
+    [
+        "laminate_solve.json",
+        "inclusion_dlvp_solve.json",
+        "checkerboard_bspline_solve.json",
+        "neutral_coated_disk_solve.json",
+    ],
 )
 def test_solve_examples(tmp_path, name, capsys):
     work = _run_from_copy(tmp_path, name, "solve")
