@@ -210,7 +210,7 @@ def _report_dict(problem: _Problem, report: solver.SolveReport, metrics, green: 
             "smith_factors": list(snf.diag),
         },
         "generator": problem.generator.to_json(),
-        "green": {"periods": green.periods, "tail_estimate": green.tail_estimate},
+        "green": {"periods": green.periods, "tail_estimate": green.tail_estimate, "shifts": green.shifts},
         "diagnostics": {
             "real_fields": green.real,
             "residual_refreshes": report.residual_refreshes,

@@ -236,12 +236,21 @@ class CoefficientRule:
         Since M^{-T}(h + M^T z) = xi_h + z, the unscaled coefficient at
         h + M^T z is raw_scale * prod_j F[j, z_j + periods, h]; the result
         has shape (d, 2 periods + 1, n) over the canonical positions
-        ``classes`` (all m classes by default).
+        ``classes`` (all m classes by default).  B-spline rows with t != 0,
+        where xi + t != 0, take one sine per class and axis:
+        sinc(xi + t) = (-1)^t sin(pi xi) / (pi (xi + t)).
         """
         nums = self._scaled_nums(self._freqs.freqs[classes])
         out = np.empty((self.matrix.d, 2 * periods + 1, len(nums)))
         for j, row in np.ndindex(out.shape[:2]):  # row by row keeps temporaries at one class vector
-            out[j, row] = self._axis_factor(j, nums[:, j] + (row - periods) * self._den)
+            t = row - periods
+            if self.kind != "bspline" or t == 0:
+                out[j, row] = self._axis_factor(j, nums[:, j] + t * self._den)
+                continue
+            if row == 0:
+                sine = np.sin(np.pi / self._den * nums[:, j])
+            x = np.multiply(nums[:, j] + t * self._den, (-1) ** t * np.pi / self._den, out=out[j, row])
+            np.power(np.divide(sine, x, out=x), self.order, out=x)
         return out
 
     def coefficients(self, k) -> np.ndarray:

@@ -209,15 +209,21 @@ def green_dense_solve(C0, k):
     return S @ np.linalg.solve(S.T @ C0 @ S, S.T)
 
 
-def periodized_green_einsum(C0, rule, freqs, periods):
-    """Generator-weighted class sums of green_einsum_inverse, |z|_inf <= periods."""
+def _box(d, periods):
+    return list(product(range(-periods, periods + 1), repeat=d))
+
+
+def periodized_green_einsum(C0, rule, freqs, periods, shifts=None):
+    """Generator-weighted class sums of green_einsum_inverse over ``shifts``, by default all of |z|_inf <= periods."""
     M = np.array(rule.matrix.rows, dtype=np.int64)
     m, d = freqs.shape
     acc = np.zeros((m, d * (d + 1) // 2, d * (d + 1) // 2))
-    for z in product(range(-periods, periods + 1), repeat=d):
-        ks = freqs + np.array(z) @ M
+    shifts = np.array(_box(d, periods) if shifts is None else shifts, dtype=np.int64).reshape(-1, d)
+    batch = max(1, 4096 // m)  # shifts per batched einsum
+    for first in range(0, len(shifts), batch):
+        ks = (freqs[None, :, :] + (shifts[first : first + batch] @ M)[:, None, :]).reshape(-1, d)
         weights = np.abs(rule.coefficients(ks)) ** 2
-        acc += green_einsum_inverse(C0, ks) * weights[:, None, None]
+        acc += (green_einsum_inverse(C0, ks) * weights[:, None, None]).reshape(-1, m, *acc.shape[1:]).sum(axis=0)
     acc *= m
     acc[0] = 0.0
     return acc
@@ -395,18 +401,67 @@ def bspline_axis_sum(xi, order, terms=200):
     return direct + (np.sin(np.pi * xi) / np.pi) ** (2 * order) * tails
 
 
-def omitted_class_share(rule, periods):
-    """Largest share of an orthonormal class's weight outside |z|_inf <= periods, over the classes h != 0.
+def omitted_class_share(rule, periods, shifts=None):
+    """Largest share of an orthonormal class's weight outside ``shifts``, over the stored classes h != 0.
 
-    The share is 1 - m sum |c_{h + M^T z}|^2 over the box, from the rule's
-    coefficients one frequency at a time.
+    The share is 1 - m sum_z |c_{h + M^T z}|^2 over ``shifts``, by default
+    the box |z|_inf <= periods, from the rule's coefficients.  The stored
+    classes are those of the rule's Green table: the half spectrum of a
+    conjugate-symmetric rule.  Over the box, which is symmetric under
+    z -> -z, a class and its negation leave out the same share.
     """
     M = rule.matrix
+    z = np.array(_box(M.d, periods) if shifts is None else shifts, dtype=np.int64).reshape(-1, M.d) @ M.array
+    classes = half_spectrum_classes(M) if rule.conjugate_symmetric else np.arange(M.m)
+    freqs = frequency_set(M).freqs
+    return max(1.0 - M.m * float(np.sum(np.abs(rule.coefficients(freqs[c] + z)) ** 2)) for c in classes[1:])
 
-    def weight(ks):
-        return np.abs(rule.coefficients(ks)) ** 2
 
-    return max(1.0 - M.m * bracket_sum(weight, M, h, periods).real for h in frequency_set(M).freqs[1:])
+def _axis_factor(rule, axis, x):
+    """The rule's one-axis factor F_axis at the scaled frequency x (a Fraction), from its definition."""
+    if rule.kind == "bspline":
+        return float(np.sinc(float(x))) ** rule.order
+    alpha = rule.alpha[axis] if rule.kind == "dlvp" else 0.0
+    if alpha == 0.0:
+        return 1.0 if Fraction(-1, 2) <= x < Fraction(1, 2) else 0.0
+    return min(1.0, max(0.0, ((1.0 + alpha) / 2.0 - abs(float(x))) / alpha))
+
+
+def kept_shifts(rule, periods, dropped_share=1e-2):
+    """The shifts z of |z|_inf <= periods that a Green table of ``rule`` sums, lexicographically.
+
+    Over the stored classes h != 0 (see ``omitted_class_share``), with the
+    scaled frequencies xi_h = M^{-T} h in Fractions, shift z's share of a
+    class is at most b(z) = max_h w(h) prod_j max_h F_j(xi_h,j + z_j)^2, where
+    w(h) = m |c_h|^2 / prod_j F_j(xi_h,j)^2.  Taking the bounds smallest first
+    (ties lexicographically), the shifts whose running sum stays within
+    ``dropped_share`` of the box's omitted share are left out.
+    """
+    M = rule.matrix
+    d = M.d
+    inverse = inverse_fraction([list(row) for row in M.rows])
+    classes = half_spectrum_classes(M) if rule.conjugate_symmetric else np.arange(M.m)
+    freqs = frequency_set(M).freqs
+    peak = [[0.0] * (2 * periods + 1) for _ in range(d)]
+    top = 0.0
+    for c in classes[1:]:
+        h = [int(v) for v in freqs[c]]
+        xi = [sum(inverse[i][j] * h[i] for i in range(d)) for j in range(d)]
+        factor = np.prod([_axis_factor(rule, j, xi[j]) ** 2 for j in range(d)])
+        top = max(top, M.m * abs(rule.coefficients(h)) ** 2 / factor)
+        for j in range(d):
+            for t in range(-periods, periods + 1):
+                peak[j][t + periods] = max(peak[j][t + periods], _axis_factor(rule, j, xi[j] + t) ** 2)
+    box = _box(d, periods)
+    bound = [top * float(np.prod([peak[j][z[j] + periods] for j in range(d)])) for z in box]
+    budget = dropped_share * max(0.0, omitted_class_share(rule, periods)) if rule.support_periods is None else 0.0
+    total, left_out = 0.0, set()
+    for i in sorted(range(len(box)), key=bound.__getitem__):
+        if total + bound[i] > budget:
+            break
+        total += bound[i]
+        left_out.add(i)
+    return [z for i, z in enumerate(box) if i not in left_out]
 
 
 def _smith_coordinates(M):

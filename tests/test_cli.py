@@ -19,7 +19,7 @@ from spectralhom.errors import ConfigError
 from spectralhom.geometry import IsoPhase, Laminate
 from spectralhom.translates import _BSPLINE_MAX_ORDER
 
-from oracles import omitted_class_share, read_gray_image
+from oracles import kept_shifts, omitted_class_share, read_gray_image
 
 
 def _laminate_config(tmp_path, **overrides):
@@ -113,14 +113,17 @@ class TestRunSolve:
     def test_green_table_truncation_reported(self, tmp_path):
         path = _laminate_config(tmp_path)
         _, doc = run_solve(path)
-        assert doc["green"] == {"periods": 0, "tail_estimate": 0.0}  # finite Dirichlet support
+        assert doc["green"] == {"periods": 0, "tail_estimate": 0.0, "shifts": 1}  # finite Dirichlet support
         path = _laminate_config(tmp_path, generator={"kind": "bspline", "order": 2}, green_periods=3)
         _, doc = run_solve(path)
         report = json.loads((tmp_path / "out/report.json").read_text())
         assert report["green"] == doc["green"]
         assert report["green"]["periods"] == 3
-        # the largest share of a class's orthonormal weight left outside |z|_inf <= 3
-        tail = omitted_class_share(orthonormalize(bspline_rule(PatternMatrix.from_any([[8, 0], [0, 8]]), 2)), 3)
+        # the largest share of a stored class's orthonormal weight left outside the shifts summed in |z|_inf <= 3
+        rule = orthonormalize(bspline_rule(PatternMatrix.from_any([[8, 0], [0, 8]]), 2))
+        shifts = kept_shifts(rule, 3)
+        assert report["green"]["shifts"] == len(shifts) < 49
+        tail = omitted_class_share(rule, 3, shifts)
         assert abs(report["green"]["tail_estimate"] - tail) < 1e-12
         assert tail > 0.0
 
@@ -129,7 +132,7 @@ class TestRunSolve:
         path = _laminate_config(tmp_path, pattern_matrix=[[1, 0], [0, 1]], generator={"kind": "bspline", "order": 2})
         assert main(["solve", str(path)]) == 0
         report = json.loads((tmp_path / "out/report.json").read_text())
-        assert report["green"] == {"periods": 8, "tail_estimate": 0.0}
+        assert report["green"] == {"periods": 8, "tail_estimate": 0.0, "shifts": 0}
 
     @pytest.mark.parametrize("generator", [{"kind": "bspline", "order": 2}, {"kind": "dlvp", "alpha": [0.4, 0.3]}])
     def test_truncation_below_support_rejected(self, tmp_path, capsys, generator):
@@ -278,7 +281,7 @@ class TestRunSolve:
         )
         code, doc = run_solve(path)
         assert code == 0 and doc["scheme"] == "ve_krylov"
-        assert doc["green"] == {"periods": None, "tail_estimate": 0.0}
+        assert doc["green"] == {"periods": None, "tail_estimate": 0.0, "shifts": None}
         assert doc["diagnostics"]["real_fields"] is True
 
     def test_green_periods_rejected_for_ve(self, tmp_path, capsys):

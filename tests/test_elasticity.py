@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,9 @@ from oracles import (
     green_dense_solve,
     green_einsum_inverse,
     isotropic_green_mandel,
+    kept_shifts,
     negated_classes,
+    omitted_class_share,
     periodized_green_einsum,
     random_regular_matrix,
     random_spd_mandel,
@@ -182,7 +186,8 @@ class TestGreenKernelOracles:
         C0 = iso_stiffness(1.3, 0.8, 3)
         rule = orthonormalize(bspline_rule(M, 2))
         table = periodized_green(C0, rule, periods=2)
-        want = periodized_green_einsum(C0, rule, frequency_set(M).freqs, periods=2)[stored_classes(table)]
+        shifts = kept_shifts(rule, 2)
+        want = periodized_green_einsum(C0, rule, frequency_set(M).freqs, 2, shifts)[stored_classes(table)]
         assert np.abs(unpack_symmetric(table.table) - want).max() < 1e-14
 
 
@@ -201,7 +206,8 @@ class TestGreenKernelOracles:
         C0 = random_spd_mandel(np.random.default_rng(71), 3)
         rule = orthonormalize(factory(M))
         table = periodized_green(C0, rule)
-        want = periodized_green_einsum(C0, rule, frequency_set(M).freqs, periods=rule.default_periods)
+        periods = rule.default_periods
+        want = periodized_green_einsum(C0, rule, frequency_set(M).freqs, periods, kept_shifts(rule, periods))
         want = want[stored_classes(table)]
         assert np.abs(unpack_symmetric(table.table) - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -211,7 +217,8 @@ class TestGreenKernelOracles:
         C0 = random_spd_mandel(np.random.default_rng(72), 6)
         for rule in (orthonormalize(dlvp_rule(M, [0.3, 0.6, 0.0])), orthonormalize(bspline_rule(M, 2))):
             table = periodized_green(C0, rule, periods=2)
-            want = periodized_green_einsum(C0, rule, frequency_set(M).freqs, periods=2)[stored_classes(table)]
+            shifts = kept_shifts(rule, 2)
+            want = periodized_green_einsum(C0, rule, frequency_set(M).freqs, 2, shifts)[stored_classes(table)]
             assert np.abs(unpack_symmetric(table.table) - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -338,6 +345,54 @@ class TestPeriodizedGreen:
             table = periodized_green(C0, rule, periods=p)
             gap = np.abs(table.table - far).max() / np.abs(far).max()
             assert gap <= table.tail_estimate <= 3.0 * gap
+
+    @pytest.mark.parametrize("periods", [None, 3], ids=["default", "3"])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [[[16, 34], [0, 16]], [[2, 1, 0], [0, 3, 1], [0, 0, 2]]], ids=["2d", "3d"])
+    def test_bspline_table_within_dropped_share_of_box(self, rows, order, periods):
+        # against the whole box |z|_inf <= periods, each stored class moves by at most the share of its
+        # weight that the shifts left out carry, times the largest |G0| among them; that share stays within
+        # 1e-2 of the box's own tail, and the reported tail within 1% above the box's
+        M = PatternMatrix.from_any(rows)
+        C0 = random_spd_mandel(np.random.default_rng(74), M.d * (M.d + 1) // 2)
+        rule = orthonormalize(bspline_rule(M, order))
+        table = periodized_green(C0, rule, periods)
+        periods = table.periods
+        kept = kept_shifts(rule, periods)
+        left_out = np.array(sorted(set(product(range(-periods, periods + 1), repeat=M.d)) - set(kept))) @ M.array
+        assert table.shifts == len(kept) and len(left_out)
+        freqs = frequency_set(M).freqs[stored_classes(table)][1:]
+        share = np.array([M.m * np.sum(np.abs(rule.coefficients(h + left_out)) ** 2) for h in freqs])
+        peak = max(np.abs(green_einsum_inverse(C0, h + left_out)).max() for h in freqs)
+        full = periodized_green_einsum(C0, rule, frequency_set(M).freqs, periods)[stored_classes(table)][1:]
+        gap = np.abs(unpack_symmetric(table.table)[1:] - full).max(axis=(1, 2))
+        assert np.all(gap <= share * peak + 1e-14 * np.abs(full).max())
+        box = omitted_class_share(rule, periods)
+        assert share.max() <= 1e-2 * box
+        assert box <= table.tail_estimate <= 1.01 * box
+
+    @pytest.mark.parametrize(
+        "rows, factory",
+        [
+            ([[16, 0], [0, 16]], dirichlet_rule),
+            ([[9, 3], [0, 9]], dirichlet_rule),  # odd det M: a real table
+            ([[16, 34], [0, 16]], lambda M: dlvp_rule(M, [0.4, 0.0])),
+            ([[12, 3], [0, 12]], lambda M: dlvp_rule(M, [0.4, 1.0])),
+            ([[4, 1, 0], [0, 6, 2], [0, 0, 2]], dirichlet_rule),
+            ([[4, 1, 0], [0, 6, 2], [0, 0, 2]], lambda M: dlvp_rule(M, [0.3, 0.0, 1.0])),
+        ],
+        ids=["dirichlet", "dirichlet-odd", "dlvp-zero-slope", "dlvp", "dirichlet-3d", "dlvp-3d"],
+    )
+    def test_finitely_supported_tables_sum_the_whole_box(self, rows, factory):
+        # no tail, so only the shifts with an all-zero axis factor are left out: those add nothing
+        M = PatternMatrix.from_any(rows)
+        C0 = random_spd_mandel(np.random.default_rng(75), M.d * (M.d + 1) // 2)
+        rule = orthonormalize(factory(M))
+        for periods in (rule.default_periods, 2):
+            table = periodized_green(C0, rule, periods)
+            want = periodized_green_einsum(C0, rule, frequency_set(M).freqs, periods)[stored_classes(table)]
+            assert np.abs(unpack_symmetric(table.table) - want).max() <= 1e-14 * np.abs(want).max()
+            assert table.shifts == len(kept_shifts(rule, periods)) and table.tail_estimate == 0.0
 
     @pytest.mark.parametrize("chunk", [7, 256, 1000])
     def test_chunking_leaves_table_unchanged(self, monkeypatch, chunk):
