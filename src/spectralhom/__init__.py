@@ -33,12 +33,11 @@ from .lattice import (
     period_shifts,
     smith_normal_form,
 )
-from .pfft import FftPlan, fft, ifft, plan
+from .pfft import FftPlan, plan
 from .solver import (
     ErrorMetrics,
     SolveReport,
     SolverConfig,
-    effective_stiffness,
     error_metrics,
     ls_fixed_point,
     ve_krylov,

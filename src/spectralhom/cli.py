@@ -117,7 +117,7 @@ class _Problem:
         D = mandel_dim(d)
         self.eps0 = np.array(config["loading"], dtype=np.float64)
         if self.eps0.shape != (D,):
-            raise ConfigError(f"loading must have {D} Mandel components, got {self.eps0.shape}")
+            raise ConfigError(f"config 'loading': expected {D} Mandel components, got {self.eps0.size}")
         sampling = parse_object(config["sampling"], _SAMPLING_KEYS, "config 'sampling'")
         self.stiffness = _stage(
             "stiffness sampling",
@@ -434,8 +434,9 @@ def pattern_info(M: PatternMatrix) -> dict:
 def errors_command(field_path, reference_path) -> dict:
     M, values, domain = geometry.read_field(field_path)
     _, ref_values, ref_domain = geometry.read_field(reference_path, expected=M)
-    if domain != geometry.DOMAIN_SPACE or ref_domain != geometry.DOMAIN_SPACE:
-        raise ConfigError("error metrics expect space-domain fields")
+    for path, field_domain in ((field_path, domain), (reference_path, ref_domain)):
+        if field_domain != geometry.DOMAIN_SPACE:
+            raise ConfigError(f"{path}: error metrics expect a space-domain field")
     m = solver.error_metrics(values, ref_strain=ref_values)
     return {
         "pattern_matrix": [list(r) for r in M.rows],

@@ -161,7 +161,7 @@ class Inclusion:
         elif shape == "box":
             half = np.asarray(semi_axes, dtype=np.float64)
             if half.shape != (d,) or np.any(half <= 0.0):
-                raise GeometryError("box half-widths must be positive")
+                raise GeometryError(f"box half-widths must be {d} positive numbers, got {semi_axes!r}")
             self.half = half
         else:
             raise GeometryError(f"unknown inclusion shape {shape!r}")
@@ -419,7 +419,7 @@ def _reference_strain(path, M: PatternMatrix) -> np.ndarray:
     """A space-domain PFLD strain field on M with one Mandel vector per node."""
     _, values, domain = read_field(path, expected=M)
     if domain != DOMAIN_SPACE:
-        raise IngestionError("reference strain fields must be in the space domain")
+        raise IngestionError(f"{path}: reference strain field is not in the space domain")
     if values.shape[1] != mandel_dim(M.d):
         raise IngestionError(
             f"field has {values.shape[1]} components, expected {mandel_dim(M.d)} for d = {M.d}"

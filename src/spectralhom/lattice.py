@@ -25,6 +25,7 @@ before anything is converted to floating point.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -252,17 +253,13 @@ def smith_normal_form(M: PatternMatrix) -> SmithDecomposition:
     )
 
 
-def _smith_grid(diag: tuple) -> np.ndarray:
-    """All Smith coordinates j, lexicographically ordered; shape (m, d)."""
-    grids = np.indices(diag, dtype=np.int64)
-    return grids.reshape(len(diag), -1).T
-
-
-def _wrap_half_open(nums: np.ndarray, den: int) -> np.ndarray:
-    """Reduce nums/den into [-1/2, 1/2) in exact integer arithmetic."""
-    r = np.mod(nums, den)
-    r[2 * r >= den] -= den
-    return r
+def _residues(basis: np.ndarray, diag: tuple) -> np.ndarray:
+    """The (m, d) numerators over m = d_1 ... d_d of wrap(basis D^{-1} j), j over the Smith grid lexicographically."""
+    m = math.prod(diag)
+    J = np.indices(diag, dtype=np.int64).reshape(len(diag), -1).T
+    nums = np.mod(J @ (basis * (m // np.array(diag, dtype=np.int64))).T, m)  # column l scaled by m / d_l: exact
+    nums[2 * nums >= m] -= m
+    return nums
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,13 +308,7 @@ class GeneratingSet:
 def pattern(M: PatternMatrix) -> Pattern:
     """Enumerate the pattern of M in canonical (Smith lexicographic) order."""
     snf = smith_normal_form(M)
-    diag = np.array(snf.diag, dtype=np.int64)
-    m = M.m
-    J = _smith_grid(snf.diag)
-    # y(j) = V D^{-1} j; numerators over m use the integer column scaling m/d_l
-    W = snf.V_array * (m // diag)[None, :]
-    nums = _wrap_half_open(J @ W.T, m)
-    return Pattern(matrix=M, smith=snf, nums=_frozen(nums))
+    return Pattern(matrix=M, smith=snf, nums=_frozen(_residues(snf.V_array, snf.diag)))  # y(j) = V D^{-1} j
 
 
 @lru_cache(maxsize=128)
@@ -343,16 +334,12 @@ def frequency_set(M: PatternMatrix) -> GeneratingSet:
     the kernel separates over the Smith grid.
     """
     snf = smith_normal_form(M)
-    diag = np.array(snf.diag, dtype=np.int64)
-    m = M.m
-    J = _smith_grid(snf.diag)
-    W = snf.U_array.T * (m // diag)[None, :]
-    nums = _wrap_half_open(J @ W.T, m)
+    nums = _residues(snf.U_array.T, snf.diag)
     hm = nums @ M.array  # rows times M^T transposed == nums @ M
-    if np.any(hm % m != 0):
+    if np.any(hm % M.m != 0):
         raise RegularityError("internal error: dual points left the lattice")
     return GeneratingSet(
-        freqs=_frozen(hm // m),
+        freqs=_frozen(hm // M.m),
         diag=snf.diag,
         coords=_frozen(snf.V_array.T.copy()),
     )

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ShapeError
 from .lattice import PatternMatrix, smith_normal_form
 
-__all__ = ["FftPlan", "plan", "fft", "ifft"]
+__all__ = ["FftPlan", "plan"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,11 +101,3 @@ class FftPlan:
 @lru_cache(maxsize=128)
 def plan(M: PatternMatrix, real: bool = False) -> FftPlan:
     return FftPlan(matrix=M, diag=smith_normal_form(M).diag, real=real)
-
-
-def fft(M: PatternMatrix, values: np.ndarray) -> np.ndarray:
-    return plan(M).fft(values)
-
-
-def ifft(M: PatternMatrix, values: np.ndarray) -> np.ndarray:
-    return plan(M).ifft(values)

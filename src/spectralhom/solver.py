@@ -50,10 +50,12 @@ residual has fallen by sqrt(eps) of float32 since the last refresh, or below
 the tolerance, a refresh flushes the single-precision increment into zeta_E,
 forms E and the residual by float64 convolutions, and re-casts the residual
 and its pre-image; the search direction is kept (reliable updates, van der
-Vorst & Ye, SIAM J. Sci. Comput. 2000).  The single-precision recurrences
-cannot resolve a pre-image whose part in the null space of G dwarfs its
-image, so pre-images drop that part where it is cheap: where G C0 G = G,
-C0 maps an image to a pre-image without it, and G annihilates constants.
+Vorst & Ye, SIAM J. Sci. Comput. 2000), or restarted from the refreshed
+residual when that exceeds twice the recurred one and the tolerance, which
+shows the recurrence drifted.  The single-precision recurrences cannot
+resolve a pre-image whose part in the null space of G dwarfs its image, so
+pre-images drop that part where it is cheap: where G C0 G = G, C0 maps an
+image to a pre-image without it, and G annihilates constants.
 On a compatible table the recurrences use C0 G dC p for dC p and each
 refresh C0 r; elsewhere they subtract the mean, and each refresh puts C0 r
 in the classes that are C0-projectors.  So the residual history holds
@@ -102,7 +104,6 @@ __all__ = [
     "ErrorMetrics",
     "ls_fixed_point",
     "ve_krylov",
-    "effective_stiffness",
     "error_metrics",
     "field_norm",
     "apply_stiffness",
@@ -111,6 +112,7 @@ __all__ = [
 LOG_ERROR_FORMS = ("difference", "sum")
 _ELLIPTIC_FLOOR = 1e-12  # smallest admissible Gaussian pivot, relative to the largest diagonal entry
 _REFRESH_FALL = float(np.sqrt(np.finfo(np.float32).eps))  # recurred-residual fall that calls a float64 refresh
+_DRIFT_RESTART = 2.0  # a refreshed residual over this multiple of max(recurred, tol) is drift, not rounding: restart
 
 
 @dataclass(frozen=True)
@@ -236,23 +238,6 @@ def _stiffness_rows(C: np.ndarray, C0: np.ndarray) -> np.ndarray:
     np.subtract(pack_symmetric(C0)[:, None], packed, out=packed)
     _check_elliptic(A)
     return packed
-
-
-def effective_stiffness(C: np.ndarray, strain: np.ndarray, eps0: np.ndarray) -> np.ndarray:
-    """Equal-weight cell average of C : (total strain) under loading eps0.
-
-    C is an (m, D, D) field of symmetric stiffnesses, as the solvers
-    require; only its upper triangles are read.  Accepts complex strain
-    coefficients; the returned action is the real part (the response of a
-    real material to a real mean strain; any imaginary content is a Nyquist
-    artifact that averages out to round-off).
-    """
-    C = np.asarray(C, dtype=np.float64)
-    strain = np.asarray(strain)
-    eps0 = np.asarray(eps0, dtype=np.float64)
-    if strain.shape != C.shape[:2]:
-        raise ShapeError("strain field does not match the stiffness field")
-    return np.real(apply_stiffness(pack_symmetric(C), strain.T + eps0[:, None]).mean(axis=1))
 
 
 def _carve(buffer: np.ndarray, dtype, shape: tuple, part: int = 0) -> np.ndarray:
@@ -388,7 +373,10 @@ def _conjugate_gradients(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None, s
         steps += 1
         residuals.append(field_norm(r.T))  # recurred; the unit loading has norm one
         if residuals[-1] <= max(cfg.tolerance, _REFRESH_FALL * fresh):
+            recurred = residuals[-1]
             residuals[-1] = fresh = refresh()
+            if fresh > _DRIFT_RESTART * max(recurred, cfg.tolerance):
+                rs = math.inf  # beta = 0: the next step starts from the refreshed r and zeta
             refreshes += 1
             steps = 0
     if steps:  # stopped between refreshes: the returned strain and the last residual come from one

@@ -4,9 +4,10 @@ Everything here is computed from first principles (exhaustive enumeration,
 Fraction arithmetic, the textbook closed forms, dense matrices), avoiding
 the code paths under test; ``dense_oracle`` reuses the solver's operator
 kernels but replaces the iteration by a direct solve, on the full table that
-``full_table`` rebuilds from a half-spectrum one by class negation, and
+``full_table`` rebuilds from a half-spectrum one by class negation,
 ``float64_conjugate_gradients`` is the solver's iteration run wholly in
-double precision.
+double precision, and ``effective_stiffness`` averages the stress of a
+strain with the solver's stiffness product.
 """
 
 import dataclasses
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from spectralhom.elasticity import GreenTable, pack_symmetric
+from spectralhom.errors import ShapeError
 from spectralhom.lattice import frequency_set, smith_normal_form
 from spectralhom.solver import (
     SolverConfig,
@@ -25,7 +27,6 @@ from spectralhom.solver import (
     _stiffness_rows,
     _validate_problem,
     apply_stiffness,
-    effective_stiffness,
     field_norm,
 )
 
@@ -232,6 +233,23 @@ def periodized_green_einsum(C0, rule, freqs, periods, shifts=None):
 def stiffness_product_einsum(C, strain):
     """Pointwise C(y) strain(y) on pattern-major (m, D, D) and (m, D) arrays."""
     return np.einsum("hij,hj->hi", C, strain)
+
+
+def effective_stiffness(C, strain, eps0):
+    """Equal-weight cell average of C : (total strain) under loading eps0: the reference for ``effective_action``.
+
+    C is an (m, D, D) field of symmetric stiffnesses, as the solvers
+    require; only its upper triangles are read.  Accepts complex strain
+    coefficients; the returned action is the real part (the response of a
+    real material to a real mean strain; any imaginary content is a Nyquist
+    artifact that averages out to round-off).
+    """
+    C = np.asarray(C, dtype=np.float64)
+    strain = np.asarray(strain)
+    eps0 = np.asarray(eps0, dtype=np.float64)
+    if strain.shape != C.shape[:2]:
+        raise ShapeError("strain field does not match the stiffness field")
+    return np.real(apply_stiffness(pack_symmetric(C), strain.T + eps0[:, None]).mean(axis=1))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite residual stops it unconverged

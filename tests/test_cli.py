@@ -110,6 +110,17 @@ class TestRunSolve:
         img = read_gray_image(tmp_path / "out/elog.pgm")
         assert img.shape == (8, 8)  # Smith raster of diag(8, 8)
 
+    @pytest.mark.parametrize("with_reference", [False, True], ids=["no-reference", "action-only"])
+    def test_elog_image_needs_a_strain_reference(self, tmp_path, with_reference):
+        overrides = {"output": {"report": "out/report.json", "elog_image": "out/elog.pgm"}}
+        if with_reference:
+            overrides["reference_values"] = _write_laminate_reference(tmp_path, [[8, 0], [0, 8]], with_strain=False)
+        code, doc = run_solve(_laminate_config(tmp_path, **overrides))
+        assert code == 0
+        assert doc["artifacts"] == {"elog_image": None}
+        assert json.loads((tmp_path / "out/report.json").read_text())["artifacts"] == {"elog_image": None}
+        assert not (tmp_path / "out/elog.pgm").exists()
+
     def test_green_table_truncation_reported(self, tmp_path):
         path = _laminate_config(tmp_path)
         _, doc = run_solve(path)
@@ -356,6 +367,10 @@ class TestConfigValidation:
             ({("microstructure", "phases", 0, "lambda"): _NAN}, None, "'lambda'"),
             ({("microstructure",): _with(_INCLUSION, ("semi_axes",), [1.0, 0.8, 0.6])}, None, "stiffness sampling"),
             ({("log_error_form",): "product"}, None, "'log_error_form'"),
+            ({("loading",): [1.0, 0.0]}, None, "config 'loading': expected 3"),
+            ({("loading",): [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]}, None, "config 'loading': expected 3"),
+            ({("microstructure",): _with(_INCLUSION, ("shape",), "star")}, None, "microstructure: unknown"),
+            ({("microstructure",): {**_INCLUSION, "shape": "box", "semi_axes": [1.0, 0.0]}}, None, "half-widths"),
             ({("reference_stiffness",): {"rule": "phase_mean", "lambda": 1.0, "mu": 1.0}}, None, "not both"),
         ],
     )
@@ -393,6 +408,20 @@ class TestConfigValidation:
         assert err.startswith("error: reference ingestion: ") and err.count("\n") == 1
         named = "reference.json" if "effective_action" in reference else "zero.pfld"
         assert f"{named}: reference " in err and "is zero" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bare", [False, True], ids=["json", "pfld"])
+    def test_frequency_domain_reference_strain_rejected(self, tmp_path, capsys, bare):
+        from spectralhom.geometry import DOMAIN_FREQUENCY, write_field
+
+        M = PatternMatrix.from_any([[8, 0], [0, 8]])
+        write_field(tmp_path / "spectrum.pfld", M, np.ones((64, 3)), DOMAIN_FREQUENCY)
+        (tmp_path / "reference.json").write_text(json.dumps({"strain_field": "spectrum.pfld"}))
+        path = _laminate_config(tmp_path, reference_values="spectrum.pfld" if bare else "reference.json")
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: reference ingestion: ") and err.count("\n") == 1
+        assert "spectrum.pfld: reference strain field is not in the space domain" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("scheme", ["ls_fixed_point", "ve_krylov"])
@@ -517,6 +546,14 @@ class TestSweepAlpha:
         with pytest.raises(ConfigError):
             sweep_alpha(path)
 
+    def test_every_axis_swept_by_default(self, tmp_path):
+        ref = _write_laminate_reference(tmp_path, [[8, 0], [0, 8]], with_strain=False)
+        path = _laminate_config(tmp_path, reference_values=ref, sweep={"budget": 2})
+        code, doc = sweep_alpha(path)
+        assert code == 0
+        assert doc["axes"] == [1, 2] and [entry["axis"] for entry in doc["trace"]] == [1, 2]
+        assert all(len(entry["evaluations"]) == 2 for entry in doc["trace"])
+
     def test_unconverged_evaluations_exit_2(self, tmp_path):
         # a checkerboard needs more than two fixed-point sweeps for any generator
         ref = _write_laminate_reference(tmp_path, [[8, 0], [0, 8]], with_strain=False)
@@ -624,6 +661,19 @@ class TestErrorsCommand:
         write_field(tmp_path / "a.pfld", PatternMatrix.from_any([[4, 0], [0, 4]]), np.zeros((16, 3)))
         write_field(tmp_path / "b.pfld", PatternMatrix.from_any([[2, 0], [0, 2]]), np.zeros((4, 3)))
         assert main(["errors", "--field", str(tmp_path / "a.pfld"), "--reference", str(tmp_path / "b.pfld")]) == 1
+
+    @pytest.mark.parametrize("spectrum", ["field", "reference"])
+    def test_frequency_domain_field_rejected(self, tmp_path, capsys, spectrum):
+        from spectralhom.geometry import DOMAIN_FREQUENCY, DOMAIN_SPACE, write_field
+
+        M = PatternMatrix.from_any([[2, 0], [0, 2]])
+        paths = {name: tmp_path / f"{name}.pfld" for name in ("field", "reference")}
+        for name, path in paths.items():
+            write_field(path, M, np.ones((4, 3)), DOMAIN_FREQUENCY if name == spectrum else DOMAIN_SPACE)
+        assert main(["errors", "--field", str(paths["field"]), "--reference", str(paths["reference"])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {paths[spectrum]}: error metrics expect a space-domain field\n"
 
     def test_zero_reference_field_rejected(self, tmp_path, capsys):
         from spectralhom.geometry import write_field

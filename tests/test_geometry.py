@@ -7,6 +7,7 @@ import pytest
 
 from spectralhom import (
     HashinEllipses,
+    Inclusion,
     IsoPhase,
     Laminate,
     PatternMatrix,
@@ -84,6 +85,50 @@ class TestHashin:
             (1.0, 0.5), (1.25, np.sqrt(1.25**2 - 0.75)), (0.0, 0.0), 0.0, P_STIFF, P_SOFT, IsoPhase(3.0, 2.0)
         )
         assert ms.phase_index(np.array([[1.0, 0.0]]))[0] == 0
+
+
+class TestBoxInclusion:
+    """An axis-aligned box: |wrap(x - center)| <= half-widths on every axis, boundary included."""
+
+    def test_classification(self):
+        box = Inclusion("box", (1.0, 0.5), (0.0, 0.0), 0.0, P_STIFF, P_SOFT)
+        x = np.array([[0.0, 0.0], [0.9, -0.4], [1.1, 0.0], [0.0, 0.6], [-1.2, 0.7]])
+        assert box.phase_index(x).tolist() == [0, 0, 1, 1, 1]
+
+    def test_wraps_around_the_torus(self):
+        # centred near x1 = pi, the box reaches across the cell edge to x1 = -pi + 0.2
+        box = Inclusion("box", (0.5, 0.5), (3.0, 0.0), 0.0, P_STIFF, P_SOFT)
+        x = np.array([[-3.0, 0.0], [2.6, 0.0], [-2.6, 0.0]])
+        assert box.phase_index(x).tolist() == [0, 0, 1]
+
+    def test_boundary_belongs_to_the_box(self):
+        box = Inclusion("box", (1.0, 0.5), (0.0, 0.0), 0.0, P_STIFF, P_SOFT)
+        assert box.phase_index(np.array([[1.0, -0.5], [-1.0, 0.5]])).tolist() == [0, 0]
+        # on diag(8, 8) the nodes lie at multiples of pi/4: |k| <= 2 by |k| <= 1 of them, edges included
+        M = PatternMatrix.from_any([[8, 0], [0, 8]])
+        ms = microstructure_from_json({
+            "kind": "inclusion",
+            "shape": "box",
+            "semi_axes": [np.pi / 2, np.pi / 4],
+            "phases": {"inclusion": {"lambda": 2.0, "mu": 2.0}, "matrix": {"lambda": 1.0, "mu": 1.0}},
+        })
+        stiff = sample_stiffness(ms, M)[:, 0, 0] == P_STIFF.stiffness(2)[0, 0]
+        assert stiff.sum() == 15
+
+    @pytest.mark.parametrize("half", [(1.0, 0.0), (1.0, -0.5), (1.0,), (1.0, 0.5, 0.5)])
+    def test_half_widths_validated(self, half):
+        with pytest.raises(GeometryError, match="half-widths"):
+            Inclusion("box", half, (0.0, 0.0), 0.0, P_STIFF, P_SOFT)
+
+    def test_unknown_shape_rejected(self):
+        doc = {
+            "kind": "inclusion",
+            "shape": "star",
+            "semi_axes": [1.0, 1.0],
+            "phases": {"inclusion": {"lambda": 2.0, "mu": 2.0}, "matrix": {"lambda": 1.0, "mu": 1.0}},
+        }
+        with pytest.raises(GeometryError, match="'star'"):
+            microstructure_from_json(doc)
 
 
 class TestVoxelMap:

@@ -13,13 +13,13 @@ from spectralhom import (
     compatible_green,
     dirichlet_rule,
     dlvp_rule,
-    effective_stiffness,
     error_metrics,
-    fft,
     iso_stiffness,
     ls_fixed_point,
     orthonormalize,
+    pattern,
     periodized_green,
+    plan,
     sample_stiffness,
     ve_krylov,
 )
@@ -30,6 +30,7 @@ from spectralhom.solver import apply_stiffness, field_norm
 
 from oracles import (
     dense_oracle,
+    effective_stiffness,
     float64_conjugate_gradients,
     full_table,
     neumann_fixed_point,
@@ -124,7 +125,7 @@ class TestFixedPoint:
         C = _random_two_phase(rng, M, 3.0)
         G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
         rep = ls_fixed_point(C, C0, EPS0, G, SolverConfig(tolerance=1e-10))
-        assert np.abs(fft(M, rep.strain.T)[:, 0]).max() < 1e-12
+        assert np.abs(plan(M).fft(rep.strain.T)[:, 0]).max() < 1e-12
         total_mean = (rep.strain + EPS0[None, :]).mean(axis=0)
         assert np.abs(total_mean - EPS0).max() < 1e-12
 
@@ -364,9 +365,46 @@ class TestSinglePrecisionIteration:
         G = periodized_green(C0, orthonormalize(bspline_rule(M, order)))
         self._check_against_oracle(ls_fixed_point, C, C0, EPS0, G)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 1: the loop stops unconverged after 5 iterations, the float64 loop converges in 4",
+    )
+    def test_matches_float64_oracle_on_an_aligned_laminate(self):
+        # layers with integer normal (1, 2) on a pattern whose first row is 8 (1, 2), on a bspline2 table
+        M = PatternMatrix.from_any([[8, 16], [-16, 8]])
+        layer = (pattern(M).points % 1 @ np.array([1, 2])) % 1 < 0.375
+        C = np.where(layer[:, None, None], iso_stiffness(5.0, 4.0, 2), iso_stiffness(0.5, 0.4, 2))
+        C0 = iso_stiffness(2.75, 2.2, 2)
+        G = periodized_green(C0, orthonormalize(bspline_rule(M, 2)))
+        self._check_against_oracle(ls_fixed_point, C, C0, EPS0, G, tolerance=1e-8)
+
+    @pytest.mark.parametrize(
+        "scheme, tolerance",
+        [("ls", 1e-8), ("ve", 1e-8), ("ve", 1e-6)],
+        ids=["ls-restart", "ve-restart", "ve-pre-image"],
+    )
+    def test_stiff_checkerboard_matches_float64_oracle(self, scheme, tolerance):
+        # the 100:1 checkerboard with C0 half the soft phase.  At tol 1e-8, a direction kept on after a refresh that
+        # shows drift leaves the recurred residual stalled above the refresh threshold: both schemes stop at the cap
+        # with residual 3.9e-8, while the float64 loop converges in 44 iterations.  At tol 1e-6 VE needs the per-step
+        # pre-image C0 G dC p of the compatible table: with dC p less its mean in its place, as on other tables, it
+        # breaks down unconverged at 52 iterations with residual 3.4e-4
+        M = PatternMatrix.from_any([[8, 0], [0, 8]])
+        C = _checkerboard(M, soft=(1, 1), stiff=(100, 100))
+        C0 = iso_stiffness(0.5, 0.4, 2)
+        rule = orthonormalize(dirichlet_rule(M))
+        G = periodized_green(C0, rule) if scheme == "ls" else compatible_green(C0, rule)
+        cfg = SolverConfig(tolerance=tolerance, max_iterations=400)
+        rep = (ls_fixed_point if scheme == "ls" else ve_krylov)(C, C0, EPS0, G, cfg)
+        ref = float64_conjugate_gradients(C, C0, EPS0, G, cfg)
+        assert rep.converged and ref.converged
+        assert TestFixedPoint._true_residual(rep, C, C0, EPS0, G) <= cfg.tolerance
+        assert field_norm(rep.strain - ref.strain) <= 10 * cfg.tolerance * field_norm(ref.strain)
+
     @staticmethod
-    def _check_against_oracle(run, C, C0, eps0, G):
-        cfg = SolverConfig(tolerance=1e-9)
+    def _check_against_oracle(run, C, C0, eps0, G, tolerance=1e-9):
+        cfg = SolverConfig(tolerance=tolerance)
         rep = run(C, C0, eps0, G, cfg)
         ref = float64_conjugate_gradients(C, C0, eps0, G, cfg)
         assert rep.converged and ref.converged and rep.residual_refreshes >= 1
