@@ -36,8 +36,11 @@ monomial coefficients are built once per call from C0 by exact products of
 polynomial coefficient rows (the linear S entries, the quadratic A entries,
 the cofactors of A), never by fitting.  A batch of frequencies then costs
 one row of monomials per k and two small matrix products; since G0 is
-0-homogeneous, ``green_coeff_batch`` evaluates them on unit k, which keeps
-det A of order one, and k = 0 (zero monomials) gives G0 = 0.
+0-homogeneous, ``green_coeff_batch`` and ``compatible_green`` evaluate them
+on unit k, which keeps det A of order one, and k = 0 (zero monomials) gives
+G0 = 0.  They run in passes of ``_CHUNK`` frequencies through one workspace,
+and each pass writes its quotient straight into the packed rows returned, so
+a build holds the result and one pass of temporaries.
 
 The periodised Green operator of a generator rule is the weighted class sum
 
@@ -48,12 +51,14 @@ over the dual generating set.  The generator weight separates: since
 M^{-T} k_z = xi_h + z, the squared coefficient is the per-class factor
 w(h) = m (raw_scale / class_scale(h))^2 times W_z(h) = prod_j F_j(xi_h,j + z_j)^2,
 a product of one-axis factors tabulated once for |z_j| <= periods.  The
-(shift, class) frequencies are processed in fixed-size chunks, on views of
-buffers allocated once per call, that accumulate the (monomials, m) moment
-rows sum_z W_z k_z^alpha / det A(k_z); one final (D (D + 1) / 2 x monomials)
-product with the numerator coefficients gives the packed table.  The class
-of h = 0 is left at zero.  For the orthonormalised Dirichlet rule (|c|^2 = 1/m
-on its support) the table reproduces G0 on G(M^T) exactly.
+(shift, class) frequencies are processed in passes of at most ``_CHUNK``
+pairs, each as many shifts of one block of classes (blocks of equal width)
+as fit, on views of buffers allocated once per call, that accumulate the
+(monomials, m) moment rows sum_z W_z k_z^alpha / det A(k_z); one final
+(D (D + 1) / 2 x monomials) product with the numerator coefficients gives the
+packed table.  The class of h = 0 is left at zero.  For the orthonormalised
+Dirichlet rule (|c|^2 = 1/m on its support) the table reproduces G0 on
+G(M^T) exactly.
 
 Truncating the class sums is the table's only approximation.  An
 orthonormalised class sums to one, so the box |z|_inf <= periods keeps the
@@ -108,7 +113,7 @@ __all__ = [
 
 _SHEAR_PAIRS = {1: (), 2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
 _SQRT2 = np.sqrt(2.0)
-_CHUNK = 8192  # (shift, class) frequencies per pass of the Green-table accumulation
+_CHUNK = 16384  # frequencies per pass of a Green-table build: (shift, class) pairs, or classes
 _DROPPED_SHARE = 1e-2  # bound on the weight of the shifts left out, relative to the box's truncation tail
 
 
@@ -243,16 +248,33 @@ def _monomial_rows(k: np.ndarray, n: int, work: dict) -> np.ndarray:
     return out
 
 
-def _green_rows(C0: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Packed rows (D (D + 1) / 2, n) of G0 at frequencies given as rows k (d, n), zero at k = 0."""
-    numer, det = _green_polynomials(C0, len(k))
-    norm = np.sqrt(sum(row**2 for row in k))
-    zero = norm == 0.0
-    norm[zero] = 1.0
-    mono = _monomial_rows(k / norm, 2 * len(k), {})  # G0 is 0-homogeneous; unit k keeps det A of order one
-    den = det @ mono
-    den[zero] = 1.0  # k = 0 has zero monomials, hence G0 = 0
-    return numer @ mono / den
+def _green_rows(C0: np.ndarray, d: int, n: int, frequencies) -> np.ndarray:
+    """Packed rows (D (D + 1) / 2, n) of G0 at n frequencies, zero at k = 0.
+
+    ``frequencies(cls)`` gives the frequencies of the slice ``cls`` of the n
+    as rows (d, ...).  G0 is evaluated in passes of ``_CHUNK`` frequencies
+    through one workspace and written straight into the rows it returns.
+    """
+    numer, det = _green_polynomials(C0, d)
+    table = np.empty((len(numer), n))
+    work: dict = {}  # the first pass is the widest, so each buffer is allocated once
+    for lo in range(0, n, _CHUNK):
+        cls = slice(lo, lo + _CHUNK)
+        k = frequencies(cls)
+        shape = k.shape[1:]
+        norm = np.multiply(k[0], k[0], out=_workspace_view(work, "norm", shape))
+        for row in k[1:]:
+            norm += np.multiply(row, row, out=_workspace_view(work, "square", shape))
+        np.sqrt(norm, out=norm)
+        zero = norm == 0.0
+        norm[zero] = 1.0
+        # G0 is 0-homogeneous; unit k keeps det A of order one
+        mono = _monomial_rows(np.divide(k, norm, out=_workspace_view(work, "unit", k.shape)), 2 * d, work)
+        den = np.matmul(det, mono, out=_workspace_view(work, "den", shape))
+        den[zero] = 1.0  # k = 0 has zero monomials, hence G0 = 0
+        rows = table[:, cls]
+        np.divide(np.matmul(numer, mono, out=rows), den, out=rows)
+    return table
 
 
 def green_coeff_batch(C0: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -264,7 +286,7 @@ def green_coeff_batch(C0: np.ndarray, ks: np.ndarray) -> np.ndarray:
     _check_reference(C0, d)
     rows, cols = np.triu_indices(mandel_dim(d))
     G = np.empty((n,) + (mandel_dim(d),) * 2)
-    G[:, rows, cols] = G[:, cols, rows] = _green_rows(C0, np.ascontiguousarray(ks.T)).T
+    G[:, rows, cols] = G[:, cols, rows] = _green_rows(C0, d, n, lambda cls: ks[cls].T).T
     return G
 
 
@@ -425,7 +447,8 @@ def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None 
     offsets = (shifts[summed] @ M.array).T.astype(np.float64)
     numer, det = _green_polynomials(C0, d)
     n = freqs.shape[1]
-    width = max(1, min(n, _CHUNK))
+    # class blocks of equal width, each pass as many shifts of a block as fit in about _CHUNK pairs
+    width = max(1, -(-n // max(1, -(-n // _CHUNK))))
     depth = max(1, _CHUNK // width)
     moments = np.zeros((len(det), n))
     share = np.zeros(n)  # sum_z W_z(h) over the summed shifts
@@ -475,14 +498,21 @@ def compatible_green(C0: np.ndarray, rule: CoefficientRule) -> GreenTable:
     a C0-projector, or zero where mu_h = 0 (as at h = 0); there is no class
     sum, no ``periods`` and no tail.  For dirichlet mu_h = h, which gives
     ``periodized_green``'s table.  Conjugate-symmetric rules keep the real
-    half table.
+    half table.  The class means and their Green rows are evaluated in
+    passes of ``_CHUNK`` classes written straight into the table, so the
+    build holds the table and one pass of temporaries.
     """
     M = rule.matrix
     C0 = _check_reference(C0, M.d)
     real = rule.conjugate_symmetric
-    kept = fft_plan(M, real).classes if real else slice(None)
-    mu = frequency_set(M).freqs[kept].T + M.array.T @ rule.class_mean_shift(kept)
-    table = _green_rows(C0, mu)
+    freqs = frequency_set(M).freqs
+    stored = fft_plan(M, real).classes if real else None
+
+    def class_means(cls: slice) -> np.ndarray:
+        kept = cls if stored is None else stored[cls]
+        return freqs[kept].T + M.array.T @ rule.class_mean_shift(kept)
+
+    table = _green_rows(C0, M.d, M.m if stored is None else len(stored), class_means)
     table.setflags(write=False)
     return GreenTable(
         matrix=M,

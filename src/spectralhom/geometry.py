@@ -265,11 +265,14 @@ def sample_stiffness(ms, M: PatternMatrix, mode: str = "node", subsamples: int =
         raise DomainError(f"unknown sampling mode {mode!r}")
     if subsamples < 1:
         raise DomainError("cell averaging needs at least one subsample per axis")
-    acc = np.zeros((M.m, D, D))
+    # per-node phase counts over the subcells, then one (m, P) @ (P, D^2) product
+    counts = np.zeros((len(tables), M.m))
     offsets = _cell_offsets(M, subsamples)
     for off in offsets:
-        acc += tables[ms.phase_index(nodes + off[None, :])]
-    return acc / len(offsets)
+        which = ms.phase_index(nodes + off[None, :])
+        for phase, row in enumerate(counts):
+            row += which == phase
+    return (counts.T @ tables.reshape(len(tables), D * D)).reshape(M.m, D, D) / len(offsets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,7 +329,7 @@ def laminate_reference(ms: Laminate, M: PatternMatrix, eps0) -> ReferenceSolutio
 
 def write_field(path, M: PatternMatrix, values: np.ndarray, domain: int = DOMAIN_SPACE) -> None:
     """Write a pattern-indexed field in the PFLD binary container."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
+    values = np.ascontiguousarray(values, dtype="<f8")  # copies only a strided or non-"<f8" field, once
     if values.ndim != 2 or values.shape[0] != M.m:
         raise ShapeError(f"field must have shape (m, D) with m = {M.m}, got {values.shape}")
     if domain not in (DOMAIN_SPACE, DOMAIN_FREQUENCY):
@@ -337,7 +340,7 @@ def write_field(path, M: PatternMatrix, values: np.ndarray, domain: int = DOMAIN
         fh.write(struct.pack("<II", _PFLD_VERSION, d))
         fh.write(M.array.astype("<i8").tobytes())
         fh.write(struct.pack("<II", values.shape[1], domain))
-        fh.write(values.astype("<f8").tobytes())
+        values.tofile(fh)
 
 
 def read_field(path, expected: PatternMatrix | None = None):

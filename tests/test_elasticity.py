@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -405,7 +406,7 @@ class TestPeriodizedGreen:
         got = periodized_green(C0, rule).table
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
-    @pytest.mark.parametrize("chunk", [7, 100])
+    @pytest.mark.parametrize("chunk", [7, 128])
     @pytest.mark.parametrize(
         "rows, factory",
         [
@@ -438,6 +439,36 @@ class TestPeriodizedGreen:
         assert all(b is held[0] for held in buffers.values() for b in held)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
+    @pytest.mark.parametrize("chunk", [None, 3000, 6000])
+    def test_passes_hold_about_chunk_pairs(self, monkeypatch, chunk):
+        # 8,207 accumulated classes, a little over half the default _CHUNK: class blocks of equal width
+        # and as many shifts per pass as fit, so only the last pass of a block may run short
+        if chunk is not None:
+            monkeypatch.setattr(elasticity, "_CHUNK", chunk)
+        M = PatternMatrix.from_any([[128, 272], [0, 128]])
+        rule = orthonormalize(bspline_rule(M, 2))
+        rows = elasticity._monomial_rows
+        shapes = []
+
+        def recorded(k, n, work):
+            if n == 2 * len(k):  # a pass, not one of its lower-degree steps
+                shapes.append(k.shape[1:])
+            return rows(k, n, work)
+
+        monkeypatch.setattr(elasticity, "_monomial_rows", recorded)
+        table = periodized_green(iso_stiffness(1.3, 0.8, 2), rule)
+        n = table.table.shape[1] - 1  # h = 0 is not accumulated
+        assert n == 8207
+        blocks = -(-n // shapes[0][1])
+        assert len(shapes) % blocks == 0
+        per_block = len(shapes) // blocks
+        assert sum(shapes[b * per_block][1] for b in range(blocks)) == n
+        assert sum(depth for depth, _ in shapes[:per_block]) == table.shifts
+        pairs = [depth * width for depth, width in shapes]
+        assert max(pairs) <= elasticity._CHUNK
+        for b in range(blocks):
+            assert min(pairs[b * per_block : (b + 1) * per_block - 1], default=elasticity._CHUNK) >= elasticity._CHUNK / 2
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_packed_apply_hat_matches_einsum(self, d):
         rng = np.random.default_rng(60 + d)
@@ -463,6 +494,8 @@ class TestCompatibleGreen:
         "dirichlet-odd": ([[9, 3], [0, 9]], dirichlet_rule),
         "dlvp-3d": ([[4, 1, 0], [0, 6, 2], [0, 0, 2]], lambda M: dlvp_rule(M, [0.3, 0.0, 1.0])),
         "bspline2-3d": ([[4, 1, 0], [0, 6, 2], [0, 0, 2]], lambda M: bspline_rule(M, 2)),
+        # 20,496 stored classes: more than one pass of _CHUNK
+        "bspline2-large": ([[256, 272], [0, 160]], lambda M: bspline_rule(M, 2)),
     }
 
     @staticmethod
@@ -496,7 +529,13 @@ class TestCompatibleGreen:
 
     @pytest.mark.parametrize(
         "rows",
-        [[[16, 6], [0, 16]], [[9, 3], [0, 9]], [[4, 1, 0], [0, 4, 0], [0, 0, 4]], [[3, 1, 0], [0, 3, 1], [0, 0, 5]]],
+        [
+            [[16, 6], [0, 16]],
+            [[9, 3], [0, 9]],
+            [[4, 1, 0], [0, 4, 0], [0, 0, 4]],
+            [[3, 1, 0], [0, 3, 1], [0, 0, 5]],
+            [[128, 0], [0, 144]],  # 18,432 classes: more than one pass of _CHUNK
+        ],
     )
     def test_dirichlet_equals_periodized_table(self, rows):
         M = PatternMatrix.from_any(rows)
@@ -509,7 +548,35 @@ class TestCompatibleGreen:
         assert np.abs(table - paper.table).max() <= 1e-14 * np.abs(paper.table).max()
         assert not periodized_green(C0, orthonormalize(dlvp_rule(M, [0.4] * M.d))).compatible
 
-    @pytest.mark.parametrize("name", ["dlvp", "bspline1", "bspline2", "dirichlet-odd", "bspline2-3d"])
+    @pytest.mark.parametrize("chunk", [7, 1000])
+    @pytest.mark.parametrize("name", ["dirichlet", "dlvp", "bspline2", "bspline2-3d"])
+    def test_chunking_leaves_table_unchanged(self, monkeypatch, name, chunk):
+        M, C0, rule, G = self._build(*self.CASES[name])
+        ks = frequency_set(M).freqs
+        batch = green_coeff_batch(C0, ks)
+        monkeypatch.setattr(elasticity, "_CHUNK", chunk)
+        table = compatible_green(C0, rule).table
+        assert np.abs(table - G.table).max() <= 1e-14 * np.abs(G.table).max()
+        assert np.abs(green_coeff_batch(C0, ks) - batch).max() <= 1e-14 * np.abs(batch).max()
+
+    def test_build_memory_is_the_table_and_two_passes(self):
+        # the 3-D table of 73,728 classes is built in passes of _CHUNK classes through one workspace: the
+        # unit frequencies, the monomials of degrees 2, 3 and 6 and a few scalar rows, 50 rows of _CHUNK
+        M = PatternMatrix.from_any([[48, 0, 0], [0, 48, 0], [0, 0, 32]])
+        C0 = iso_stiffness(1.3, 0.8, 3)
+        rule = orthonormalize(dirichlet_rule(M))
+        frequency_set(M)  # cached by every builder; not part of the build
+        assert M.m > elasticity._CHUNK
+        tracemalloc.start()
+        try:
+            table = compatible_green(C0, rule).table
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        workspace = 50 * elasticity._CHUNK * table.itemsize
+        assert table.nbytes < peak < table.nbytes + 2 * workspace
+
+    @pytest.mark.parametrize("name", ["dlvp", "bspline1", "bspline2", "dirichlet-odd", "bspline2-3d", "bspline2-large"])
     def test_even_real_half_table(self, name):
         # class means of conjugate-symmetric rules are odd in the class, so the table is even and
         # the stored half holds einsum-inverse Green matrices at those means

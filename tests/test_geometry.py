@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+from itertools import product
 
 import numpy as np
 import pytest
@@ -158,6 +159,36 @@ class TestSampling:
         assert len(dev) > 2  # interface cells carry intermediate values
         assert all(np.abs(C_node[i] - soft).max() in pure for i in range(M.m))
 
+    @pytest.mark.parametrize(
+        "ms, rows",
+        [
+            (VoxelMap([[0, 1, 2], [2, 0, 1], [1, 1, 0]], [P_SOFT, P_STIFF, IsoPhase(0.3, 0.7)]), [[12, 5], [0, 9]]),
+            (
+                Inclusion("ellipse", [1.3, 0.9], [0.2, -0.3], 0.4, IsoPhase(1.7, 2.9), IsoPhase(0.41, 0.23)),
+                [[16, 6], [0, 16]],
+            ),
+            (
+                Inclusion("box", [1.1, 0.7, 1.9], [0.1, 0.2, -0.3], 0.0, IsoPhase(3.3, 1.1), IsoPhase(0.7, 0.9)),
+                [[6, 1, 0], [0, 5, 2], [0, 0, 6]],
+            ),
+        ],
+        ids=["voxel-map", "ellipse", "box-3d"],
+    )
+    def test_cell_average_is_the_subcell_mean(self, ms, rows):
+        # the phase stiffness averaged over the s^d subcells of each node cell, one subcell at a time
+        M = PatternMatrix.from_any(rows)
+        nodes = 2.0 * np.pi * pattern(M).points
+        tables = np.stack([p.stiffness(M.d) for p in ms.phases])
+        for s in (1, 2, 3):
+            steps = (np.arange(s) + 0.5) / s - 0.5
+            want = np.zeros((M.m,) + tables.shape[1:])
+            for y in product(steps, repeat=M.d):
+                offset = 2.0 * np.pi * np.linalg.solve(M.array.astype(float), np.array(y))
+                want += tables[ms.phase_index(nodes + offset)]
+            want /= s**M.d
+            got = sample_stiffness(ms, M, mode="cell_average", subsamples=s)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
     def test_volume_fraction_converges(self):
         lam = Laminate(axis=0, fraction=0.3, phases=(P_SOFT, P_STIFF))
         errs = []
@@ -275,6 +306,19 @@ class TestFieldIO:
         assert np.array_equal(values, values2)
         write_field(path, M2, values2, domain)
         assert path.read_bytes() == first
+
+    def test_views_written_as_little_endian_rows(self, tmp_path):
+        # a transposed complex field's real part and a big-endian array give the same (m, D) payload
+        M = PatternMatrix.from_any([[6, 1], [2, 5]])
+        rng = np.random.default_rng(61)
+        values = rng.standard_normal((M.m, 3))
+        first = None
+        for field in (values, (values.T + 1j * rng.standard_normal((3, M.m))).T.real, values.astype(">f8")):
+            write_field(tmp_path / "field.pfld", M, field)
+            data = (tmp_path / "field.pfld").read_bytes()
+            assert data.endswith(values.astype("<f8").tobytes())
+            first = first or data
+            assert data == first
 
     def test_frequency_domain_flag(self, tmp_path):
         M = PatternMatrix.from_any([[2, 0], [0, 2]])
