@@ -24,9 +24,9 @@ variable drops out.  The zero-frequency entry is set to zero, which pins the
 mean of the fluctuation strain to zero while the prescribed macroscopic
 strain carries the mean.
 
-Both G0 and the periodised table are evaluated through polynomials.
-S(k) = sum_a k_a E_a is linear in k with constant D x d matrices E_a = S(e_a),
-so A(k) = S(k)^T C0 S(k) has quadratic entries and
+Every table is evaluated through polynomials.  S(k) = sum_a k_a E_a is
+linear in k with constant D x d matrices E_a = S(e_a), so
+A(k) = S(k)^T C0 S(k) has quadratic entries and
 
     G0(k) = N(k) / det A(k),        N(k) = S(k) adj(A(k)) S(k)^T,
 
@@ -34,15 +34,8 @@ where N (stored as its D (D + 1) / 2 symmetric-packed rows) and det A are
 homogeneous of degree 2d in k: 5 monomials k^alpha in 2-D, 28 in 3-D.  Their
 monomial coefficients are built once per call from C0 by exact products of
 polynomial coefficient rows (the linear S entries, the quadratic A entries,
-the cofactors of A), never by fitting.  A batch of frequencies then costs
-one row of monomials per k and two small matrix products; since G0 is
-0-homogeneous, ``green_coeff_batch`` and ``compatible_green`` evaluate them
-on unit k, which keeps det A of order one, and k = 0 (zero monomials) gives
-G0 = 0.  They run in passes of ``_CHUNK`` frequencies through one workspace,
-and each pass writes its quotient straight into the packed rows returned, so
-a build holds the result and one pass of temporaries.
-
-The periodised Green operator of a generator rule is the weighted class sum
+the cofactors of A), never by fitting.  The periodised Green operator of a
+generator rule is the weighted class sum
 
     Gamma(h) = m sum_z |c_{h + M^T z}|^2 G0(h + M^T z)
              = w(h) N . sum_z W_z(h) k_z^alpha / det A(k_z),    k_z = h + M^T z,
@@ -51,14 +44,24 @@ over the dual generating set.  The generator weight separates: since
 M^{-T} k_z = xi_h + z, the squared coefficient is the per-class factor
 w(h) = m (raw_scale / class_scale(h))^2 times W_z(h) = prod_j F_j(xi_h,j + z_j)^2,
 a product of one-axis factors tabulated once for |z_j| <= periods.  The
-(shift, class) frequencies are processed in passes of at most ``_CHUNK``
-pairs, each as many shifts of one block of classes (blocks of equal width)
-as fit, on views of buffers allocated once per call, that accumulate the
-(monomials, m) moment rows sum_z W_z k_z^alpha / det A(k_z); one final
-(D (D + 1) / 2 x monomials) product with the numerator coefficients gives the
-packed table.  The class of h = 0 is left at zero.  For the orthonormalised
-Dirichlet rule (|c|^2 = 1/m on its support) the table reproduces G0 on
-G(M^T) exactly.
+class of h = 0 is left at zero.  For the orthonormalised Dirichlet rule
+(|c|^2 = 1/m on its support) the table reproduces G0 on G(M^T) exactly.
+
+One pass loop, ``_green_rows``, evaluates G0 for every table: it fills packed
+rows with sum_z W_z G0(k_z) over a fixed number of terms per class.  The
+periodised table sums its shifts with the weights W_z(h) and then scales
+class h by w(h); ``compatible_green`` (G0 at the class means) and
+``green_coeff_batch`` (G0 itself) are the case of one term of weight one.
+The classes run in blocks of equal width, and each pass takes as many terms
+of one block as fit in ``_CHUNK`` (term, class) pairs, on views of one
+workspace that the first, widest pass allocates.  A block accumulates the
+moment rows sum_z W_z k_z^alpha / det A(k_z), one row of monomials per
+frequency and one small product for det A, and ends with one
+(D (D + 1) / 2 x monomials) product with the numerator coefficients written
+into its columns of the table, so a build holds the table and one pass of
+temporaries.  k^alpha / det A(k) is 0-homogeneous, so k is used as given,
+and det A(k) > 0 for k != 0: a zero denominator marks k = 0 alone, which
+gets an infinite one and so G0(0) = 0.
 
 Truncating the class sums is the table's only approximation.  An
 orthonormalised class sums to one, so the box |z|_inf <= periods keeps the
@@ -113,7 +116,7 @@ __all__ = [
 
 _SHEAR_PAIRS = {1: (), 2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
 _SQRT2 = np.sqrt(2.0)
-_CHUNK = 16384  # frequencies per pass of a Green-table build: (shift, class) pairs, or classes
+_CHUNK = 16384  # (term, class) pairs per pass of a Green-table build
 _DROPPED_SHARE = 1e-2  # bound on the weight of the shifts left out, relative to the box's truncation tail
 
 
@@ -248,46 +251,55 @@ def _monomial_rows(k: np.ndarray, n: int, work: dict) -> np.ndarray:
     return out
 
 
-def _green_rows(C0: np.ndarray, d: int, n: int, frequencies) -> np.ndarray:
-    """Packed rows (D (D + 1) / 2, n) of G0 at n frequencies, zero at k = 0.
+def _green_rows(C0: np.ndarray, d: int, table: np.ndarray, terms: int, frequencies) -> np.ndarray:
+    """Fill the packed rows ``table`` (D (D + 1) / 2, n) with sum_z W_z G0(k_z) over ``terms`` terms per class.
 
-    ``frequencies(cls)`` gives the frequencies of the slice ``cls`` of the n
-    as rows (d, ...).  G0 is evaluated in passes of ``_CHUNK`` frequencies
-    through one workspace and written straight into the rows it returns.
+    ``frequencies(cls, sh, work)`` gives one pass: for the S terms in the
+    slice ``sh`` of the ``terms`` and the W classes in the slice ``cls`` of
+    the n, the frequencies k_z as rows (d, S, W) and the weights W_z as
+    (S, W), or None for weights of one, either of them possibly on views of
+    ``work``.  G0 is zero at k = 0.  The passes run as the module docstring
+    describes, and ``table`` is returned.
     """
     numer, det = _green_polynomials(C0, d)
-    table = np.empty((len(numer), n))
-    work: dict = {}  # the first pass is the widest, so each buffer is allocated once
-    for lo in range(0, n, _CHUNK):
-        cls = slice(lo, lo + _CHUNK)
-        k = frequencies(cls)
-        shape = k.shape[1:]
-        norm = np.multiply(k[0], k[0], out=_workspace_view(work, "norm", shape))
-        for row in k[1:]:
-            norm += np.multiply(row, row, out=_workspace_view(work, "square", shape))
-        np.sqrt(norm, out=norm)
-        zero = norm == 0.0
-        norm[zero] = 1.0
-        # G0 is 0-homogeneous; unit k keeps det A of order one
-        mono = _monomial_rows(np.divide(k, norm, out=_workspace_view(work, "unit", k.shape)), 2 * d, work)
-        den = np.matmul(det, mono, out=_workspace_view(work, "den", shape))
-        den[zero] = 1.0  # k = 0 has zero monomials, hence G0 = 0
-        rows = table[:, cls]
-        np.divide(np.matmul(numer, mono, out=rows), den, out=rows)
+    n = table.shape[1]
+    width = max(1, -(-n // max(1, -(-n // _CHUNK))))  # class blocks of equal width
+    depth = max(1, _CHUNK // width)  # terms per pass
+    # every per-pass array is a workspace view (a fresh one left the stage's time to the allocator); the first
+    # pass is the widest and deepest, so each buffer is allocated once
+    work: dict = {}
+    for lo in range(0, n, width):
+        cls = slice(lo, min(lo + width, n))
+        moments = _workspace_view(work, "moments", (len(det), cls.stop - lo))
+        for first in range(0, terms, depth):
+            k, weight = frequencies(cls, slice(first, first + depth), work)
+            mono = _monomial_rows(k, 2 * d, work)
+            den = np.matmul(det, mono.reshape(len(det), -1), out=_workspace_view(work, "den", (mono[0].size,)))
+            den = den.reshape(k.shape[1:])
+            den[den == 0.0] = np.inf  # det A(k) > 0 for k != 0: k = 0, where G0 = 0
+            if weight is None:
+                weight = np.reciprocal(den, out=den)
+            else:
+                weight /= den
+            mono *= weight
+            if first == 0:
+                mono.sum(axis=1, out=moments)
+            else:
+                moments += mono.sum(axis=1, out=_workspace_view(work, "sum", moments.shape))
+        np.matmul(numer, moments, out=table[:, cls])
     return table
 
 
 def green_coeff_batch(C0: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Green operator matrices for an (n, d) batch of integer frequencies (zero at k = 0)."""
+    """Green operator matrices for an (n, d) batch of frequencies (zero at k = 0): ``_green_rows`` with one term."""
     ks = np.asarray(ks, dtype=np.float64)
     if ks.ndim != 2:
         raise ShapeError(f"expected an (n, d) frequency batch, got shape {ks.shape}")
     n, d = ks.shape
     _check_reference(C0, d)
-    rows, cols = np.triu_indices(mandel_dim(d))
-    G = np.empty((n,) + (mandel_dim(d),) * 2)
-    G[:, rows, cols] = G[:, cols, rows] = _green_rows(C0, d, n, lambda cls: ks[cls].T).T
-    return G
+    D = mandel_dim(d)
+    table = _green_rows(C0, d, np.empty((D * (D + 1) // 2, n)), 1, lambda cls, sh, work: (ks[cls].T[:, None], None))
+    return np.ascontiguousarray(np.moveaxis(table[_packed_index(D)], -1, 0))
 
 
 def pack_symmetric(A) -> np.ndarray:
@@ -300,14 +312,22 @@ def pack_symmetric(A) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _packed_index(D: int) -> np.ndarray:
+    """(D, D) row of entry (i, j) among the rows of ``pack_symmetric``: ``rows[_packed_index(D)]`` unpacks."""
+    idx = np.empty((D, D), dtype=np.intp)
+    rows, cols = np.triu_indices(D)
+    idx[rows, cols] = idx[cols, rows] = np.arange(rows.size)
+    idx.setflags(write=False)
+    return idx
+
+
+@lru_cache(maxsize=None)
 def _product_terms(D: int, live: tuple | None) -> tuple:
     """Per output row i, the (row of A, component j) pairs of the entries (i, j) held by ``live`` rows.
 
     Rows are numbered among the rows of ``pack_symmetric``; ``live`` None holds every row.
     """
-    idx = np.empty((D, D), dtype=int)
-    rows, cols = np.triu_indices(D)
-    idx[rows, cols] = idx[cols, rows] = np.arange(rows.size)
+    idx = _packed_index(D)
     return tuple(
         tuple((int(idx[i, j]), j) for j in range(D) if live is None or live[idx[i, j]]) for i in range(D)
     )
@@ -389,6 +409,18 @@ class GreenTable:
             raise ShapeError("frequency field does not match the Green table")
         return mandel_product(self.table, tau_hat, out=out)
 
+    def projector_classes(self) -> np.ndarray:
+        """Mask of the stored classes whose matrix is a C0-projector or zero: every class of a compatible table.
+
+        There G C0 G = G.  The eigenvalues lambda of X = C0 G(h) lie in
+        [0, 1], so sum lambda - lambda^2 = tr X - tr X^2 vanishes exactly on
+        those classes.
+        """
+        if self.compatible:
+            return np.ones(self.table.shape[-1], dtype=bool)
+        X = np.tensordot(self.reference, self.table[_packed_index(len(self.reference))], axes=1)
+        return np.trace(X) - np.einsum("ijh,jih->h", X, X) <= 1e-12
+
 
 def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None = None) -> GreenTable:
     """Build the generator-weighted periodisation of the Green operator on ``rule.matrix``.
@@ -445,34 +477,24 @@ def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None 
         summed[i] = False
     taps = taps[:, summed]
     offsets = (shifts[summed] @ M.array).T.astype(np.float64)
-    numer, det = _green_polynomials(C0, d)
     n = freqs.shape[1]
-    # class blocks of equal width, each pass as many shifts of a block as fit in about _CHUNK pairs
-    width = max(1, -(-n // max(1, -(-n // _CHUNK))))
-    depth = max(1, _CHUNK // width)
-    moments = np.zeros((len(det), n))
     share = np.zeros(n)  # sum_z W_z(h) over the summed shifts
-    work: dict = {}  # the first chunk is the widest and deepest, so each buffer is allocated once
-    for lo in range(0, n, width):
-        cls = slice(lo, lo + width)
-        for first in range(0, taps.shape[1], depth):
-            sh = slice(first, first + depth)
-            shape = (len(taps[0, sh]), len(freqs[0, cls]))
-            weight = _workspace_view(work, "weight", shape)
-            factor = _workspace_view(work, "factor", shape)
-            np.take(factors[0, :, cls], taps[0, sh], axis=0, out=weight, mode="clip")
-            for j in range(1, d):
-                weight *= np.take(factors[j, :, cls], taps[j, sh], axis=0, out=factor, mode="clip")
-            k = np.add(freqs[:, None, cls], offsets[:, sh, None], out=_workspace_view(work, "k", (d,) + shape))
-            mono = _monomial_rows(k, 2 * d, work)
-            # every per-chunk array is a workspace view: a fresh one left the stage's time to the allocator
-            share[cls] += weight.sum(axis=0, out=_workspace_view(work, "share", (shape[1],)))
-            den = _workspace_view(work, "den", (math.prod(shape),))
-            weight /= np.matmul(det, mono.reshape(len(det), -1), out=den).reshape(shape)
-            mono *= weight
-            moments[:, cls] += mono.sum(axis=1, out=_workspace_view(work, "sum", (len(det), shape[1])))
-    table = np.zeros((len(numer), n + 1))
-    table[:, 1:] = numer @ (moments * class_weight)
+
+    def shifted(cls: slice, sh: slice, work: dict) -> tuple:
+        """The frequencies k_z = h + M^T z and weights W_z(h) of the summed shifts ``sh`` in the classes ``cls``."""
+        shape = (len(taps[0, sh]), len(freqs[0, cls]))
+        weight = _workspace_view(work, "weight", shape)
+        factor = _workspace_view(work, "factor", shape)
+        np.take(factors[0, :, cls], taps[0, sh], axis=0, out=weight, mode="clip")
+        for j in range(1, d):
+            weight *= np.take(factors[j, :, cls], taps[j, sh], axis=0, out=factor, mode="clip")
+        share[cls] += weight.sum(axis=0, out=_workspace_view(work, "share", (shape[1],)))
+        return np.add(freqs[:, None, cls], offsets[:, sh, None], out=_workspace_view(work, "k", (d,) + shape)), weight
+
+    D = mandel_dim(d)
+    table = np.zeros((D * (D + 1) // 2, n + 1))
+    _green_rows(C0, d, table[:, 1:], taps.shape[1], shifted)
+    table[:, 1:] *= class_weight
     table.setflags(write=False)
     tail = 0.0
     if support is None and n:
@@ -498,21 +520,23 @@ def compatible_green(C0: np.ndarray, rule: CoefficientRule) -> GreenTable:
     a C0-projector, or zero where mu_h = 0 (as at h = 0); there is no class
     sum, no ``periods`` and no tail.  For dirichlet mu_h = h, which gives
     ``periodized_green``'s table.  Conjugate-symmetric rules keep the real
-    half table.  The class means and their Green rows are evaluated in
-    passes of ``_CHUNK`` classes written straight into the table, so the
-    build holds the table and one pass of temporaries.
+    half table.  The table is ``_green_rows``'s case of one term of weight
+    one per class, its frequency the class mean, which each pass forms for
+    its block of classes; the build holds the table and one pass of
+    temporaries.
     """
     M = rule.matrix
     C0 = _check_reference(C0, M.d)
     real = rule.conjugate_symmetric
     freqs = frequency_set(M).freqs
-    stored = fft_plan(M, real).classes if real else None
+    stored = fft_plan(M, real).classes if real else None  # a full table reads its classes through slices
 
-    def class_means(cls: slice) -> np.ndarray:
+    def class_means(cls: slice, sh: slice, work: dict) -> tuple:
         kept = cls if stored is None else stored[cls]
-        return freqs[kept].T + M.array.T @ rule.class_mean_shift(kept)
+        return (freqs[kept].T + M.array.T @ rule.class_mean_shift(kept))[:, None], None
 
-    table = _green_rows(C0, M.d, M.m if stored is None else len(stored), class_means)
+    D = mandel_dim(M.d)
+    table = _green_rows(C0, M.d, np.empty((D * (D + 1) // 2, M.m if stored is None else len(stored))), 1, class_means)
     table.setflags(write=False)
     return GreenTable(
         matrix=M,

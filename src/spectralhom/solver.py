@@ -246,23 +246,6 @@ def _carve(buffer: np.ndarray, dtype, shape: tuple, part: int = 0) -> np.ndarray
     return buffer.reshape(-1).view(np.uint8)[part * size : (part + 1) * size].view(dtype).reshape(shape)
 
 
-def _projector_classes(G: GreenTable) -> np.ndarray:
-    """Mask of the stored classes whose matrix is a C0-projector or zero: every class of a compatible table.
-
-    There G C0 G = G, so C0 r is a pre-image of r = G zeta with no part in the null space of G.  The
-    eigenvalues lambda of C0 G(h) lie in [0, 1], so sum lambda - lambda^2 = tr X - tr X^2, X = C0 G(h),
-    vanishes exactly on those classes.
-    """
-    if G.compatible:
-        return np.ones(G.table.shape[-1], dtype=bool)
-    D = len(G.reference)
-    rows, cols = np.triu_indices(D)
-    full = np.empty((D, D, G.table.shape[-1]))
-    full[rows, cols] = full[cols, rows] = G.table
-    X = np.tensordot(G.reference, full, axes=1)
-    return np.trace(X) - np.einsum("ijh,jih->h", X, X) <= 1e-12
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite residual stops it unconverged
 def _conjugate_gradients(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None, scheme: str) -> SolveReport:
     """The iteration of both schemes (see ``ls_fixed_point``), reported under ``scheme``: CG with float64 refreshes."""
@@ -295,7 +278,7 @@ def _conjugate_gradients(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None, s
     spectra = tuple(_carve(buffer, np.complex64, spectrum) for buffer in (zeta_hat, r_hat))
     # a pre-image whose part in the null space of G dwarfs its image cannot be resolved in single
     # precision; where G C0 G = G, C0 maps an image to a pre-image without such a part
-    projector = _projector_classes(G)
+    projector = G.projector_classes()
     projector_table = bool(projector.all())
     spectral_pre_image = not projector_table and bool(projector[1:].any())  # beyond the class of h = 0
     iterations = refreshes = steps = 0  # steps: iterations since the last refresh

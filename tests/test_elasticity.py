@@ -109,6 +109,15 @@ class TestGreenCoeff:
             base = green_coeff_batch(C0, k[None])[0]
             for t in (2, 3, -1):
                 assert np.abs(green_coeff_batch(C0, t * k[None])[0] - base).max() < 1e-12
+        # int64-range frequencies, evaluated without normalising k: their monomials stay within float64 range
+        rng = np.random.default_rng(143)
+        for d in (2, 3):
+            C0 = random_spd_mandel(rng, d * (d + 1) // 2)
+            ks = rng.integers(-1, 2, (40, d)) * 2**62
+            ks = ks[ks.any(axis=1)]
+            assert ks.dtype == np.int64 and np.abs(ks).max() == 2**62
+            want = green_einsum_inverse(C0, ks / np.linalg.norm(ks.astype(float), axis=1, keepdims=True))
+            assert np.abs(green_coeff_batch(C0, ks) - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_projects_compatible_strains(self):
         rng = np.random.default_rng(44)
@@ -546,7 +555,14 @@ class TestCompatibleGreen:
         table = compatible_green(C0, rule).table
         assert table.shape == paper.table.shape
         assert np.abs(table - paper.table).max() <= 1e-14 * np.abs(paper.table).max()
-        assert not periodized_green(C0, orthonormalize(dlvp_rule(M, [0.4] * M.d))).compatible
+        assert paper.projector_classes().all()
+        dlvp = periodized_green(C0, orthonormalize(dlvp_rule(M, [0.4] * M.d)))
+        assert not dlvp.compatible
+        # the classes of the dlvp plateau, and those alone, hold C0-projectors
+        full = unpack_symmetric(dlvp.table)
+        projector = np.abs(full @ C0 @ full - full).max(axis=(1, 2)) <= 1e-13 * np.abs(full).max()
+        assert 0 < projector.sum() < projector.size
+        assert np.array_equal(dlvp.projector_classes(), projector)
 
     @pytest.mark.parametrize("chunk", [7, 1000])
     @pytest.mark.parametrize("name", ["dirichlet", "dlvp", "bspline2", "bspline2-3d"])
@@ -560,8 +576,8 @@ class TestCompatibleGreen:
         assert np.abs(green_coeff_batch(C0, ks) - batch).max() <= 1e-14 * np.abs(batch).max()
 
     def test_build_memory_is_the_table_and_two_passes(self):
-        # the 3-D table of 73,728 classes is built in passes of _CHUNK classes through one workspace: the
-        # unit frequencies, the monomials of degrees 2, 3 and 6 and a few scalar rows, 50 rows of _CHUNK
+        # the 3-D table of 73,728 classes is built in class blocks of at most _CHUNK through one workspace: the
+        # monomials of degrees 2, 3 and 6, the denominator and the moments, 73 rows of a block, and the class means
         M = PatternMatrix.from_any([[48, 0, 0], [0, 48, 0], [0, 0, 32]])
         C0 = iso_stiffness(1.3, 0.8, 3)
         rule = orthonormalize(dirichlet_rule(M))
