@@ -106,9 +106,7 @@ __all__ = [
     "iso_stiffness",
     "sym_grad_matrix",
     "green_coeff_batch",
-    "pack_symmetric",
     "mandel_product",
-    "live_rows",
     "GreenTable",
     "periodized_green",
     "compatible_green",
@@ -270,7 +268,6 @@ def _green_rows(C0: np.ndarray, d: int, table: np.ndarray, terms: int, frequenci
     work: dict = {}
     for lo in range(0, n, width):
         cls = slice(lo, min(lo + width, n))
-        moments = _workspace_view(work, "moments", (len(det), cls.stop - lo))
         for first in range(0, terms, depth):
             k, weight = frequencies(cls, slice(first, first + depth), work)
             mono = _monomial_rows(k, 2 * d, work)
@@ -282,8 +279,10 @@ def _green_rows(C0: np.ndarray, d: int, table: np.ndarray, terms: int, frequenci
             else:
                 weight /= den
             mono *= weight
-            if first == 0:
-                mono.sum(axis=1, out=moments)
+            if terms == 1:  # one term: the weighted rows are the moments
+                moments = mono[:, 0]
+            elif first == 0:
+                moments = mono.sum(axis=1, out=_workspace_view(work, "moments", (len(det), cls.stop - lo)))
             else:
                 moments += mono.sum(axis=1, out=_workspace_view(work, "sum", moments.shape))
         np.matmul(numer, moments, out=table[:, cls])
@@ -302,18 +301,9 @@ def green_coeff_batch(C0: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(table[_packed_index(D)], -1, 0))
 
 
-def pack_symmetric(A) -> np.ndarray:
-    """Symmetric-packed rows (D (D + 1) / 2, ...) of (..., D, D) matrices.
-
-    Row k holds entry (i, j) of the upper triangle taken row by row.
-    """
-    rows, cols = np.triu_indices(np.shape(A)[-1])
-    return np.ascontiguousarray(np.moveaxis(np.asarray(A)[..., rows, cols], -1, 0))
-
-
 @lru_cache(maxsize=None)
 def _packed_index(D: int) -> np.ndarray:
-    """(D, D) row of entry (i, j) among the rows of ``pack_symmetric``: ``rows[_packed_index(D)]`` unpacks."""
+    """(D, D) row of entry (i, j) among packed rows (upper triangle, row by row): ``rows[_packed_index(D)]`` unpacks."""
     idx = np.empty((D, D), dtype=np.intp)
     rows, cols = np.triu_indices(D)
     idx[rows, cols] = idx[cols, rows] = np.arange(rows.size)
@@ -322,54 +312,30 @@ def _packed_index(D: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _product_terms(D: int, live: tuple | None) -> tuple:
-    """Per output row i, the (row of A, component j) pairs of the entries (i, j) held by ``live`` rows.
-
-    Rows are numbered among the rows of ``pack_symmetric``; ``live`` None holds every row.
-    """
+def _product_terms(D: int) -> tuple:
+    """Per output row i, the (packed row, component j) pairs of its entries (i, j), numbered as in ``_packed_index``."""
     idx = _packed_index(D)
-    return tuple(
-        tuple((int(idx[i, j]), j) for j in range(D) if live is None or live[idx[i, j]]) for i in range(D)
-    )
+    return tuple(tuple((int(idx[i, j]), j) for j in range(D)) for i in range(D))
 
 
-def live_rows(A: np.ndarray) -> tuple:
-    """Which rows over nodes of ``A`` hold a nonzero entry, as ``mandel_product`` takes them."""
-    return tuple(bool(v) for v in np.asarray(A).any(axis=1))
-
-
-def mandel_product(
-    A: np.ndarray, x: np.ndarray, *, out: np.ndarray | None = None, live: tuple | None = None
-) -> np.ndarray:
+def mandel_product(A: np.ndarray, x: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Pointwise products A(y) x(y) of component-major (D, m) fields.
 
     ``A`` holds one symmetric matrix per node as rows over nodes: packed
-    rows only, the D (D + 1) / 2 rows of ``pack_symmetric``; any other row
+    rows only, the D (D + 1) / 2 rows of the upper triangle; any other row
     count raises ShapeError.  Each output row is an unrolled sum of
-    contiguous row products, so A is never cast whole.  ``live``, from
-    ``live_rows(A)``, leaves out the rows of A that are zero
-    at every node: a stiffness contrast between isotropic phases has 2 such
-    rows of 6 in 2-D and 12 of 21 in 3-D.  Adding an exact zero changes no
-    sum, so the products are those of every row up to the sign of a zero
-    (and up to the NaN of 0 times a non-finite x).  ``out``, if given,
+    contiguous row products, so A is never cast whole.  ``out``, if given,
     receives the products; it must not overlap ``x``.
     """
     D = len(x)
     if len(A) != D * (D + 1) // 2:
         raise ShapeError(f"expected the {D * (D + 1) // 2} packed rows of a {D} x {D} matrix field, got {len(A)} rows")
-    terms = _product_terms(D, live)
     if out is None:
         out = np.empty(x.shape, dtype=np.result_type(A, x))
-    term = None
-    for row, pairs in zip(out, terms):
-        if not pairs:
-            row.fill(0)
-            continue
-        (k, j), *rest = pairs
+    term = np.empty(out.shape[1:], dtype=out.dtype) if D > 1 else None
+    for row, ((k, j), *rest) in zip(out, _product_terms(D)):
         np.multiply(A[k], x[j], out=row)
         for k, j in rest:
-            if term is None:
-                term = np.empty(out.shape[1:], dtype=out.dtype)
             row += np.multiply(A[k], x[j], out=term)
     return out
 

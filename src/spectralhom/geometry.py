@@ -49,6 +49,7 @@ __all__ = [
 
 _PFLD_MAGIC = b"PFLD"
 _PFLD_VERSION = 1
+_WRITE_BLOCK = 1 << 18  # bytes of the buffer that converts a field (a transposed view, say) to the PFLD layout
 DOMAIN_SPACE = 0
 DOMAIN_FREQUENCY = 1
 
@@ -247,32 +248,33 @@ def _cell_offsets(M: PatternMatrix, subsamples: int) -> np.ndarray:
 
 
 def sample_stiffness(ms, M: PatternMatrix, mode: str = "node", subsamples: int = 3) -> np.ndarray:
-    """Stiffness field (m, D, D) of a microstructure on the pattern of M.
+    """Lame pairs (lambda, mu) (m, 2) of a microstructure on the pattern of M: node y has stiffness iso(lambda, mu).
 
     ``mode = "node"`` evaluates the phase at each node x = 2 pi y; ``mode =
-    "cell_average"`` arithmetically averages the phase stiffness over an
-    s^d subsampling of each node cell.
+    "cell_average"`` arithmetically averages the pairs, and so the stiffness,
+    over an s^d subsampling of each node cell.
     """
     d = M.d
     if ms.d not in (None, d):
         raise DomainError(f"the microstructure is {ms.d}-D but the pattern is {d}-D")
-    D = mandel_dim(d)
+    for phase in ms.phases:
+        phase.stiffness(d)  # raises unless the pair is elliptic in d dimensions
     nodes = 2.0 * np.pi * pattern(M).points
-    tables = np.stack([p.stiffness(d) for p in ms.phases])
+    tables = np.array([(p.lam, p.mu) for p in ms.phases], dtype=np.float64)
     if mode == "node":
         return tables[ms.phase_index(nodes)]
     if mode != "cell_average":
         raise DomainError(f"unknown sampling mode {mode!r}")
     if subsamples < 1:
         raise DomainError("cell averaging needs at least one subsample per axis")
-    # per-node phase counts over the subcells, then one (m, P) @ (P, D^2) product
+    # per-node phase counts over the subcells, then one (m, P) @ (P, 2) product
     counts = np.zeros((len(tables), M.m))
     offsets = _cell_offsets(M, subsamples)
     for off in offsets:
         which = ms.phase_index(nodes + off[None, :])
         for phase, row in enumerate(counts):
             row += which == phase
-    return (counts.T @ tables.reshape(len(tables), D * D)).reshape(M.m, D, D) / len(offsets)
+    return counts.T @ tables / len(offsets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,8 +330,8 @@ def laminate_reference(ms: Laminate, M: PatternMatrix, eps0) -> ReferenceSolutio
 
 
 def write_field(path, M: PatternMatrix, values: np.ndarray, domain: int = DOMAIN_SPACE) -> None:
-    """Write a pattern-indexed field in the PFLD binary container."""
-    values = np.ascontiguousarray(values, dtype="<f8")  # copies only a strided or non-"<f8" field, once
+    """Write a pattern-indexed field in the PFLD binary container, through one buffer of ``_WRITE_BLOCK`` bytes."""
+    values = np.asarray(values)
     if values.ndim != 2 or values.shape[0] != M.m:
         raise ShapeError(f"field must have shape (m, D) with m = {M.m}, got {values.shape}")
     if domain not in (DOMAIN_SPACE, DOMAIN_FREQUENCY):
@@ -340,7 +342,11 @@ def write_field(path, M: PatternMatrix, values: np.ndarray, domain: int = DOMAIN
         fh.write(struct.pack("<II", _PFLD_VERSION, d))
         fh.write(M.array.astype("<i8").tobytes())
         fh.write(struct.pack("<II", values.shape[1], domain))
-        values.tofile(fh)
+        block = np.empty((max(1, _WRITE_BLOCK // max(1, 8 * values.shape[1])), values.shape[1]), dtype="<f8")
+        for lo in range(0, len(values), len(block)):
+            part = block[: len(values) - lo]
+            part[...] = values[lo : lo + len(part)]
+            part.tofile(fh)
 
 
 def read_field(path, expected: PatternMatrix | None = None):

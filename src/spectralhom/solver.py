@@ -40,8 +40,8 @@ reported as ``imbalance``.  Keeping it is what makes the fixed-point and
 variational solutions coincide exactly on the Dirichlet space.
 
 The iterations run in single precision: complex64 fields, or float32 on a
-real table, against float32 copies of the packed stiffness rows and of the
-Green table, made once per solve.  They solve the problem scaled to unit
+real table, against float32 copies of the stiffness contrast rows and of
+the Green table, made once per solve.  They solve the problem scaled to unit
 loading and unit reference stiffness (strains divided by ||eps0||, stresses
 by ||eps0|| max|C0|, the table multiplied by max|C0|), so the float32 range
 never limits them.  Double precision holds the strain, as the pre-image
@@ -62,23 +62,24 @@ in the classes that are C0-projectors.  So the residual history holds
 single-precision recurred estimates between refreshes, its last entry is the
 float64 residual of the returned strain, and a solve converges only on that.
 
-The solve reads the (m, D, D) stiffness once: one (D, D, m) copy is checked
-for symmetry, packed as the rows of C0 - C (the sign the residual's
-pre-image needs, so no negation pass is made) and then consumed by the
-ellipticity check.  Rows of C - C0 that are zero at every node (2 of 6 in
-2-D and 12 of 21 in 3-D between isotropic phases) are found once and left
-out of every stiffness product; the Green table keeps all its rows.  A
-refresh costs one float64 stiffness product and two convolutions, and the
-effective action of its strain is read off that product, mean(dC (E + eps0))
-+ C0 (mean E + eps0), so the action needs no pass over C of its own.
+Every phase is isotropic, so the stiffness is one Lame pair (lambda, mu)
+per node, an (m, 2) array.  With C0 = iso(lambda0, mu0) + R split exactly
+(R = 0 for an isotropic C0), (C0 - C) x = (lambda0 - lambda) tr(x) delta +
+2 (mu0 - mu) x + R x: the solve keeps these two contrast rows of C0 - C (the
+sign the residual's pre-image needs, so no negation pass is made), in
+float64 for the refreshes and float32 for the iterations, and adds R x only
+when R has a nonzero entry.  A refresh costs one float64 stiffness product
+and two convolutions, and the effective action of its strain is read off
+that product, mean(dC (E + eps0)) + C0 (mean E + eps0), so the action needs
+no pass over C of its own.
 Iteration 1 is the first refresh, at E = 0: it skips the convolution forming
 E and takes b from the real products -dC eps0.  ``SolveReport.green_convolutions``
 follows from the iteration and refresh counts.
 
 Iterates are component-major (D, m) fields (FFTs over the trailing Smith
-axes, pointwise products as ``mandel_product`` row sums); the symmetric
-stiffness (m, D, D) and the reported strain (m, D) stay pattern-major.  A
-non-finite residual or curvature (overflowing input) ends a solve unconverged.
+axes, pointwise products as row operations); the Lame pairs (m, 2) and the
+reported strain (m, D) stay pattern-major.  A non-finite residual or
+curvature (overflowing input) ends a solve unconverged.
 
 All norms are root-mean-square over nodes so tolerances are resolution
 independent; each is one ``vdot`` over the field in memory order, and
@@ -94,7 +95,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elasticity import GreenTable, compatible_green, live_rows, mandel_dim, mandel_product, pack_symmetric
+from .elasticity import GreenTable, compatible_green, mandel_dim
 from .errors import DomainError, ShapeError
 from .translates import make_rule
 
@@ -110,7 +111,8 @@ __all__ = [
 ]
 
 LOG_ERROR_FORMS = ("difference", "sum")
-_ELLIPTIC_FLOOR = 1e-12  # smallest admissible Gaussian pivot, relative to the largest diagonal entry
+_SPATIAL_DIM = {3: 2, 6: 3}  # Mandel dimension D -> spatial dimension d of the elasticity solvers
+_ELLIPTIC_FLOOR = 1e-12  # smallest admissible nodal eigenvalue, relative to the largest diagonal entry
 _REFRESH_FALL = float(np.sqrt(np.finfo(np.float32).eps))  # recurred-residual fall that calls a float64 refresh
 _DRIFT_RESTART = 2.0  # a refreshed residual over this multiple of max(recurred, tol) is drift, not rounding: restart
 
@@ -186,7 +188,36 @@ def field_norm(values: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(flat, flat).real / values.shape[0]))
 
 
-apply_stiffness = mandel_product  # pointwise stress C(y) : strain(y), C as rows over nodes
+def apply_stiffness(contrast: np.ndarray, x: np.ndarray, *, remainder=None, out=None) -> np.ndarray:
+    """Pointwise (C0 - C) x = a tr(x) delta + b x + R x on component-major (D, m) fields.
+
+    ``contrast`` holds the rows (a, b) = (lambda0 - lambda, 2 (mu0 - mu))
+    over nodes and ``remainder`` the (D, D) anisotropic part R of C0 (None
+    for zero), whose nonzero entries alone are added, through one scratch
+    row.  The trace term is formed in the last output row, a shear row
+    written last.  ``out``, if given, must not overlap ``x``.
+    """
+    D = len(x)
+    d = _SPATIAL_DIM.get(D)
+    if d is None or len(contrast) != 2:
+        raise ShapeError(f"expected (2, m) contrast rows and a 2-D or 3-D Mandel field, got {len(contrast)}, {D} rows")
+    if out is None:
+        out = np.empty(x.shape, dtype=np.result_type(contrast, x))
+    a, b = contrast
+    trace = np.add(x[0], x[1], out=out[-1])
+    for j in range(2, d):
+        trace += x[j]
+    trace *= a
+    for i, row in enumerate(out[:d]):
+        np.multiply(b, x[i], out=row)
+        row += trace
+    for i in range(d, D):
+        np.multiply(b, x[i], out=out[i])
+    if remainder is not None:
+        term = np.empty(out.shape[1:], dtype=out.dtype)
+        for i, j in zip(*np.nonzero(remainder)):
+            np.add(out[i], np.multiply(remainder[i, j], x[j], out=term), out=out[i])
+    return out
 
 
 def _green_convolve(G: GreenTable, tau: np.ndarray, out=None, spectra=(None, None)) -> np.ndarray:
@@ -206,8 +237,8 @@ def _validate_problem(C, C0, eps0, G: GreenTable):
     eps0 = np.asarray(eps0, dtype=np.float64)
     m = G.m
     D = mandel_dim(G.matrix.d)
-    if C.shape != (m, D, D):
-        raise ShapeError(f"stiffness field must have shape {(m, D, D)}, got {C.shape}")
+    if C.shape != (m, 2):
+        raise ShapeError(f"stiffness field must hold one Lame pair per node, shape {(m, 2)}, got {C.shape}")
     if C0.shape != (D, D):
         raise ShapeError(f"reference stiffness must have shape {(D, D)}, got {C0.shape}")
     if eps0.shape != (D,):
@@ -220,24 +251,36 @@ def _validate_problem(C, C0, eps0, G: GreenTable):
     return C, C0, eps0
 
 
-def _stiffness_rows(C: np.ndarray, C0: np.ndarray) -> np.ndarray:
-    """The symmetric-packed rows (D (D + 1) / 2, m) of C0 - C, read from one copy of the (m, D, D) field.
+def _stiffness_rows(C: np.ndarray, C0: np.ndarray) -> tuple:
+    """The contrast rows (lambda0 - lambda, 2 (mu0 - mu)) (2, m) of C0 - C and the remainder R of C0, or None.
 
-    Raises DomainError unless every nodal stiffness is symmetric, to 1e-12 of
-    the largest diagonal entry, and uniformly elliptic (``_check_elliptic``,
-    which then consumes the copy).  An off-diagonal entry above every
-    diagonal one marks a node that is not positive definite, so the symmetry
-    scale is that of every accepted field.
+    C0 splits exactly as iso(lambda0, mu0) + R with lambda0 = C0[0, 1] and
+    mu0 = C0[d, d] / 2, so R is zero, and None is returned, for every
+    ``iso_stiffness`` reference.  Raises DomainError unless every node is
+    uniformly elliptic: 2 mu and d lambda + 2 mu, the eigenvalues of its
+    stiffness, must exceed ``_ELLIPTIC_FLOOR`` times its largest diagonal
+    entry 2 mu + max(lambda, 0).
     """
-    A = C.transpose(1, 2, 0).copy()  # (D, D, m): contiguous rows over nodes
-    bound = 1e-12 * max(1.0, float(np.abs(np.diagonal(A)).max()))
-    for i, j in zip(*np.triu_indices(len(A), 1)):
-        if np.abs(A[i, j] - A[j, i]).max(initial=0.0) > bound:
-            raise DomainError("stiffness field must be symmetric at every node")
-    packed = pack_symmetric(A.transpose(2, 0, 1))
-    np.subtract(pack_symmetric(C0)[:, None], packed, out=packed)
-    _check_elliptic(A)
-    return packed
+    D = len(C0)
+    d = _SPATIAL_DIM[D]
+    lam, mu = C.T
+    contrast = np.empty((2, len(C)))
+    two_mu, floor = contrast  # scratch until the check passes
+    np.multiply(mu, 2.0, out=two_mu)
+    np.maximum(lam, 0.0, out=floor)
+    floor += two_mu
+    floor *= _ELLIPTIC_FLOOR
+    if not (np.all(two_mu > floor) and np.all(np.add(two_mu, d * lam, out=two_mu) > floor)):
+        raise DomainError("stiffness field is not uniformly elliptic")
+    lam0, two_mu0 = C0[0, 1], C0[d, d]
+    np.subtract(lam0, lam, out=contrast[0])
+    np.subtract(two_mu0 / 2, mu, out=contrast[1])
+    contrast[1] *= 2.0
+    iso = np.zeros((D, D))
+    iso[:d, :d] = lam0
+    iso[np.diag_indices(D)] += two_mu0
+    remainder = C0 - iso
+    return contrast, (remainder if remainder.any() else None)
 
 
 def _carve(buffer: np.ndarray, dtype, shape: tuple, part: int = 0) -> np.ndarray:
@@ -251,7 +294,7 @@ def _conjugate_gradients(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None, s
     """The iteration of both schemes (see ``ls_fixed_point``), reported under ``scheme``: CG with float64 refreshes."""
     cfg = cfg or SolverConfig()
     C, C0, eps0 = _validate_problem(C, C0, eps0, G)
-    neg_dC = _stiffness_rows(C, C0)  # the packed rows of -dC = C0 - C
+    contrast, remainder = _stiffness_rows(C, C0)  # -dC = C0 - C, as ``apply_stiffness`` takes it
     scale = float(np.linalg.norm(eps0))
     E = np.zeros((len(eps0), G.m), dtype=np.float64 if G.real else np.complex128)
     if scale == 0.0:
@@ -261,8 +304,8 @@ def _conjugate_gradients(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None, s
     C0 = G.reference
     stiffness_unit = float(np.abs(C0).max())
     stress_unit = scale * stiffness_unit
-    live = live_rows(neg_dC)  # rows of dC that are zero at every node are skipped
-    dC1 = np.multiply(neg_dC, -1.0 / stiffness_unit, out=np.empty(neg_dC.shape, np.float32), casting="same_kind")
+    dC1 = np.multiply(contrast, -1.0 / stiffness_unit, out=np.empty(contrast.shape, np.float32), casting="same_kind")
+    R1 = None if remainder is None else (remainder * (-1.0 / stiffness_unit)).astype(np.float32)  # dC = C - C0
     C1 = (C0 / stiffness_unit).astype(np.float32)
     table = np.multiply(G.table, stiffness_unit, out=np.empty(G.table.shape, np.float32), casting="same_kind")
     G1 = dataclasses.replace(G, table=table, reference=C0 / stiffness_unit)
@@ -301,7 +344,7 @@ def _conjugate_gradients(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None, s
             mean = total.mean(axis=1)
         else:  # real products, written in the field's dtype: a complex transform would copy a real input
             total, mean = np.broadcast_to(eps0[:, None], E.shape), eps0
-        zeta64 = apply_stiffness(neg_dC, total, out=field, live=live)
+        zeta64 = apply_stiffness(contrast, total, remainder=remainder, out=field)
         # the mean stress mean(C (E + eps0)) = mean(dC (E + eps0)) + C0 (mean E + eps0)
         action = np.real(C0 @ mean - zeta64.mean(axis=1))
         zeta64 -= zeta_E
@@ -332,7 +375,7 @@ def _conjugate_gradients(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None, s
         pi *= beta
         pi += zeta
         iterations += 1
-        dCp = apply_stiffness(dC1, p, out=dCp, live=live)
+        dCp = apply_stiffness(dC1, p, remainder=R1, out=dCp)
         q = _green_convolve(G1, dCp, out=q, spectra=spectra)
         curvature = float(np.vdot(pi, p).real) + float(np.vdot(p, dCp).real)
         if not 0.0 < curvature < np.inf:
@@ -392,8 +435,9 @@ def ls_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) 
     recomputed in float64, drops below the tolerance.  A non-finite residual
     or curvature, or a nonpositive curvature, ends the solve unconverged, and
     the partial field is returned with the flag cleared.  C0 must be
-    ``G.reference``, C finite, symmetric and uniformly elliptic, and eps0
-    finite; DomainError names the input that is not.
+    ``G.reference``, C an (m, 2) array of finite Lame pairs (lambda, mu)
+    whose stiffness is uniformly elliptic, and eps0 finite; ShapeError or
+    DomainError names the input that is not.
     """
     return _conjugate_gradients(C, C0, eps0, G, cfg, "ls_fixed_point")
 
@@ -410,22 +454,6 @@ def ve_krylov(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> So
     if not G.compatible:
         G = compatible_green(G.reference, make_rule(G.generator, G.matrix))
     return _conjugate_gradients(C, C0, eps0, G, cfg, "ve_krylov")
-
-
-def _check_elliptic(A: np.ndarray) -> None:
-    """Raise DomainError unless every nodal stiffness in the (D, D, m) rows ``A`` is positive definite.
-
-    Gaussian elimination runs on all nodes at once, forming the Schur
-    complements in place in ``A``.  Every pivot of a node with condition
-    number below 1 / ``_ELLIPTIC_FLOOR`` exceeds that fraction of its largest
-    diagonal entry; a smaller (or non-finite) pivot marks a node that is
-    indefinite or singular to round-off.
-    """
-    floor = _ELLIPTIC_FLOOR * np.diagonal(A).max(axis=1)
-    for k in range(len(A)):
-        if not np.all(A[k, k] > floor):
-            raise DomainError("stiffness field is not uniformly elliptic")
-        A[k + 1 :, k + 1 :] -= A[k + 1 :, k, None] * (A[k, k + 1 :] / A[k, k])
 
 
 def _minres_fallback(operator, b, x0, cfg: SolverConfig):

@@ -8,7 +8,10 @@ kernels but replaces the iteration by a direct solve, on the full table that
 ``float64_conjugate_gradients`` is the solver's iteration run wholly in
 double precision, ``true_residual`` is the float64 residual of a strain by
 which both are judged, and ``effective_stiffness`` averages the stress of a
-strain with the solver's stiffness product.
+strain.  These take the solver's (m, 2) Lame pairs and expand them into
+dense (m, D, D) stiffness fields by ``iso_stiffness`` (``dense_stiffness``),
+whose products run through the Green table's packed-row ``mandel_product``,
+not the solver's contrast-row ``apply_stiffness``.
 """
 
 import dataclasses
@@ -18,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spectralhom.elasticity import GreenTable, pack_symmetric
+from spectralhom.elasticity import GreenTable, iso_stiffness, mandel_product
 from spectralhom.errors import ShapeError
 from spectralhom.lattice import frequency_set, smith_normal_form
 from spectralhom.solver import (
@@ -27,7 +30,6 @@ from spectralhom.solver import (
     _green_convolve,
     _stiffness_rows,
     _validate_problem,
-    apply_stiffness,
     field_norm,
 )
 
@@ -231,6 +233,18 @@ def periodized_green_einsum(C0, rule, freqs, periods, shifts=None):
     return acc
 
 
+def pack_symmetric(A):
+    """Symmetric-packed rows (D (D + 1) / 2, ...) of (..., D, D) matrices: the upper triangle, row by row."""
+    rows, cols = np.triu_indices(np.shape(A)[-1])
+    return np.ascontiguousarray(np.moveaxis(np.asarray(A)[..., rows, cols], -1, 0))
+
+
+def dense_stiffness(C, d):
+    """The (m, D, D) Mandel stiffness field of (m, 2) Lame pairs C, one ``iso_stiffness`` matrix per node."""
+    pairs, which = np.unique(np.asarray(C, dtype=np.float64), axis=0, return_inverse=True)
+    return np.stack([iso_stiffness(lam, mu, d) for lam, mu in pairs])[which.reshape(-1)]
+
+
 def stiffness_product_einsum(C, strain):
     """Pointwise C(y) strain(y) on pattern-major (m, D, D) and (m, D) arrays."""
     return np.einsum("hij,hj->hi", C, strain)
@@ -239,18 +253,18 @@ def stiffness_product_einsum(C, strain):
 def effective_stiffness(C, strain, eps0):
     """Equal-weight cell average of C : (total strain) under loading eps0: the reference for ``effective_action``.
 
-    C is an (m, D, D) field of symmetric stiffnesses, as the solvers
-    require; only its upper triangles are read.  Accepts complex strain
-    coefficients; the returned action is the real part (the response of a
-    real material to a real mean strain; any imaginary content is a Nyquist
-    artifact that averages out to round-off).
+    C holds the (m, 2) Lame pairs the solvers take, expanded here by
+    ``dense_stiffness``.  Accepts complex strain coefficients; the returned
+    action is the real part (the response of a real material to a real mean
+    strain; any imaginary content is a Nyquist artifact that averages out to
+    round-off).
     """
-    C = np.asarray(C, dtype=np.float64)
     strain = np.asarray(strain)
     eps0 = np.asarray(eps0, dtype=np.float64)
-    if strain.shape != C.shape[:2]:
+    if strain.shape[0] != len(C) or strain.shape[1] not in (3, 6):
         raise ShapeError("strain field does not match the stiffness field")
-    return np.real(apply_stiffness(pack_symmetric(C), strain.T + eps0[:, None]).mean(axis=1))
+    dense = dense_stiffness(C, {3: 2, 6: 3}[strain.shape[1]])
+    return np.real(mandel_product(pack_symmetric(dense), strain.T + eps0[:, None]).mean(axis=1))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite residual stops it unconverged
@@ -267,7 +281,7 @@ def neumann_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = N
     """
     cfg = cfg or SolverConfig()
     C, C0, eps0 = _validate_problem(C, C0, eps0, G)
-    dC = pack_symmetric(C - C0)
+    dC = pack_symmetric(dense_stiffness(C, G.matrix.d) - C0)
     scale = float(np.linalg.norm(eps0))
     E = np.zeros((len(eps0), G.m), dtype=np.float64 if G.real else np.complex128)
     residuals: list[float] = []
@@ -278,7 +292,7 @@ def neumann_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = N
         residuals.append(0.0)
     else:
         for iterations in range(1, cfg.max_iterations + 1):
-            E_next = -_green_convolve(G, apply_stiffness(dC, E + eps0[:, None]))
+            E_next = -_green_convolve(G, mandel_product(dC, E + eps0[:, None]))
             r = field_norm((E - E_next).T) / scale
             residuals.append(r)
             E = E_next
@@ -300,7 +314,8 @@ def neumann_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = N
 def true_residual(strain, C, C0, eps0, G: GreenTable) -> float:
     """The float64 nodal residual ||E + G dC (E + eps0)|| / ||eps0|| of an (m, D) strain, dC = C - C0."""
     E = strain.T  # component-major (D, m), the solver's internal layout
-    resid = E + _green_convolve(G, apply_stiffness(pack_symmetric(C - C0[None]), E + eps0[:, None]))
+    dC = pack_symmetric(dense_stiffness(C, G.matrix.d) - C0[None])
+    resid = E + _green_convolve(G, mandel_product(dC, E + eps0[:, None]))
     return field_norm(resid.T) / np.linalg.norm(eps0)
 
 
@@ -318,7 +333,8 @@ def float64_conjugate_gradients(
     """
     cfg = cfg or SolverConfig()
     C, C0, eps0 = _validate_problem(C, C0, eps0, G)
-    dC = -_stiffness_rows(C, C0)  # checks symmetry and ellipticity
+    _stiffness_rows(C, C0)  # checks ellipticity
+    dC = pack_symmetric(dense_stiffness(C, G.matrix.d) - C0)
     scale = float(np.linalg.norm(eps0))
     E = np.zeros((len(eps0), G.m), dtype=np.float64 if G.real else np.complex128)
     residuals: list[float] = []
@@ -327,7 +343,7 @@ def float64_conjugate_gradients(
         converged = True
         residuals.append(0.0)
     else:
-        zeta = -apply_stiffness(dC, E + eps0[:, None])  # the pre-image of r = b
+        zeta = -mandel_product(dC, E + eps0[:, None])  # the pre-image of r = b
         r = _green_convolve(G, zeta)
         p, pi = r.copy(), zeta.copy()
         rs = float(np.vdot(zeta, r).real)
@@ -343,7 +359,7 @@ def float64_conjugate_gradients(
                 pi += zeta
                 rs = rs_next
             iterations += 1
-            dCp = apply_stiffness(dC, p)
+            dCp = mandel_product(dC, p)
             q = _green_convolve(G, dCp)
             curvature = float(np.vdot(pi, p).real + np.vdot(p, dCp).real)
             if not 0.0 < curvature < np.inf:
@@ -548,11 +564,11 @@ def dense_oracle(C, C0, eps0, G):
     n = m * D
     if n > _DENSE_SOLVE_LIMIT:
         raise ValueError(f"dense oracle limited to m*D <= {_DENSE_SOLVE_LIMIT}, got {n}")
-    dC = pack_symmetric(np.asarray(C) - C0)
-    const = _green_convolve(G, apply_stiffness(dC, np.tile(np.asarray(eps0, dtype=complex)[:, None], m)))
+    dC = pack_symmetric(dense_stiffness(C, G.matrix.d) - C0)
+    const = _green_convolve(G, mandel_product(dC, np.tile(np.asarray(eps0, dtype=complex)[:, None], m)))
     # every unit field at once, as a (D, n, m) batch with field i at [:, i]
     basis = np.eye(n, dtype=np.complex128).reshape(n, D, m).transpose(1, 0, 2)
-    A = (basis + _green_convolve(G, apply_stiffness(dC, basis))).transpose(0, 2, 1).reshape(n, n)
+    A = (basis + _green_convolve(G, mandel_product(dC, basis))).transpose(0, 2, 1).reshape(n, n)
     solution = np.linalg.solve(A, -const.reshape(-1))
     residual = np.linalg.norm(A @ solution + const.reshape(-1))
     assert residual <= 1e-6 * max(1.0, float(np.linalg.norm(const))), f"condition estimate {np.linalg.cond(A):.3e}"

@@ -32,6 +32,7 @@ def _run_from_copy(tmp_path, name, command):
         "inclusion_dlvp_solve.json",
         "checkerboard_bspline_solve.json",
         "neutral_coated_disk_solve.json",
+        "ellipsoid_3d_solve.json",
     ],
 )
 def test_solve_examples(tmp_path, name, capsys):

@@ -577,7 +577,8 @@ class TestCompatibleGreen:
 
     def test_build_memory_is_the_table_and_two_passes(self):
         # the 3-D table of 73,728 classes is built in class blocks of at most _CHUNK through one workspace: the
-        # monomials of degrees 2, 3 and 6, the denominator and the moments, 73 rows of a block, and the class means
+        # monomials of degrees 2, 3 and 6 and the denominator, 45 rows of a block, and the class means; one term per
+        # class takes its weighted monomial rows as the moments, with no copy
         M = PatternMatrix.from_any([[48, 0, 0], [0, 48, 0], [0, 0, 32]])
         C0 = iso_stiffness(1.3, 0.8, 3)
         rule = orthonormalize(dirichlet_rule(M))
@@ -589,8 +590,8 @@ class TestCompatibleGreen:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        workspace = 50 * elasticity._CHUNK * table.itemsize
-        assert table.nbytes < peak < table.nbytes + 2 * workspace
+        workspace = 60 * elasticity._CHUNK * table.itemsize
+        assert table.nbytes < peak < table.nbytes + workspace
 
     @pytest.mark.parametrize("name", ["dlvp", "bspline1", "bspline2", "dirichlet-odd", "bspline2-3d", "bspline2-large"])
     def test_even_real_half_table(self, name):

@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -33,7 +34,7 @@ class TestLaminate:
         M = PatternMatrix.from_any([[4, 0], [0, 4]])
         lam = Laminate(axis=0, fraction=0.5, phases=(P_SOFT, P_STIFF))
         C = sample_stiffness(lam, M)
-        soft = P_SOFT.stiffness(2)
+        soft = (P_SOFT.lam, P_SOFT.mu)
         count = sum(np.abs(C[i] - soft).max() < 1e-15 for i in range(M.m))
         assert count == 8
 
@@ -113,7 +114,7 @@ class TestBoxInclusion:
             "semi_axes": [np.pi / 2, np.pi / 4],
             "phases": {"inclusion": {"lambda": 2.0, "mu": 2.0}, "matrix": {"lambda": 1.0, "mu": 1.0}},
         })
-        stiff = sample_stiffness(ms, M)[:, 0, 0] == P_STIFF.stiffness(2)[0, 0]
+        stiff = sample_stiffness(ms, M)[:, 0] == P_STIFF.lam
         assert stiff.sum() == 15
 
     @pytest.mark.parametrize("half", [(1.0, 0.0), (1.0, -0.5), (1.0,), (1.0, 0.5, 0.5)])
@@ -137,7 +138,7 @@ class TestVoxelMap:
         M = PatternMatrix.from_any([[2, 0], [0, 2]])
         ms = VoxelMap([[0, 1], [1, 0]], [P_SOFT, P_STIFF])
         C = sample_stiffness(ms, M)
-        soft = P_SOFT.stiffness(2)
+        soft = (P_SOFT.lam, P_SOFT.mu)
         kinds = [int(np.abs(C[i] - soft).max() > 1e-15) for i in range(4)]
         assert sorted(kinds) == [0, 0, 1, 1]
 
@@ -152,8 +153,8 @@ class TestSampling:
         lam = Laminate(axis=0, fraction=0.5, phases=(P_SOFT, P_STIFF))
         C_node = sample_stiffness(lam, M, mode="node")
         C_avg = sample_stiffness(lam, M, mode="cell_average", subsamples=4)
-        soft = P_SOFT.stiffness(2)
-        stiff = P_STIFF.stiffness(2)
+        soft = np.array([P_SOFT.lam, P_SOFT.mu])
+        stiff = np.array([P_STIFF.lam, P_STIFF.mu])
         pure = {0.0, np.abs(stiff - soft).max()}
         dev = {round(float(np.abs(C_avg[i] - soft).max()), 12) for i in range(M.m)}
         assert len(dev) > 2  # interface cells carry intermediate values
@@ -175,10 +176,10 @@ class TestSampling:
         ids=["voxel-map", "ellipse", "box-3d"],
     )
     def test_cell_average_is_the_subcell_mean(self, ms, rows):
-        # the phase stiffness averaged over the s^d subcells of each node cell, one subcell at a time
+        # the phase's Lame pair averaged over the s^d subcells of each node cell, one subcell at a time
         M = PatternMatrix.from_any(rows)
         nodes = 2.0 * np.pi * pattern(M).points
-        tables = np.stack([p.stiffness(M.d) for p in ms.phases])
+        tables = np.array([(p.lam, p.mu) for p in ms.phases])
         for s in (1, 2, 3):
             steps = (np.arange(s) + 0.5) / s - 0.5
             want = np.zeros((M.m,) + tables.shape[1:])
@@ -226,7 +227,7 @@ class TestSampling:
         for doc in docs:
             ms = microstructure_from_json(doc)
             C = sample_stiffness(ms, M)
-            assert C.shape == (16, 3, 3)
+            assert C.shape == (16, 2)
 
     def test_unknown_kind(self):
         with pytest.raises(GeometryError):
@@ -319,6 +320,21 @@ class TestFieldIO:
             assert data.endswith(values.astype("<f8").tobytes())
             first = first or data
             assert data == first
+
+    def test_transposed_field_written_through_one_block(self, tmp_path):
+        # the (m, D) view of a component-major (D, m) field with m = 2^18 is converted through the 256 KB write
+        # block (an (m, D) copy of it would take 6 MB), into the bytes of the contiguous field
+        M = PatternMatrix.from_any([[512, 0], [0, 512]])
+        values = np.random.default_rng(62).standard_normal((3, M.m))
+        tracemalloc.start()
+        try:
+            write_field(tmp_path / "view.pfld", M, values.T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1 << 18) + (1 << 14)
+        data = (tmp_path / "view.pfld").read_bytes()
+        assert len(data) == 12 + 8 * 4 + 8 + values.nbytes and data.endswith(values.T.astype("<f8").tobytes())
 
     def test_frequency_domain_flag(self, tmp_path):
         M = PatternMatrix.from_any([[2, 0], [0, 2]])

@@ -24,16 +24,18 @@ from spectralhom import (
     ve_krylov,
 )
 from spectralhom import solver
-from spectralhom.elasticity import live_rows, pack_symmetric
+from spectralhom.elasticity import mandel_product
 from spectralhom.errors import DomainError, ShapeError
 from spectralhom.solver import apply_stiffness, field_norm
 
 from oracles import (
     dense_oracle,
+    dense_stiffness,
     effective_stiffness,
     float64_conjugate_gradients,
     full_table,
     neumann_fixed_point,
+    pack_symmetric,
     random_spd_mandel,
     stiffness_product_einsum,
     true_residual,
@@ -49,9 +51,7 @@ def _checkerboard(M, soft=(1.0, 1.0), stiff=(2.0, 2.0)):
 
 def _random_two_phase(rng, M, contrast):
     ids = rng.integers(0, 2, M.m)
-    a = IsoPhase(1.0, 1.0).stiffness(M.d)
-    b = IsoPhase(contrast, contrast).stiffness(M.d)
-    return np.where(ids[:, None, None] == 0, a[None], b[None])
+    return np.where(ids[:, None] == 0, [1.0, 1.0], [contrast, contrast])
 
 
 class TestConfig:
@@ -92,7 +92,7 @@ class TestFixedPoint:
     def test_homogeneous_converges_immediately(self):
         M = PatternMatrix.from_any([[4, 1], [0, 4]])
         C0 = iso_stiffness(1.0, 1.0, 2)
-        C = np.tile(C0, (M.m, 1, 1))
+        C = np.tile([1.0, 1.0], (M.m, 1))
         G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
         rep = ls_fixed_point(C, C0, EPS0, G)
         assert rep.converged and rep.iterations == 1
@@ -103,7 +103,7 @@ class TestFixedPoint:
         M = PatternMatrix.from_any([[4, 1], [0, 4]])
         C0 = iso_stiffness(1.0, 1.0, 2)
         Cc = iso_stiffness(3.0, 2.0, 2)
-        C = np.tile(Cc, (M.m, 1, 1))
+        C = np.tile([3.0, 2.0], (M.m, 1))
         G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
         rep = ls_fixed_point(C, C0, EPS0, G)
         assert rep.converged
@@ -222,8 +222,8 @@ class TestFixedPoint:
         # the conjugate gradients rest on a positive-definite stiffness at every node
         M = PatternMatrix.from_any(np.diag([4] * d).tolist())
         C0 = iso_stiffness(1.5, 1.5, d)
-        C = np.tile(C0, (M.m, 1, 1))
-        C[1] = -C0
+        C = np.tile([1.5, 1.5], (M.m, 1))
+        C[1] = -1.5  # -C0
         G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
         with pytest.raises(DomainError, match="stiffness field is not uniformly elliptic"):
             ls_fixed_point(C, C0, np.ones(len(C0)), G)
@@ -360,19 +360,35 @@ class TestSinglePrecisionIteration:
         G = periodized_green(C0, orthonormalize(bspline_rule(M, order)))
         self._check_against_oracle(ls_fixed_point, C, C0, EPS0, G)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 1: the loop stops unconverged after 5 iterations, the float64 loop converges in 4",
-    )
     def test_matches_float64_oracle_on_an_aligned_laminate(self):
-        # layers with integer normal (1, 2) on a pattern whose first row is 8 (1, 2), on a bspline2 table
+        # layers with integer normal (1, 2) on a pattern whose first row is 8 (1, 2), on a bspline2 table: the
+        # float64 loop converges in 4 iterations; this loop's last refresh, at iteration 5, gives 7.0e-9, below
+        # the tolerance by a thin margin (ROADMAP item 4)
         M = PatternMatrix.from_any([[8, 16], [-16, 8]])
         layer = (pattern(M).points % 1 @ np.array([1, 2])) % 1 < 0.375
-        C = np.where(layer[:, None, None], iso_stiffness(5.0, 4.0, 2), iso_stiffness(0.5, 0.4, 2))
+        C = np.where(layer[:, None], [5.0, 4.0], [0.5, 0.4])
         C0 = iso_stiffness(2.75, 2.2, 2)
         G = periodized_green(C0, orthonormalize(bspline_rule(M, 2)))
         self._check_against_oracle(ls_fixed_point, C, C0, EPS0, G, tolerance=1e-8)
+
+    @pytest.mark.parametrize("scheme", ["ls", "ve"])
+    @pytest.mark.parametrize("rows", [[[12, 3], [0, 12]], [[4, 1, 0], [0, 6, 2], [0, 0, 2]]], ids=["2d", "3d"])
+    def test_anisotropic_reference_matches_float64_oracle(self, rows, scheme):
+        # a random SPD C0 leaves a nonzero remainder R = C0 - iso(C0[0, 1], C0[d, d] / 2), which every stiffness
+        # product adds
+        M = PatternMatrix.from_any(rows)
+        D = M.d * (M.d + 1) // 2
+        C0 = random_spd_mandel(np.random.default_rng(62 + M.d), D, shift=2.0)
+        C = _random_two_phase(np.random.default_rng(63), M, 4.0)
+        assert solver._stiffness_rows(C, C0)[1] is not None
+        eps0 = np.arange(1.0, D + 1)
+        rule = orthonormalize(bspline_rule(M, 2))
+        G = periodized_green(C0, rule) if scheme == "ls" else compatible_green(C0, rule)
+        cfg = SolverConfig(tolerance=1e-10)
+        rep = (ls_fixed_point if scheme == "ls" else ve_krylov)(C, C0, eps0, G, cfg)
+        ref = float64_conjugate_gradients(C, C0, eps0, G, cfg)
+        assert rep.converged and ref.converged and rep.residual_refreshes >= 1
+        assert field_norm(rep.strain - ref.strain) <= 1e-9 * field_norm(ref.strain)
 
     @pytest.mark.parametrize(
         "scheme, tolerance",
@@ -464,7 +480,7 @@ class TestKrylov:
     def test_homogeneous_is_trivial(self):
         M = PatternMatrix.from_any([[4, 1], [0, 4]])
         C0 = iso_stiffness(1.0, 1.0, 2)
-        C = np.tile(C0, (M.m, 1, 1))
+        C = np.tile([1.0, 1.0], (M.m, 1))
         G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
         rep = ve_krylov(C, C0, EPS0, G)
         assert rep.converged
@@ -548,29 +564,33 @@ class TestCompatibleScheme:
         E = dense_oracle(C, C0, eps0, Gc)
         assert field_norm(rep.strain - E) / field_norm(E) <= 1e-8
         # the variational residual C0 G C (E + eps0), relative to its value at E = 0
-        Cp = pack_symmetric(C)
+        Cp = pack_symmetric(dense_stiffness(C, M.d))
         strain = rep.strain.T
 
         def projected(field):
-            return field_norm((C0 @ solver._green_convolve(Gc, apply_stiffness(Cp, field))).T)
+            return field_norm((C0 @ solver._green_convolve(Gc, mandel_product(Cp, field))).T)
 
         assert projected(strain + eps0[:, None]) <= 1e-9 * projected(np.zeros_like(strain) + eps0[:, None])
 
     @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("defect", ["negative", "singular"])
-    def test_non_elliptic_node_rejected(self, d, defect):
+    @pytest.mark.parametrize(
+        "lam, mu",
+        [(1.0, -0.25), (1.0, 0.0), (-1.5, None), (-1.0, None)],
+        ids=["shear-negative", "shear-zero", "bulk-negative", "bulk-zero"],
+    )
+    def test_non_elliptic_node_rejected(self, d, lam, mu):
+        # the eigenvalues of iso(lambda, mu) are 2 mu and d lambda + 2 mu; with mu = d / 2 the bulk one is
+        # d (lambda + 1), exactly zero at lambda = -1
         M = PatternMatrix.from_any(np.diag([4] * d).tolist())
         C0 = iso_stiffness(1.5, 1.5, d)
-        C = np.tile(C0, (M.m, 1, 1))
-        rng = np.random.default_rng(91 + d)
-        D = len(C0)
-        v = np.linalg.qr(rng.standard_normal((D, D)))[0]
-        w = np.linspace(1.0, 2.0, D)
-        w[-1] = -0.5 if defect == "negative" else 0.0
-        C[M.m // 2] = (v * w) @ v.T
+        C = np.tile([1.5, 1.5], (M.m, 1))
         G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
+        D = len(C0)
+        C[M.m // 2] = lam, d / 2 if mu is None else mu
         with pytest.raises(DomainError, match="not uniformly elliptic"):
             ve_krylov(C, C0, np.ones(D), G)
+        C[M.m // 2] = (-1.0 + 1e-10, d / 2) if mu is None else (lam, 1e-10)  # just elliptic: accepted
+        assert ve_krylov(C, C0, np.ones(D), G, SolverConfig(max_iterations=2)).iterations == 2
 
 
 class TestInputContract:
@@ -596,17 +616,28 @@ class TestInputContract:
         assert run(C, C0 * (1.0 + 1e-14), EPS0, G, cfg).converged  # round-off is not a different reference
 
     @pytest.mark.parametrize("run", [ls_fixed_point, ve_krylov])
-    def test_asymmetric_stiffness_rejected(self, run):
-        # the iteration reads the upper triangle of C and the effective stiffness all of it
+    def test_stiffness_field_contract(self, run, monkeypatch):
+        # one finite Lame pair per node: a dense (m, D, D) field, a third column or a non-finite pair is refused
+        # before the first stiffness product or convolution
         M = PatternMatrix.from_any([[16, 0], [0, 16]])
         C0 = iso_stiffness(1.5, 1.5, 2)
         C = _checkerboard(M)
         G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
-        C[:, 1, 0] *= 1.0 + 1e-15
-        assert run(C, C0, EPS0, G).converged
-        C[:, 2, 0] += 0.5
-        with pytest.raises(DomainError, match="stiffness field must be symmetric"):
-            run(C, C0, EPS0, G)
+        assert C.shape == (M.m, 2) and run(C, C0, EPS0, G).converged
+
+        def refused(*args, **kwargs):
+            raise AssertionError("iterated on a rejected stiffness field")
+
+        for name in ("apply_stiffness", "_green_convolve"):
+            monkeypatch.setattr(solver, name, refused)
+        for bad in (dense_stiffness(C, 2), np.hstack([C, C[:, :1]])):
+            with pytest.raises(ShapeError, match="one Lame pair per node"):
+                run(bad, C0, EPS0, G)
+        for value in (np.nan, np.inf, -np.inf):
+            bad = C.copy()
+            bad[7, 1] = value
+            with pytest.raises(DomainError, match="stiffness field must be finite"):
+                run(bad, C0, EPS0, G)
 
     @pytest.mark.parametrize("run", [ls_fixed_point, ve_krylov])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -617,7 +648,7 @@ class TestInputContract:
         G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
         with pytest.raises(DomainError, match="macroscopic strain must be finite"):
             run(C, C0, np.array([1.0, bad, 0.0]), G)
-        C[5, 1, 1] = bad
+        C[5, 1] = bad
         with pytest.raises(DomainError, match="stiffness field must be finite"):
             run(C, C0, EPS0, G)
 
@@ -664,44 +695,47 @@ class TestComponentMajorKernels:
         return np.stack([random_spd_mandel(rng, D) for _ in range(m)])
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_apply_stiffness_packed_rows(self, d):
+    def test_mandel_product_packed_rows(self, d):
         rng = np.random.default_rng(70 + d)
         C = self._stiffness_stack(rng, d)
         m, D, _ = C.shape
         x = rng.standard_normal((D, m)) + 1j * rng.standard_normal((D, m))
         want = stiffness_product_einsum(C, x.T).T
         rows = pack_symmetric(C)
-        assert np.abs(apply_stiffness(rows, x) - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(mandel_product(rows, x) - want).max() <= 1e-14 * np.abs(want).max()
         out = np.empty_like(x)
-        assert apply_stiffness(rows, x, out=out) is out and np.array_equal(out, apply_stiffness(rows, x))
+        assert mandel_product(rows, x, out=out) is out and np.array_equal(out, mandel_product(rows, x))
         # packed rows only: dense row-major rows, or any other count, are refused
         for bad in (C.reshape(m, -1).T, rows[:-1]):
             with pytest.raises(ShapeError, match="packed rows"):
-                apply_stiffness(bad, x)
+                mandel_product(bad, x)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.float64, np.complex128])
     @pytest.mark.parametrize("d", [2, 3])
-    def test_structurally_zero_rows_skipped_exactly(self, d, dtype):
-        # the contrast of isotropic phases has zero rows (2 of 6 packed in 2-D, 12 of 21 in 3-D); one more
-        # entry, nonzero at a single node, keeps its row live
+    def test_apply_stiffness_contrast_rows(self, d, dtype):
+        # (C0 - C) x from the rows (lambda0 - lambda, 2 (mu0 - mu)) and the remainder R = C0 - iso(lambda0, mu0),
+        # for an isotropic C0 (R = 0, returned as None) and an anisotropic one
         rng = np.random.default_rng(90 + d)
         M = PatternMatrix.from_any(np.diag([8] * d))
-        dC = _random_two_phase(rng, M, 7.0) - iso_stiffness(2.0, 1.5, d)[None]
-        dC[3, 0, -1] = dC[3, -1, 0] = 0.25
-        m, D, _ = dC.shape
-        rows_dtype = np.finfo(dtype).dtype  # real rows of the field's precision, as the solver keeps them
+        C = _random_two_phase(rng, M, 7.0)
+        m, D = M.m, d * (d + 1) // 2
+        real = np.finfo(dtype).dtype  # rows of the field's precision, as the solver keeps them
         x = rng.standard_normal((D, m)).astype(dtype)
         if np.iscomplexobj(x):
             x += 1j * rng.standard_normal((D, m)).astype(dtype)
-        packed = pack_symmetric(dC).astype(rows_dtype)
-        assert sum(live_rows(packed)) == {2: 5, 3: 10}[d]  # every entry of the lone node's row counts
-        for full in (dC.astype(rows_dtype), np.zeros_like(dC, dtype=rows_dtype)):
-            want = np.einsum("hij,jh->ih", full.astype(dtype), x)
-            rows = pack_symmetric(full)
-            out = np.full(x.shape, np.nan, dtype=dtype)  # every output row is written, dead or live
-            got = apply_stiffness(rows, x, out=out, live=live_rows(rows))
-            assert got is out and np.array_equal(got, want)
-            assert np.array_equal(got, apply_stiffness(rows, x))
+        for C0 in (iso_stiffness(2.0, 1.5, d), random_spd_mandel(rng, D)):
+            contrast, remainder = solver._stiffness_rows(C, C0)
+            assert contrast.shape == (2, m) and (remainder is None) == (C0[0, -1] == 0.0)
+            want = np.einsum("hij,jh->ih", C0[None] - dense_stiffness(C, d), x.astype(np.complex128))
+            R = None if remainder is None else remainder.astype(real)
+            out = np.full(x.shape, np.nan, dtype=dtype)  # every output row is written
+            got = apply_stiffness(contrast.astype(real), x, remainder=R, out=out)
+            assert got is out and np.abs(got - want).max() <= 50 * np.finfo(dtype).eps * np.abs(want).max()
+            if R is None:  # a zero remainder adds nothing, exactly
+                zero = np.zeros((D, D), dtype=real)
+                assert np.array_equal(got, apply_stiffness(contrast.astype(real), x, remainder=zero))
+        with pytest.raises(ShapeError, match="contrast rows"):
+            apply_stiffness(pack_symmetric(dense_stiffness(C, d)), x)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_field_norm_of_transposed_views(self, dtype):
@@ -754,8 +788,8 @@ class TestAllocations:
         G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
         # every stiffness product and Green convolution opens a stretch that lasts to the next one; its
         # traced peak, above the traced size at its start, counts the (D, m) fields of the precision of
-        # the opening call's output allocated in it (a stiffness product and a table product each hold
-        # one row and one cast buffer of scratch, below that size)
+        # the opening call's output allocated in it (a table product holds one row and one cast buffer of
+        # scratch, below that size; a stiffness product with an isotropic C0 forms its trace in its output)
         stretches = []  # [traced size at the start, field bytes, fields allocated]
 
         def sampled(fn):
@@ -790,6 +824,25 @@ class TestAllocations:
         assert counts[20][0] == counts[3][0] == 0
 
 
+    def test_stiffness_rows_take_four_rows_over_nodes(self):
+        # checking and preparing the stiffness of a 3-D diag(32, 32, 32) solve traces at most 4 float64 rows over
+        # the nodes above its input: the two contrast rows, which the ellipticity check uses as scratch, and the
+        # check's one temporary row
+        M = PatternMatrix.from_any(np.diag([32] * 3).tolist())
+        ms = Inclusion("ellipse", (1.2, 1.0, 0.9), (0.2, -0.3, 0.1), 0.0, IsoPhase(5.0, 4.0), IsoPhase(0.5, 0.4))
+        C = sample_stiffness(ms, M)
+        C0 = iso_stiffness(2.75, 2.2, 3)
+        G = compatible_green(C0, orthonormalize(dirichlet_rule(M)))
+        eps0 = np.ones(len(C0))
+        tracemalloc.start()
+        try:
+            solver._stiffness_rows(*solver._validate_problem(C, C0, eps0, G)[:2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * M.m * 8
+
+
 class TestMinresFallback:
     def test_solves_hermitian_psd_system(self):
         # exercise the real-lifted rescue path directly
@@ -813,7 +866,7 @@ class TestDenseOracle:
     def test_homogeneous_zero(self):
         M = PatternMatrix.from_any([[4, 0], [0, 4]])
         C0 = iso_stiffness(1.0, 1.0, 2)
-        C = np.tile(C0, (M.m, 1, 1))
+        C = np.tile([1.0, 1.0], (M.m, 1))
         G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
         E = dense_oracle(C, C0, EPS0, G)
         assert field_norm(E) < 1e-14
@@ -830,7 +883,7 @@ class TestDenseOracle:
     def test_capacity_guard(self):
         M = PatternMatrix.from_any([[32, 0], [0, 32]])
         C0 = iso_stiffness(1.5, 1.5, 2)
-        C = np.tile(C0, (M.m, 1, 1))
+        C = np.tile([1.5, 1.5], (M.m, 1))
         G = periodized_green(C0, orthonormalize(dirichlet_rule(M)))
         with pytest.raises(ValueError):
             dense_oracle(C, C0, EPS0, G)
@@ -840,7 +893,7 @@ class TestEffectiveStiffness:
     def test_homogeneous(self):
         M = PatternMatrix.from_any([[4, 0], [0, 4]])
         C0 = iso_stiffness(2.0, 1.0, 2)
-        C = np.tile(C0, (M.m, 1, 1))
+        C = np.tile([2.0, 1.0], (M.m, 1))
         E = np.zeros((M.m, 3))
         assert np.abs(effective_stiffness(C, E, EPS0) - C0 @ EPS0).max() < 1e-15
 
@@ -849,7 +902,7 @@ class TestEffectiveStiffness:
         C = _checkerboard(M)
         rng = np.random.default_rng(53)
         E = rng.standard_normal((M.m, 3))
-        want = np.einsum("hij,hj->hi", C, E + EPS0[None, :]).mean(axis=0)
+        want = np.einsum("hij,hj->hi", dense_stiffness(C, 2), E + EPS0[None, :]).mean(axis=0)
         assert np.abs(effective_stiffness(C, E, EPS0) - want).max() < 1e-14
 
 
