@@ -296,9 +296,14 @@ def green_coeff_batch(C0: np.ndarray, ks: np.ndarray) -> np.ndarray:
         raise ShapeError(f"expected an (n, d) frequency batch, got shape {ks.shape}")
     n, d = ks.shape
     _check_reference(C0, d)
+    table = _green_rows(C0, d, _packed_rows(d, n), 1, lambda cls, sh, work: (ks[cls].T[:, None], None))
+    return np.ascontiguousarray(np.moveaxis(table[_packed_index(mandel_dim(d))], -1, 0))
+
+
+def _packed_rows(d: int, n: int) -> np.ndarray:
+    """Zeroed packed rows (D (D + 1) / 2, n) of n symmetric D x D Mandel matrices in d dimensions."""
     D = mandel_dim(d)
-    table = _green_rows(C0, d, np.empty((D * (D + 1) // 2, n)), 1, lambda cls, sh, work: (ks[cls].T[:, None], None))
-    return np.ascontiguousarray(np.moveaxis(table[_packed_index(D)], -1, 0))
+    return np.zeros((D * (D + 1) // 2, n))
 
 
 @lru_cache(maxsize=None)
@@ -402,7 +407,8 @@ def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None 
     box's own; in the tested B-spline settings it lies within a factor 3
     above the largest entry change to a longer-period table, relative to the
     table maximum.  A conjugate-symmetric rule gives a real table on the half
-    Smith grid.
+    Smith grid.  A rule of support 0 (every slope zero) has one term per
+    class, G0(h), a C0-projector: its table is ``compatible``.
     """
     if not rule.orthonormalized:
         raise DomainError("periodised Green operator requires an orthonormalised generator")
@@ -411,10 +417,9 @@ def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None 
     C0 = _check_reference(C0, d)
     periods = rule.default_periods if periods is None else int(periods)
     support = rule.support_periods
-    if support is not None and periods < support:
-        raise DomainError(f"truncation below the rule's support ({support} periods)")
-    if support is None and periods < 1:
-        raise DomainError("B-spline class sums need at least one period")
+    floor = 1 if support is None else support  # a B-spline's class sums need at least one period
+    if periods < floor:
+        raise DomainError(f"truncation below the rule's floor ({floor} periods)")
     real = rule.conjugate_symmetric
     # the class of h = 0 comes first among the stored classes and keeps a zero
     # entry, so no accumulated frequency is zero; a full table keeps a slice
@@ -457,25 +462,13 @@ def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None 
         share[cls] += weight.sum(axis=0, out=_workspace_view(work, "share", (shape[1],)))
         return np.add(freqs[:, None, cls], offsets[:, sh, None], out=_workspace_view(work, "k", (d,) + shape)), weight
 
-    D = mandel_dim(d)
-    table = np.zeros((D * (D + 1) // 2, n + 1))
+    table = _packed_rows(d, n + 1)
     _green_rows(C0, d, table[:, 1:], taps.shape[1], shifted)
     table[:, 1:] *= class_weight
-    table.setflags(write=False)
     tail = 0.0
     if support is None and n:
         tail = max(0.0, float(np.max(1.0 - class_weight * share)))
-    return GreenTable(
-        matrix=M,
-        table=table,
-        generator=rule.spec(),
-        periods=periods,
-        shifts=int(summed.sum()),
-        tail_estimate=tail,
-        real=real,
-        compatible=rule.kind == "dirichlet",
-        reference=C0,
-    )
+    return _green_table(rule, C0, table, periods, int(summed.sum()), tail)
 
 
 def compatible_green(C0: np.ndarray, rule: CoefficientRule) -> GreenTable:
@@ -484,7 +477,7 @@ def compatible_green(C0: np.ndarray, rule: CoefficientRule) -> GreenTable:
     mu_h = h + M^T delta_h (``CoefficientRule.class_mean_shift``) is the mean
     of the class frequencies under the weights |c_k|^2.  Each class matrix is
     a C0-projector, or zero where mu_h = 0 (as at h = 0); there is no class
-    sum, no ``periods`` and no tail.  For dirichlet mu_h = h, which gives
+    sum, no ``periods`` and no tail.  At support 0 mu_h = h, which gives
     ``periodized_green``'s table.  Conjugate-symmetric rules keep the real
     half table.  The table is ``_green_rows``'s case of one term of weight
     one per class, its frequency the class mean, which each pass forms for
@@ -501,17 +494,21 @@ def compatible_green(C0: np.ndarray, rule: CoefficientRule) -> GreenTable:
         kept = cls if stored is None else stored[cls]
         return (freqs[kept].T + M.array.T @ rule.class_mean_shift(kept))[:, None], None
 
-    D = mandel_dim(M.d)
-    table = _green_rows(C0, M.d, np.empty((D * (D + 1) // 2, M.m if stored is None else len(stored))), 1, class_means)
+    table = _green_rows(C0, M.d, _packed_rows(M.d, M.m if stored is None else len(stored)), 1, class_means)
+    return _green_table(rule, C0, table)
+
+
+def _green_table(rule: CoefficientRule, C0: np.ndarray, table: np.ndarray, periods=None, shifts=None, tail=0.0):
+    """``table``, made read-only, as ``rule``'s GreenTable for the checked ``C0``: compatible without periods or at support 0."""
     table.setflags(write=False)
     return GreenTable(
-        matrix=M,
+        matrix=rule.matrix,
         table=table,
         generator=rule.spec(),
-        periods=None,
-        shifts=None,
-        tail_estimate=0.0,
-        real=real,
-        compatible=True,
+        periods=periods,
+        shifts=shifts,
+        tail_estimate=tail,
+        real=rule.conjugate_symmetric,
+        compatible=periods is None or rule.support_periods == 0,
         reference=C0,
     )

@@ -115,6 +115,14 @@ def _ellipse_quadric(semi_axes, rotation: float, d: int) -> np.ndarray:
     return Q
 
 
+def _nested_phase(rel: np.ndarray, quadrics) -> np.ndarray:
+    """Phase of points ``rel``: how many nested ellipses (quadrics, innermost first) leave them out; boundaries are inside."""
+    phase = np.zeros(len(rel), dtype=np.intp)
+    for Q in quadrics:
+        phase += np.einsum("ni,ij,nj->n", rel, Q, rel) > 1.0
+    return phase
+
+
 class HashinEllipses:
     """Confocal core and coating ellipses embedded in a matrix phase."""
 
@@ -143,10 +151,7 @@ class HashinEllipses:
         self.phases = (core, coating, matrix)
 
     def phase_index(self, x: np.ndarray) -> np.ndarray:
-        rel = _wrap_torus(x - self.center[None, :])
-        in_core = np.einsum("ni,ij,nj->n", rel, self.core_q, rel) <= 1.0
-        in_coating = np.einsum("ni,ij,nj->n", rel, self.coating_q, rel) <= 1.0
-        return np.where(in_core, 0, np.where(in_coating, 1, 2))
+        return _nested_phase(_wrap_torus(x - self.center[None, :]), (self.core_q, self.coating_q))
 
 
 class Inclusion:
@@ -170,10 +175,8 @@ class Inclusion:
     def phase_index(self, x: np.ndarray) -> np.ndarray:
         rel = _wrap_torus(x - self.center[None, :])
         if self.shape == "ellipse":
-            inside = np.einsum("ni,ij,nj->n", rel, self.quadric, rel) <= 1.0
-        else:
-            inside = np.all(np.abs(rel) <= self.half[None, :], axis=1)
-        return np.where(inside, 0, 1)
+            return _nested_phase(rel, (self.quadric,))
+        return np.where(np.all(np.abs(rel) <= self.half[None, :], axis=1), 0, 1)
 
 
 class VoxelMap:

@@ -7,30 +7,34 @@ coefficients on integer frequencies.  Three families are provided:
   truncated-Fourier space of classical FFT homogenization.
 * ``dlvp``       -- de la Vallee Poussin means: a tensor product of centred
   trapezoids with plateau 1 - alpha_j and support width 1 + alpha_j in the
-  scaled frequency M^{-T} k.  alpha = 0 degenerates to the Dirichlet rule.
+  scaled frequency M^{-T} k.
 * ``bspline``    -- tensor-product cardinal B-spline of order p on the unit
   cell M^{-1} [-1/2, 1/2)^d, i.e. c_k = m^{-1/2} prod_j sinc^p(pi (M^{-T}k)_j).
 
+Dirichlet is the trapezoid rule with every slope zero: it holds alpha = 0 and
+differs from dlvp(0, ..., 0) only in ``raw_scale``, so once orthonormalised both
+give the same Green table, compatible and with 0 periods.
+
 Scaled frequencies are handled as exact integer numerators over det(M), so
 support and boundary decisions never depend on floating-point rounding.
-The cell [-1/2, 1/2)^d is half open toward -1/2: the Dirichlet rule and the
-degenerate (alpha_j = 0) trapezoid factor count a boundary frequency once,
-on the -1/2 side, so the alpha -> 0 limit of the trapezoid family is the
-Dirichlet rule itself.  For alpha_j > 0 the trapezoid is the continuous one
-and carries the value 1/2 at |xi_j| = 1/2, sharing the weight of a boundary
-frequency with its congruent mirror.
+The cell [-1/2, 1/2)^d is half open toward -1/2: the degenerate (alpha_j = 0)
+trapezoid factor counts a boundary frequency once, on the -1/2 side, so the
+alpha -> 0 limit of the trapezoid family is the Dirichlet rule itself.  For
+alpha_j > 0 the trapezoid is the continuous one and carries the value 1/2 at
+|xi_j| = 1/2, sharing the weight of a boundary frequency with its congruent
+mirror.
 
 Every rule is a product over axes of one factor F_a of the scaled frequency:
-sinc^p, the trapezoid, or the half-open indicator (the alpha = 0 trapezoid).
+sinc^p or the trapezoid, whose alpha = 0 case is the half-open indicator.
 Since M^{-T}(h + M^T z) = xi_h + z, a congruence class h + M^T Z^d is the
 grid xi_h + Z^d in scaled frequencies, so functions of the class factor into
 per-axis tables (``CoefficientRule.axis_factors``), and every class sum the
 code needs comes from the two one-axis sums of ``CoefficientRule._class_sums``:
 S0 = sum_t F_a^2(xi_a + t) for orthonormalisation and S1 = sum_t F_a^2(xi_a + t) t
-for the class-mean shift.  Both are exact: the Dirichlet and trapezoid factors
-have finite support, and the B-spline sums are finite cosine and sine series
-whose weights are integer samples of a higher-order cardinal B-spline and of
-its slope (Unser, Aldroubi & Eden, IEEE Trans. Signal Process. 1993).
+for the class-mean shift.  Both are exact: the trapezoid factors have finite
+support, and the B-spline sums are finite cosine and sine series whose
+weights are integer samples of a higher-order cardinal B-spline and of its
+slope (Unser, Aldroubi & Eden, IEEE Trans. Signal Process. 1993).
 """
 
 from __future__ import annotations
@@ -78,11 +82,8 @@ class GeneratorSpec:
         return cls(**values)
 
     def to_json(self) -> dict:
-        if self.kind == "dirichlet":
-            return {"kind": "dirichlet"}
-        if self.kind == "dlvp":
-            return {"kind": "dlvp", "alpha": list(self.alpha)}
-        return {"kind": "bspline", "order": self.order}
+        doc = {"kind": self.kind, "alpha": None if self.alpha is None else list(self.alpha), "order": self.order}
+        return {key: value for key, value in doc.items() if value is not None}
 
 
 @lru_cache(maxsize=None)
@@ -178,12 +179,8 @@ class CoefficientRule:
 
     @property
     def support_periods(self):
-        """Translates of M^T Z^d covering the support; None if unbounded."""
-        if self.kind == "dirichlet":
-            return 0
-        if self.kind == "dlvp":
-            return 1
-        return None
+        """Translates of M^T Z^d covering the support: 0 when every slope is zero, 1 otherwise; None if unbounded."""
+        return None if self.kind == "bspline" else int(any(self.alpha))
 
     @property
     def default_periods(self) -> int:
@@ -196,15 +193,13 @@ class CoefficientRule:
 
         Then the periodised Green table is even in the class and real fields
         stay real.  Every axis factor is even except the half-open indicator
-        (Dirichlet, and a trapezoid with alpha_j = 0), which differs only at
-        xi_j = -1/2; that needs an even det M.
+        (a trapezoid with alpha_j = 0), which differs only at xi_j = -1/2;
+        that needs an even det M.
         """
-        if self._den % 2 == 1 or self.kind == "bspline":
-            return True
-        return self.kind == "dlvp" and all(a > 0.0 for a in self.alpha)
+        return self._den % 2 == 1 or self.kind == "bspline" or all(a > 0.0 for a in self.alpha)
 
     def spec(self) -> GeneratorSpec:
-        return GeneratorSpec(kind=self.kind, alpha=self.alpha, order=self.order)
+        return GeneratorSpec(kind=self.kind, alpha=None if self.kind == "dirichlet" else self.alpha, order=self.order)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -221,7 +216,7 @@ class CoefficientRule:
         """One axis' factor of the unscaled coefficient at xi_axis = nums / den."""
         if self.kind == "bspline":
             return np.sinc(nums / self._den) ** self.order
-        return _trapezoid(nums, self._den, self.alpha[axis] if self.kind == "dlvp" else 0.0)
+        return _trapezoid(nums, self._den, self.alpha[axis])
 
     def _raw(self, k: np.ndarray) -> np.ndarray:
         nums = self._scaled_nums(k)
@@ -268,7 +263,7 @@ class CoefficientRule:
     def _class_sums(self, classes=slice(None)) -> tuple:
         """Per-axis class sums S0[a, h] = sum_t F_a(xi_h,a + t)^2 and S1[a, h] = sum_t F_a(xi_h,a + t)^2 t.
 
-        They run over the support (S1 = 0 for dirichlet) or through the
+        They run over the support (S1 = 0 at support 0) or through the
         B-spline series of ``_series_weights``, whose aliases at xi_a = -1/2
         pair off: there S1 = S0 / 2 exactly.  Both are (d, n) over the classes
         of ``axis_factors``, from one axis-factor table per call.
@@ -306,8 +301,8 @@ class CoefficientRule:
 
 
 def dirichlet_rule(M: PatternMatrix) -> CoefficientRule:
-    """Indicator rule of the dual generating set (c_k = 1 on G(M^T))."""
-    return CoefficientRule(M, "dirichlet")
+    """Indicator rule of the dual generating set (c_k = 1 on G(M^T)): the trapezoid rule with every slope zero."""
+    return CoefficientRule(M, "dirichlet", alpha=(0.0,) * M.d)
 
 
 def dlvp_rule(M: PatternMatrix, alpha) -> CoefficientRule:

@@ -583,15 +583,14 @@ class TestSweepAlpha:
         for e in doc["trace"][0]["evaluations"] + [doc["best_evaluation"], doc["dirichlet_evaluation"]]:
             assert e["converged"] is True and e["iterations"] >= 1
 
-    def test_finds_improvement_on_synthetic_unimodal(self, tmp_path, monkeypatch):
-        # inject a unimodal objective through the solve path to test the
-        # coordinate descent plumbing deterministically
+    @staticmethod
+    def _sweep_synthetic(tmp_path, monkeypatch, target):
+        # inject the unimodal objective |alpha - target|^2 + 1e-4 through the solve path to test the
+        # coordinate descent plumbing deterministically; the Dirichlet rule is evaluated at alpha = 0
         import spectralhom.cli as cli
 
         ref = _write_laminate_reference(tmp_path, [[8, 0], [0, 8]], with_strain=False)
         path = _laminate_config(tmp_path, reference_values=ref, sweep={"axes": [1, 2], "budget": 12})
-
-        target = (0.37, 0.11)
 
         class FakeMetrics:
             def __init__(self, e):
@@ -613,9 +612,22 @@ class TestSweepAlpha:
         monkeypatch.setattr(cli.solver, "error_metrics", fake_metrics)
         code, doc = sweep_alpha(path)
         assert code == 0
+        return doc
+
+    def test_finds_improvement_on_synthetic_unimodal(self, tmp_path, monkeypatch):
+        target = (0.37, 0.11)
+        doc = self._sweep_synthetic(tmp_path, monkeypatch, target)
         assert abs(doc["best_alpha"][0] - target[0]) < 0.05
         assert abs(doc["best_alpha"][1] - target[1]) < 0.05
         assert doc["best_e_eff"] < doc["trace"][0]["evaluations"][0]["e_eff"] + 1e-12
+        assert doc["improved"] is True
+
+    def test_not_improved_when_dirichlet_wins(self, tmp_path, monkeypatch):
+        # the minimum sits at alpha = (0, 0), which golden section never evaluates: only the Dirichlet
+        # baseline reaches it, so the varying objective did not improve on Dirichlet
+        doc = self._sweep_synthetic(tmp_path, monkeypatch, (0.0, 0.0))
+        assert not doc["trace"][0]["constant"] and doc["best_e_eff"] > doc["dirichlet_e_eff"]
+        assert doc["improved"] is False
 
 
 class TestPatternInfo:

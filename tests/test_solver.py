@@ -572,6 +572,24 @@ class TestCompatibleScheme:
 
         assert projected(strain + eps0[:, None]) <= 1e-9 * projected(np.zeros_like(strain) + eps0[:, None])
 
+    @pytest.mark.parametrize("rows", [[[16, 6], [0, 16]], [[9, 3], [0, 9]], [[4, 1, 0], [0, 6, 2], [0, 0, 2]]])
+    def test_zero_slope_table_is_dirichlets(self, rows, monkeypatch):
+        # dlvp with every slope zero is the Dirichlet rule: the same bits, a compatible table with 0 periods,
+        # which VE runs on as it is
+        M = PatternMatrix.from_any(rows)
+        C0 = random_spd_mandel(np.random.default_rng(91), M.d * (M.d + 1) // 2)
+        G = periodized_green(C0, orthonormalize(dlvp_rule(M, [0.0] * M.d)))
+        assert np.array_equal(G.table, periodized_green(C0, orthonormalize(dirichlet_rule(M))).table)
+        assert G.compatible and G.periods == 0
+
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("ve_krylov rebuilt a compatible table")
+
+        monkeypatch.setattr(solver, "compatible_green", no_rebuild)
+        C = _random_two_phase(np.random.default_rng(92), M, 5.0)
+        eps0 = np.arange(1.0, len(C0) + 1)
+        assert ve_krylov(C, C0, eps0, G, SolverConfig(tolerance=1e-10, max_iterations=2000)).converged
+
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize(
         "lam, mu",
