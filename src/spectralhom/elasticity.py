@@ -477,12 +477,12 @@ def compatible_green(C0: np.ndarray, rule: CoefficientRule) -> GreenTable:
     mu_h = h + M^T delta_h (``CoefficientRule.class_mean_shift``) is the mean
     of the class frequencies under the weights |c_k|^2.  Each class matrix is
     a C0-projector, or zero where mu_h = 0 (as at h = 0); there is no class
-    sum, no ``periods`` and no tail.  At support 0 mu_h = h, which gives
-    ``periodized_green``'s table.  Conjugate-symmetric rules keep the real
-    half table.  The table is ``_green_rows``'s case of one term of weight
-    one per class, its frequency the class mean, which each pass forms for
-    its block of classes; the build holds the table and one pass of
-    temporaries.
+    sum, no ``periods`` and no tail.  At support 0 mu_h = h, taken without
+    evaluating the shift, which gives ``periodized_green``'s table.
+    Conjugate-symmetric rules keep the real half table.  The table is
+    ``_green_rows``'s case of one term of weight one per class, its
+    frequency the class mean, which each pass forms for its block of
+    classes; the build holds the table and one pass of temporaries.
     """
     M = rule.matrix
     C0 = _check_reference(C0, M.d)
@@ -492,6 +492,8 @@ def compatible_green(C0: np.ndarray, rule: CoefficientRule) -> GreenTable:
 
     def class_means(cls: slice, sh: slice, work: dict) -> tuple:
         kept = cls if stored is None else stored[cls]
+        if rule.support_periods == 0:  # the class sums run over t = 0 alone: the shift is zero
+            return freqs[kept].T.astype(np.float64)[:, None], None
         return (freqs[kept].T + M.array.T @ rule.class_mean_shift(kept))[:, None], None
 
     table = _green_rows(C0, M.d, _packed_rows(M.d, M.m if stored is None else len(stored)), 1, class_means)

@@ -44,23 +44,33 @@ real table, against float32 copies of the stiffness contrast rows and of
 the Green table, made once per solve.  They solve the problem scaled to unit
 loading and unit reference stiffness (strains divided by ||eps0||, stresses
 by ||eps0|| max|C0|, the table multiplied by max|C0|), so the float32 range
-never limits them.  Double precision holds the strain, as the pre-image
-zeta_E of E = G zeta_E, and every convergence decision: when the recurred
-residual has fallen by sqrt(eps) of float32 since the last refresh, or below
-the tolerance, a refresh flushes the single-precision increment into zeta_E,
-forms E and the residual by float64 convolutions, and re-casts the residual
-and its pre-image; the search direction is kept (reliable updates, van der
-Vorst & Ye, SIAM J. Sci. Comput. 2000), or restarted from the refreshed
-residual when that exceeds twice the recurred one and the tolerance, which
-shows the recurrence drifted.  The single-precision recurrences cannot
-resolve a pre-image whose part in the null space of G dwarfs its image, so
-pre-images drop that part where it is cheap: where G C0 G = G, C0 maps an
-image to a pre-image without it, and G annihilates constants.
-On a compatible table the recurrences use C0 G dC p for dC p and each
-refresh C0 r; elsewhere they subtract the mean, and each refresh puts C0 r
-in the classes that are C0-projectors.  So the residual history holds
-single-precision recurred estimates between refreshes, its last entry is the
-float64 residual of the returned strain, and a solve converges only on that.
+never limits them.  Double precision holds the strain and every convergence
+decision: when the recurred residual has fallen by sqrt(eps) of float32
+since the last refresh, or below the tolerance, a refresh flushes the
+single-precision strain increment into the float64 strain, forms the
+residual by float64 convolutions and re-casts it; the search direction is
+kept (reliable updates, van der Vorst & Ye, SIAM J. Sci. Comput. 2000), or
+restarted from the refreshed residual when that exceeds twice the recurred
+one and the tolerance, which shows the recurrence drifted.  So the residual
+history holds single-precision recurred estimates between refreshes, its
+last entry is the float64 residual of the returned strain, and a solve
+converges only on that.
+
+The Green-weighted inner product needs a pre-image z of each image x = G z,
+and the loop is chosen by the table.  Where every stored class is a
+C0-projector (``GreenTable.projector_classes``: every compatible table, so
+every ``ve_krylov`` solve, and the Dirichlet and dlvp(0, ..., 0) tables of
+``ls_fixed_point``), G C0 G = G makes C0 x a pre-image of x, and CG runs on
+the strain itself: its state is E, the residual r, the direction p and the
+strain increment, <r, r> is Re (C0 r)^H r, the curvature <p, A p> is
+Re (C0 p)^H A p, and each refresh first projects the flushed strain back on
+the range of G, E <- G C0 E.  On any other table the residual and direction
+carry pre-images zeta and pi, the strain its pre-image zeta_E, E = G zeta_E,
+in double precision, and <r, r> is Re zeta^H r.  The single-precision
+recurrences cannot resolve a pre-image whose part in the null space of G
+dwarfs its image, so there pre-images drop that part where it is cheap: the
+per-step update subtracts the mean, which G annihilates, and each refresh
+puts C0 r in the classes that are C0-projectors.
 
 Every phase is isotropic, so the stiffness is one Lame pair (lambda, mu)
 per node, an (m, 2) array.  With C0 = iso(lambda0, mu0) + R split exactly
@@ -289,130 +299,258 @@ def _carve(buffer: np.ndarray, dtype, shape: tuple, part: int = 0) -> np.ndarray
     return buffer.reshape(-1).view(np.uint8)[part * size : (part + 1) * size].view(dtype).reshape(shape)
 
 
+class _UnitLoop:
+    """The single-precision unit problem that both CG loops iterate, and the float64 data of its refreshes.
+
+    The unit problem divides strains by ||eps0|| and stresses by
+    ||eps0|| max|C0|, so its stiffness rows are divided by max|C0| and its
+    Green table multiplied by it.  A loop holds the float64 strain ``E``,
+    the single-precision residual ``r`` and direction ``p``, and the
+    effective ``action`` of ``E`` read off its last refresh; ``refresh``,
+    ``inner``, ``direction`` and ``advance`` are the steps that
+    ``_conjugate_gradients`` runs.
+    """
+
+    def __init__(self, contrast: np.ndarray, remainder, eps0: np.ndarray, G: GreenTable):
+        self.contrast, self.remainder, self.eps0, self.G = contrast, remainder, eps0, G  # -dC = C0 - C
+        self.scale = float(np.linalg.norm(eps0))
+        stiffness_unit = float(np.abs(G.reference).max())
+        self.stress_unit = self.scale * stiffness_unit
+        dC1 = np.empty(contrast.shape, np.float32)
+        self.dC1 = np.multiply(contrast, -1.0 / stiffness_unit, out=dC1, casting="same_kind")  # dC = C - C0
+        self.R1 = None if remainder is None else (remainder * (-1.0 / stiffness_unit)).astype(np.float32)
+        table = np.multiply(G.table, stiffness_unit, out=np.empty(G.table.shape, np.float32), casting="same_kind")
+        self.G1 = dataclasses.replace(G, table=table, reference=G.reference / stiffness_unit)
+        self.E = np.zeros((len(eps0), G.m), dtype=np.float64 if G.real else np.complex128)
+        self.single = np.float32 if G.real else np.complex64
+        self.spectrum = (len(eps0), G.table.shape[-1])
+        self.action = None
+
+    def stiffness_product(self, out: np.ndarray, total: np.ndarray | None = None) -> np.ndarray:
+        """-dC (E + eps0) into ``out``, from ``total`` = E + eps0 (None at E = 0), and the action of E read off it.
+
+        At E = 0 the products are real, written in the field's dtype: a
+        complex transform would copy a real input.  The mean stress is
+        mean(C (E + eps0)) = mean(dC (E + eps0)) + C0 (mean E + eps0).
+        """
+        if total is None:
+            total, mean = np.broadcast_to(self.eps0[:, None], self.E.shape), self.eps0
+        else:
+            mean = total.mean(axis=1)
+        product = apply_stiffness(self.contrast, total, remainder=self.remainder, out=out)
+        self.action = np.real(self.G.reference @ mean - product.mean(axis=1))
+        return product
+
+
+class _StrainLoop(_UnitLoop):
+    """CG on the strain itself, on a table whose every class is a C0-projector.
+
+    There G C0 G = G, so C0 maps each image x = G z to a pre-image of x: the
+    Green-weighted inner product of two images is Re (C0 x)^H y, and no
+    pre-image is carried.  The state is E, the single-precision r and p
+    and the strain increment dE since the last refresh.  The scratch is two
+    complex128 spectra, ``work`` and ``hat``, each of which a refresh also
+    uses as a float64 field (a real table's half spectrum is the larger);
+    the iterations carve their fields dC p and q from ``work`` and their two
+    complex64 spectra from ``hat``.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        E, single = self.E, self.single
+        self.C1 = self.G1.reference.astype(np.float32)
+        self.r = np.empty(E.shape, dtype=single)
+        self.p, self.dE = (np.zeros(E.shape, dtype=single) for _ in range(2))  # beta = 0 starts p at r
+        self.work, self.hat = (np.empty(self.spectrum, np.complex128) for _ in range(2))
+        self.scratch, self.q = (_carve(self.work, single, E.shape, part) for part in (0, 1))
+        self.spectra = tuple(_carve(self.hat, np.complex64, self.spectrum, part) for part in (0, 1))
+
+    def refresh(self, initial: bool = False) -> float:
+        """Flush dE into E, project E on the range of G and return the float64 residual of E, cast into r.
+
+        E <- G (C0 (E + ||eps0|| dE)) drops the part of the flushed strain
+        outside the range of G, and r64 = G((C0 - C)(E + eps0) - C0 E) is
+        b - A E there (b itself at E = 0, the ``initial`` refresh).  Each
+        transform's input and output lie in different buffers: an
+        overlapping real transform copies its input.
+        """
+        E, C0 = self.E, self.G.reference
+        field, product = (_carve(buffer, E.dtype, E.shape) for buffer in (self.work, self.hat))
+        if initial:
+            product = self.stiffness_product(product)
+        else:
+            E += np.multiply(self.dE, self.scale, out=field, dtype=E.dtype)
+            self.dE.fill(0.0)
+            _green_convolve(self.G, np.matmul(C0, E, out=field), out=E, spectra=(self.hat, self.work))
+            product = self.stiffness_product(product, np.add(E, self.eps0[:, None], out=field))
+            product -= np.matmul(C0, E, out=field)
+        r64 = _green_convolve(self.G, product, out=field, spectra=(self.work, self.hat))
+        np.multiply(r64, 1.0 / self.scale, out=self.r, casting="same_kind")
+        return field_norm(r64.T) / self.scale
+
+    def inner(self) -> float:
+        """<r, r> = Re (C0 r)^H r."""
+        return float(np.vdot(np.matmul(self.C1, self.r, out=self.scratch), self.r).real)
+
+    def direction(self, beta: float) -> float:
+        """p <- r + beta p, q = G dC p, and the curvature <p, A p> = Re (C0 p)^H (p + q).
+
+        On the range of G, Re (C0 p)^H q is Re p^H dC p.  Rounding puts a
+        small part of r and p off the range, where the recurrence acts as the
+        identity; in the C0 inner product CG damps that part as an
+        eigenvalue 1, whereas with Re p^H dC p a reference stiffer than the
+        phases (every step length above 2) amplifies it until the residual
+        grows without bound.
+        """
+        p = self.p
+        p *= beta
+        p += self.r
+        dCp = apply_stiffness(self.dC1, p, remainder=self.R1, out=self.scratch)
+        self.q = _green_convolve(self.G1, dCp, out=self.q, spectra=self.spectra)
+        C0p = np.matmul(self.C1, p, out=self.scratch)
+        return float(np.vdot(C0p, p).real) + float(np.vdot(C0p, self.q).real)
+
+    def advance(self, alpha: float) -> None:
+        """r -= alpha A p, with A p = p + G dC p, and dE += alpha p."""
+        q = self.q
+        q += self.p
+        q *= alpha
+        self.r -= q
+        self.dE += np.multiply(self.p, alpha, out=self.scratch)
+
+
+class _PreImageLoop(_UnitLoop):
+    """CG on a table with classes that are not C0-projectors, carrying pre-images.
+
+    The residual r = G zeta and the direction p = G pi carry zeta and pi,
+    and the strain its pre-image zeta_E, E = G zeta_E, in double precision.
+    A pre-image whose part in the null space of G dwarfs its image cannot be
+    resolved in single precision.  G annihilates constants, so the per-step
+    pre-image update drops the mean; where classes beyond h = 0 are
+    C0-projectors, each refresh puts C0 r in them (G C0 G = G there).
+    """
+
+    def __init__(self, *args, projector: np.ndarray):
+        super().__init__(*args)
+        E, single = self.E, self.single
+        self.r, self.zeta = (np.empty(E.shape, dtype=single) for _ in range(2))
+        self.p, self.pi = (np.zeros(E.shape, dtype=single) for _ in range(2))  # beta = 0 starts them at r and zeta
+        self.zeta_E = np.zeros_like(E)
+        self.dzeta_E = np.zeros_like(self.r)  # the increment of zeta_E since the last refresh
+        # the refreshes' double-precision field and spectra; the iterations' scratch lies on the same bytes
+        self.field = np.empty_like(E)
+        self.zeta_hat, self.r_hat = (np.empty(self.spectrum, np.complex128) for _ in range(2))
+        self.dCp, self.q = (_carve(self.field, single, E.shape, part) for part in (0, 1))
+        self.spectra = tuple(_carve(buffer, np.complex64, self.spectrum) for buffer in (self.zeta_hat, self.r_hat))
+        self.projector = projector if projector[1:].any() else None  # beyond the class of h = 0
+
+    def refresh(self, initial: bool = False) -> float:
+        """Flush the increment into zeta_E, rebuild E = G zeta_E and return its float64 residual.
+
+        zeta64 = -dC (E + eps0) - zeta_E is a pre-image of r = b - A E (b at
+        E = 0, the ``initial`` refresh); r and a pre-image taking C0 r in the
+        ``projector`` classes are cast into r and zeta.
+        """
+        E, zeta_E, zeta_hat = self.E, self.zeta_E, self.zeta_hat
+        if initial:  # E = zeta_E = 0
+            zeta64 = self.stiffness_product(self.field)
+        else:
+            np.multiply(self.dzeta_E, self.stress_unit, out=E, dtype=E.dtype)  # E is rebuilt below
+            np.add(zeta_E, E, out=zeta_E)
+            self.dzeta_E.fill(0.0)
+            _green_convolve(self.G, zeta_E, out=E, spectra=(zeta_hat, self.r_hat))
+            total = np.add(E, self.eps0[:, None], out=_carve(zeta_hat, E.dtype, E.shape))
+            zeta64 = self.stiffness_product(self.field, total)
+            zeta64 -= zeta_E
+        # the transform of zeta stays in zeta_hat where the pre-image is formed class by class
+        r64 = self.field if self.projector is not None else _carve(zeta_hat, E.dtype, E.shape)
+        r64 = _green_convolve(self.G, zeta64, out=r64, spectra=(zeta_hat, self.r_hat))
+        np.multiply(r64, 1.0 / self.scale, out=self.r, casting="same_kind")
+        residual = field_norm(r64.T) / self.scale
+        if self.projector is not None:
+            zeta_hat[:, self.projector] = self.G.reference @ self.r_hat[:, self.projector]
+            zeta64 = self.G.plan.ifft(zeta_hat, out=self.field)
+        else:  # the class of h = 0 alone, where G vanishes: the mean
+            zeta64 -= zeta64.mean(axis=1, keepdims=True)
+        np.multiply(zeta64, 1.0 / self.stress_unit, out=self.zeta, casting="same_kind")
+        return residual
+
+    def inner(self) -> float:
+        """<r, r> = Re zeta^H r."""
+        return float(np.vdot(self.zeta, self.r).real)
+
+    def direction(self, beta: float) -> float:
+        """p <- r + beta p and pi <- zeta + beta pi, q = G dC p, and the curvature Re pi^H p + Re p^H dC p."""
+        p, pi = self.p, self.pi
+        p *= beta
+        p += self.r
+        pi *= beta
+        pi += self.zeta
+        self.dCp = apply_stiffness(self.dC1, p, remainder=self.R1, out=self.dCp)
+        self.q = _green_convolve(self.G1, self.dCp, out=self.q, spectra=self.spectra)
+        return float(np.vdot(pi, p).real) + float(np.vdot(p, self.dCp).real)
+
+    def advance(self, alpha: float) -> None:
+        """r -= alpha A p and zeta -= a pre-image of it; dzeta_E += alpha pi."""
+        q, dCp = self.q, self.dCp
+        dCp -= dCp.mean(axis=1, keepdims=True)  # a pre-image of q = G dC p with less of the null space of G
+        q += self.p  # A p
+        q *= alpha
+        self.r -= q
+        np.multiply(self.pi, alpha, out=q)  # the step's increment of zeta_E
+        self.dzeta_E += q
+        dCp *= alpha
+        dCp += q  # a pre-image of alpha A p
+        self.zeta -= dCp
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite residual stops it unconverged
 def _conjugate_gradients(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None, scheme: str) -> SolveReport:
-    """The iteration of both schemes (see ``ls_fixed_point``), reported under ``scheme``: CG with float64 refreshes."""
+    """The iteration of both schemes (see ``ls_fixed_point``), reported under ``scheme``: CG with float64 refreshes.
+
+    A table whose every class is a C0-projector runs ``_StrainLoop``, any other ``_PreImageLoop``.
+    """
     cfg = cfg or SolverConfig()
     C, C0, eps0 = _validate_problem(C, C0, eps0, G)
     contrast, remainder = _stiffness_rows(C, C0)  # -dC = C0 - C, as ``apply_stiffness`` takes it
-    scale = float(np.linalg.norm(eps0))
-    E = np.zeros((len(eps0), G.m), dtype=np.float64 if G.real else np.complex128)
-    if scale == 0.0:
+    if np.linalg.norm(eps0) == 0.0:
+        E = np.zeros((len(eps0), G.m), dtype=np.float64 if G.real else np.complex128)
         return SolveReport(E.T, 0, (0.0,), np.zeros(len(eps0)), True, scheme)
-    # the single-precision state is that of the unit problem: strains divided by ||eps0|| and stresses by
-    # stress_unit, so the stiffness is divided by stiffness_unit and the Green table multiplied by it
-    C0 = G.reference
-    stiffness_unit = float(np.abs(C0).max())
-    stress_unit = scale * stiffness_unit
-    dC1 = np.multiply(contrast, -1.0 / stiffness_unit, out=np.empty(contrast.shape, np.float32), casting="same_kind")
-    R1 = None if remainder is None else (remainder * (-1.0 / stiffness_unit)).astype(np.float32)  # dC = C - C0
-    C1 = (C0 / stiffness_unit).astype(np.float32)
-    table = np.multiply(G.table, stiffness_unit, out=np.empty(G.table.shape, np.float32), casting="same_kind")
-    G1 = dataclasses.replace(G, table=table, reference=C0 / stiffness_unit)
-    single = np.float32 if G.real else np.complex64
-    r, zeta = (np.empty(E.shape, dtype=single) for _ in range(2))
-    p, pi = (np.zeros(E.shape, dtype=single) for _ in range(2))  # so that beta = 0 starts them at r and zeta
-    zeta_E = np.zeros_like(E)  # E = G zeta_E, carried in double precision
-    dzeta_E = np.zeros_like(r)  # the increment of zeta_E since the last refresh
-    # the refreshes' double-precision field and spectra; the iterations' scratch lies on the same bytes
-    spectrum = (len(eps0), G.table.shape[-1])
-    field, zeta_hat, r_hat = np.empty_like(E), np.empty(spectrum, np.complex128), np.empty(spectrum, np.complex128)
-    dCp, q = (_carve(field, single, E.shape, part) for part in (0, 1))
-    spectra = tuple(_carve(buffer, np.complex64, spectrum) for buffer in (zeta_hat, r_hat))
-    # a pre-image whose part in the null space of G dwarfs its image cannot be resolved in single
-    # precision; where G C0 G = G, C0 maps an image to a pre-image without such a part
     projector = G.projector_classes()
-    projector_table = bool(projector.all())
-    spectral_pre_image = not projector_table and bool(projector[1:].any())  # beyond the class of h = 0
-    iterations = refreshes = steps = 0  # steps: iterations since the last refresh
-    action = None  # the effective action of E, read off each refresh
-
-    def refresh() -> float:
-        """Flush the single-precision increment into zeta_E, rebuild E = G zeta_E and return its float64 residual.
-
-        zeta64 = -dC (E + eps0) - zeta_E is a pre-image of r = b - A E (b at E = 0, before the first iteration);
-        r and a pre-image taking C0 r in the ``projector`` classes are cast into r and zeta.  The effective
-        action of E is read off the same stiffness product.
-        """
-        nonlocal action
-        if iterations:  # else E = zeta_E = 0 and nothing has been accumulated
-            np.multiply(dzeta_E, stress_unit, out=E, dtype=E.dtype)  # E is rebuilt below
-            np.add(zeta_E, E, out=zeta_E)
-            dzeta_E.fill(0.0)
-            _green_convolve(G, zeta_E, out=E, spectra=(zeta_hat, r_hat))
-            total = np.add(E, eps0[:, None], out=_carve(zeta_hat, E.dtype, E.shape))
-            mean = total.mean(axis=1)
-        else:  # real products, written in the field's dtype: a complex transform would copy a real input
-            total, mean = np.broadcast_to(eps0[:, None], E.shape), eps0
-        zeta64 = apply_stiffness(contrast, total, remainder=remainder, out=field)
-        # the mean stress mean(C (E + eps0)) = mean(dC (E + eps0)) + C0 (mean E + eps0)
-        action = np.real(C0 @ mean - zeta64.mean(axis=1))
-        zeta64 -= zeta_E
-        # the transform of zeta stays in zeta_hat where the pre-image is formed class by class
-        r64 = field if spectral_pre_image else _carve(zeta_hat, E.dtype, E.shape)
-        r64 = _green_convolve(G, zeta64, out=r64, spectra=(zeta_hat, r_hat))
-        np.multiply(r64, 1.0 / scale, out=r, casting="same_kind")
-        residual = field_norm(r64.T) / scale
-        if projector_table:
-            zeta64 = np.matmul(C0, r64, out=field)
-        elif spectral_pre_image:
-            zeta_hat[:, projector] = C0 @ r_hat[:, projector]
-            zeta64 = G.plan.ifft(zeta_hat, out=field)
-        else:  # the class of h = 0 alone, where G vanishes: the mean
-            zeta64 -= zeta64.mean(axis=1, keepdims=True)
-        np.multiply(zeta64, 1.0 / stress_unit, out=zeta, casting="same_kind")
-        return residual
-
-    residuals = [refresh()]  # iteration 1 forms b = -G dC eps0
-    iterations = 1
+    if projector.all():
+        loop = _StrainLoop(contrast, remainder, eps0, G)
+    else:
+        loop = _PreImageLoop(contrast, remainder, eps0, G, projector=projector)
+    residuals = [loop.refresh(initial=True)]  # iteration 1 forms b = -G dC eps0
+    iterations, refreshes, steps = 1, 0, 0  # steps: iterations since the last refresh
     fresh = residuals[-1]  # the float64 residual of the last refresh
     rs = math.inf  # beta = 0 on the first step
     while residuals[-1] > cfg.tolerance and np.isfinite(residuals[-1]) and iterations < cfg.max_iterations:
-        rs_next = float(np.vdot(zeta, r).real)
+        rs_next = loop.inner()
         beta, rs = rs_next / rs, rs_next
-        p *= beta
-        p += r
-        pi *= beta
-        pi += zeta
         iterations += 1
-        dCp = apply_stiffness(dC1, p, remainder=R1, out=dCp)
-        q = _green_convolve(G1, dCp, out=q, spectra=spectra)
-        curvature = float(np.vdot(pi, p).real) + float(np.vdot(p, dCp).real)
+        curvature = loop.direction(beta)
         if not 0.0 < curvature < np.inf:
             residuals.append(residuals[-1] if curvature <= 0.0 else float("nan"))
             break
-        alpha = rs / curvature
-        # a pre-image of q = G dC p with less of the null space of G than dC p: C0 q on a projector
-        # table, else dC p less its mean, which G annihilates
-        if projector_table:
-            dCp = np.matmul(C1, q, out=dCp)
-        else:
-            dCp -= dCp.mean(axis=1, keepdims=True)
-        q += p  # A p
-        q *= alpha
-        r -= q
-        np.multiply(pi, alpha, out=q)  # the step's increment of zeta_E
-        dzeta_E += q
-        dCp *= alpha
-        dCp += q  # a pre-image of alpha A p
-        zeta -= dCp
+        loop.advance(rs / curvature)
         steps += 1
-        residuals.append(field_norm(r.T))  # recurred; the unit loading has norm one
+        residuals.append(field_norm(loop.r.T))  # recurred; the unit loading has norm one
         if residuals[-1] <= max(cfg.tolerance, _REFRESH_FALL * fresh):
             recurred = residuals[-1]
-            residuals[-1] = fresh = refresh()
+            residuals[-1] = fresh = loop.refresh()
             if fresh > _DRIFT_RESTART * max(recurred, cfg.tolerance):
-                rs = math.inf  # beta = 0: the next step starts from the refreshed r and zeta
+                rs = math.inf  # beta = 0: the next step starts from the refreshed residual
             refreshes += 1
             steps = 0
     if steps:  # stopped between refreshes: the returned strain and the last residual come from one
-        residuals[-1] = refresh()
+        residuals[-1] = loop.refresh()
         refreshes += 1
     return SolveReport(
-        strain=E.T,
+        strain=loop.E.T,
         iterations=iterations,
         residuals=tuple(residuals),
-        effective_action=action,
+        effective_action=loop.action,
         converged=residuals[-1] <= cfg.tolerance,
         scheme=scheme,
         residual_refreshes=refreshes,
@@ -424,10 +562,13 @@ def ls_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) 
 
     Runs CG on A E = b, with A = I + G dC, dC = C - C0 and b = -G dC eps0, in
     the Green-weighted inner product <G a, G b> = Re a^H G b on the range of G,
-    where A is self-adjoint with <x, A x> >= Re x^H C x > 0.  Beside the
-    residual r = G zeta and the direction p = G pi it carries their
-    pre-images, so <r, r> = Re zeta^H r and the curvature <p, A p> is
-    Re pi^H p + Re p^H dC p.  Iteration 1 is a refresh at E = 0 that forms b;
+    where A is self-adjoint with <x, A x> >= Re x^H C x > 0.  With pre-images
+    r = G zeta and p = G pi of the residual and the direction, <r, r> is
+    Re zeta^H r and the curvature <p, A p> is Re pi^H p + Re p^H dC p.  On a
+    table of C0-projectors (Dirichlet, dlvp(0, ..., 0)) zeta = C0 r and
+    pi = C0 p, and the loop carries the strain, r and p alone, with the
+    curvature Re (C0 p)^H A p; on any other table it carries the pre-images
+    (see the module notes).  Iteration 1 is a refresh at E = 0 that forms b;
     every later one costs one single-precision stiffness product dC p and
     Green convolution, and each of the ``residual_refreshes`` (see the
     module notes) one float64 stiffness product and two convolutions.  It
@@ -449,7 +590,9 @@ def ve_krylov(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) -> So
     on its ``reference``; the inputs are checked as in ``ls_fixed_point``.
     There the equation is the fixed-point one, so the iteration, its count
     and its residual, now ||G(C : (E + eps0))|| / ||eps0||, are those of
-    ``ls_fixed_point``.
+    ``ls_fixed_point``.  Every class of a compatible table is a
+    C0-projector, so the loop runs on the strain itself: CG in the C0 inner
+    product on the range of G, as in Zeman et al. and Vondřejc et al.
     """
     if not G.compatible:
         G = compatible_green(G.reference, make_rule(G.generator, G.matrix))

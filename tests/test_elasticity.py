@@ -546,12 +546,17 @@ class TestCompatibleGreen:
             [[128, 0], [0, 144]],  # 18,432 classes: more than one pass of _CHUNK
         ],
     )
-    def test_dirichlet_equals_periodized_table(self, rows):
+    def test_dirichlet_equals_periodized_table(self, rows, monkeypatch):
         M = PatternMatrix.from_any(rows)
         C0 = random_spd_mandel(np.random.default_rng(81), M.d * (M.d + 1) // 2)
         rule = orthonormalize(dirichlet_rule(M))
         paper = periodized_green(C0, rule)
         assert paper.compatible
+
+        def no_shift(*args, **kwargs):
+            raise AssertionError("the class sums of a support-0 rule run over t = 0 alone: the mean shift is zero")
+
+        monkeypatch.setattr(type(rule), "class_mean_shift", no_shift)
         table = compatible_green(C0, rule).table
         assert table.shape == paper.table.shape
         assert np.abs(table - paper.table).max() <= 1e-14 * np.abs(paper.table).max()

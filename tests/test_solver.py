@@ -375,7 +375,9 @@ class TestSinglePrecisionIteration:
     @pytest.mark.parametrize("rows", [[[12, 3], [0, 12]], [[4, 1, 0], [0, 6, 2], [0, 0, 2]]], ids=["2d", "3d"])
     def test_anisotropic_reference_matches_float64_oracle(self, rows, scheme):
         # a random SPD C0 leaves a nonzero remainder R = C0 - iso(C0[0, 1], C0[d, d] / 2), which every stiffness
-        # product adds
+        # product adds.  VE runs on the compatible table, where the loop iterates the strain itself; it must take
+        # no more iterations than the loop with pre-images took (46 in 2-D, 56 in 3-D; the float64 loop takes 46
+        # and 51).  A step that formed A p as G (C p) in place of p + G dC p took 51 and 71.
         M = PatternMatrix.from_any(rows)
         D = M.d * (M.d + 1) // 2
         C0 = random_spd_mandel(np.random.default_rng(62 + M.d), D, shift=2.0)
@@ -389,6 +391,8 @@ class TestSinglePrecisionIteration:
         ref = float64_conjugate_gradients(C, C0, eps0, G, cfg)
         assert rep.converged and ref.converged and rep.residual_refreshes >= 1
         assert field_norm(rep.strain - ref.strain) <= 1e-9 * field_norm(ref.strain)
+        if scheme == "ve":
+            assert rep.iterations <= {2: 46, 3: 56}[M.d]
 
     @pytest.mark.parametrize(
         "scheme, tolerance",
@@ -571,6 +575,29 @@ class TestCompatibleScheme:
             return field_norm((C0 @ solver._green_convolve(Gc, mandel_product(Cp, field))).T)
 
         assert projected(strain + eps0[:, None]) <= 1e-9 * projected(np.zeros_like(strain) + eps0[:, None])
+
+    @pytest.mark.parametrize("lam0, mu0", [(10.0, 8.0), (30.0, 25.0)])
+    @pytest.mark.parametrize(
+        "factory", [dirichlet_rule, lambda M: dlvp_rule(M, [0.4, 0.7]), lambda M: bspline_rule(M, 2)],
+        ids=["dirichlet", "dlvp", "bspline2"],
+    )
+    def test_reference_stiffer_than_every_phase(self, factory, lam0, mu0):
+        # phases (1, 1) and (4, 4): every step length exceeds 2, so the recurrence amplifies the float32 rounding
+        # that leaves the range of G.  The loop with pre-images ran to the cap with a growing residual (7.9e2 at
+        # iso(10, 8)) or broke down at 7 iterations, and so did the strain loop with the curvature taken as
+        # Re (C0 p)^H p + Re p^H dC p, which holds on the range only; in the C0 inner product it converges in 22
+        # to 26 iterations
+        M = PatternMatrix.from_any([[16, 6], [0, 16]])
+        C = _random_two_phase(np.random.default_rng(60), M, 4.0)
+        C0 = iso_stiffness(lam0, mu0, 2)
+        G = compatible_green(C0, orthonormalize(factory(M)))
+        eps0 = np.array([1.0, 0.3, 0.2])
+        cfg = SolverConfig(tolerance=1e-9, max_iterations=400)
+        rep = ve_krylov(C, C0, eps0, G, cfg)
+        assert rep.converged and rep.iterations <= 40
+        assert true_residual(rep.strain, C, C0, eps0, G) <= cfg.tolerance
+        E = dense_oracle(C, C0, eps0, G)
+        assert field_norm(rep.strain - E) <= 1e-7 * field_norm(E)
 
     @pytest.mark.parametrize("rows", [[[16, 6], [0, 16]], [[9, 3], [0, 9]], [[4, 1, 0], [0, 6, 2], [0, 0, 2]]])
     def test_zero_slope_table_is_dirichlets(self, rows, monkeypatch):
@@ -841,6 +868,29 @@ class TestAllocations:
         assert counts[20][1] > counts[3][1]  # more iterations and more refreshes, yet no more fields
         assert counts[20][0] == counts[3][0] == 0
 
+    def test_projector_table_solve_holds_three_double_and_three_single_fields(self):
+        # on a table of C0-projectors the loop iterates the strain itself: its state is the complex128 strain, a
+        # refresh field and a spectrum, which the iterations' scratch fields and spectra are carved from, and the
+        # complex64 residual, direction and strain increment, beside the float32 table and the contrast rows in
+        # float64 and float32.  Transients: a table product's complex128 row and numpy's cast buffer (8192
+        # elements), and 64 KiB of small arrays.  Carrying pre-images took 5 + 5 fields.
+        M = PatternMatrix.from_any([[128, 32], [0, 128]])
+        C = _random_two_phase(np.random.default_rng(95), M, 4.0)
+        C0 = iso_stiffness(1.0, 1.0, 2)
+        G = compatible_green(C0, orthonormalize(dirichlet_rule(M)))
+        assert not G.real
+        cfg = SolverConfig(tolerance=1e-10)
+        ve_krylov(C, C0, EPS0, G, cfg)  # plans, caches and the allocator settle
+        tracemalloc.start()
+        try:
+            rep = ve_krylov(C, C0, EPS0, G, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.converged and rep.residual_refreshes >= 1
+        field = len(EPS0) * M.m * 8  # one complex64 (D, m) field
+        state = 3 * 2 * field + 3 * field + G.table.size * 4 + 2 * M.m * (8 + 4)
+        assert peak <= state + M.m * 16 + 8192 * 16 + 65536
 
     def test_stiffness_rows_take_four_rows_over_nodes(self):
         # checking and preparing the stiffness of a 3-D diag(32, 32, 32) solve traces at most 4 float64 rows over
