@@ -156,18 +156,15 @@ class _Problem:
             )
 
     def solve(self, generator: GeneratorSpec | None = None) -> tuple[solver.SolveReport, GreenTable]:
-        spec = generator or self.generator
+        """Build the rule, its Green table and the solve; only the LS table reads the orthonormal class scales."""
         times = self.stage_times
-        rule = _stage(
-            "generator orthonormalisation", lambda: orthonormalize(make_rule(spec, self.matrix)), times=times
-        )
+        rule = _stage("generator", make_rule, generator or self.generator, self.matrix, times=times)
         C0 = self.reference_stiffness
         if self.solver_config.scheme == "ve_krylov":
-            green = _stage("green table", compatible_green, C0, rule, times=times)
-            run = solver.ve_krylov
+            table, run = lambda: compatible_green(C0, rule), solver.ve_krylov
         else:
-            green = _stage("green table", periodized_green, C0, rule, periods=self.green_periods, times=times)
-            run = solver.ls_fixed_point
+            table, run = lambda: periodized_green(C0, orthonormalize(rule), periods=self.green_periods), solver.ls_fixed_point
+        green = _stage("green table", table, times=times)
         report = _stage("solve", run, self.stiffness, C0, self.eps0, green, self.solver_config, times=times)
         return report, green
 
@@ -233,37 +230,36 @@ def _report_dict(problem: _Problem, report: solver.SolveReport, metrics, green: 
     return doc
 
 
+def _output_path(problem: _Problem, key: str) -> Path:
+    """The configured output ``key`` resolved against the config's directory, its parent created."""
+    path = problem.base_dir / problem.output[key]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _write_artifacts(problem: _Problem, report: solver.SolveReport, metrics, doc: dict) -> None:
     out = problem.output
-    base = problem.base_dir
     artifacts = {}
     if out["strain_field"]:
-        path = base / out["strain_field"]
-        path.parent.mkdir(parents=True, exist_ok=True)
+        path = _output_path(problem, "strain_field")
         # PFLD stores the real nodal coefficients; any Nyquist imaginary part
         # is recorded in the report as nyquist_imbalance
         geometry.write_field(path, problem.matrix, report.strain.real, geometry.DOMAIN_SPACE)
         artifacts["strain_field"] = out["strain_field"]
     if out["residuals"]:
-        path = base / out["residuals"]
-        path.parent.mkdir(parents=True, exist_ok=True)
         lines = ["iteration,residual"]
         lines += [f"{i + 1},{r!r}" for i, r in enumerate(report.residuals)]
-        path.write_text("\n".join(lines) + "\n")
+        _output_path(problem, "residuals").write_text("\n".join(lines) + "\n")
         artifacts["residuals"] = out["residuals"]
     if out["elog_image"]:
         if metrics is not None and metrics.e_log is not None and problem.matrix.d == 2:
-            path = base / out["elog_image"]
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_gray_image(path, metrics.e_log.reshape(doc["pattern"]["smith_factors"]))
+            write_gray_image(_output_path(problem, "elog_image"), metrics.e_log.reshape(doc["pattern"]["smith_factors"]))
             artifacts["elog_image"] = out["elog_image"]
         else:
             artifacts["elog_image"] = None  # needs a planar pattern and a strain reference
     doc["artifacts"] = artifacts
     if out["report"]:
-        path = base / out["report"]
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(_json_text(doc) + "\n")
+        _output_path(problem, "report").write_text(_json_text(doc) + "\n")
 
 
 def run_solve(config_path) -> tuple[int, dict]:
@@ -392,9 +388,7 @@ def sweep_alpha(config_path) -> tuple[int, dict]:
         "timing": {"wall_s": time.perf_counter() - t0},
     }
     if problem.output["sweep_report"]:
-        path = problem.base_dir / problem.output["sweep_report"]
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(_json_text(doc) + "\n")
+        _output_path(problem, "sweep_report").write_text(_json_text(doc) + "\n")
     return (0 if all(run["converged"] for run in runs) else 2), doc
 
 

@@ -475,14 +475,17 @@ def compatible_green(C0: np.ndarray, rule: CoefficientRule) -> GreenTable:
     """The C0-projector table Gamma(h) = G0(mu_h) at the class-mean frequencies mu_h of ``rule``.
 
     mu_h = h + M^T delta_h (``CoefficientRule.class_mean_shift``) is the mean
-    of the class frequencies under the weights |c_k|^2.  Each class matrix is
-    a C0-projector, or zero where mu_h = 0 (as at h = 0); there is no class
-    sum, no ``periods`` and no tail.  At support 0 mu_h = h, taken without
-    evaluating the shift, which gives ``periodized_green``'s table.
-    Conjugate-symmetric rules keep the real half table.  The table is
-    ``_green_rows``'s case of one term of weight one per class, its
-    frequency the class mean, which each pass forms for its block of
-    classes; the build holds the table and one pass of temporaries.
+    of the class frequencies under the weights |c_k|^2.  A class scale
+    multiplies all of a class's weights alike, so the means do not depend on
+    it: ``rule`` may be raw or orthonormalised, and both give the same bits.
+    Each class matrix is a C0-projector, or zero where mu_h = 0 (as at
+    h = 0); there is no class sum, no ``periods`` and no tail.  At support 0
+    mu_h = h, taken without evaluating the shift, which gives
+    ``periodized_green``'s table.  Conjugate-symmetric rules keep the real
+    half table.  The table is ``_green_rows``'s case of one term of weight
+    one per class, its frequency the class mean, which each pass forms for
+    its block of classes; the build holds the table and one pass of
+    temporaries.
     """
     M = rule.matrix
     C0 = _check_reference(C0, M.d)

@@ -654,8 +654,10 @@ def error_metrics(
         ref_norm = np.linalg.norm(ref_strain)
         if ref_norm == 0.0:
             raise DomainError("reference strain field is zero; relative errors are undefined")
-        e_l2 = float(np.linalg.norm(strain - ref_strain) / ref_norm)
-        mixed = strain - ref_strain if log_form == "difference" else strain + ref_strain
+        mixed = strain - ref_strain
+        e_l2 = float(np.linalg.norm(mixed) / ref_norm)
+        if log_form == "sum":
+            np.add(strain, ref_strain, out=mixed)
         e_log = np.log1p(np.linalg.norm(mixed, axis=1))
     e_eff = None
     if ref_effective_action is not None:

@@ -336,6 +336,52 @@ def test_neutral_coated_disk_converges_to_the_exact_action():
     )
 
 
+def test_reference_stiffness_moves_only_ls_off_the_dirichlet_space():
+    # where every class of the table is a C0-projector (VE on any compatible table, LS on Dirichlet)
+    # C0 drops out of the discrete problem and only preconditions; LS on a periodised table whose
+    # classes are not projectors solves a discrete problem that depends on C0
+    micro = sh.geometry.microstructure_from_json(
+        {
+            "kind": "inclusion",
+            "shape": "ellipse",
+            "semi_axes": [1.2, 1.0],
+            "center": [0.2, -0.3],
+            "rotation": 0.3,
+            "phases": {"inclusion": {"lambda": 5.0, "mu": 4.0}, "matrix": {"lambda": 0.5, "mu": 0.4}},
+        }
+    )
+    eps0 = np.array([1.0, 0.3, 0.2])
+    cfg = sh.SolverConfig(tolerance=1e-11)
+    references = [sh.iso_stiffness(lam, mu, 2) for lam, mu in ((2.75, 2.2), (1.0, 0.8), (5.0, 4.0))]
+    rules = {
+        "dirichlet": sh.dirichlet_rule,
+        "dlvp(0.4,0.4)": lambda M: sh.dlvp_rule(M, [0.4, 0.4]),
+        "bspline2": lambda M: sh.bspline_rule(M, 2),
+    }
+    cases = [("ve_krylov", name) for name in rules] + [("ls_fixed_point", name) for name in rules]
+    spread = {case: 0.0 for case in cases}
+    for rows in ([[32, 12], [0, 32]], [[24, 0], [0, 24]]):
+        M = sh.PatternMatrix.from_any(rows)
+        C = sh.sample_stiffness(micro, M)
+        for scheme, name in cases:
+            actions = []
+            for C0 in references:
+                if scheme == "ve_krylov":
+                    report = sh.ve_krylov(C, C0, eps0, sh.compatible_green(C0, rules[name](M)), cfg)
+                else:
+                    table = sh.periodized_green(C0, sh.orthonormalize(rules[name](M)))
+                    report = sh.ls_fixed_point(C, C0, eps0, table, cfg)
+                assert report.converged
+                actions.append(report.effective_action)
+            gap = max(np.linalg.norm(a - actions[0]) / np.linalg.norm(actions[0]) for a in actions[1:])
+            spread[scheme, name] = max(spread[scheme, name], float(gap))
+    moved = {("ls_fixed_point", "dlvp(0.4,0.4)"), ("ls_fixed_point", "bspline2")}
+    assert all(spread[case] <= 1e-9 for case in cases if case not in moved)
+    assert all(spread[case] > 1e-6 for case in moved)
+    listed = ", ".join(f"{scheme[:2].upper()} {name} {gap:.1e}" for (scheme, name), gap in spread.items())
+    print(f"C0 dependence PASS: action spread over three C0 (<=1e-9 on projector tables, >1e-6 else): {listed}")
+
+
 def test_criterion_9_determinism(tmp_path):
     config = {
         "pattern_matrix": [[12, 5], [0, 12]],

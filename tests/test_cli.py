@@ -282,11 +282,16 @@ class TestRunSolve:
         assert report["nyquist_imbalance"] == 0.0
 
     def test_ve_runs_on_the_compatible_table(self, tmp_path, monkeypatch):
-        # VE builds the compatible table (no truncation) and never the class-sum table
+        # VE builds the compatible table (no truncation) from the raw rule: never the
+        # class-sum table, and never the orthonormal class scales that only it reads
         def no_paper_table(*args, **kwargs):
             raise AssertionError("ve_krylov built the periodised class-sum table")
 
+        def no_scales(*args, **kwargs):
+            raise AssertionError("ve_krylov orthonormalised its rule")
+
         monkeypatch.setattr(cli, "periodized_green", no_paper_table)
+        monkeypatch.setattr(cli, "orthonormalize", no_scales)
         path = _laminate_config(
             tmp_path, generator={"kind": "bspline", "order": 2}, solver={"scheme": "ve_krylov", "tolerance": 1e-10}
         )
@@ -309,7 +314,7 @@ class TestRunSolve:
         path = _laminate_config(tmp_path, generator={"kind": "bspline", "order": order})
         assert main(["solve", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: generator orthonormalisation: B-spline order {order} is above ")
+        assert err.startswith(f"error: generator: B-spline order {order} is above ")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
@@ -460,13 +465,14 @@ class TestConfigValidation:
         assert written["final_residual"] is None
 
     def test_stage_times_reported(self, tmp_path):
-        path = _laminate_config(tmp_path)
-        _, doc = run_solve(path)
-        report = json.loads((tmp_path / "out/report.json").read_text())
-        for stages in (doc["timing"]["stages"], report["timing"]["stages"]):
-            assert set(stages) == {"stiffness_sampling", "generator_orthonormalisation", "green_table", "solve"}
-            assert all(seconds >= 0.0 for seconds in stages.values())
-        assert report["timing"]["wall_s"] == report["timing"]["stages"]["solve"]
+        # both schemes time the same stages: VE's table needs no orthonormalisation stage
+        for scheme in ("ls_fixed_point", "ve_krylov"):
+            _, doc = run_solve(_laminate_config(tmp_path, solver={"scheme": scheme}))
+            report = json.loads((tmp_path / "out/report.json").read_text())
+            for stages in (doc["timing"]["stages"], report["timing"]["stages"]):
+                assert set(stages) == {"stiffness_sampling", "generator", "green_table", "solve"}
+                assert all(seconds >= 0.0 for seconds in stages.values())
+            assert report["timing"]["wall_s"] == report["timing"]["stages"]["solve"]
 
     @pytest.mark.parametrize("target", ["config", "reference"])
     def test_invalid_utf8_rejected(self, tmp_path, capsys, target):

@@ -518,6 +518,9 @@ class TestCompatibleGreen:
     def test_every_class_is_a_reference_projector(self, rows, factory):
         M, C0, rule, G = self._build(rows, factory)
         assert G.compatible and G.periods is None and G.tail_estimate == 0.0
+        # the class means read no class scale: the raw rule gives the same bits, signs of zero too
+        raw = compatible_green(C0, factory(M))
+        assert np.array_equal(raw.table, G.table) and raw.table.tobytes() == G.table.tobytes()
         assert G.real is rule.conjugate_symmetric
         table = unpack_symmetric(G.table)
         scale = np.abs(table).max()
