@@ -29,7 +29,7 @@ from . import geometry, solver
 from .elasticity import GreenTable, compatible_green, iso_stiffness, mandel_dim, periodized_green
 from .errors import ConfigError, SpectralHomError, parse_object
 from .lattice import PatternMatrix, frequency_set, pattern, smith_normal_form
-from .translates import GeneratorSpec, make_rule, orthonormalize
+from .translates import GeneratorSpec, make_rule, orthonormalize  # perfbench/tracer.py wraps cli.orthonormalize by name
 
 __all__ = ["main", "run_solve", "sweep_alpha", "pattern_info"]
 
@@ -68,7 +68,7 @@ def _stage(name: str, fn, *args, times: dict | None = None, **kwargs):
     start = time.perf_counter()
     try:
         return fn(*args, **kwargs)
-    except SpectralHomError as exc:
+    except (SpectralHomError, MemoryError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
     finally:
         if times is not None:
@@ -156,14 +156,14 @@ class _Problem:
             )
 
     def solve(self, generator: GeneratorSpec | None = None) -> tuple[solver.SolveReport, GreenTable]:
-        """Build the rule, its Green table and the solve; only the LS table reads the orthonormal class scales."""
+        """Build the rule, its Green table and the solve: both schemes' tables come from the raw rule."""
         times = self.stage_times
         rule = _stage("generator", make_rule, generator or self.generator, self.matrix, times=times)
         C0 = self.reference_stiffness
         if self.solver_config.scheme == "ve_krylov":
             table, run = lambda: compatible_green(C0, rule), solver.ve_krylov
         else:
-            table, run = lambda: periodized_green(C0, orthonormalize(rule), periods=self.green_periods), solver.ls_fixed_point
+            table, run = lambda: periodized_green(C0, rule, periods=self.green_periods), solver.ls_fixed_point
         green = _stage("green table", table, times=times)
         report = _stage("solve", run, self.stiffness, C0, self.eps0, green, self.solver_config, times=times)
         return report, green

@@ -40,12 +40,12 @@ generator rule is the weighted class sum
     Gamma(h) = m sum_z |c_{h + M^T z}|^2 G0(h + M^T z)
              = w(h) N . sum_z W_z(h) k_z^alpha / det A(k_z),    k_z = h + M^T z,
 
-over the dual generating set.  The generator weight separates: since
-M^{-T} k_z = xi_h + z, the squared coefficient is the per-class factor
-w(h) = m (raw_scale / class_scale(h))^2 times W_z(h) = prod_j F_j(xi_h,j + z_j)^2,
-a product of one-axis factors tabulated once for |z_j| <= periods.  The
-class of h = 0 is left at zero.  For the orthonormalised Dirichlet rule
-(|c|^2 = 1/m on its support) the table reproduces G0 on G(M^T) exactly.
+over the dual generating set, for the orthonormalised translates.  The weight
+separates: since M^{-T} k_z = xi_h + z, the squared coefficient is the class
+factor w(h) = 1 / prod_j S0_j(h) (``CoefficientRule.class_sums``) times
+W_z(h) = prod_j F_j(xi_h,j + z_j)^2, a product of one-axis factors tabulated
+once for |z_j| <= periods; neither reads a class scale.  The class of h = 0
+is left at zero.  For the Dirichlet rule (w = 1) the table is G0 on G(M^T).
 
 One pass loop, ``_green_rows``, evaluates G0 for every table: it fills packed
 rows with sum_z W_z G0(k_z) over a fixed number of terms per class.  The
@@ -63,8 +63,8 @@ temporaries.  k^alpha / det A(k) is 0-homogeneous, so k is used as given,
 and det A(k) > 0 for k != 0: a zero denominator marks k = 0 alone, which
 gets an infinite one and so G0(0) = 0.
 
-Truncating the class sums is the table's only approximation.  An
-orthonormalised class sums to one, so the box |z|_inf <= periods keeps the
+Truncating the class sums is the table's only approximation.  A class's
+weights w(h) W_z(h) sum to one, so the box |z|_inf <= periods keeps the
 share w(h) prod_j sum_t F_j(xi_h,j + t)^2 of class h, read off the same axis
 factors.  Inside the box, shift z holds at most
 b(z) = max_h w(h) prod_j max_h F_j(xi_h,j + z_j)^2 of any class.  The shifts
@@ -91,7 +91,7 @@ table and complex fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -396,22 +396,21 @@ class GreenTable:
 def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None = None) -> GreenTable:
     """Build the generator-weighted periodisation of the Green operator on ``rule.matrix``.
 
-    ``rule`` must be orthonormalised.  ``periods`` bounds the class sums at
-    |z|_inf <= periods, by default at the rule's ``default_periods``, which
-    covers finitely supported rules exactly, and must cover their support
-    (at least one period for a B-spline).  Inside that box the shifts whose
-    bounded weight sums to at most 1e-2 of the box's left-out share are not
-    summed (see the module docstring); the table's ``shifts`` counts the
-    others.  Its ``tail_estimate`` is the largest share of a stored class's
-    orthonormal weight that the summed shifts leave out, at most 1% above the
-    box's own; in the tested B-spline settings it lies within a factor 3
-    above the largest entry change to a longer-period table, relative to the
-    table maximum.  A conjugate-symmetric rule gives a real table on the half
-    Smith grid.  A rule of support 0 (every slope zero) has one term per
-    class, G0(h), a C0-projector: its table is ``compatible``.
+    ``rule`` may be raw or orthonormalised: no class scale is read, and both
+    give the same bits.  ``periods`` bounds the class sums at |z|_inf <=
+    periods, by default at the rule's ``default_periods``, which covers
+    finitely supported rules exactly, and must cover their support (at least
+    one period for a B-spline).  Inside that box the shifts whose bounded
+    weight sums to at most 1e-2 of the box's left-out share are not summed
+    (see the module docstring); the table's ``shifts`` counts the others.
+    Its ``tail_estimate`` is the largest share of a stored class's weight
+    that the summed shifts leave out, at most 1% above the box's own; in the
+    tested B-spline settings it lies within a factor 3 above the largest
+    entry change to a longer-period table, relative to the table maximum.  A
+    conjugate-symmetric rule gives a real table on the half Smith grid.  A
+    rule of support 0 (every slope zero) has one term per class, G0(h), a
+    C0-projector: its table is ``compatible_green``'s, bit for bit.
     """
-    if not rule.orthonormalized:
-        raise DomainError("periodised Green operator requires an orthonormalised generator")
     M = rule.matrix
     d = M.d
     C0 = _check_reference(C0, d)
@@ -427,10 +426,10 @@ def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None 
     freqs = frequency_set(M).freqs[kept].T.astype(np.float64)
     factors = rule.axis_factors(periods, kept)
     factors **= 2  # in place: squared coefficient factors
-    class_weight = M.m * (rule.raw_scale / rule.class_scale[kept]) ** 2  # w(h)
+    class_weight = 1.0 / np.prod(rule.class_sums(kept)[0], axis=0)  # w(h)
     box_tail = 0.0
     if support is None and len(class_weight):
-        # an orthonormal class sums to 1; the box |z|_inf <= periods keeps w(h) prod_j sum_t F_j^2
+        # a class's weights sum to 1; the box |z|_inf <= periods keeps w(h) prod_j sum_t F_j^2
         box_tail = max(0.0, float(np.max(1.0 - class_weight * np.prod(factors.sum(axis=1), axis=0))))
     shifts = period_shifts(d, periods)
     taps = shifts.T + periods  # row of each shift in the per-axis factor tables
@@ -462,6 +461,8 @@ def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None 
         share[cls] += weight.sum(axis=0, out=_workspace_view(work, "share", (shape[1],)))
         return np.add(freqs[:, None, cls], offsets[:, sh, None], out=_workspace_view(work, "k", (d,) + shape)), weight
 
+    if support == 0:  # G0(h) alone: ``compatible_green``'s bits, which a pass without h = 0 can miss by an ulp
+        return replace(compatible_green(C0, rule), periods=periods, shifts=int(summed.sum()))
     table = _packed_rows(d, n + 1)
     _green_rows(C0, d, table[:, 1:], taps.shape[1], shifted)
     table[:, 1:] *= class_weight
@@ -480,12 +481,11 @@ def compatible_green(C0: np.ndarray, rule: CoefficientRule) -> GreenTable:
     it: ``rule`` may be raw or orthonormalised, and both give the same bits.
     Each class matrix is a C0-projector, or zero where mu_h = 0 (as at
     h = 0); there is no class sum, no ``periods`` and no tail.  At support 0
-    mu_h = h, taken without evaluating the shift, which gives
-    ``periodized_green``'s table.  Conjugate-symmetric rules keep the real
-    half table.  The table is ``_green_rows``'s case of one term of weight
-    one per class, its frequency the class mean, which each pass forms for
-    its block of classes; the build holds the table and one pass of
-    temporaries.
+    mu_h = h, taken without evaluating the shift: ``periodized_green`` takes
+    this table.  Conjugate-symmetric rules keep the real half table.  The
+    table is ``_green_rows``'s case of one term of weight one per class, its
+    frequency the class mean, which each pass forms for its block of
+    classes; the build holds the table and one pass of temporaries.
     """
     M = rule.matrix
     C0 = _check_reference(C0, M.d)
@@ -504,7 +504,7 @@ def compatible_green(C0: np.ndarray, rule: CoefficientRule) -> GreenTable:
 
 
 def _green_table(rule: CoefficientRule, C0: np.ndarray, table: np.ndarray, periods=None, shifts=None, tail=0.0):
-    """``table``, made read-only, as ``rule``'s GreenTable for the checked ``C0``: compatible without periods or at support 0."""
+    """``table``, made read-only, as ``rule``'s GreenTable for the checked ``C0``: compatible without periods."""
     table.setflags(write=False)
     return GreenTable(
         matrix=rule.matrix,
@@ -514,6 +514,6 @@ def _green_table(rule: CoefficientRule, C0: np.ndarray, table: np.ndarray, perio
         shifts=shifts,
         tail_estimate=tail,
         real=rule.conjugate_symmetric,
-        compatible=periods is None or rule.support_periods == 0,
+        compatible=periods is None,
         reference=C0,
     )

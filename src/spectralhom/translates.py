@@ -12,8 +12,8 @@ coefficients on integer frequencies.  Three families are provided:
   cell M^{-1} [-1/2, 1/2)^d, i.e. c_k = m^{-1/2} prod_j sinc^p(pi (M^{-T}k)_j).
 
 Dirichlet is the trapezoid rule with every slope zero: it holds alpha = 0 and
-differs from dlvp(0, ..., 0) only in ``raw_scale``, so once orthonormalised both
-give the same Green table, compatible and with 0 periods.
+differs from dlvp(0, ..., 0) only in ``raw_scale``, which no Green table reads,
+so both give the same table, compatible and with 0 periods.
 
 Scaled frequencies are handled as exact integer numerators over det(M), so
 support and boundary decisions never depend on floating-point rounding.
@@ -29,9 +29,9 @@ sinc^p or the trapezoid, whose alpha = 0 case is the half-open indicator.
 Since M^{-T}(h + M^T z) = xi_h + z, a congruence class h + M^T Z^d is the
 grid xi_h + Z^d in scaled frequencies, so functions of the class factor into
 per-axis tables (``CoefficientRule.axis_factors``), and every class sum the
-code needs comes from the two one-axis sums of ``CoefficientRule._class_sums``:
-S0 = sum_t F_a^2(xi_a + t) for orthonormalisation and S1 = sum_t F_a^2(xi_a + t) t
-for the class-mean shift.  Both are exact: the trapezoid factors have finite
+code needs comes from the two one-axis sums of ``CoefficientRule.class_sums``:
+S0 = sum_t F_a^2(xi_a + t) for the class weights (and orthonormalisation) and
+S1 = sum_t F_a^2(xi_a + t) t for the class-mean shift.  Both are exact: the trapezoid factors have finite
 support, and the B-spline sums are finite cosine and sine series whose
 weights are integer samples of a higher-order cardinal B-spline and of its
 slope (Unser, Aldroubi & Eden, IEEE Trans. Signal Process. 1993).
@@ -60,7 +60,7 @@ __all__ = [
 
 
 _GENERATOR_KEYS = {"dirichlet": {}, "dlvp": {"alpha": ([float], ())}, "bspline": {"order": (int, 1)}}
-# the highest B-spline order whose class sums S0 (``CoefficientRule._class_sums``) match direct sums (with
+# the highest B-spline order whose class sums S0 (``CoefficientRule.class_sums``) match direct sums (with
 # their exact tails) to 1e-10 relative in every class of diag(16, 16); the cosine series cancels near xi = +-1/2,
 # where S0 ~ 2 (2 / pi)^(2 order), and its relative error reaches 1.2e-10 at order 18 and 3.6e-8 at 24
 _BSPLINE_MAX_ORDER = 17
@@ -98,7 +98,7 @@ def _cardinal_bspline(order: int, x) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _series_weights(order: int, moment: int) -> tuple:
-    """Weights w_j, j < order + moment, of the B-spline sums of ``CoefficientRule._class_sums``.
+    """Weights w_j, j < order + moment, of the B-spline sums of ``CoefficientRule.class_sums``.
 
     With B the centred cardinal B-spline of order n = 2 order, the Fourier
     transform of sinc^n(pi .), Poisson summation gives
@@ -168,10 +168,6 @@ class CoefficientRule:
     @property
     def m(self) -> int:
         return self.matrix.m
-
-    @property
-    def orthonormalized(self) -> bool:
-        return self._class_scale is not None
 
     @property
     def class_scale(self):
@@ -260,7 +256,7 @@ class CoefficientRule:
             vals = vals / self._class_scale[self._freqs.class_index(kk)]
         return vals[0] if single else vals
 
-    def _class_sums(self, classes=slice(None)) -> tuple:
+    def class_sums(self, classes=slice(None)) -> tuple:
         """Per-axis class sums S0[a, h] = sum_t F_a(xi_h,a + t)^2 and S1[a, h] = sum_t F_a(xi_h,a + t)^2 t.
 
         They run over the support (S1 = 0 at support 0) or through the
@@ -285,16 +281,16 @@ class CoefficientRule:
         return weight.sum(axis=1), np.tensordot(np.arange(-periods, periods + 1.0), weight, axes=(0, 1))
 
     def class_mean_shift(self, classes=slice(None)) -> np.ndarray:
-        """Mean shift delta[a, h] = S1[a, h] / S0[a, h] of ``_class_sums``, shape (d, n).
+        """Mean shift delta[a, h] = S1[a, h] / S0[a, h] of ``class_sums``, shape (d, n).
 
         The weighted mean of class h's frequencies is h + M^T delta_h.
         """
-        s0, s1 = self._class_sums(classes)
+        s0, s1 = self.class_sums(classes)
         return s1 / s0
 
     def gram_bracket(self) -> np.ndarray:
         """m [|c|^2] = m raw_scale^2 prod_a S0[a, h] / class_scale^2 per frequency class (1.0 iff orthonormal)."""
-        vals = self.m * (np.prod(self._class_sums()[0], axis=0) * self.raw_scale**2)
+        vals = self.m * (np.prod(self.class_sums()[0], axis=0) * self.raw_scale**2)
         if self._class_scale is not None:
             vals = vals / self._class_scale**2
         return vals

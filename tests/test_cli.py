@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectralhom import PatternMatrix, bspline_rule, cli, laminate_reference, orthonormalize, read_field, solver
+from spectralhom import PatternMatrix, bspline_rule, cli, geometry, laminate_reference, orthonormalize, read_field, solver
 from spectralhom.cli import (
     golden_section,
     main,
@@ -187,6 +187,19 @@ class TestRunSolve:
         with pytest.raises(ConfigError, match="reference ingestion"):
             run_solve(path)
 
+    def test_refused_allocation_is_a_stage_error(self, tmp_path, capsys, monkeypatch):
+        # numpy raises MemoryError when it cannot allocate a field (a 10^12-node pattern does this in stiffness
+        # sampling): exit 1 naming the stage, no traceback; raised here without allocating
+        def refused(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+        monkeypatch.setattr(geometry, "sample_stiffness", refused)
+        path = _laminate_config(tmp_path, pattern_matrix=[[1000000, 0], [0, 1000000]])
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stiffness sampling: Unable to allocate") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_determinism_byte_identical(self, tmp_path):
         ref = _write_laminate_reference(tmp_path, [[8, 0], [0, 8]])
         path = _laminate_config(tmp_path, reference_values=ref)
@@ -281,23 +294,28 @@ class TestRunSolve:
         assert report["diagnostics"]["green_convolutions"] == {"single": single, "double": double}
         assert report["nyquist_imbalance"] == 0.0
 
-    def test_ve_runs_on_the_compatible_table(self, tmp_path, monkeypatch):
-        # VE builds the compatible table (no truncation) from the raw rule: never the
-        # class-sum table, and never the orthonormal class scales that only it reads
+    @pytest.mark.parametrize("scheme", ["ls_fixed_point", "ve_krylov"])
+    def test_both_schemes_build_their_table_from_the_raw_rule(self, tmp_path, monkeypatch, scheme):
+        # neither table reads the orthonormal class scales, so no solve orthonormalises its rule; VE builds the
+        # compatible table (no truncation), never the class-sum table
         def no_paper_table(*args, **kwargs):
             raise AssertionError("ve_krylov built the periodised class-sum table")
 
         def no_scales(*args, **kwargs):
-            raise AssertionError("ve_krylov orthonormalised its rule")
+            raise AssertionError(f"{scheme} orthonormalised its rule")
 
-        monkeypatch.setattr(cli, "periodized_green", no_paper_table)
+        if scheme == "ve_krylov":
+            monkeypatch.setattr(cli, "periodized_green", no_paper_table)
         monkeypatch.setattr(cli, "orthonormalize", no_scales)
         path = _laminate_config(
-            tmp_path, generator={"kind": "bspline", "order": 2}, solver={"scheme": "ve_krylov", "tolerance": 1e-10}
+            tmp_path, generator={"kind": "bspline", "order": 2}, solver={"scheme": scheme, "tolerance": 1e-10}
         )
         code, doc = run_solve(path)
-        assert code == 0 and doc["scheme"] == "ve_krylov"
-        assert doc["green"] == {"periods": None, "tail_estimate": 0.0, "shifts": None}
+        assert code == 0 and doc["scheme"] == scheme
+        if scheme == "ve_krylov":
+            assert doc["green"] == {"periods": None, "tail_estimate": 0.0, "shifts": None}
+        else:
+            assert doc["green"]["periods"] == 8 and doc["green"]["tail_estimate"] > 0.0
         assert doc["diagnostics"]["real_fields"] is True
 
     def test_green_periods_rejected_for_ve(self, tmp_path, capsys):

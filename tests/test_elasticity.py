@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spectralhom import (
+    CoefficientRule,
     PatternMatrix,
     bspline_rule,
     compatible_green,
@@ -244,10 +245,17 @@ class TestPeriodizedGreen:
             direct = green_coeff_batch(C0, frequency_set(M).freqs[stored_classes(table)])
             assert np.abs(unpack_symmetric(table.table) - direct).max() < 1e-12
 
-    def test_requires_orthonormal_rule(self):
-        M = PatternMatrix.from_any([[4, 1], [0, 4]])
-        with pytest.raises(DomainError):
-            periodized_green(iso_stiffness(1, 1, 2), dirichlet_rule(M))
+    @pytest.mark.parametrize(
+        "factory", [lambda M: bspline_rule(M, 2), lambda M: dlvp_rule(M, [0.4, 0.3])], ids=["bspline2", "dlvp"]
+    )
+    def test_raw_and_orthonormal_rules_give_the_same_bits(self, factory):
+        # the class weights come from the class sums, which no class scale touches
+        M = PatternMatrix.from_any([[6, 1], [2, 5]])
+        C0 = iso_stiffness(1.3, 0.7, 2)
+        raw = periodized_green(C0, factory(M))
+        orthonormal = periodized_green(C0, orthonormalize(factory(M)))
+        assert raw.table.tobytes() == orthonormal.table.tobytes()
+        assert (raw.shifts, raw.tail_estimate) == (orthonormal.shifts, orthonormal.tail_estimate)
 
     def test_zero_row_at_mean_frequency(self):
         M = PatternMatrix.from_any([[4, 1], [0, 4]])
@@ -547,22 +555,21 @@ class TestCompatibleGreen:
             [[4, 1, 0], [0, 4, 0], [0, 0, 4]],
             [[3, 1, 0], [0, 3, 1], [0, 0, 5]],
             [[128, 0], [0, 144]],  # 18,432 classes: more than one pass of _CHUNK
+            [[4, 1], [0, 3]],  # m = 12, where m (1 / sqrt m)^2 misses 1 by an ulp
         ],
     )
     def test_dirichlet_equals_periodized_table(self, rows, monkeypatch):
         M = PatternMatrix.from_any(rows)
         C0 = random_spd_mandel(np.random.default_rng(81), M.d * (M.d + 1) // 2)
-        rule = orthonormalize(dirichlet_rule(M))
-        paper = periodized_green(C0, rule)
-        assert paper.compatible
 
         def no_shift(*args, **kwargs):
             raise AssertionError("the class sums of a support-0 rule run over t = 0 alone: the mean shift is zero")
 
-        monkeypatch.setattr(type(rule), "class_mean_shift", no_shift)
-        table = compatible_green(C0, rule).table
-        assert table.shape == paper.table.shape
-        assert np.abs(table - paper.table).max() <= 1e-14 * np.abs(paper.table).max()
+        monkeypatch.setattr(CoefficientRule, "class_mean_shift", no_shift)
+        table = compatible_green(C0, dirichlet_rule(M)).table
+        for rule in (dirichlet_rule(M), orthonormalize(dirichlet_rule(M))):
+            paper = periodized_green(C0, rule)
+            assert paper.compatible and paper.table.tobytes() == table.tobytes()
         assert paper.projector_classes().all()
         dlvp = periodized_green(C0, orthonormalize(dlvp_rule(M, [0.4] * M.d)))
         assert not dlvp.compatible

@@ -617,6 +617,20 @@ class TestCompatibleScheme:
         eps0 = np.arange(1.0, len(C0) + 1)
         assert ve_krylov(C, C0, eps0, G, SolverConfig(tolerance=1e-10, max_iterations=2000)).converged
 
+    @pytest.mark.parametrize("rows", [[[4, 1], [0, 3]], [[6, 1], [2, 5]]])
+    def test_ls_on_the_dirichlet_space_gives_ve_bits(self, rows):
+        # the support-0 periodised table is the compatible one, bit for bit, so both schemes run one loop on one
+        # table, also at m = 12, where m (1 / sqrt m)^2 misses 1 by an ulp
+        M = PatternMatrix.from_any(rows)
+        C0 = iso_stiffness(1.5, 1.2, 2)
+        C = _random_two_phase(np.random.default_rng(93), M, 10.0)
+        eps0 = np.array([1.0, 0.3, 0.2])
+        cfg = SolverConfig(tolerance=1e-10, max_iterations=500)
+        ls = ls_fixed_point(C, C0, eps0, periodized_green(C0, dirichlet_rule(M)), cfg)
+        ve = ve_krylov(C, C0, eps0, compatible_green(C0, dirichlet_rule(M)), cfg)
+        assert ls.converged and ls.iterations == ve.iterations
+        assert np.array_equal(ls.strain, ve.strain) and np.array_equal(ls.effective_action, ve.effective_action)
+
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize(
         "lam, mu",

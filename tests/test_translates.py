@@ -140,7 +140,7 @@ class TestBsplineRule:
         worst = {}
         for order in range(1, _BSPLINE_MAX_ORDER + 2):
             rule = CoefficientRule(M, "bspline", order=order)  # the constructor, bypassing the order check
-            s0, _ = rule._class_sums()
+            s0, _ = rule.class_sums()
             xi = (frequency_set(M).freqs @ np.array(M.adjugate)).T / M.det
             worst[order] = float(np.abs(s0 / bspline_axis_sum(xi, order) - 1.0).max())
         assert max(worst[order] for order in range(1, _BSPLINE_MAX_ORDER + 1)) <= 1e-10
@@ -385,13 +385,13 @@ class TestOrthonormalize:
         import spectralhom.translates as tr
 
         broken = tr.CoefficientRule(M44, "dlvp", alpha=(1.0, 1.0))
-        orig = broken._class_sums
+        orig = broken.class_sums
 
         def patched(classes=slice(None)):
             s0, s1 = orig(classes)
             s0[:, 3] = 0.0
             return s0, s1
 
-        broken._class_sums = patched
+        broken.class_sums = patched
         with pytest.raises(DegenerateGeneratorError):
             orthonormalize(broken)
