@@ -327,14 +327,20 @@ def float64_conjugate_gradients(
 
     The reference for the solver's single-precision iteration: the same
     Green-weighted CG on the table it is given, every field in float64, and
-    the recurred residual as the stopping test.  At exit the last residual
-    is replaced, as in the solver, by ``true_residual`` of the returned
-    strain, and ``converged`` rests on that value.
+    the recurred residual as the stopping test.  On a table whose every class
+    is a C0-projector it runs, as the solver does, in the strain form: the
+    pre-images are zeta = C0 r and pi = C0 p, and the curvature is
+    Re (C0 p)^H (p + q), q = G dC p.  (The pre-image recurrence, with the
+    curvature Re pi^H p + Re p^H dC p, breaks down there when C0 is stiffer
+    than every phase.)  At exit the last residual is replaced, as in the
+    solver, by ``true_residual`` of the returned strain, and ``converged``
+    rests on that value.
     """
     cfg = cfg or SolverConfig()
     C, C0, eps0 = _validate_problem(C, C0, eps0, G)
     _stiffness_rows(C, C0)  # checks ellipticity
     dC = pack_symmetric(dense_stiffness(C, G.matrix.d) - C0)
+    strain_form = bool(G.projector_classes().all())
     scale = float(np.linalg.norm(eps0))
     E = np.zeros((len(eps0), G.m), dtype=np.float64 if G.real else np.complex128)
     residuals: list[float] = []
@@ -343,8 +349,10 @@ def float64_conjugate_gradients(
         converged = True
         residuals.append(0.0)
     else:
-        zeta = -mandel_product(dC, E + eps0[:, None])  # the pre-image of r = b
+        zeta = -mandel_product(dC, E + eps0[:, None])  # a pre-image of r = b
         r = _green_convolve(G, zeta)
+        if strain_form:
+            zeta = C0 @ r
         p, pi = r.copy(), zeta.copy()
         rs = float(np.vdot(zeta, r).real)
         iterations = 1
@@ -361,7 +369,10 @@ def float64_conjugate_gradients(
             iterations += 1
             dCp = mandel_product(dC, p)
             q = _green_convolve(G, dCp)
-            curvature = float(np.vdot(pi, p).real + np.vdot(p, dCp).real)
+            if strain_form:
+                curvature = float(np.vdot(pi, p + q).real)
+            else:
+                curvature = float(np.vdot(pi, p).real + np.vdot(p, dCp).real)
             if not 0.0 < curvature < np.inf:
                 residuals.append(residuals[-1] if curvature <= 0.0 else float("nan"))
                 break
@@ -370,9 +381,12 @@ def float64_conjugate_gradients(
             q += p  # A p
             q *= alpha
             r -= q
-            dCp += pi  # the pre-image of A p
-            dCp *= alpha
-            zeta -= dCp
+            if strain_form:
+                zeta = C0 @ r
+            else:
+                dCp += pi  # the pre-image of A p
+                dCp *= alpha
+                zeta -= dCp
             residuals.append(field_norm(r.T) / scale)
         if iterations > 1:  # the first residual is formed from b, the later ones recurred
             residuals[-1] = true_residual(E.T, C, C0, eps0, G)
