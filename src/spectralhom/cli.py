@@ -283,7 +283,7 @@ def golden_section(fn, lo: float, hi: float, budget: int):
     variation, in which case x_best is the interval midpoint.
     """
     if budget < 2:
-        raise ConfigError("sweep budget must allow at least two evaluations per axis")
+        raise ConfigError("config 'sweep': 'budget' must allow at least two evaluations per axis")
     trace = []
 
     def probe(x):
@@ -327,10 +327,10 @@ def sweep_alpha(config_path) -> tuple[int, dict]:
     if axes is None:
         axes = list(range(1, d + 1))
     if any(a < 1 or a > d for a in axes):
-        raise ConfigError(f"sweep axes must lie in 1..{d}, got {axes}")
+        raise ConfigError(f"config 'sweep': 'axes' must lie in 1..{d}, got {axes}")
     interval = problem.sweep["interval"]
     if len(interval) != 2 or not 0.0 <= interval[0] < interval[1] <= 1.0:
-        raise ConfigError(f"sweep interval must be [lo, hi] inside [0, 1], got {interval}")
+        raise ConfigError(f"config 'sweep': 'interval' must be [lo, hi] inside [0, 1], got {interval}")
     lo, hi = interval
     budget = problem.sweep["budget"]
 

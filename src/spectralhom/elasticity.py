@@ -123,7 +123,9 @@ def mandel_dim(d: int) -> int:
 
 
 def _check_reference(C0: np.ndarray, d: int) -> np.ndarray:
-    """A read-only float64 copy of C0; raises unless it is a symmetric positive-definite d-dimensional Mandel matrix."""
+    """A read-only float64 copy of C0; raises unless d is 2 or 3 and C0 a symmetric positive-definite Mandel matrix."""
+    if d not in (2, 3):
+        raise DomainError(f"elasticity supports d in (2, 3), got {d}")
     C0 = np.array(C0, dtype=np.float64)
     if C0.ndim != 2 or C0.shape[0] != C0.shape[1]:
         raise ShapeError(f"reference stiffness must be a square Mandel matrix, got shape {C0.shape}")
@@ -205,9 +207,7 @@ def _green_polynomials(C0: np.ndarray, d: int):
     S = _gradient_basis(d).transpose(1, 2, 0)  # S[p, i] as linear coefficients over k_a
     A = _poly_mul(S[:, :, None], np.tensordot(C0, S, axes=1)[:, None, :], d, 1, 1).sum(axis=0)
     i, j = np.indices((d, d))
-    if d == 1:
-        adj, deg = np.ones((1, 1, 1)), 0
-    elif d == 2:
+    if d == 2:
         adj, deg = A[1 - j, 1 - i] * np.where(i == j, 1.0, -1.0)[..., None], 2
     else:
         # adj[i][j] is the (j, i) cofactor; the cyclic index form carries its sign

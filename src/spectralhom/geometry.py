@@ -303,6 +303,7 @@ def laminate_reference(ms: Laminate, M: PatternMatrix, eps0) -> ReferenceSolutio
     eps0 = np.asarray(eps0, dtype=np.float64)
     if eps0.shape != (mandel_dim(d),):
         raise ShapeError("macroscopic strain does not match the spatial dimension")
+    which = ms.phase_index(2.0 * np.pi * pattern(M).points)  # raises unless the layer axis is one of M's
     normal = np.zeros(d)
     normal[ms.axis] = 1.0
     S = sym_grad_matrix(normal)  # S a is the Mandel vector of sym(a x n), S^T s the traction s n
@@ -319,8 +320,6 @@ def laminate_reference(ms: Laminate, M: PatternMatrix, eps0) -> ReferenceSolutio
     strain1 = -theta * eta
     effective = theta * (C0m @ (eps0 + strain0)) + (1.0 - theta) * (C1m @ (eps0 + strain1))
 
-    nodes = 2.0 * np.pi * pattern(M).points
-    which = ms.phase_index(nodes)
     field = np.where(which[:, None] == 0, strain0[None, :], strain1[None, :])
     return ReferenceSolution(
         strain=field,
@@ -417,9 +416,7 @@ def load_reference_values(path, M: PatternMatrix) -> ReferenceSolution:
     if v["effective_action"] is not None:
         action = np.array(v["effective_action"])
         if action.shape != (mandel_dim(M.d),):
-            raise IngestionError(
-                f"effective action must have {mandel_dim(M.d)} components, got {action.shape}"
-            )
+            raise IngestionError(f"{path}: effective action must have {mandel_dim(M.d)} components, got {action.shape}")
         if not action.any():
             raise IngestionError(f"{path}: reference effective action is zero; relative errors are undefined")
     if strain is None and action is None:
@@ -433,9 +430,8 @@ def _reference_strain(path, M: PatternMatrix) -> np.ndarray:
     if domain != DOMAIN_SPACE:
         raise IngestionError(f"{path}: reference strain field is not in the space domain")
     if values.shape[1] != mandel_dim(M.d):
-        raise IngestionError(
-            f"field has {values.shape[1]} components, expected {mandel_dim(M.d)} for d = {M.d}"
-        )
+        D = mandel_dim(M.d)
+        raise IngestionError(f"{path}: field has {values.shape[1]} components, expected {D} for d = {M.d}")
     if not values.any():
         raise IngestionError(f"{path}: reference strain field is zero; relative errors are undefined")
     return values

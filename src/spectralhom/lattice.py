@@ -52,31 +52,22 @@ _SUPPORTED_DIMS = (1, 2, 3)
 _MAX_ENTRY = 2**31
 
 
+def _minor(rows, i: int, j: int) -> tuple:
+    """``rows`` without row i and column j."""
+    return tuple(row[:j] + row[j + 1 :] for k, row in enumerate(rows) if k != i)
+
+
 def _det_int(rows) -> int:
-    d = len(rows)
-    if d == 1:
-        return rows[0][0]
-    if d == 2:
-        (a, b), (c, e) = rows
-        return a * e - b * c
-    (a, b, c), (p, q, r), (x, y, z) = rows
-    return a * (q * z - r * y) - b * (p * z - r * x) + c * (p * y - q * x)
+    """Exact determinant by cofactor expansion along the first row (1 for the empty matrix)."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * a * _det_int(_minor(rows, 0, j)) for j, a in enumerate(rows[0]))
 
 
 def _adjugate_int(rows) -> tuple:
     """Adjugate matrix (transposed cofactors), so that M adj(M) = det(M) I."""
     d = len(rows)
-    if d == 1:
-        return ((1,),)
-    if d == 2:
-        (a, b), (c, e) = rows
-        return ((e, -b), (-c, a))
-    (a, b, c), (p, q, r), (x, y, z) = rows
-    return (
-        (q * z - r * y, -(b * z - c * y), b * r - c * q),
-        (-(p * z - r * x), a * z - c * x, -(a * r - c * p)),
-        (p * y - q * x, -(a * y - b * x), a * q - b * p),
-    )
+    return tuple(tuple((-1) ** (i + j) * _det_int(_minor(rows, j, i)) for j in range(d)) for i in range(d))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -51,7 +51,11 @@ single-precision strain increment into the float64 strain, forms the
 residual by float64 convolutions and re-casts it; the search direction is
 kept (reliable updates, van der Vorst & Ye, SIAM J. Sci. Comput. 2000), or
 restarted from the refreshed residual when that exceeds twice the recurred
-one and the tolerance, which shows the recurrence drifted.  So the residual
+one and the tolerance, which shows the recurrence drifted.  Rounding can
+also lose the search direction: <r, r> or the curvature <p, A p> comes out
+nonpositive.  After a step since the last refresh that too calls a refresh,
+and the next step restarts from it with beta = 0; the same breakdown right
+after a refresh ends the solve unconverged.  So the residual
 history holds single-precision recurred estimates between refreshes, its
 last entry is the float64 residual of the returned strain, and a solve
 converges only on that.
@@ -566,19 +570,21 @@ def _conjugate_gradients(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None, s
     rs = math.inf  # beta = 0 on the first step
     while residuals[-1] > cfg.tolerance and np.isfinite(residuals[-1]) and iterations < cfg.max_iterations:
         rs_next = loop.inner()
-        beta, rs = rs_next / rs, rs_next
         iterations += 1
-        curvature = loop.direction(beta)
-        if not 0.0 < curvature < np.inf:
+        curvature = loop.direction(rs_next / rs) if rs_next > 0.0 else 0.0  # <r, r> <= 0 loses the direction too
+        lost = steps > 0 and -np.inf < curvature <= 0.0  # a lost direction after a step: restart from a refresh
+        if not (0.0 < curvature < np.inf or lost):
             residuals.append(residuals[-1] if curvature <= 0.0 else float("nan"))
             break
-        loop.advance(rs / curvature)
-        steps += 1
+        if not lost:
+            rs = rs_next
+            loop.advance(rs / curvature)
+            steps += 1
         residuals.append(field_norm(loop.r.T))  # recurred; the unit loading has norm one
-        if residuals[-1] <= target:
+        if lost or residuals[-1] <= target:
             recurred = residuals[-1]
             residuals[-1] = fresh = loop.refresh()
-            if fresh > _DRIFT_RESTART * max(recurred, cfg.tolerance):
+            if lost or fresh > _DRIFT_RESTART * max(recurred, cfg.tolerance):
                 rs = math.inf  # beta = 0: the next step starts from the refreshed residual
             target = loop.next_refresh(fresh, cfg.tolerance)
             refreshes += 1
@@ -616,9 +622,10 @@ def ls_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) 
     one where it projects the strain (on a table of C0-projectors, only
     where float32 rounding could reach the tolerance) or rebuilds it from
     its pre-image (on any other table).  It stops when the relative nodal residual ||E + G(dC (E + eps0))|| / ||eps0||,
-    recomputed in float64, drops below the tolerance.  A non-finite residual
-    or curvature, or a nonpositive curvature, ends the solve unconverged, and
-    the partial field is returned with the flag cleared.  C0 must be
+    recomputed in float64, drops below the tolerance.  A nonpositive <r, r>
+    or curvature restarts CG from a float64 refresh; right after a refresh it
+    ends the solve unconverged, as a non-finite residual or curvature does,
+    and the partial field is returned with the flag cleared.  C0 must be
     ``G.reference``, C an (m, 2) array of finite Lame pairs (lambda, mu)
     whose stiffness is uniformly elliptic, and eps0 finite; ShapeError or
     DomainError names the input that is not.

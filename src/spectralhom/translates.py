@@ -30,18 +30,22 @@ Since M^{-T}(h + M^T z) = xi_h + z, a congruence class h + M^T Z^d is the
 grid xi_h + Z^d in scaled frequencies, so functions of the class factor into
 per-axis tables (``CoefficientRule.axis_factors``), and every class sum the
 code needs comes from the two one-axis sums of ``CoefficientRule.class_sums``:
-S0 = sum_t F_a^2(xi_a + t) for the class weights (and orthonormalisation) and
-S1 = sum_t F_a^2(xi_a + t) t for the class-mean shift.  Both are exact: the trapezoid factors have finite
+S0 = sum_t F_a^2(xi_a + t) for the class weights and S1 = sum_t F_a^2(xi_a + t) t
+for the class-mean shift.  Both are exact: the trapezoid factors have finite
 support, and the B-spline sums are finite cosine and sine series whose
 weights are integer samples of a higher-order cardinal B-spline and of its
 slope (Unser, Aldroubi & Eden, IEEE Trans. Signal Process. 1993).
+
+``orthonormalize`` divides each coefficient by its class's bracket sum
+sqrt(m [|c|^2]) = sqrt(m raw_scale^2 prod_a S0[a, h]): it flags the raw rule
+``orthonormal``, which derives that scale when asked.  No Green table reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -137,25 +141,21 @@ def _trapezoid(nums: np.ndarray, den: int, alpha: float) -> np.ndarray:
 
 
 class CoefficientRule:
-    """Fourier-coefficient rule of a generator, optionally orthonormalised.
+    """Fourier-coefficient rule of a generator, raw or ``orthonormal``.
 
-    Orthonormalisation stores one positive scale per congruence class; the
-    effective coefficients are c_k / scale(class of k).  Instances are
+    An orthonormal rule stores nothing more than the flag: its coefficients
+    are c_k / scale(class of k), with the positive per-class ``class_scale``
+    derived from the raw rule's class sums on first use.  Instances are
     immutable and safe to share.
     """
 
-    def __init__(self, M: PatternMatrix, kind: str, alpha=None, order=None, class_scale=None):
+    def __init__(self, M: PatternMatrix, kind: str, alpha=None, order=None, orthonormal: bool = False):
         self.matrix = M
         self.kind = kind
         self.alpha = None if alpha is None else tuple(float(a) for a in alpha)
         self.order = None if order is None else int(order)
+        self.orthonormal = bool(orthonormal)
         self._freqs = frequency_set(M)
-        if class_scale is not None:
-            class_scale = np.asarray(class_scale, dtype=np.float64)
-            if class_scale.shape != (M.m,):
-                raise ShapeError("class scale table must have one entry per frequency class")
-            class_scale.setflags(write=False)
-        self._class_scale = class_scale
         adj = np.array(M.adjugate, dtype=np.int64)
         den = M.det
         if den < 0:
@@ -169,9 +169,14 @@ class CoefficientRule:
     def m(self) -> int:
         return self.matrix.m
 
-    @property
+    @cached_property
     def class_scale(self):
-        return self._class_scale
+        """sqrt(m [|c|^2]) of the raw rule per frequency class on an orthonormal rule, else None."""
+        if not self.orthonormal:
+            return None
+        scale = np.sqrt(self.m * (np.prod(self.class_sums()[0], axis=0) * self.raw_scale**2))
+        scale.setflags(write=False)
+        return scale
 
     @property
     def support_periods(self):
@@ -252,8 +257,8 @@ class CoefficientRule:
         if kk.shape[1] != self.matrix.d:
             raise ShapeError(f"expected frequency vectors of length {self.matrix.d}")
         vals = self._raw(kk)
-        if self._class_scale is not None:
-            vals = vals / self._class_scale[self._freqs.class_index(kk)]
+        if self.orthonormal:
+            vals = vals / self.class_scale[self._freqs.class_index(kk)]
         return vals[0] if single else vals
 
     def class_sums(self, classes=slice(None)) -> tuple:
@@ -291,8 +296,8 @@ class CoefficientRule:
     def gram_bracket(self) -> np.ndarray:
         """m [|c|^2] = m raw_scale^2 prod_a S0[a, h] / class_scale^2 per frequency class (1.0 iff orthonormal)."""
         vals = self.m * (np.prod(self.class_sums()[0], axis=0) * self.raw_scale**2)
-        if self._class_scale is not None:
-            vals = vals / self._class_scale**2
+        if self.orthonormal:
+            vals = vals / self.class_scale**2
         return vals
 
 
@@ -331,10 +336,11 @@ def make_rule(spec: GeneratorSpec, M: PatternMatrix) -> CoefficientRule:
 
 
 def orthonormalize(rule: CoefficientRule) -> CoefficientRule:
-    """Rescale a rule so its translates become an orthonormal basis.
+    """The rule whose translates form an orthonormal basis: ``rule`` flagged ``orthonormal``.
 
-    Divides c_k by sqrt(m [|c|^2]) of its class; idempotent.  Raises when a
-    class sum vanishes, naming the offending frequency.
+    Its coefficients are c_k / sqrt(m [|c|^2]) of the raw rule's class, so
+    orthonormalising twice gives the same rule.  Raises when a class sum
+    vanishes, naming the offending frequency.
     """
     gram = rule.gram_bracket()
     worst = int(np.argmin(gram))
@@ -343,9 +349,4 @@ def orthonormalize(rule: CoefficientRule) -> CoefficientRule:
         raise DegenerateGeneratorError(
             f"generator does not span the translate space: class sum vanishes at h = {h.tolist()}"
         )
-    scale = np.sqrt(gram)
-    if rule.class_scale is not None:
-        scale = scale * rule.class_scale
-    return CoefficientRule(
-        rule.matrix, rule.kind, alpha=rule.alpha, order=rule.order, class_scale=scale
-    )
+    return CoefficientRule(rule.matrix, rule.kind, alpha=rule.alpha, order=rule.order, orthonormal=True)

@@ -1,4 +1,4 @@
-"""Iterations and refreshes of both schemes over a grid of small problems, to compare two builds.
+"""Iterations and refreshes of both schemes over two grids of small problems, to compare two builds.
 
 Not collected by pytest.  Each solve runs with the ``spectralhom`` on the
 path, so two checkouts are compared by running the scan under each and then
@@ -8,14 +8,24 @@ comparing the two outputs:
     PYTHONPATH=../parent/src python tests/scans/refresh_scan.py --out parent.json
     python tests/scans/refresh_scan.py --compare parent.json change.json
 
-The grid is 5 patterns x 5 generators (Dirichlet, dlvp (0.4, 0.3),
-bspline 1-3) x 3 seeded random two-phase fields (phases (0.5, 0.4) and
-its multiple by 100, 0.01 and 10) x 2 references (iso(0.5, 0.4),
-iso(2.75, 2.2)) x 2 schemes (LS on the periodised table, VE on the
-compatible one) x 2 tolerances (1e-6, 1e-9): 600 solves, capped at 600
-iterations, in one process.  The comparison counts the solves that
-converge under each build, those that converge only under the first, and
-sums the iterations over the solves that converge under both.
+Every problem is a seeded random two-phase field (phases (0.5, 0.4) and its
+multiple by 100, 0.01 and 10) on a 2-D pattern, with eps0 (1, 0.3, 0.2),
+references iso(0.5, 0.4) and iso(2.75, 2.2), tolerances 1e-6 and 1e-9, and
+a cap of 600 iterations.  Two grids run in one process:
+
+* ``refresh``: 5 patterns x 5 generators (Dirichlet, dlvp (0.4, 0.3),
+  bspline 1-3) x 3 fields (seed 100 p + c for pattern p and contrast c) x
+  2 references x 2 schemes (LS on the periodised table, VE on the
+  compatible one) x 2 tolerances: 600 solves.
+* ``wide``: LS alone on the pre-image tables, 6 patterns x 6 generators
+  (dlvp (0.4, 0.3), (0.4, 0), (0.2, 0.6), (0.8, 0.8), bspline 3 and 4) x
+  6 fields (seeds 1000 s + 10 p + (contrast > 1), s in {7, 8}) x
+  2 references x 2 tolerances: 864 solves.
+
+An exception in any solve ends the scan with a traceback.  The comparison
+counts, per grid, the solves that converge under each build, those that
+converge only under one, and sums the iterations over the solves that
+converge under both.
 """
 
 from __future__ import annotations
@@ -28,8 +38,14 @@ import time
 
 import numpy as np
 
-PATTERNS = ([[8, 16], [-16, 8]], [[16, 0], [0, 16]], [[12, 3], [0, 12]], [[15, 4], [0, 15]], [[32, 12], [0, 32]])
-GENERATORS = ("dirichlet", "dlvp", "bspline1", "bspline2", "bspline3")
+PATTERNS = (
+    [[8, 16], [-16, 8]],
+    [[16, 0], [0, 16]],
+    [[12, 3], [0, 12]],
+    [[15, 4], [0, 15]],
+    [[32, 12], [0, 32]],
+    [[20, 7], [0, 20]],
+)
 CONTRASTS = (100.0, 0.01, 10.0)
 REFERENCES = ((0.5, 0.4), (2.75, 2.2))
 SCHEMES = ("ls_fixed_point", "ve_krylov")
@@ -39,34 +55,54 @@ EPS0 = np.array([1.0, 0.3, 0.2])
 CAP = 600
 
 
-def _rule(sh, name, M):
-    if name == "dirichlet":
-        return sh.dirichlet_rule(M)
-    if name == "dlvp":
-        return sh.dlvp_rule(M, [0.4, 0.3])
-    return sh.bspline_rule(M, int(name[-1]))
+def _dlvp(*alpha):
+    return {"kind": "dlvp", "alpha": list(alpha)}
 
 
-def scan() -> list:
+def _bspline(order):
+    return {"kind": "bspline", "order": order}
+
+
+# name -> (patterns, generators, field seeds of pattern p and contrast index c, schemes)
+GRIDS = {
+    "refresh": (
+        PATTERNS[:5],
+        ({"kind": "dirichlet"}, _dlvp(0.4, 0.3), _bspline(1), _bspline(2), _bspline(3)),
+        lambda p, c: (100 * p + c,),
+        SCHEMES,
+    ),
+    "wide": (
+        PATTERNS,
+        (_dlvp(0.4, 0.3), _dlvp(0.4, 0.0), _dlvp(0.2, 0.6), _dlvp(0.8, 0.8), _bspline(3), _bspline(4)),
+        lambda p, c: tuple(1000 * s + 10 * p + (CONTRASTS[c] > 1) for s in (7, 8)),
+        ("ls_fixed_point",),
+    ),
+}
+
+
+def scan(grid: str) -> list:
     import spectralhom as sh
 
+    patterns, generators, seeds, schemes = GRIDS[grid]
     rows = []
-    for p, rows_M in enumerate(PATTERNS):
+    for p, rows_M in enumerate(patterns):
         M = sh.PatternMatrix.from_any(rows_M)
-        fields = {}
+        fields = []
         for c, contrast in enumerate(CONTRASTS):
-            ids = np.random.default_rng(100 * p + c).integers(0, 2, M.m)
-            fields[contrast] = np.where(ids[:, None] == 0, SOFT, contrast * SOFT)
-        for generator, reference in itertools.product(GENERATORS, REFERENCES):
+            for seed in seeds(p, c):
+                ids = np.random.default_rng(seed).integers(0, 2, M.m)
+                fields.append((seed, contrast, np.where(ids[:, None] == 0, SOFT, contrast * SOFT)))
+        for generator, reference in itertools.product(generators, REFERENCES):
             C0 = sh.iso_stiffness(*reference, 2)
-            rule = _rule(sh, generator, M)
-            tables = {"ls_fixed_point": sh.periodized_green(C0, rule), "ve_krylov": sh.compatible_green(C0, rule)}
-            for contrast, scheme, tol in itertools.product(CONTRASTS, SCHEMES, TOLERANCES):
+            rule = sh.make_rule(sh.GeneratorSpec.from_json(generator), M)
+            builders = {"ls_fixed_point": sh.periodized_green, "ve_krylov": sh.compatible_green}
+            tables = {scheme: builders[scheme](C0, rule) for scheme in schemes}
+            for (seed, contrast, C), scheme, tol in itertools.product(fields, schemes, TOLERANCES):
                 cfg = sh.SolverConfig(tolerance=tol, max_iterations=CAP, scheme=scheme)
-                rep = getattr(sh, scheme)(fields[contrast], C0, EPS0, tables[scheme], cfg)
+                rep = getattr(sh, scheme)(C, C0, EPS0, tables[scheme], cfg)
                 rows.append(
                     {
-                        "key": [rows_M, generator, contrast, list(reference), scheme, tol],
+                        "key": [grid, rows_M, generator, seed, contrast, list(reference), scheme, tol],
                         "converged": bool(rep.converged),
                         "iterations": rep.iterations,
                         "refreshes": rep.residual_refreshes,
@@ -81,19 +117,23 @@ def compare(before: list, after: list) -> dict:
     first = {json.dumps(row["key"]): row for row in before}
     second = {json.dumps(row["key"]): row for row in after}
     assert first.keys() == second.keys(), "the two scans ran different grids"
-    both = [k for k in first if first[k]["converged"] and second[k]["converged"]]
-    return {
-        "solves": len(first),
-        "converged": [sum(r["converged"] for r in first.values()), sum(r["converged"] for r in second.values())],
-        "lost": [json.loads(k) for k in first if first[k]["converged"] and not second[k]["converged"]],
-        "gained": [json.loads(k) for k in first if second[k]["converged"] and not first[k]["converged"]],
-        "iterations_on_both": [sum(first[k]["iterations"] for k in both), sum(second[k]["iterations"] for k in both)],
-        "refreshes_on_both": [sum(first[k]["refreshes"] for k in both), sum(second[k]["refreshes"] for k in both)],
-        "double_convolutions_on_both": [
-            sum(first[k]["double_convolutions"] for k in both),
-            sum(second[k]["double_convolutions"] for k in both),
-        ],
-    }
+    out = {}
+    for grid in GRIDS:
+        keys = [k for k in first if json.loads(k)[0] == grid]
+        both = [k for k in keys if first[k]["converged"] and second[k]["converged"]]
+        out[grid] = {
+            "solves": len(keys),
+            "converged": [sum(first[k]["converged"] for k in keys), sum(second[k]["converged"] for k in keys)],
+            "lost": [json.loads(k) for k in keys if first[k]["converged"] and not second[k]["converged"]],
+            "gained": [json.loads(k) for k in keys if second[k]["converged"] and not first[k]["converged"]],
+            "iterations_on_both": [sum(first[k]["iterations"] for k in both), sum(second[k]["iterations"] for k in both)],
+            "refreshes_on_both": [sum(first[k]["refreshes"] for k in both), sum(second[k]["refreshes"] for k in both)],
+            "double_convolutions_on_both": [
+                sum(first[k]["double_convolutions"] for k in both),
+                sum(second[k]["double_convolutions"] for k in both),
+            ],
+        }
+    return out
 
 
 def main(argv=None) -> int:
@@ -105,13 +145,16 @@ def main(argv=None) -> int:
         before, after = (json.loads(open(path, encoding="utf-8").read()) for path in args.compare)
         print(json.dumps(compare(before, after), indent=1))
         return 0
-    start = time.perf_counter()
-    rows = scan()
+    rows = []
+    for grid in GRIDS:
+        start = time.perf_counter()
+        found = scan(grid)
+        rows += found
+        converged = sum(row["converged"] for row in found)
+        print(f"{grid}: {len(found)} solves, {converged} converged, {time.perf_counter() - start:.1f} s", file=sys.stderr)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(rows, handle)
-    converged = sum(row["converged"] for row in rows)
-    print(f"{len(rows)} solves, {converged} converged, {time.perf_counter() - start:.1f} s", file=sys.stderr)
     return 0
 
 

@@ -363,6 +363,13 @@ _INCLUSION = {
     "phases": {"inclusion": {"lambda": 2.0, "mu": 2.0}, "matrix": {"lambda": 1.0, "mu": 1.0}},
 }
 _NAN = float("nan")
+_PHASES = [{"lambda": 1.0, "mu": 1.0}, {"lambda": 2.0, "mu": 2.0}]
+_HASHIN = {
+    "kind": "hashin_ellipses",
+    "core_semi_axes": [0.3, 0.2],
+    "coating_semi_axes": [0.5, 0.4472135954999579],
+    "phases": {"core": _PHASES[0], "coating": _PHASES[1], "matrix": _PHASES[0]},
+}
 
 
 class TestConfigValidation:
@@ -402,9 +409,45 @@ class TestConfigValidation:
             ({("microstructure",): _with(_INCLUSION, ("shape",), "star")}, None, "microstructure: unknown"),
             ({("microstructure",): {**_INCLUSION, "shape": "box", "semi_axes": [1.0, 0.0]}}, None, "half-widths"),
             ({("reference_stiffness",): {"rule": "phase_mean", "lambda": 1.0, "mu": 1.0}}, None, "not both"),
+            ({("reference_stiffness",): {"rule": "voigt"}}, None, "config 'reference_stiffness': unknown rule 'voigt'"),
+            ({("sampling",): {"mode": "corner"}}, None, "stiffness sampling: unknown sampling mode 'corner'"),
+            ({("sampling",): {"mode": "cell_average", "subsamples": 0}}, None, "stiffness sampling: cell averaging"),
+            ({}, {"strain_field": "nope.pfld"}, "reference ingestion: field file "),
+            ({}, {"strain_field": "junk.pfld"}, "junk.pfld: not a PFLD file"),
+            ({}, {"strain_field": "v7.pfld"}, "v7.pfld: unsupported PFLD version 7"),
+            ({}, {"effective_action": [1.0, 0.0]}, "reference.json: effective action must have 3 components"),
+            ({}, {"strain_field": "six.pfld"}, "six.pfld: field has 6 components, expected 3"),
+            ({("microstructure", "axis"): 2}, None, "stiffness sampling: laminate axis 2 is not in 0..1"),
+            (
+                {("microstructure",): _with(_INCLUSION, ("semi_axes",), [1.0, -0.5])},
+                None,
+                "microstructure: semi-axes must be 2 positive numbers",
+            ),
+            (
+                {("microstructure",): {**_INCLUSION, "semi_axes": [0.3, 0.2, 0.1], "rotation": 0.3}},
+                None,
+                "microstructure: rotation is only supported for planar ellipses",
+            ),
+            ({("microstructure",): {**_HASHIN, "center": [0.0, 0.0, 0.0]}}, None, "microstructure: the confocal"),
+            ({("microstructure",): {**_HASHIN, "core_semi_axes": [0.3, 0.2, 0.1]}}, None, "two semi-axes each"),
+            (
+                {("microstructure",): {"kind": "voxel_map", "grid": [[0, 1.5], [1, 0]], "phase_table": _PHASES}},
+                None,
+                "microstructure: voxel grid entries must be integer phase ids",
+            ),
         ],
     )
     def test_rejected_before_solving(self, tmp_path, capsys, edits, reference, named):
+        from spectralhom.geometry import write_field
+
+        # reference strain fields for the ingestion cases: one of version 7, one of 6 components, one not a PFLD file
+        M = PatternMatrix.from_any([[8, 0], [0, 8]])
+        for name, values in (("v7.pfld", np.ones((M.m, 3))), ("six.pfld", np.ones((M.m, 6)))):
+            write_field(tmp_path / name, M, values)
+        data = bytearray((tmp_path / "v7.pfld").read_bytes())
+        data[4:8] = (7).to_bytes(4, "little")  # the header's version field
+        (tmp_path / "v7.pfld").write_bytes(bytes(data))
+        (tmp_path / "junk.pfld").write_bytes(b"JUNK" * 8)
         config = json.loads(_laminate_config(tmp_path).read_text())
         for path, value in edits.items():
             config = _with(config, path, value)
@@ -417,7 +460,7 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert named in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()  # nothing was solved or written
 
     @pytest.mark.parametrize("reference", [{"effective_action": [0, 0, 0]}, {"strain_field": "zero.pfld"}])
@@ -576,6 +619,24 @@ class TestSweepAlpha:
         path = _laminate_config(tmp_path, reference_values=ref, sweep={"axes": [3], "budget": 4})
         with pytest.raises(ConfigError):
             sweep_alpha(path)
+
+    @pytest.mark.parametrize(
+        "sweep, detail",
+        [
+            ({"axes": [3], "budget": 4}, "'axes' must lie in 1..2"),
+            ({"interval": [0.5, 1.5]}, "'interval' must be [lo, hi] inside [0, 1]"),
+            ({"interval": [0.6, 0.2]}, "'interval' must be [lo, hi] inside [0, 1]"),
+            ({"budget": 1}, "'budget' must allow at least two evaluations"),
+        ],
+    )
+    def test_sweep_checks_exit_1(self, tmp_path, capsys, sweep, detail):
+        # one line naming the config section, no traceback, nothing solved or written
+        ref = _write_laminate_reference(tmp_path, [[8, 0], [0, 8]], with_strain=False)
+        path = _laminate_config(tmp_path, reference_values=ref, sweep=sweep)
+        assert main(["sweep-alpha", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config 'sweep': {detail}") and err.count("\n") == 1
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
     def test_every_axis_swept_by_default(self, tmp_path):
         ref = _write_laminate_reference(tmp_path, [[8, 0], [0, 8]], with_strain=False)
@@ -747,3 +808,9 @@ class TestGrayImage:
         path = tmp_path / "img.pgm"
         write_gray_image(path, np.zeros((3, 4)))
         assert read_gray_image(path).max() == 0
+
+    @pytest.mark.parametrize("shape", [(12,), (2, 3, 4)])
+    def test_raster_must_be_2d(self, tmp_path, shape):
+        with pytest.raises(ConfigError, match="needs a 2-D raster"):
+            write_gray_image(tmp_path / "img.pgm", np.ones(shape))
+        assert not (tmp_path / "img.pgm").exists()

@@ -19,7 +19,7 @@ from spectralhom import (
 )
 from spectralhom import elasticity
 from spectralhom.elasticity import sym_grad_matrix
-from spectralhom.errors import DomainError
+from spectralhom.errors import DomainError, ShapeError
 
 from oracles import (
     green_dense_solve,
@@ -182,10 +182,17 @@ class TestGreenKernelOracles:
             want = green_dense_solve(C0, k)
             assert np.abs(G - want).max() < 1e-12 * max(1.0, np.abs(want).max())
 
-    def test_one_dimensional_reciprocal(self):
-        # d = 1: G0(k) = k (k C0 k)^{-1} k = 1 / C0 away from k = 0
-        got = green_coeff_batch(np.array([[4.0]]), np.array([[3], [0], [-70_000]]))
-        assert got.ravel().tolist() == [0.25, 0.0, 0.25]
+    def test_one_dimensional_reference_rejected(self):
+        # elasticity is 2-D or 3-D: every table builder rejects a 1-D reference before building anything
+        M, C0 = PatternMatrix.from_any([[7]]), np.array([[4.0]])
+        builds = (
+            lambda: green_coeff_batch(C0, np.array([[3], [0], [-70_000]])),
+            lambda: periodized_green(C0, dlvp_rule(M, [0.4])),
+            lambda: compatible_green(C0, dirichlet_rule(M)),
+        )
+        for build in builds:
+            with pytest.raises(DomainError, match="d in \\(2, 3\\), got 1"):
+                build()
 
     def test_input_frequencies_not_modified(self):
         ks = np.array([[3.0, -4.0], [0.0, 0.0]])
@@ -622,3 +629,31 @@ class TestCompatibleGreen:
         assert np.abs(full[neg] - full).max() <= 1e-13 * np.abs(full).max()
         want = full[stored_classes(G)]
         assert np.abs(unpack_symmetric(G.table) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _mismatched_spectrum():
+    M = PatternMatrix.from_any([[4, 1], [0, 4]])
+    table = periodized_green(iso_stiffness(1.0, 1.0, 2), dlvp_rule(M, [0.4, 0.3]))
+    return table.apply_hat(np.zeros((3, table.table.shape[-1] + 1)))
+
+
+_C0 = iso_stiffness(1.0, 1.0, 2)
+_ASYMMETRIC = _C0 + np.triu(np.full((3, 3), 0.1), 1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: green_coeff_batch(_C0[:2], np.array([[1, 0]])), ShapeError, "square Mandel matrix"),
+        (lambda: green_coeff_batch(_C0[None], np.array([[1, 0]])), ShapeError, "square Mandel matrix"),
+        (lambda: green_coeff_batch(_ASYMMETRIC, np.array([[1, 0]])), DomainError, "must be symmetric"),
+        (lambda: green_coeff_batch(iso_stiffness(1.0, 1.0, 3), np.array([[1, 0]])), ShapeError, "spatial dimension"),
+        (lambda: green_coeff_batch(_C0, np.array([1, 0])), ShapeError, r"an \(n, d\) frequency batch"),
+        (lambda: iso_stiffness(1.0, 1.0, 4), DomainError, r"d in \(2, 3\), got 4"),
+        (_mismatched_spectrum, ShapeError, "does not match the Green table"),
+    ],
+    ids=["rows", "stacked", "asymmetric", "dimension", "one-frequency", "iso-4d", "apply-hat"],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -22,7 +22,7 @@ from spectralhom import (
     sample_stiffness,
     write_field,
 )
-from spectralhom.errors import GeometryError, IngestionError, ShapeError
+from spectralhom.errors import DomainError, GeometryError, IngestionError, ShapeError
 from spectralhom.geometry import DOMAIN_FREQUENCY, DOMAIN_SPACE, microstructure_from_json
 
 P_SOFT = IsoPhase(1.0, 1.0)
@@ -456,3 +456,123 @@ class TestReferenceIngestion:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestionError):
             load_reference_values(tmp_path / "nope.json", PatternMatrix.from_any([[2, 0], [0, 2]]))
+
+
+_M22 = PatternMatrix.from_any([[2, 0], [0, 2]])
+_LAYERS = Laminate(axis=0, fraction=0.5, phases=(P_SOFT, P_STIFF))
+
+
+def _write(path, data):
+    """``path``, holding ``data``: bytes as they are, anything else as JSON."""
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(json.dumps(data))
+    return path
+
+
+def _pfld(path, values=np.ones((4, 3)), version=None):
+    """A PFLD field on _M22 at ``path``; ``version`` overwrites the header's version."""
+    write_field(path, _M22, values)
+    if version is not None:
+        data = bytearray(path.read_bytes())
+        data[4:8] = struct.pack("<I", version)
+        path.write_bytes(bytes(data))
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda tmp: sample_stiffness(_LAYERS, _M22, "corner"), DomainError, "unknown sampling mode 'corner'"),
+        (lambda tmp: sample_stiffness(_LAYERS, _M22, "cell_average", 0), DomainError, "at least one subsample"),
+        (lambda tmp: read_field(tmp / "nope.pfld"), IngestionError, r"field file .*nope\.pfld does not exist"),
+        (lambda tmp: read_field(_write(tmp / "junk.pfld", b"JUNK" * 8)), IngestionError, "not a PFLD file"),
+        (lambda tmp: read_field(_pfld(tmp / "v7.pfld", version=7)), IngestionError, "unsupported PFLD version 7"),
+        (
+            lambda tmp: load_reference_values(_write(tmp / "ref.json", {"effective_action": [1.0, 0.0]}), _M22),
+            IngestionError,
+            r"ref\.json: effective action must have 3 components",
+        ),
+        (
+            lambda tmp: load_reference_values(_pfld(tmp / "six.pfld", np.ones((4, 6))), _M22),
+            IngestionError,
+            r"six\.pfld: field has 6 components, expected 3",
+        ),
+        (
+            lambda tmp: sample_stiffness(Laminate(2, 0.5, (P_SOFT, P_STIFF)), _M22),
+            GeometryError,
+            r"laminate axis 2 is not in 0\.\.1",
+        ),
+        (
+            lambda tmp: Inclusion("ellipse", [1.0, -0.5], [0.0, 0.0], 0.0, P_STIFF, P_SOFT),
+            GeometryError,
+            "semi-axes must be 2 positive numbers",
+        ),
+        (
+            lambda tmp: Inclusion("ellipse", [0.3, 0.2], [0.0, 0.0, 0.0], 0.0, P_STIFF, P_SOFT),
+            GeometryError,
+            "semi-axes must be 3 positive numbers",
+        ),
+        (
+            lambda tmp: Inclusion("ellipse", [0.3, 0.2, 0.1], [0.0, 0.0, 0.0], 0.3, P_STIFF, P_SOFT),
+            GeometryError,
+            "rotation is only supported for planar ellipses",
+        ),
+        (
+            lambda tmp: HashinEllipses([0.3, 0.2], [0.5, 0.4], [0.0, 0.0, 0.0], 0.0, P_SOFT, P_STIFF, P_SOFT),
+            GeometryError,
+            r"planar \(d = 2\)",
+        ),
+        (
+            lambda tmp: HashinEllipses([0.3, 0.2, 0.1], [0.5, 0.4], [0.0, 0.0], 0.0, P_SOFT, P_STIFF, P_SOFT),
+            GeometryError,
+            "two semi-axes each",
+        ),
+        (lambda tmp: VoxelMap([[0, 1.5], [1, 0]], [P_SOFT, P_STIFF]), GeometryError, "integer phase ids"),
+        (
+            lambda tmp: laminate_reference(_LAYERS, PatternMatrix.from_any([[4]]), [1.0]),
+            DomainError,
+            r"d in \(2, 3\)",
+        ),
+        (
+            lambda tmp: laminate_reference(Laminate(2, 0.5, (P_SOFT, P_STIFF)), _M22, [1.0, 0.0, 0.0]),
+            GeometryError,
+            r"laminate axis 2 is not in 0\.\.1",
+        ),
+        (
+            lambda tmp: laminate_reference(_LAYERS, _M22, [1.0, 0.0]),
+            ShapeError,
+            "macroscopic strain does not match the spatial dimension",
+        ),
+        (
+            lambda tmp: write_field(tmp / "f.pfld", _M22, np.ones((4, 3)), 2),
+            DomainError,
+            "domain flag must be 0 or 1, got 2",
+        ),
+    ],
+    ids=[
+        "sampling-mode",
+        "subsamples",
+        "missing-field",
+        "not-pfld",
+        "pfld-version",
+        "action-length",
+        "strain-components",
+        "laminate-axis",
+        "negative-semi-axis",
+        "semi-axes-length",
+        "rotation-3d",
+        "hashin-3d",
+        "hashin-semi-axes",
+        "voxel-grid",
+        "laminate-reference-1d",
+        "laminate-reference-axis",
+        "laminate-reference-eps0",
+        "domain-flag",
+    ],
+)
+def test_input_checks(tmp_path, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path)
+    assert not (tmp_path / "f.pfld").exists()  # write_field checks before it opens the file

@@ -46,6 +46,12 @@ class TestPatternMatrix:
         with pytest.raises(RegularityError):
             PatternMatrix.from_any([[1.5, 0], [0, 1]])
 
+    @pytest.mark.parametrize("rows", [[[2**31, 0], [0, 1]], [[1, 0], [0, -(2**31)]], [[1, 0, 0], [0, 1, 0], [0, 2**40, 1]]])
+    def test_rejects_entries_beyond_the_integer_range(self, rows):
+        # |entry| >= 2^31 could overflow the int64 residue arithmetic
+        with pytest.raises(RegularityError, match="exceed the supported integer range"):
+            PatternMatrix.from_any(rows)
+
     def test_adjugate_identity(self):
         rng = np.random.default_rng(7)
         for d in (1, 2, 3):

@@ -333,6 +333,81 @@ class TestFixedPointConjugateGradients:
         assert not rep.converged and rep.iterations == 2
         assert rep.residuals[1] == rep.residuals[0] and field_norm(rep.strain) == 0.0
 
+    @pytest.mark.parametrize("value", [0.0, -1e-30], ids=["zero", "negative"])
+    @pytest.mark.parametrize("run", [ls_fixed_point, ve_krylov], ids=["ls", "ve"])
+    def test_nonpositive_inner_product_stops_unconverged(self, monkeypatch, run, value):
+        # <r, r> <= 0 right after the initial refresh: no step to restart from, so the solve ends, without a division
+        M = PatternMatrix.from_any([[12, 3], [0, 12]])
+        C = _random_two_phase(np.random.default_rng(58), M, 4.0)
+        C0 = iso_stiffness(2.5, 2.5, 2)
+        G = periodized_green(C0, orthonormalize(bspline_rule(M, 2)))  # LS runs the pre-image loop, VE the strain loop
+        for loop in (solver._StrainLoop, solver._PreImageLoop):
+            monkeypatch.setattr(loop, "inner", lambda self: value)
+        rep = run(C, C0, EPS0, G, SolverConfig(tolerance=1e-8))
+        assert not rep.converged and rep.iterations == 2
+        assert rep.residuals[1] == rep.residuals[0] and field_norm(rep.strain) == 0.0
+
+    @pytest.mark.parametrize("run", [ls_fixed_point, ve_krylov], ids=["ls", "ve"])
+    def test_lost_direction_after_a_step_restarts_from_a_refresh(self, monkeypatch, run):
+        # <r, r> = 0 at iteration 4, two steps after the initial refresh: a float64 refresh, then beta = 0
+        M = PatternMatrix.from_any([[12, 3], [0, 12]])
+        C = _random_two_phase(np.random.default_rng(58), M, 4.0)
+        C0 = iso_stiffness(2.5, 2.5, 2)
+        G = periodized_green(C0, orthonormalize(bspline_rule(M, 2)))
+        cfg = SolverConfig(tolerance=1e-8)
+        plain = run(C, C0, EPS0, G, cfg)
+        events = []
+        for loop in (solver._StrainLoop, solver._PreImageLoop):
+
+            def inner(self, inner=loop.inner):
+                events.append("inner")
+                return 0.0 if events.count("inner") == 3 else inner(self)
+
+            def refresh(self, initial=False, refresh=loop.refresh):
+                events.append("refresh")
+                return refresh(self, initial)
+
+            def direction(self, beta, direction=loop.direction):
+                events.append(beta)
+                return direction(self, beta)
+
+            for name, step in (("inner", inner), ("refresh", refresh), ("direction", direction)):
+                monkeypatch.setattr(loop, name, step)
+        rep = run(C, C0, EPS0, G, cfg)
+        # initial refresh, two steps (beta 0, then positive), the lost direction, its refresh, and beta = 0 again
+        assert events[:9] == ["refresh", "inner", 0.0, "inner", events[4], "inner", "refresh", "inner", 0.0]
+        assert events[4] > 0.0
+        assert rep.converged and rep.residual_refreshes == events.count("refresh") - 1  # all but the initial one
+        assert field_norm(rep.strain - plain.strain) / field_norm(plain.strain) <= 10 * cfg.tolerance
+
+
+class TestLostDirectionRestart:
+    """LS solves on pre-image tables whose float32 search direction is lost: each restarts and converges."""
+
+    # pattern, generator, field seed, contrast of the second phase to (0.5, 0.4), C0 = iso(*reference), tolerance
+    CASES = {
+        "zero-inner-product": ([[8, 16], [-16, 8]], lambda M: dlvp_rule(M, [0.4, 0.3]), 8001, 100.0, (0.5, 0.4), 1e-9),
+        "soft-dlvp": ([[16, 0], [0, 16]], lambda M: dlvp_rule(M, [0.4, 0.3]), 101, 0.01, (2.75, 2.2), 1e-6),
+        "soft-bspline1": ([[16, 0], [0, 16]], lambda M: bspline_rule(M, 1), 101, 0.01, (2.75, 2.2), 1e-6),
+    }
+
+    @pytest.mark.parametrize("rows, factory, seed, contrast, reference, tol", CASES.values(), ids=CASES.keys())
+    def test_converges(self, rows, factory, seed, contrast, reference, tol):
+        # the first case had <r, r> reach -5.7e-16 and then exactly 0; the others stopped on a nonpositive curvature
+        M = PatternMatrix.from_any(rows)
+        ids = np.random.default_rng(seed).integers(0, 2, M.m)
+        C = np.where(ids[:, None] == 0, [0.5, 0.4], [0.5 * contrast, 0.4 * contrast])
+        C0 = iso_stiffness(*reference, 2)
+        eps0 = np.array([1.0, 0.3, 0.2])
+        G = periodized_green(C0, factory(M))
+        cfg = SolverConfig(tolerance=tol, max_iterations=600)
+        rep = ls_fixed_point(C, C0, eps0, G, cfg)
+        assert rep.converged and true_residual(rep.strain, C, C0, eps0, G) <= tol
+        if seed == 8001:
+            oracle = float64_conjugate_gradients(C, C0, eps0, G, cfg)
+            assert oracle.converged
+            assert field_norm(rep.strain - oracle.strain) / field_norm(oracle.strain) <= 10 * tol
+
 
 class TestSinglePrecisionIteration:
     """The single-precision CG with float64 refreshes against the float64 loop it replaced."""
@@ -753,6 +828,27 @@ class TestStrainLoopRefreshes:
 
 class TestInputContract:
     """Inputs that the iteration would misread are rejected before it starts, under both schemes."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda C, C0, G: ls_fixed_point(C, C0[:2, :2], EPS0, G), r"reference stiffness must have shape \(3, 3\)"),
+            (lambda C, C0, G: ve_krylov(C, C0[None], EPS0, G), r"reference stiffness must have shape \(3, 3\)"),
+            (lambda C, C0, G: ls_fixed_point(C, C0, np.ones((1, 3)), G), r"macroscopic strain must have shape \(3,\)"),
+            (lambda C, C0, G: ve_krylov(C, C0, EPS0[:2], G), r"macroscopic strain must have shape \(3,\)"),
+            (lambda C, C0, G: error_metrics(None, ref_effective_action=EPS0), "effective action required"),
+            (
+                lambda C, C0, G: error_metrics(None, effective_action=EPS0[:2], ref_effective_action=EPS0),
+                "effective actions have mismatched shapes",
+            ),
+        ],
+        ids=["ls-reference", "ve-reference", "ls-strain", "ve-strain", "missing-action", "action-shape"],
+    )
+    def test_shape_checks(self, call, message):
+        M = PatternMatrix.from_any([[8, 0], [0, 8]])
+        C0 = iso_stiffness(1.5, 1.5, 2)
+        with pytest.raises(ShapeError, match=message):
+            call(_checkerboard(M), C0, compatible_green(C0, dirichlet_rule(M)))
 
     @staticmethod
     def _inclusion(factory):

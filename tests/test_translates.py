@@ -15,7 +15,7 @@ from spectralhom import (
     period_shifts,
     periodized_green,
 )
-from spectralhom.errors import DegenerateGeneratorError, DomainError
+from spectralhom.errors import DegenerateGeneratorError, DomainError, ShapeError
 from spectralhom.translates import _BSPLINE_MAX_ORDER, CoefficientRule
 
 from oracles import bracket_sum, bspline_axis_sum, random_regular_matrix
@@ -374,10 +374,13 @@ class TestOrthonormalize:
         assert np.abs(vals - 1.0 / np.sqrt(M44.m)).max() < 1e-15
 
     def test_idempotent(self):
-        rule = orthonormalize(dlvp_rule(M44, [0.4, 0.6]))
-        again = orthonormalize(rule)
+        # an orthonormal rule is the raw rule flagged: orthonormalising it again changes no bit
         ks = np.array([[i, j] for i in range(-6, 7) for j in range(-6, 7)])
-        assert np.abs(rule.coefficients(ks) - again.coefficients(ks)).max() < 1e-14
+        for raw in (dirichlet_rule(M44), dlvp_rule(M44, [0.4, 0.6]), bspline_rule(M44, 2)):
+            rule = orthonormalize(raw)
+            again = orthonormalize(rule)
+            assert again.orthonormal and np.array_equal(rule.coefficients(ks), again.coefficients(ks))
+            assert np.array_equal(rule.class_scale, again.class_scale) and raw.class_scale is None
 
     def test_degenerate_generator_rejected(self):
         # no generator of the three families leaves a class sum at zero, so
@@ -395,3 +398,12 @@ class TestOrthonormalize:
         broken.class_sums = patched
         with pytest.raises(DegenerateGeneratorError):
             orthonormalize(broken)
+
+
+@pytest.mark.parametrize("length", [1, 3])
+@pytest.mark.parametrize("factory", [dirichlet_rule, lambda M: dlvp_rule(M, [0.4, 0.6]), lambda M: bspline_rule(M, 2)])
+def test_coefficients_reject_frequency_vectors_of_the_wrong_length(factory, length):
+    rule = factory(M44)
+    for k in (np.ones(length, dtype=np.int64), np.ones((5, length), dtype=np.int64)):
+        with pytest.raises(ShapeError, match="expected frequency vectors of length 2"):
+            rule.coefficients(k)
