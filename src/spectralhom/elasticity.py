@@ -91,7 +91,7 @@ table and complex fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -419,11 +419,7 @@ def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None 
     floor = 1 if support is None else support  # a B-spline's class sums need at least one period
     if periods < floor:
         raise DomainError(f"truncation below the rule's floor ({floor} periods)")
-    real = rule.conjugate_symmetric
-    # the class of h = 0 comes first among the stored classes and keeps a zero
-    # entry, so no accumulated frequency is zero; a full table keeps a slice
-    kept = fft_plan(M, real).classes[1:] if real else slice(1, None)
-    freqs = frequency_set(M).freqs[kept].T.astype(np.float64)
+    kept, freqs = _stored_classes(rule)
     factors = rule.axis_factors(periods, kept)
     factors **= 2  # in place: squared coefficient factors
     class_weight = 1.0 / np.prod(rule.class_sums(kept)[0], axis=0)  # w(h)
@@ -461,8 +457,6 @@ def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None 
         share[cls] += weight.sum(axis=0, out=_workspace_view(work, "share", (shape[1],)))
         return np.add(freqs[:, None, cls], offsets[:, sh, None], out=_workspace_view(work, "k", (d,) + shape)), weight
 
-    if support == 0:  # G0(h) alone: ``compatible_green``'s bits, which a pass without h = 0 can miss by an ulp
-        return replace(compatible_green(C0, rule), periods=periods, shifts=int(summed.sum()))
     table = _packed_rows(d, n + 1)
     _green_rows(C0, d, table[:, 1:], taps.shape[1], shifted)
     table[:, 1:] *= class_weight
@@ -481,30 +475,41 @@ def compatible_green(C0: np.ndarray, rule: CoefficientRule) -> GreenTable:
     it: ``rule`` may be raw or orthonormalised, and both give the same bits.
     Each class matrix is a C0-projector, or zero where mu_h = 0 (as at
     h = 0); there is no class sum, no ``periods`` and no tail.  At support 0
-    mu_h = h, taken without evaluating the shift: ``periodized_green`` takes
-    this table.  Conjugate-symmetric rules keep the real half table.  The
-    table is ``_green_rows``'s case of one term of weight one per class, its
-    frequency the class mean, which each pass forms for its block of
-    classes; the build holds the table and one pass of temporaries.
+    mu_h = h, taken without evaluating the shift.  Conjugate-symmetric rules
+    keep the real half table.  The table is ``_green_rows``'s case of one
+    term of weight one per class, its frequency the class mean, which each
+    pass forms for its block of classes; the build holds the table and one
+    pass of temporaries, in ``periodized_green``'s columns.
     """
     M = rule.matrix
     C0 = _check_reference(C0, M.d)
-    real = rule.conjugate_symmetric
-    freqs = frequency_set(M).freqs
-    stored = fft_plan(M, real).classes if real else None  # a full table reads its classes through slices
+    kept, freqs = _stored_classes(rule)
 
     def class_means(cls: slice, sh: slice, work: dict) -> tuple:
-        kept = cls if stored is None else stored[cls]
         if rule.support_periods == 0:  # the class sums run over t = 0 alone: the shift is zero
-            return freqs[kept].T.astype(np.float64)[:, None], None
-        return (freqs[kept].T + M.array.T @ rule.class_mean_shift(kept))[:, None], None
+            return freqs[:, None, cls], None
+        where = kept[cls] if rule.conjugate_symmetric else slice(cls.start + 1, cls.stop + 1)
+        return (freqs[:, cls] + M.array.T @ rule.class_mean_shift(where))[:, None], None
 
-    table = _green_rows(C0, M.d, _packed_rows(M.d, M.m if stored is None else len(stored)), 1, class_means)
+    table = _packed_rows(M.d, freqs.shape[1] + 1)
+    _green_rows(C0, M.d, table[:, 1:], 1, class_means)
     return _green_table(rule, C0, table)
 
 
+def _stored_classes(rule: CoefficientRule) -> tuple:
+    """Canonical positions and float frequency rows (d, n) of the classes that ``rule``'s table stores after h = 0.
+
+    Column 0 holds h = 0 and stays zero, so no frequency a build evaluates is
+    zero; a full table's positions are a slice, read without a gather.
+    """
+    M = rule.matrix
+    real = rule.conjugate_symmetric
+    kept = fft_plan(M, real).classes[1:] if real else slice(1, None)
+    return kept, frequency_set(M).freqs[kept].T.astype(np.float64)
+
+
 def _green_table(rule: CoefficientRule, C0: np.ndarray, table: np.ndarray, periods=None, shifts=None, tail=0.0):
-    """``table``, made read-only, as ``rule``'s GreenTable for the checked ``C0``: compatible without periods."""
+    """``table``, made read-only, as ``rule``'s GreenTable for the checked ``C0``: compatible without periods or support."""
     table.setflags(write=False)
     return GreenTable(
         matrix=rule.matrix,
@@ -514,6 +519,6 @@ def _green_table(rule: CoefficientRule, C0: np.ndarray, table: np.ndarray, perio
         shifts=shifts,
         tail_estimate=tail,
         real=rule.conjugate_symmetric,
-        compatible=periods is None,
+        compatible=periods is None or rule.support_periods == 0,
         reference=C0,
     )

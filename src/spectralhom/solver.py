@@ -67,20 +67,18 @@ every ``ve_krylov`` solve, and the Dirichlet and dlvp(0, ..., 0) tables of
 ``ls_fixed_point``), G C0 G = G makes C0 x a pre-image of x, and CG runs on
 the strain itself: its state is E, the residual r, the direction p and the
 strain increment, <r, r> is Re (C0 r)^H r and the curvature <p, A p> is
-Re (C0 p)^H A p.  That loop spends float64 work only where single precision
-needs it.  Once the tolerance lies within a fall of sqrt(eps)^(3/2) of the
-last refreshed residual, the next refresh comes at the tolerance itself.  A
-refresh projects the flushed strain back on the range of G, E <- G C0 E,
-only when the float32 rounding of the increment, amplified by the unit
-contrast, could reach the tolerance.  Its residual G((C0 - C)(E + eps0)) - E
-is the fixed-point residual of E, on the range of G or not.  On any other
-table the residual and direction
-carry pre-images zeta and pi, the strain its pre-image zeta_E, E = G zeta_E,
-in double precision, and <r, r> is Re zeta^H r.  The single-precision
-recurrences cannot resolve a pre-image whose part in the null space of G
-dwarfs its image, so there pre-images drop that part where it is cheap: the
-per-step update subtracts the mean, which G annihilates, and each refresh
-puts C0 r in the classes that are C0-projectors.
+Re (C0 p)^H A p.  Once the tolerance lies within a fall of sqrt(eps)^(3/2)
+of the last refreshed residual, the next refresh of that loop comes at the
+tolerance itself.  Each of its refreshes projects the flushed strain back
+on the range of G, E <- G C0 E, and forms the fixed-point residual
+G((C0 - C)(E + eps0)) - E of the projected strain.  On any other table the
+residual and direction carry pre-images zeta and pi, the strain its
+pre-image zeta_E, E = G zeta_E, in double precision, and <r, r> is
+Re zeta^H r.  The single-precision recurrences cannot resolve a pre-image
+whose part in the null space of G dwarfs its image, so there pre-images
+drop that part where it is cheap: the per-step update subtracts the mean,
+which G annihilates, and each refresh puts C0 r in the classes that are
+C0-projectors.
 
 Every phase is isotropic, so the stiffness is one Lame pair (lambda, mu)
 per node, an (m, 2) array.  With C0 = iso(lambda0, mu0) + R split exactly
@@ -89,13 +87,17 @@ per node, an (m, 2) array.  With C0 = iso(lambda0, mu0) + R split exactly
 sign the residual's pre-image needs, so no negation pass is made), in
 float64 for the refreshes and float32 for the iterations, and adds R x only
 when R has a nonzero entry.  A refresh costs one float64 stiffness product
-and one convolution for the residual, and one more where it projects the
-strain or rebuilds it from its pre-image.  The effective action of its
+and two convolutions: one projects the strain or rebuilds it from its
+pre-image, one forms the residual.  The effective action of its
 strain is read off that product, mean(dC (E + eps0)) + C0 (mean E + eps0),
 so the action needs no pass over C of its own.
 Iteration 1 is the first refresh, at E = 0: it skips the convolution forming
 E and takes b from the real products -dC eps0.  ``SolveReport.green_convolutions``
-counts the convolutions the solve ran in each precision.
+counts the convolutions the solve ran in each precision: one float64
+convolution at iteration 1 and two at each refresh, and one single-precision
+convolution in each later iteration that forms a direction.  A loading whose
+largest entry lies below 1/2 is solved scaled up by a power of two, exactly,
+so that the float64 norms, which square its entries, do not underflow.
 
 Iterates are component-major (D, m) fields (FFTs over the trailing Smith
 axes, pointwise products as row operations); the Lame pairs (m, 2) and the
@@ -134,7 +136,6 @@ __all__ = [
 LOG_ERROR_FORMS = ("difference", "sum")
 _SPATIAL_DIM = {3: 2, 6: 3}  # Mandel dimension D -> spatial dimension d of the elasticity solvers
 _ELLIPTIC_FLOOR = 1e-12  # smallest admissible nodal eigenvalue, relative to the largest diagonal entry
-_EPS32 = float(np.finfo(np.float32).eps)  # the unit rounding of the single-precision iterations
 _REFRESH_FALL = float(np.sqrt(np.finfo(np.float32).eps))  # recurred-residual fall that calls a float64 refresh
 _DRIFT_RESTART = 2.0  # a refreshed residual over this multiple of max(recurred, tol) is drift, not rounding: restart
 
@@ -313,8 +314,7 @@ class _UnitLoop:
     ||eps0|| max|C0|, so its stiffness rows are divided by max|C0| and its
     Green table multiplied by it.  A loop holds the float64 strain ``E``,
     the single-precision residual ``r`` and direction ``p``, the effective
-    ``action`` of ``E`` read off its last refresh and the Green
-    ``convolutions`` it ran in each precision; ``refresh``, ``inner``,
+    ``action`` of ``E`` read off its last refresh; ``refresh``, ``inner``,
     ``direction`` and ``advance`` are the steps that ``_conjugate_gradients``
     runs, and ``next_refresh`` its refresh schedule.
     """
@@ -335,7 +335,6 @@ class _UnitLoop:
         self.single = np.float32 if G.real else np.complex64
         self.spectrum = (len(eps0), G.table.shape[-1])
         self.action = None
-        self.convolutions = {"single": 0, "double": 0}
 
     def next_refresh(self, fresh: float, tolerance: float) -> float:
         """The recurred residual that calls the refresh after one at float64 residual ``fresh``.
@@ -344,11 +343,6 @@ class _UnitLoop:
         of ``fresh``, and a fall of ``_REFRESH_FALL`` otherwise.
         """
         return tolerance if tolerance >= self.reach * fresh else _REFRESH_FALL * fresh
-
-    def convolve(self, G: GreenTable, tau: np.ndarray, out: np.ndarray, spectra: tuple) -> np.ndarray:
-        """``_green_convolve`` on the float64 table ``self.G`` or the single-precision ``self.G1``, counted."""
-        self.convolutions["single" if G is self.G1 else "double"] += 1
-        return _green_convolve(G, tau, out=out, spectra=spectra)
 
     def stiffness_product(self, out: np.ndarray, total: np.ndarray | None = None) -> np.ndarray:
         """-dC (E + eps0) into ``out``, from ``total`` = E + eps0 (None at E = 0), and the action of E read off it.
@@ -378,19 +372,15 @@ class _StrainLoop(_UnitLoop):
     the iterations carve their fields dC p and q from ``work`` and their two
     complex64 spectra from ``hat``.
 
-    Its float64 work goes only where single precision needs it.  A fall of
-    ``reach`` = _REFRESH_FALL^(3/2) = eps^(3/4) from a refresh to the
-    tolerance is recurred in single precision: the recurred residual tracks
-    the true one to about eps times the refreshed residual, which leaves the
-    recurrence's amplification a margin of eps^(-1/4), about 54.  A refresh
-    projects the flushed strain on the range of G only when the float32
-    rounding of the increment, amplified by the unit contrast, could reach the
-    tolerance.
+    A fall of ``reach`` = _REFRESH_FALL^(3/2) = eps^(3/4) from a refresh to
+    the tolerance is recurred in single precision: the recurred residual
+    tracks the true one to about eps times the refreshed residual, which
+    leaves the recurrence's amplification a margin of eps^(-1/4), about 54.
     """
 
     reach = _REFRESH_FALL**1.5
 
-    def __init__(self, *args, tolerance: float):
+    def __init__(self, *args):
         super().__init__(*args)
         E, single = self.E, self.single
         self.C1 = self.G1.reference.astype(np.float32)
@@ -399,34 +389,26 @@ class _StrainLoop(_UnitLoop):
         self.work, self.hat = (np.empty(self.spectrum, np.complex128) for _ in range(2))
         self.scratch, self.q = (_carve(self.work, single, E.shape, part) for part in (0, 1))
         self.spectra = tuple(_carve(self.hat, np.complex64, self.spectrum, part) for part in (0, 1))
-        self.tolerance = tolerance
-        self.amplification = 1.0 + float(np.abs(self.dC1).max())  # 1 + max|dC| in the unit problem
 
     def refresh(self, initial: bool = False) -> float:
-        """Flush dE into E and return the float64 residual of E, cast into r.
+        """Flush dE into E, project it and return the float64 residual of E, cast into r.
 
-        The residual is r64 = G((C0 - C)(E + eps0)) - E, the residual of the
-        fixed-point equation for E: b - A E on the range of G, where
-        G C0 E = E (b itself at E = 0, the ``initial`` refresh).  Before it,
-        E <- G C0 E drops the part of the flushed strain outside the range of
-        G, but only when eps (1 + max|dC|) ||dE||, a bound on what that part
-        adds to the residual, exceeds the tolerance.  Each transform's input
-        and output lie in different buffers: an overlapping real transform
-        copies its input.
+        E <- G C0 E drops the part of the flushed strain that rounding put
+        outside the range of G, where G C0 E = E.  The residual is then
+        r64 = G((C0 - C)(E + eps0)) - E = b - A E (b itself at E = 0, the
+        ``initial`` refresh).  Each transform's input and output lie in
+        different buffers: an overlapping real transform copies its input.
         """
         E = self.E
         field, product = (_carve(buffer, E.dtype, E.shape) for buffer in (self.work, self.hat))
         if initial:
             product = self.stiffness_product(product)
         else:
-            project = _EPS32 * self.amplification * field_norm(self.dE.T) > self.tolerance
             E += np.multiply(self.dE, self.scale, out=field, dtype=E.dtype)
             self.dE.fill(0.0)
-            if project:
-                C0E = np.matmul(self.G.reference, E, out=field)
-                self.convolve(self.G, C0E, out=E, spectra=(self.hat, self.work))
+            _green_convolve(self.G, np.matmul(self.G.reference, E, out=field), out=E, spectra=(self.hat, self.work))
             product = self.stiffness_product(product, np.add(E, self.eps0[:, None], out=field))
-        r64 = self.convolve(self.G, product, out=field, spectra=(self.work, self.hat))
+        r64 = _green_convolve(self.G, product, out=field, spectra=(self.work, self.hat))
         if not initial:
             r64 -= E
         np.multiply(r64, 1.0 / self.scale, out=self.r, casting="same_kind")
@@ -450,7 +432,7 @@ class _StrainLoop(_UnitLoop):
         p *= beta
         p += self.r
         dCp = apply_stiffness(self.dC1, p, remainder=self.R1, out=self.scratch)
-        q = self.convolve(self.G1, dCp, out=self.q, spectra=self.spectra)
+        q = _green_convolve(self.G1, dCp, out=self.q, spectra=self.spectra)
         q += p
         return float(np.vdot(np.matmul(self.C1, p, out=self.scratch), q).real)
 
@@ -501,13 +483,13 @@ class _PreImageLoop(_UnitLoop):
             np.multiply(self.dzeta_E, self.stress_unit, out=E, dtype=E.dtype)  # E is rebuilt below
             np.add(zeta_E, E, out=zeta_E)
             self.dzeta_E.fill(0.0)
-            self.convolve(self.G, zeta_E, out=E, spectra=(zeta_hat, self.r_hat))
+            _green_convolve(self.G, zeta_E, out=E, spectra=(zeta_hat, self.r_hat))
             total = np.add(E, self.eps0[:, None], out=_carve(zeta_hat, E.dtype, E.shape))
             zeta64 = self.stiffness_product(self.field, total)
             zeta64 -= zeta_E
         # the transform of zeta stays in zeta_hat where the pre-image is formed class by class
         r64 = self.field if self.projector is not None else _carve(zeta_hat, E.dtype, E.shape)
-        r64 = self.convolve(self.G, zeta64, out=r64, spectra=(zeta_hat, self.r_hat))
+        r64 = _green_convolve(self.G, zeta64, out=r64, spectra=(zeta_hat, self.r_hat))
         np.multiply(r64, 1.0 / self.scale, out=self.r, casting="same_kind")
         residual = field_norm(r64.T) / self.scale
         if self.projector is not None:
@@ -530,7 +512,7 @@ class _PreImageLoop(_UnitLoop):
         pi *= beta
         pi += self.zeta
         self.dCp = apply_stiffness(self.dC1, p, remainder=self.R1, out=self.dCp)
-        self.q = self.convolve(self.G1, self.dCp, out=self.q, spectra=self.spectra)
+        self.q = _green_convolve(self.G1, self.dCp, out=self.q, spectra=self.spectra)
         return float(np.vdot(pi, p).real) + float(np.vdot(p, self.dCp).real)
 
     def advance(self, alpha: float) -> None:
@@ -556,22 +538,26 @@ def _conjugate_gradients(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None, s
     cfg = cfg or SolverConfig()
     C, C0, eps0 = _validate_problem(C, C0, eps0, G)
     contrast, remainder = _stiffness_rows(C, C0)  # -dC = C0 - C, as ``apply_stiffness`` takes it
-    if np.linalg.norm(eps0) == 0.0:
+    if not eps0.any():
         E = np.zeros((len(eps0), G.m), dtype=np.float64 if G.real else np.complex128)
         return SolveReport(E.T, 0, (0.0,), np.zeros(len(eps0)), True, scheme)
+    # a loading with max|eps0| < 1/2 is solved exactly scaled up by 2^-exponent: the float64 norms square its entries
+    exponent = min(math.frexp(float(np.abs(eps0).max()))[1], 0)
+    eps0 = np.ldexp(eps0, -exponent)
     projector = G.projector_classes()
     if projector.all():
-        loop = _StrainLoop(contrast, remainder, eps0, G, tolerance=cfg.tolerance)
+        loop = _StrainLoop(contrast, remainder, eps0, G)
     else:
         loop = _PreImageLoop(contrast, remainder, eps0, G, projector=projector)
     residuals = [loop.refresh(initial=True)]  # iteration 1 forms b = -G dC eps0
-    iterations, refreshes, steps = 1, 0, 0  # steps: iterations since the last refresh
+    iterations, refreshes, steps, directions = 1, 0, 0, 0  # steps: iterations since the last refresh
     target = loop.next_refresh(residuals[-1], cfg.tolerance)
     rs = math.inf  # beta = 0 on the first step
     while residuals[-1] > cfg.tolerance and np.isfinite(residuals[-1]) and iterations < cfg.max_iterations:
         rs_next = loop.inner()
         iterations += 1
-        curvature = loop.direction(rs_next / rs) if rs_next > 0.0 else 0.0  # <r, r> <= 0 loses the direction too
+        directions += rs_next > 0.0  # <r, r> <= 0 loses the direction too
+        curvature = loop.direction(rs_next / rs) if rs_next > 0.0 else 0.0
         lost = steps > 0 and -np.inf < curvature <= 0.0  # a lost direction after a step: restart from a refresh
         if not (0.0 < curvature < np.inf or lost):
             residuals.append(residuals[-1] if curvature <= 0.0 else float("nan"))
@@ -592,15 +578,17 @@ def _conjugate_gradients(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None, s
     if steps:  # stopped between refreshes: the returned strain and the last residual come from one
         residuals[-1] = loop.refresh()
         refreshes += 1
+    if exponent:
+        loop.E *= math.ldexp(1.0, exponent)
     return SolveReport(
         strain=loop.E.T,
         iterations=iterations,
         residuals=tuple(residuals),
-        effective_action=loop.action,
+        effective_action=np.ldexp(loop.action, exponent),
         converged=residuals[-1] <= cfg.tolerance,
         scheme=scheme,
         residual_refreshes=refreshes,
-        green_convolutions=loop.convolutions,
+        green_convolutions={"single": directions, "double": 1 + 2 * refreshes},
     )
 
 
@@ -618,10 +606,10 @@ def ls_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) 
     (see the module notes).  Iteration 1 is a refresh at E = 0 that forms b;
     every later one costs one single-precision stiffness product dC p and
     Green convolution, and each of the ``residual_refreshes`` (see the
-    module notes) one float64 stiffness product and one convolution, plus
-    one where it projects the strain (on a table of C0-projectors, only
-    where float32 rounding could reach the tolerance) or rebuilds it from
-    its pre-image (on any other table).  It stops when the relative nodal residual ||E + G(dC (E + eps0))|| / ||eps0||,
+    module notes) one float64 stiffness product and two convolutions: one
+    projects the strain (on a table of C0-projectors) or rebuilds it from
+    its pre-image (on any other table), one forms the residual.  It stops
+    when the relative nodal residual ||E + G(dC (E + eps0))|| / ||eps0||,
     recomputed in float64, drops below the tolerance.  A nonpositive <r, r>
     or curvature restarts CG from a float64 refresh; right after a refresh it
     ends the solve unconverged, as a non-finite residual or curvature does,

@@ -1,4 +1,4 @@
-"""Iterations and refreshes of both schemes over two grids of small problems, to compare two builds.
+"""Iterations and refreshes of both schemes over three grids of small problems, to compare two builds.
 
 Not collected by pytest.  Each solve runs with the ``spectralhom`` on the
 path, so two checkouts are compared by running the scan under each and then
@@ -8,10 +8,10 @@ comparing the two outputs:
     PYTHONPATH=../parent/src python tests/scans/refresh_scan.py --out parent.json
     python tests/scans/refresh_scan.py --compare parent.json change.json
 
-Every problem is a seeded random two-phase field (phases (0.5, 0.4) and its
-multiple by 100, 0.01 and 10) on a 2-D pattern, with eps0 (1, 0.3, 0.2),
+Two grids solve seeded random two-phase fields (phases (0.5, 0.4) and its
+multiple by 100, 0.01 and 10) on 2-D patterns, with eps0 (1, 0.3, 0.2),
 references iso(0.5, 0.4) and iso(2.75, 2.2), tolerances 1e-6 and 1e-9, and
-a cap of 600 iterations.  Two grids run in one process:
+a cap of 600 iterations:
 
 * ``refresh``: 5 patterns x 5 generators (Dirichlet, dlvp (0.4, 0.3),
   bspline 1-3) x 3 fields (seed 100 p + c for pattern p and contrast c) x
@@ -21,6 +21,15 @@ a cap of 600 iterations.  Two grids run in one process:
   (dlvp (0.4, 0.3), (0.4, 0), (0.2, 0.6), (0.8, 0.8), bspline 3 and 4) x
   6 fields (seeds 1000 s + 10 p + (contrast > 1), s in {7, 8}) x
   2 references x 2 tolerances: 864 solves.
+
+A third grid, ``contrast``, solves an ellipse inclusion (semi-axes
+(1.2, 1.0), rotation 0.3) of phase c (0.5, 0.4) in a (0.5, 0.4) matrix, with
+C0 = iso((1 + c)/2 (0.5, 0.4)), eps0 (1, 0.3, 0.2), tolerance 1e-8 and a
+cap of 3000 iterations: VE alone on the compatible table, 4 patterns
+(diag(32, 32), [[32, 12], [0, 32]], diag(64, 64), [[48, 20], [0, 48]]) x
+4 generators (Dirichlet, dlvp (0.4, 0.4), bspline 1 and 2) x c in
+{1e4, 1e-4, 1e3, 1e-3} x 2 centres ((0.2, -0.3), (-0.7, 0.4)): 128 solves.
+All three grids run in one process.
 
 An exception in any solve ends the scan with a traceback.  The comparison
 counts, per grid, the solves that converge under each build, those that
@@ -64,7 +73,7 @@ def _bspline(order):
 
 
 # name -> (patterns, generators, field seeds of pattern p and contrast index c, schemes)
-GRIDS = {
+RANDOM_GRIDS = {
     "refresh": (
         PATTERNS[:5],
         ({"kind": "dirichlet"}, _dlvp(0.4, 0.3), _bspline(1), _bspline(2), _bspline(3)),
@@ -78,13 +87,33 @@ GRIDS = {
         ("ls_fixed_point",),
     ),
 }
+CONTRAST_PATTERNS = ([[32, 0], [0, 32]], [[32, 12], [0, 32]], [[64, 0], [0, 64]], [[48, 20], [0, 48]])
+CONTRAST_GENERATORS = ({"kind": "dirichlet"}, _dlvp(0.4, 0.4), _bspline(1), _bspline(2))
+HIGH_CONTRASTS = (1e4, 1e-4, 1e3, 1e-3)
+CENTRES = ((0.2, -0.3), (-0.7, 0.4))
+GRIDS = (*RANDOM_GRIDS, "contrast")
 
 
-def scan(grid: str) -> list:
+def _groups(grid: str):
+    """The solves of ``grid``, grouped by Green table.
+
+    Yields (pattern rows, generator, reference Lame pair, fields, schemes,
+    tolerances, cap); each field is (label, contrast, Lame pairs (m, 2)).
+    """
     import spectralhom as sh
 
-    patterns, generators, seeds, schemes = GRIDS[grid]
-    rows = []
+    if grid == "contrast":
+        for rows_M, contrast in itertools.product(CONTRAST_PATTERNS, HIGH_CONTRASTS):
+            M = sh.PatternMatrix.from_any(rows_M)
+            phases = sh.IsoPhase(*(contrast * SOFT)), sh.IsoPhase(*SOFT)
+            fields = [
+                (list(centre), contrast, sh.sample_stiffness(sh.Inclusion("ellipse", (1.2, 1.0), centre, 0.3, *phases), M))
+                for centre in CENTRES
+            ]
+            for generator in CONTRAST_GENERATORS:
+                yield rows_M, generator, tuple((1 + contrast) / 2 * SOFT), fields, ("ve_krylov",), (1e-8,), 3000
+        return
+    patterns, generators, seeds, schemes = RANDOM_GRIDS[grid]
     for p, rows_M in enumerate(patterns):
         M = sh.PatternMatrix.from_any(rows_M)
         fields = []
@@ -93,23 +122,31 @@ def scan(grid: str) -> list:
                 ids = np.random.default_rng(seed).integers(0, 2, M.m)
                 fields.append((seed, contrast, np.where(ids[:, None] == 0, SOFT, contrast * SOFT)))
         for generator, reference in itertools.product(generators, REFERENCES):
-            C0 = sh.iso_stiffness(*reference, 2)
-            rule = sh.make_rule(sh.GeneratorSpec.from_json(generator), M)
-            builders = {"ls_fixed_point": sh.periodized_green, "ve_krylov": sh.compatible_green}
-            tables = {scheme: builders[scheme](C0, rule) for scheme in schemes}
-            for (seed, contrast, C), scheme, tol in itertools.product(fields, schemes, TOLERANCES):
-                cfg = sh.SolverConfig(tolerance=tol, max_iterations=CAP, scheme=scheme)
-                rep = getattr(sh, scheme)(C, C0, EPS0, tables[scheme], cfg)
-                rows.append(
-                    {
-                        "key": [grid, rows_M, generator, seed, contrast, list(reference), scheme, tol],
-                        "converged": bool(rep.converged),
-                        "iterations": rep.iterations,
-                        "refreshes": rep.residual_refreshes,
-                        "double_convolutions": dict(rep.green_convolutions)["double"],
-                        "residual": rep.residuals[-1],
-                    }
-                )
+            yield rows_M, generator, reference, fields, schemes, TOLERANCES, CAP
+
+
+def scan(grid: str) -> list:
+    import spectralhom as sh
+
+    builders = {"ls_fixed_point": sh.periodized_green, "ve_krylov": sh.compatible_green}
+    rows = []
+    for rows_M, generator, reference, fields, schemes, tolerances, cap in _groups(grid):
+        C0 = sh.iso_stiffness(*reference, 2)
+        rule = sh.make_rule(sh.GeneratorSpec.from_json(generator), sh.PatternMatrix.from_any(rows_M))
+        tables = {scheme: builders[scheme](C0, rule) for scheme in schemes}
+        for (label, contrast, C), scheme, tol in itertools.product(fields, schemes, tolerances):
+            cfg = sh.SolverConfig(tolerance=tol, max_iterations=cap, scheme=scheme)
+            rep = getattr(sh, scheme)(C, C0, EPS0, tables[scheme], cfg)
+            rows.append(
+                {
+                    "key": [grid, rows_M, generator, label, contrast, list(reference), scheme, tol],
+                    "converged": bool(rep.converged),
+                    "iterations": rep.iterations,
+                    "refreshes": rep.residual_refreshes,
+                    "double_convolutions": dict(rep.green_convolutions)["double"],
+                    "residual": rep.residuals[-1],
+                }
+            )
     return rows
 
 

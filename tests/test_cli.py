@@ -259,13 +259,12 @@ class TestRunSolve:
         spec.loader.exec_module(tracing)
         originals = (cli.run_solve, solver.apply_stiffness, solver._green_convolve)
         # the complex path (Dirichlet laminate: the loop on the strain) and the real path (docs B-spline checkerboard:
-        # the loop with pre-images), with the number of refreshes that run one convolution: the laminate's last
-        # refresh flushes an increment whose float32 rounding lies below the tolerance, so it does not project
+        # the loop with pre-images)
         configs = {
-            False: (_laminate_config(tmp_path), 1),
-            True: (_docs_config(tmp_path, "checkerboard_bspline_solve.json"), 0),
+            False: _laminate_config(tmp_path),
+            True: _docs_config(tmp_path, "checkerboard_bspline_solve.json"),
         }
-        for real, (config, unprojected) in configs.items():
+        for real, config in configs.items():
             tracer = tracing.Tracer()
             try:
                 read_layers = tracing.install(tracer)
@@ -278,8 +277,8 @@ class TestRunSolve:
             assert (cli.run_solve, solver.apply_stiffness, solver._green_convolve) == originals
             assert layers["cli.solves"] == layers["elasticity.green_table_calls"] == 1
             # b and each later iteration run one convolution, and each refresh two (E <- G C0 E, or zeta_E into E, and
-            # the residual) but an unprojected one
-            convolutions = doc["iterations"] + 2 * doc["diagnostics"]["residual_refreshes"] - unprojected
+            # the residual)
+            convolutions = doc["iterations"] + 2 * doc["diagnostics"]["residual_refreshes"]
             assert sum(doc["diagnostics"]["green_convolutions"].values()) == convolutions
             assert layers["solver.operator_applications"] == convolutions
             assert layers["pfft.calls"] == 2 * convolutions

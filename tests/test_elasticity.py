@@ -563,6 +563,10 @@ class TestCompatibleGreen:
             [[3, 1, 0], [0, 3, 1], [0, 0, 5]],
             [[128, 0], [0, 144]],  # 18,432 classes: more than one pass of _CHUNK
             [[4, 1], [0, 3]],  # m = 12, where m (1 / sqrt m)^2 misses 1 by an ulp
+            # stored classes in other columns than the compatible table's gave these 1-ulp differences
+            [[2, 1], [0, 1]],
+            [[3, 2], [0, 1]],
+            [[2, 8], [0, 6]],
         ],
     )
     def test_dirichlet_equals_periodized_table(self, rows, monkeypatch):
@@ -574,9 +578,11 @@ class TestCompatibleGreen:
 
         monkeypatch.setattr(CoefficientRule, "class_mean_shift", no_shift)
         table = compatible_green(C0, dirichlet_rule(M)).table
-        for rule in (dirichlet_rule(M), orthonormalize(dirichlet_rule(M))):
+        plateau = dlvp_rule(M, [0.0] * M.d)  # support 0 too: the same classes and weights
+        for rule in (dirichlet_rule(M), orthonormalize(dirichlet_rule(M)), plateau):
             paper = periodized_green(C0, rule)
             assert paper.compatible and paper.table.tobytes() == table.tobytes()
+            assert compatible_green(C0, rule).table.tobytes() == table.tobytes()
         assert paper.projector_classes().all()
         dlvp = periodized_green(C0, orthonormalize(dlvp_rule(M, [0.4] * M.d)))
         assert not dlvp.compatible
