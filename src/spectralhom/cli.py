@@ -64,11 +64,15 @@ _SWEEP_KEYS = {"axes": ([int], None), "interval": ([float], (0.0, 1.0)), "budget
 
 
 def _stage(name: str, fn, *args, times: dict | None = None, **kwargs):
-    """Run one stage, naming it in any error; its wall seconds go to ``times`` under the snake-cased name."""
+    """Run one stage, naming it in any error; its wall seconds go to ``times`` under the snake-cased name.
+
+    A library error, a refused allocation or an I/O error (a path that is a
+    directory, say) becomes a ConfigError whose message starts with ``name``.
+    """
     start = time.perf_counter()
     try:
         return fn(*args, **kwargs)
-    except (SpectralHomError, MemoryError) as exc:
+    except (SpectralHomError, MemoryError, OSError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
     finally:
         if times is not None:
@@ -268,7 +272,7 @@ def run_solve(config_path) -> tuple[int, dict]:
     report, green = problem.solve()
     metrics = problem.metrics(report)
     doc = _report_dict(problem, report, metrics, green)
-    _write_artifacts(problem, report, metrics, doc)
+    _stage("artifacts", _write_artifacts, problem, report, metrics, doc)
     return (0 if report.converged else 2), doc
 
 
@@ -388,7 +392,7 @@ def sweep_alpha(config_path) -> tuple[int, dict]:
         "timing": {"wall_s": time.perf_counter() - t0},
     }
     if problem.output["sweep_report"]:
-        _output_path(problem, "sweep_report").write_text(_json_text(doc) + "\n")
+        _stage("sweep report", lambda: _output_path(problem, "sweep_report").write_text(_json_text(doc) + "\n"))
     return (0 if all(run["converged"] for run in runs) else 2), doc
 
 

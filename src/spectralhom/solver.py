@@ -46,19 +46,20 @@ loading and unit reference stiffness (strains divided by ||eps0||, stresses
 by ||eps0|| max|C0|, the table multiplied by max|C0|), so the float32 range
 never limits them.  Double precision holds the strain and every convergence
 decision: when the recurred residual has fallen by sqrt(eps) of float32
-since the last refresh, or below the tolerance, a refresh flushes the
-single-precision strain increment into the float64 strain, forms the
-residual by float64 convolutions and re-casts it; the search direction is
-kept (reliable updates, van der Vorst & Ye, SIAM J. Sci. Comput. 2000), or
-restarted from the refreshed residual when that exceeds twice the recurred
-one and the tolerance, which shows the recurrence drifted.  Rounding can
-also lose the search direction: <r, r> or the curvature <p, A p> comes out
-nonpositive.  After a step since the last refresh that too calls a refresh,
-and the next step restarts from it with beta = 0; the same breakdown right
-after a refresh ends the solve unconverged.  So the residual
-history holds single-precision recurred estimates between refreshes, its
-last entry is the float64 residual of the returned strain, and a solve
-converges only on that.
+since the last refresh, or below the tolerance once that lies within a
+fall of sqrt(eps)^(3/2) of the last refreshed residual, a refresh flushes
+the single-precision strain increment into the float64 strain, forms the
+residual by float64 convolutions and re-casts it.  Both loops below keep
+this one schedule.  The search direction is kept (reliable updates, van der
+Vorst & Ye, SIAM J. Sci. Comput. 2000), or restarted from the refreshed
+residual when that exceeds twice the recurred one and the tolerance, which
+shows the recurrence drifted.  Rounding can also lose the search direction:
+<r, r> or the curvature <p, A p> comes out nonpositive.  After a step since
+the last refresh that too calls a refresh, and the next step restarts from
+it with beta = 0; the same breakdown right after a refresh ends the solve
+unconverged.  So the residual history holds single-precision recurred
+estimates between refreshes, its last entry is the float64 residual of the
+returned strain, and a solve converges only on that.
 
 The Green-weighted inner product needs a pre-image z of each image x = G z,
 and the loop is chosen by the table.  Where every stored class is a
@@ -67,9 +68,7 @@ every ``ve_krylov`` solve, and the Dirichlet and dlvp(0, ..., 0) tables of
 ``ls_fixed_point``), G C0 G = G makes C0 x a pre-image of x, and CG runs on
 the strain itself: its state is E, the residual r, the direction p and the
 strain increment, <r, r> is Re (C0 r)^H r and the curvature <p, A p> is
-Re (C0 p)^H A p.  Once the tolerance lies within a fall of sqrt(eps)^(3/2)
-of the last refreshed residual, the next refresh of that loop comes at the
-tolerance itself.  Each of its refreshes projects the flushed strain back
+Re (C0 p)^H A p.  Each of its refreshes projects the flushed strain back
 on the range of G, E <- G C0 E, and forms the fixed-point residual
 G((C0 - C)(E + eps0)) - E of the projected strain.  On any other table the
 residual and direction carry pre-images zeta and pi, the strain its
@@ -77,8 +76,9 @@ pre-image zeta_E, E = G zeta_E, in double precision, and <r, r> is
 Re zeta^H r.  The single-precision recurrences cannot resolve a pre-image
 whose part in the null space of G dwarfs its image, so there pre-images
 drop that part where it is cheap: the per-step update subtracts the mean,
-which G annihilates, and each refresh puts C0 r in the classes that are
-C0-projectors.
+which G annihilates, and each refresh forms the pre-image in frequency,
+putting C0 r in the classes that are C0-projectors.  Those always include
+h = 0, where G and so r vanish, which removes the mean.
 
 Every phase is isotropic, so the stiffness is one Lame pair (lambda, mu)
 per node, an (m, 2) array.  With C0 = iso(lambda0, mu0) + R split exactly
@@ -88,7 +88,8 @@ sign the residual's pre-image needs, so no negation pass is made), in
 float64 for the refreshes and float32 for the iterations, and adds R x only
 when R has a nonzero entry.  A refresh costs one float64 stiffness product
 and two convolutions: one projects the strain or rebuilds it from its
-pre-image, one forms the residual.  The effective action of its
+pre-image, one forms the residual; on the pre-image loop one more float64
+inverse transform forms the refreshed pre-image.  The effective action of its
 strain is read off that product, mean(dC (E + eps0)) + C0 (mean E + eps0),
 so the action needs no pass over C of its own.
 Iteration 1 is the first refresh, at E = 0: it skips the convolution forming
@@ -316,10 +317,8 @@ class _UnitLoop:
     the single-precision residual ``r`` and direction ``p``, the effective
     ``action`` of ``E`` read off its last refresh; ``refresh``, ``inner``,
     ``direction`` and ``advance`` are the steps that ``_conjugate_gradients``
-    runs, and ``next_refresh`` its refresh schedule.
+    runs, on the one refresh schedule of ``_next_refresh``.
     """
-
-    reach = _REFRESH_FALL  # the largest fall from a refresh to the tolerance that single precision recurs alone
 
     def __init__(self, contrast: np.ndarray, remainder, eps0: np.ndarray, G: GreenTable):
         self.contrast, self.remainder, self.eps0, self.G = contrast, remainder, eps0, G  # -dC = C0 - C
@@ -335,14 +334,6 @@ class _UnitLoop:
         self.single = np.float32 if G.real else np.complex64
         self.spectrum = (len(eps0), G.table.shape[-1])
         self.action = None
-
-    def next_refresh(self, fresh: float, tolerance: float) -> float:
-        """The recurred residual that calls the refresh after one at float64 residual ``fresh``.
-
-        It is the tolerance itself once that lies within a fall of ``reach``
-        of ``fresh``, and a fall of ``_REFRESH_FALL`` otherwise.
-        """
-        return tolerance if tolerance >= self.reach * fresh else _REFRESH_FALL * fresh
 
     def stiffness_product(self, out: np.ndarray, total: np.ndarray | None = None) -> np.ndarray:
         """-dC (E + eps0) into ``out``, from ``total`` = E + eps0 (None at E = 0), and the action of E read off it.
@@ -370,15 +361,9 @@ class _StrainLoop(_UnitLoop):
     complex128 spectra, ``work`` and ``hat``, each of which a refresh also
     uses as a float64 field (a real table's half spectrum is the larger);
     the iterations carve their fields dC p and q from ``work`` and their two
-    complex64 spectra from ``hat``.
-
-    A fall of ``reach`` = _REFRESH_FALL^(3/2) = eps^(3/4) from a refresh to
-    the tolerance is recurred in single precision: the recurred residual
-    tracks the true one to about eps times the refreshed residual, which
-    leaves the recurrence's amplification a margin of eps^(-1/4), about 54.
+    complex64 spectra from ``hat``.  Each refresh runs two float64
+    convolutions: the projection and the residual.
     """
-
-    reach = _REFRESH_FALL**1.5
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -451,8 +436,11 @@ class _PreImageLoop(_UnitLoop):
     and the strain its pre-image zeta_E, E = G zeta_E, in double precision.
     A pre-image whose part in the null space of G dwarfs its image cannot be
     resolved in single precision.  G annihilates constants, so the per-step
-    pre-image update drops the mean; where classes beyond h = 0 are
-    C0-projectors, each refresh puts C0 r in them (G C0 G = G there).
+    pre-image update drops the mean.  Each refresh forms the new pre-image
+    in frequency, C0 r in the ``projector`` classes (G C0 G = G there) and
+    the transform of zeta64 elsewhere, by one float64 inverse transform
+    beyond its two convolutions; the mask always holds h = 0, where r is
+    zero, so the pre-image has zero mean.
     """
 
     def __init__(self, *args, projector: np.ndarray):
@@ -467,14 +455,15 @@ class _PreImageLoop(_UnitLoop):
         self.zeta_hat, self.r_hat = (np.empty(self.spectrum, np.complex128) for _ in range(2))
         self.dCp, self.q = (_carve(self.field, single, E.shape, part) for part in (0, 1))
         self.spectra = tuple(_carve(buffer, np.complex64, self.spectrum) for buffer in (self.zeta_hat, self.r_hat))
-        self.projector = projector if projector[1:].any() else None  # beyond the class of h = 0
+        self.projector = projector
 
     def refresh(self, initial: bool = False) -> float:
         """Flush the increment into zeta_E, rebuild E = G zeta_E and return its float64 residual.
 
         zeta64 = -dC (E + eps0) - zeta_E is a pre-image of r = b - A E (b at
-        E = 0, the ``initial`` refresh); r and a pre-image taking C0 r in the
-        ``projector`` classes are cast into r and zeta.
+        E = 0, the ``initial`` refresh); r and the pre-image that takes C0 r
+        in the ``projector`` classes, transformed back from ``zeta_hat``, are
+        cast into r and zeta.
         """
         E, zeta_E, zeta_hat = self.E, self.zeta_E, self.zeta_hat
         if initial:  # E = zeta_E = 0
@@ -487,16 +476,11 @@ class _PreImageLoop(_UnitLoop):
             total = np.add(E, self.eps0[:, None], out=_carve(zeta_hat, E.dtype, E.shape))
             zeta64 = self.stiffness_product(self.field, total)
             zeta64 -= zeta_E
-        # the transform of zeta stays in zeta_hat where the pre-image is formed class by class
-        r64 = self.field if self.projector is not None else _carve(zeta_hat, E.dtype, E.shape)
-        r64 = _green_convolve(self.G, zeta64, out=r64, spectra=(zeta_hat, self.r_hat))
+        r64 = _green_convolve(self.G, zeta64, out=self.field, spectra=(zeta_hat, self.r_hat))
         np.multiply(r64, 1.0 / self.scale, out=self.r, casting="same_kind")
         residual = field_norm(r64.T) / self.scale
-        if self.projector is not None:
-            zeta_hat[:, self.projector] = self.G.reference @ self.r_hat[:, self.projector]
-            zeta64 = self.G.plan.ifft(zeta_hat, out=self.field)
-        else:  # the class of h = 0 alone, where G vanishes: the mean
-            zeta64 -= zeta64.mean(axis=1, keepdims=True)
+        zeta_hat[:, self.projector] = self.G.reference @ self.r_hat[:, self.projector]
+        zeta64 = self.G.plan.ifft(zeta_hat, out=self.field)
         np.multiply(zeta64, 1.0 / self.stress_unit, out=self.zeta, casting="same_kind")
         return residual
 
@@ -529,6 +513,19 @@ class _PreImageLoop(_UnitLoop):
         self.zeta -= dCp
 
 
+def _next_refresh(fresh: float, tolerance: float) -> float:
+    """The recurred residual that calls the refresh after one at float64 residual ``fresh``, in either loop.
+
+    A fall of _REFRESH_FALL^(3/2) = eps^(3/4) from a refresh to the
+    tolerance is recurred in single precision: the recurred residual tracks
+    the true one to about eps times the refreshed residual, which leaves the
+    recurrence's amplification a margin of eps^(-1/4), about 54.  So the
+    refresh comes at the tolerance itself once that lies within such a fall
+    of ``fresh``, and after a fall of ``_REFRESH_FALL`` otherwise.
+    """
+    return tolerance if tolerance >= _REFRESH_FALL**1.5 * fresh else _REFRESH_FALL * fresh
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite residual stops it unconverged
 def _conjugate_gradients(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None, scheme: str) -> SolveReport:
     """The iteration of both schemes (see ``ls_fixed_point``), reported under ``scheme``: CG with float64 refreshes.
@@ -551,7 +548,7 @@ def _conjugate_gradients(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None, s
         loop = _PreImageLoop(contrast, remainder, eps0, G, projector=projector)
     residuals = [loop.refresh(initial=True)]  # iteration 1 forms b = -G dC eps0
     iterations, refreshes, steps, directions = 1, 0, 0, 0  # steps: iterations since the last refresh
-    target = loop.next_refresh(residuals[-1], cfg.tolerance)
+    target = _next_refresh(residuals[-1], cfg.tolerance)
     rs = math.inf  # beta = 0 on the first step
     while residuals[-1] > cfg.tolerance and np.isfinite(residuals[-1]) and iterations < cfg.max_iterations:
         rs_next = loop.inner()
@@ -572,7 +569,7 @@ def _conjugate_gradients(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None, s
             residuals[-1] = fresh = loop.refresh()
             if lost or fresh > _DRIFT_RESTART * max(recurred, cfg.tolerance):
                 rs = math.inf  # beta = 0: the next step starts from the refreshed residual
-            target = loop.next_refresh(fresh, cfg.tolerance)
+            target = _next_refresh(fresh, cfg.tolerance)
             refreshes += 1
             steps = 0
     if steps:  # stopped between refreshes: the returned strain and the last residual come from one
@@ -608,7 +605,8 @@ def ls_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) 
     Green convolution, and each of the ``residual_refreshes`` (see the
     module notes) one float64 stiffness product and two convolutions: one
     projects the strain (on a table of C0-projectors) or rebuilds it from
-    its pre-image (on any other table), one forms the residual.  It stops
+    its pre-image (on any other table, where one more inverse transform
+    forms the refreshed pre-image), one forms the residual.  It stops
     when the relative nodal residual ||E + G(dC (E + eps0))|| / ||eps0||,
     recomputed in float64, drops below the tolerance.  A nonpositive <r, r>
     or curvature restarts CG from a float64 refresh; right after a refresh it

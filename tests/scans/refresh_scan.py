@@ -34,7 +34,10 @@ All three grids run in one process.
 An exception in any solve ends the scan with a traceback.  The comparison
 counts, per grid, the solves that converge under each build, those that
 converge only under one, and sums the iterations over the solves that
-converge under both.
+converge under both.  It exits 1 when any grid has a lost solve, one that
+converges under BEFORE and not under AFTER, and 0 otherwise.  CI uses that
+as a gate on pull requests: it runs the scan under a worktree of the base
+commit and under the change, both with this script, and compares the two.
 """
 
 from __future__ import annotations
@@ -180,8 +183,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         before, after = (json.loads(open(path, encoding="utf-8").read()) for path in args.compare)
-        print(json.dumps(compare(before, after), indent=1))
-        return 0
+        result = compare(before, after)
+        print(json.dumps(result, indent=1))
+        return 1 if any(grid["lost"] for grid in result.values()) else 0
     rows = []
     for grid in GRIDS:
         start = time.perf_counter()

@@ -382,6 +382,35 @@ def test_reference_stiffness_moves_only_ls_off_the_dirichlet_space():
     print(f"C0 dependence PASS: action spread over three C0 (<=1e-9 on projector tables, >1e-6 else): {listed}")
 
 
+def test_bspline1_converges_faster_at_high_contrast():
+    # the paper's "numerical benefits": on the criterion-8 ellipse at contrast 1e4 and 1e-4, VE on the bspline1
+    # compatible table (a centred-difference Green operator) takes a fraction of Dirichlet's iterations, and its
+    # tol 1e-8 action already lies close to its own tol 1e-11 one
+    soft = np.array([0.5, 0.4])
+    eps0 = np.array([1.0, 0.3, 0.2])
+    M = sh.PatternMatrix.from_any([[64, 0], [0, 64]])
+    measured = []
+    for c in (1e4, 1e-4):
+        phases = sh.IsoPhase(*(c * soft)), sh.IsoPhase(*soft)
+        C = sh.sample_stiffness(sh.Inclusion("ellipse", (1.2, 1.0), (0.2, -0.3), 0.3, *phases), M)
+        C0 = sh.iso_stiffness(*((1 + c) / 2 * soft), 2)
+
+        def solve(rule, tol):
+            cfg = sh.SolverConfig(tolerance=tol, max_iterations=6000)
+            report = sh.ve_krylov(C, C0, eps0, sh.compatible_green(C0, rule), cfg)
+            assert report.converged
+            return report
+
+        dirichlet = solve(sh.dirichlet_rule(M), 1e-8)
+        bspline, fine = (solve(sh.bspline_rule(M, 1), tol) for tol in (1e-8, 1e-11))
+        assert 5 * bspline.iterations <= dirichlet.iterations
+        action, exact = bspline.effective_action, fine.effective_action
+        gap = float(np.linalg.norm(action - exact) / np.linalg.norm(exact))
+        assert gap <= 1e-7
+        measured.append(f"c = {c:g}: {bspline.iterations} vs {dirichlet.iterations}, action gap {gap:.1e}")
+    print(f"high contrast PASS: VE bspline1 vs Dirichlet iterations (<= 1/5), gap to tol 1e-11 (<= 1e-7): {measured}")
+
+
 def test_criterion_9_determinism(tmp_path):
     config = {
         "pattern_matrix": [[12, 5], [0, 12]],

@@ -200,6 +200,33 @@ class TestRunSolve:
         assert err.startswith("error: stiffness sampling: Unable to allocate") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, overrides, stage",
+        [
+            ("solve", {"reference_values": "taken"}, "reference ingestion"),
+            ("solve", {"reference_values": "taken_strain.json"}, "reference ingestion"),
+            ("solve", {"output": {"report": "taken"}}, "artifacts"),
+            ("solve", {"output": {"strain_field": "taken"}}, "artifacts"),
+            ("solve", {"output": {"residuals": "taken"}}, "artifacts"),
+            (
+                "sweep-alpha",
+                {"reference_values": "reference.json", "sweep": {"budget": 2}, "output": {"sweep_report": "taken"}},
+                "sweep report",
+            ),
+        ],
+        ids=["reference_values", "reference_strain_field", "report", "strain_field", "residuals", "sweep_report"],
+    )
+    def test_io_errors_name_the_stage(self, tmp_path, capsys, command, overrides, stage):
+        # a path read or written after the config is parsed is a directory: exit 1, one line naming the stage
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "taken_strain.json").write_text(json.dumps({"strain_field": "taken"}))
+        _write_laminate_reference(tmp_path, [[8, 0], [0, 8]], with_strain=False)
+        path = _laminate_config(tmp_path, **overrides)
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {stage}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_determinism_byte_identical(self, tmp_path):
         ref = _write_laminate_reference(tmp_path, [[8, 0], [0, 8]])
         path = _laminate_config(tmp_path, reference_values=ref)
@@ -281,7 +308,10 @@ class TestRunSolve:
             convolutions = doc["iterations"] + 2 * doc["diagnostics"]["residual_refreshes"]
             assert sum(doc["diagnostics"]["green_convolutions"].values()) == convolutions
             assert layers["solver.operator_applications"] == convolutions
-            assert layers["pfft.calls"] == 2 * convolutions
+            # each convolution runs two transforms; on the real path iteration 1 and each refresh also form the
+            # pre-image zeta by one inverse transform
+            pre_images = 1 + doc["diagnostics"]["residual_refreshes"] if real else 0
+            assert layers["pfft.calls"] == 2 * convolutions + pre_images
 
     def test_diagnostics_report_real_fields(self, tmp_path):
         _, doc = run_solve(_laminate_config(tmp_path))

@@ -546,6 +546,24 @@ class TestCompatibleGreen:
         rank = np.trace(C0 @ table, axis1=1, axis2=2)
         assert np.abs(rank - np.where(mean.any(axis=0), M.d, 0)).max() <= 1e-12
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[[8, 0], [0, 8]], [[8, 3], [0, 8]], [[6, 2], [-2, 6]], [[4, 1, 0], [0, 4, 1], [0, 0, 4]]],
+        ids=["diag", "sheared", "rotated", "3d"],
+    )
+    def test_bspline1_is_a_centred_difference_operator(self, rows):
+        # the class mean in scaled frequencies xi = M^{-T} h is sin(2 pi xi) / (2 pi), the modified frequency of
+        # centred differences (Mueller 1996), so the table vanishes exactly where every xi_a is 0 or -1/2
+        M = PatternMatrix.from_any(rows)
+        rule = bspline_rule(M, 1)
+        xi = frequency_set(M).freqs @ np.linalg.inv(M.array)  # one row M^{-T} h per class
+        mean = xi.T + rule.class_mean_shift()
+        assert np.abs(mean - np.sin(2 * np.pi * xi.T) / (2 * np.pi)).max() <= 1e-14
+        G = compatible_green(iso_stiffness(0.5, 0.4, M.d), rule)
+        stored = xi[stored_classes(G)]
+        zero = np.all(np.abs(stored * (stored + 0.5)) <= 1e-12, axis=1)
+        assert zero.sum() > 1 and not G.table[:, zero].any() and G.table[:, ~zero].any(axis=0).all()
+
     def test_zero_class_means_give_zero_entries(self):
         # bspline1 on diag(16, 16): classes with every xi_a in {0, -1/2} have mean zero
         M, C0, rule, G = self._build(*self.CASES["bspline1"])
