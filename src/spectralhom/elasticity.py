@@ -256,8 +256,9 @@ def _green_rows(C0: np.ndarray, d: int, table: np.ndarray, terms: int, frequenci
     slice ``sh`` of the ``terms`` and the W classes in the slice ``cls`` of
     the n, the frequencies k_z as rows (d, S, W) and the weights W_z as
     (S, W), or None for weights of one, either of them possibly on views of
-    ``work``.  G0 is zero at k = 0.  The passes run as the module docstring
-    describes, and ``table`` is returned.
+    ``work``; its scratch may use ``work``'s "den" buffer, which each pass
+    fills only after.  G0 is zero at k = 0.  The passes run as the module
+    docstring describes, and ``table`` is returned.
     """
     numer, det = _green_polynomials(C0, d)
     n = table.shape[1]
@@ -323,25 +324,28 @@ def _product_terms(D: int) -> tuple:
     return tuple(tuple((int(idx[i, j]), j) for j in range(D)) for i in range(D))
 
 
-def mandel_product(A: np.ndarray, x: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+def mandel_product(A: np.ndarray, x: np.ndarray, *, out: np.ndarray | None = None, scratch=None) -> np.ndarray:
     """Pointwise products A(y) x(y) of component-major (D, m) fields.
 
     ``A`` holds one symmetric matrix per node as rows over nodes: packed
     rows only, the D (D + 1) / 2 rows of the upper triangle; any other row
     count raises ShapeError.  Each output row is an unrolled sum of
     contiguous row products, so A is never cast whole.  ``out``, if given,
-    receives the products; it must not overlap ``x``.
+    receives the products; it must not overlap ``x``.  ``scratch``, if
+    given, is the row (m,) of the output's dtype that holds each term; it
+    must overlap neither.
     """
     D = len(x)
     if len(A) != D * (D + 1) // 2:
         raise ShapeError(f"expected the {D * (D + 1) // 2} packed rows of a {D} x {D} matrix field, got {len(A)} rows")
     if out is None:
         out = np.empty(x.shape, dtype=np.result_type(A, x))
-    term = np.empty(out.shape[1:], dtype=out.dtype) if D > 1 else None
+    if scratch is None and D > 1:
+        scratch = np.empty(out.shape[1:], dtype=out.dtype)
     for row, ((k, j), *rest) in zip(out, _product_terms(D)):
         np.multiply(A[k], x[j], out=row)
         for k, j in rest:
-            row += np.multiply(A[k], x[j], out=term)
+            row += np.multiply(A[k], x[j], out=scratch)
     return out
 
 
@@ -374,11 +378,14 @@ class GreenTable:
         """The transform whose spectrum the table covers (a real plan for a real table)."""
         return fft_plan(self.matrix, self.real)
 
-    def apply_hat(self, tau_hat: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
-        """Multiply component-major (D, stored classes) frequency fields by the per-class matrices (into ``out``)."""
+    def apply_hat(self, tau_hat: np.ndarray, *, out: np.ndarray | None = None, scratch=None) -> np.ndarray:
+        """Multiply component-major (D, stored classes) frequency fields by the per-class matrices (into ``out``).
+
+        ``scratch`` is as in ``mandel_product``: a row of the product's dtype, allocated if not given.
+        """
         if tau_hat.shape[-1] != self.table.shape[-1]:
             raise ShapeError("frequency field does not match the Green table")
-        return mandel_product(self.table, tau_hat, out=out)
+        return mandel_product(self.table, tau_hat, out=out, scratch=scratch)
 
     def projector_classes(self) -> np.ndarray:
         """Mask of the stored classes whose matrix is a C0-projector or zero: every class of a compatible table.
@@ -450,11 +457,11 @@ def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None 
         """The frequencies k_z = h + M^T z and weights W_z(h) of the summed shifts ``sh`` in the classes ``cls``."""
         shape = (len(taps[0, sh]), len(freqs[0, cls]))
         weight = _workspace_view(work, "weight", shape)
-        factor = _workspace_view(work, "factor", shape)
+        factor = _workspace_view(work, "den", shape)  # free until _green_rows forms the denominators
         np.take(factors[0, :, cls], taps[0, sh], axis=0, out=weight, mode="clip")
         for j in range(1, d):
             weight *= np.take(factors[j, :, cls], taps[j, sh], axis=0, out=factor, mode="clip")
-        share[cls] += weight.sum(axis=0, out=_workspace_view(work, "share", (shape[1],)))
+        share[cls] += weight.sum(axis=0, out=_workspace_view(work, "den", (shape[1],)))
         return np.add(freqs[:, None, cls], offsets[:, sh, None], out=_workspace_view(work, "k", (d,) + shape)), weight
 
     table = _packed_rows(d, n + 1)
@@ -504,8 +511,11 @@ def _stored_classes(rule: CoefficientRule) -> tuple:
     """
     M = rule.matrix
     real = rule.conjugate_symmetric
-    kept = fft_plan(M, real).classes[1:] if real else slice(1, None)
-    return kept, frequency_set(M).freqs[kept].T.astype(np.float64)
+    rows = frequency_set(M).freqs.T  # component-major (d, m)
+    if not real:
+        return slice(1, None), rows[:, 1:].astype(np.float64)
+    kept = fft_plan(M, real).classes[1:]
+    return kept, np.take(rows, kept, axis=1).astype(np.float64)
 
 
 def _green_table(rule: CoefficientRule, C0: np.ndarray, table: np.ndarray, periods=None, shifts=None, tail=0.0):

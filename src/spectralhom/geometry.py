@@ -50,6 +50,7 @@ __all__ = [
 _PFLD_MAGIC = b"PFLD"
 _PFLD_VERSION = 1
 _WRITE_BLOCK = 1 << 18  # bytes of the buffer that converts a field (a transposed view, say) to the PFLD layout
+_SAMPLE_BLOCK = 8192  # nodes per phase_index call of stiffness sampling
 DOMAIN_SPACE = 0
 DOMAIN_FREQUENCY = 1
 
@@ -70,14 +71,41 @@ class IsoPhase:
         return cls(lam=values["lambda"], mu=values["mu"])
 
 
-def _wrap_torus(x: np.ndarray) -> np.ndarray:
-    """Reduce coordinates into [-pi, pi) componentwise."""
-    return np.mod(x + np.pi, 2.0 * np.pi) - np.pi
+def _wrap(rows: np.ndarray, period: float) -> np.ndarray:
+    """Reduce ``rows`` into [0, period) in place, with the bits of ``np.mod(rows, period)``.
+
+    On (-period, 2 period), the range that shifted pattern nodes meet, one
+    step by the period does it: a - period is exact on [period, 2 period)
+    (Sterbenz), and a + period on (-period, 0) is the rounding that np.mod
+    makes.  Any other input takes np.mod itself.
+    """
+    if rows.size and not (rows.min() > -period and rows.max() < 2.0 * period):
+        return np.mod(rows, period, out=rows)
+    flag = np.empty(rows.shape, dtype=bool)
+    step = np.empty(rows.shape)
+    rows -= np.multiply(np.greater_equal(rows, period, out=flag), period, out=step)
+    rows += np.multiply(np.less(rows, 0.0, out=flag), period, out=step)
+    return rows
 
 
-def _unit_coords(x: np.ndarray) -> np.ndarray:
-    """Torus coordinates mapped to [0, 1)^d."""
-    return np.mod(x / (2.0 * np.pi) + 0.5, 1.0)
+def _torus_rows(x: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Component-major (d, n) offsets of points ``x`` (n, d) from ``center``, reduced into [-pi, pi).
+
+    The bits of np.mod(x - center + pi, 2 pi) - pi.  The columns of ``x`` are
+    read as rows: the transpose of a component-major block is read in place.
+    """
+    rows = np.subtract(x.T, center[:, None], out=np.empty(x.shape[::-1]))
+    rows += np.pi
+    _wrap(rows, 2.0 * np.pi)
+    rows -= np.pi
+    return rows
+
+
+def _unit_row(x: np.ndarray, axis: int) -> np.ndarray:
+    """Torus coordinate ``axis`` of points ``x`` (n, d) mapped to [0, 1): np.mod(x / 2 pi + 0.5, 1)."""
+    row = np.divide(x[:, axis], 2.0 * np.pi)
+    row += 0.5
+    return _wrap(row, 1.0)
 
 
 class Laminate:
@@ -97,8 +125,7 @@ class Laminate:
     def phase_index(self, x: np.ndarray) -> np.ndarray:
         if not 0 <= self.axis < x.shape[1]:
             raise GeometryError(f"laminate axis {self.axis} is not in 0..{x.shape[1] - 1}")
-        t = _unit_coords(x)[:, self.axis]
-        return np.where(t < self.fraction, 0, 1)
+        return np.where(_unit_row(x, self.axis) < self.fraction, 0, 1)
 
 
 def _ellipse_quadric(semi_axes, rotation: float, d: int) -> np.ndarray:
@@ -116,10 +143,20 @@ def _ellipse_quadric(semi_axes, rotation: float, d: int) -> np.ndarray:
 
 
 def _nested_phase(rel: np.ndarray, quadrics) -> np.ndarray:
-    """Phase of points ``rel``: how many nested ellipses (quadrics, innermost first) leave them out; boundaries are inside."""
-    phase = np.zeros(len(rel), dtype=np.intp)
+    """Phase of points ``rel`` (d, n): how many nested ellipses (quadrics, innermost first) leave them out.
+
+    Boundaries are inside.  Each quadratic form sums its d^2 products
+    (rel_i Q_ij) rel_j with i outer and j inner, the order and so the bits
+    of einsum("ni,ij,nj->n", rel.T, Q, rel.T).
+    """
+    n = rel.shape[1]
+    phase = np.zeros(n, dtype=np.intp)
+    form, term, outside = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
     for Q in quadrics:
-        phase += np.einsum("ni,ij,nj->n", rel, Q, rel) > 1.0
+        form.fill(0.0)
+        for i, j in np.ndindex(Q.shape):
+            form += np.multiply(np.multiply(rel[i], Q[i, j], out=term), rel[j], out=term)
+        phase += np.greater(form, 1.0, out=outside)
     return phase
 
 
@@ -151,7 +188,7 @@ class HashinEllipses:
         self.phases = (core, coating, matrix)
 
     def phase_index(self, x: np.ndarray) -> np.ndarray:
-        return _nested_phase(_wrap_torus(x - self.center[None, :]), (self.core_q, self.coating_q))
+        return _nested_phase(_torus_rows(x, self.center), (self.core_q, self.coating_q))
 
 
 class Inclusion:
@@ -173,10 +210,14 @@ class Inclusion:
             raise GeometryError(f"unknown inclusion shape {shape!r}")
 
     def phase_index(self, x: np.ndarray) -> np.ndarray:
-        rel = _wrap_torus(x - self.center[None, :])
+        rel = _torus_rows(x, self.center)
         if self.shape == "ellipse":
             return _nested_phase(rel, (self.quadric,))
-        return np.where(np.all(np.abs(rel) <= self.half[None, :], axis=1), 0, 1)
+        np.abs(rel, out=rel)
+        inside = rel[0] <= self.half[0]
+        for row, half in zip(rel[1:], self.half[1:]):
+            inside &= row <= half
+        return np.where(inside, 0, 1)
 
 
 class VoxelMap:
@@ -195,10 +236,8 @@ class VoxelMap:
             raise GeometryError("voxel grid references a phase id outside the phase table")
 
     def phase_index(self, x: np.ndarray) -> np.ndarray:
-        u = _unit_coords(x)
         idx = tuple(
-            np.minimum((u[:, a] * self.grid.shape[a]).astype(np.int64), self.grid.shape[a] - 1)
-            for a in range(self.d)
+            np.minimum((_unit_row(x, a) * n).astype(np.int64), n - 1) for a, n in enumerate(self.grid.shape)
         )
         return self.grid[idx]
 
@@ -250,6 +289,22 @@ def _cell_offsets(M: PatternMatrix, subsamples: int) -> np.ndarray:
     return 2.0 * np.pi * (grid @ np.linalg.inv(M.array.astype(float)).T)
 
 
+def _node_blocks(M: PatternMatrix):
+    """Component-major (d, n) blocks of the pattern nodes x = 2 pi y, in order, each with its slice of the m nodes.
+
+    The bits of 2 pi * pattern(M).points, block by block through one buffer
+    of ``_SAMPLE_BLOCK`` nodes, so a block and the temporaries of its
+    ``phase_index`` stay in cache and are reused.
+    """
+    nums = pattern(M).nums.T
+    block = np.empty((M.d, min(_SAMPLE_BLOCK, M.m)))
+    for lo in range(0, M.m, block.shape[1]):
+        nodes = block[:, : min(block.shape[1], M.m - lo)]
+        np.divide(nums[:, lo : lo + nodes.shape[1]], float(M.m), out=nodes)
+        nodes *= 2.0 * np.pi
+        yield slice(lo, lo + nodes.shape[1]), nodes
+
+
 def sample_stiffness(ms, M: PatternMatrix, mode: str = "node", subsamples: int = 3) -> np.ndarray:
     """Lame pairs (lambda, mu) (m, 2) of a microstructure on the pattern of M: node y has stiffness iso(lambda, mu).
 
@@ -262,10 +317,13 @@ def sample_stiffness(ms, M: PatternMatrix, mode: str = "node", subsamples: int =
         raise DomainError(f"the microstructure is {ms.d}-D but the pattern is {d}-D")
     for phase in ms.phases:
         phase.stiffness(d)  # raises unless the pair is elliptic in d dimensions
-    nodes = 2.0 * np.pi * pattern(M).points
     tables = np.array([(p.lam, p.mu) for p in ms.phases], dtype=np.float64)
     if mode == "node":
-        return tables[ms.phase_index(nodes)]
+        pairs = tables.view(np.complex128)[:, 0]  # one 16-byte (lambda, mu) pair per phase, gathered whole
+        out = np.empty(M.m, dtype=np.complex128)
+        for cells, nodes in _node_blocks(M):
+            np.take(pairs, ms.phase_index(nodes.T), out=out[cells])
+        return out.view(np.float64).reshape(-1, 2)
     if mode != "cell_average":
         raise DomainError(f"unknown sampling mode {mode!r}")
     if subsamples < 1:
@@ -273,10 +331,13 @@ def sample_stiffness(ms, M: PatternMatrix, mode: str = "node", subsamples: int =
     # per-node phase counts over the subcells, then one (m, P) @ (P, 2) product
     counts = np.zeros((len(tables), M.m))
     offsets = _cell_offsets(M, subsamples)
-    for off in offsets:
-        which = ms.phase_index(nodes + off[None, :])
-        for phase, row in enumerate(counts):
-            row += which == phase
+    shifted, hit = np.empty((M.d, _SAMPLE_BLOCK)), np.empty(_SAMPLE_BLOCK, dtype=bool)
+    for cells, nodes in _node_blocks(M):
+        n = nodes.shape[1]
+        for off in offsets:
+            which = ms.phase_index(np.add(nodes, off[:, None], out=shifted[:, :n]).T)
+            for phase, row in enumerate(counts[:, cells]):
+                row += np.equal(which, phase, out=hit[:n])
     return counts.T @ tables / len(offsets)
 
 

@@ -244,13 +244,75 @@ def smith_normal_form(M: PatternMatrix) -> SmithDecomposition:
     )
 
 
-def _residues(basis: np.ndarray, diag: tuple) -> np.ndarray:
-    """The (m, d) numerators over m = d_1 ... d_d of wrap(basis D^{-1} j), j over the Smith grid lexicographically."""
+# An axis longer than this is enumerated as a (ceil(n / B), B) grid, B about sqrt(n), so the
+# integer divisions stay on short rows even for a cyclic pattern (d_d = m)
+_AXIS_SPLIT = 1024
+
+
+def _carry(rows: np.ndarray, inner: np.ndarray, limit: int, wraps: np.ndarray) -> np.ndarray:
+    """Rows over the product grid (``rows``' index slow) of rows + inner, each numerator reduced once.
+
+    Wherever numerator row k reaches ``limit`` after the sum, ``wraps[k]`` is
+    subtracted from every row: m from the numerator, its image's column from
+    the image rows.  Component-major throughout; one flag and one step row.
+    """
+    R, a = rows.shape
+    out = np.empty((R, a, inner.shape[1]), dtype=np.int64)
+    np.add(rows[:, :, None], inner[:, None, :], out=out)
+    out = out.reshape(R, -1)
+    flag = np.empty(out.shape[1], dtype=bool)
+    step = np.empty(out.shape[1], dtype=np.int64)
+    for k, wrap in enumerate(wraps):
+        np.greater_equal(out[k], limit, out=flag)
+        for row, w in zip(out, wrap.tolist()):
+            if w:
+                row -= np.multiply(flag, w, out=step)
+    return out
+
+
+def _axis_rows(coef: np.ndarray, n: int, m: int, wraps: np.ndarray) -> np.ndarray:
+    """Rows (R, n) of coef * j for j < n, every numerator reduced into [0, m) with its wraps."""
+    coef = coef.copy()
+    for k, wrap in enumerate(wraps):
+        coef -= coef[k] // m * wrap
+    if n > _AXIS_SPLIT:
+        B = math.isqrt(n - 1) + 1
+        return _carry(_axis_rows(coef * B, -(-n // B), m, wraps), _axis_rows(coef, B, m, wraps), m, wraps)[:, :n]
+    rows = coef[:, None] * np.arange(n, dtype=np.int64)
+    rows -= wraps.T @ (rows[: len(wraps)] // m)  # a short row: one quotient per entry
+    return rows
+
+
+def _residues(basis: np.ndarray, diag: tuple, image=None) -> np.ndarray:
+    """Component-major (d, m) numerators over m = d_1 ... d_d of y(j) = wrap(basis D^{-1} j), or the rows of A y(j).
+
+    A is ``image``.  j runs over the Smith grid lexicographically and wrap reduces into
+    [-1/2, 1/2).  With y = basis D^{-1} j - t, t the integer wrap, the image
+    A y is L j - A t with L = A basis D^{-1}, integral for the images the
+    lattice uses (U M V = D gives M V D^{-1} = U^{-1} and M^T U^T D^{-1} =
+    V^{-T}).  The rows are built axis by axis from the last: each outer
+    sum of a reduced axis row and the centred rows of the inner axes is
+    re-centred by one conditional subtraction of m, and an image row
+    subtracts A's column k wherever numerator k wraps.
+    """
+    d = len(diag)
     m = math.prod(diag)
-    J = np.indices(diag, dtype=np.int64).reshape(len(diag), -1).T
-    nums = np.mod(J @ (basis * (m // np.array(diag, dtype=np.int64))).T, m)  # column l scaled by m / d_l: exact
-    nums[2 * nums >= m] -= m
-    return nums
+    basis = [[int(v) for v in row] for row in np.asarray(basis)]
+    coef = [[basis[k][l] * (m // diag[l]) for l in range(d)] for k in range(d)]  # m basis D^{-1}: exact
+    wraps = [[m * (i == k) for i in range(d)] for k in range(d)]
+    if image is not None:
+        A = [[int(v) for v in row] for row in np.asarray(image)]
+        lifted = [[sum(A[c][k] * basis[k][l] for k in range(d)) for l in range(d)] for c in range(d)]
+        if any(v % diag[l] for row in lifted for l, v in enumerate(row)):
+            raise RegularityError("internal error: the image of the pattern left the integer lattice")
+        coef += [[v // diag[l] for l, v in enumerate(row)] for row in lifted]
+        for k, wrap in enumerate(wraps):
+            wrap += [A[c][k] for c in range(d)]
+    coef, wraps = np.array(coef, dtype=np.int64), np.array(wraps, dtype=np.int64)
+    rows = np.zeros((len(coef), 1), dtype=np.int64)
+    for l in reversed(range(d)):
+        rows = _carry(_axis_rows(coef[:, l], diag[l], m, wraps), rows, (m + 1) // 2, wraps)
+    return rows if image is None else rows[d:].copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,7 +325,7 @@ class Pattern:
 
     matrix: PatternMatrix
     smith: SmithDecomposition
-    nums: np.ndarray  # (m, d) int64; point i is nums[i] / m
+    nums: np.ndarray  # (m, d) int64, a view of component-major (d, m) rows; point i is nums[i] / m
 
     @property
     def m(self) -> int:
@@ -284,7 +346,7 @@ class GeneratingSet:
     Smith coordinates of its congruence class.
     """
 
-    freqs: np.ndarray  # (m, d) int64
+    freqs: np.ndarray  # (m, d) int64, a view of component-major (d, m) rows
     diag: tuple
     coords: np.ndarray  # (d, d) int64
 
@@ -299,20 +361,17 @@ class GeneratingSet:
 def pattern(M: PatternMatrix) -> Pattern:
     """Enumerate the pattern of M in canonical (Smith lexicographic) order."""
     snf = smith_normal_form(M)
-    return Pattern(matrix=M, smith=snf, nums=_frozen(_residues(snf.V_array, snf.diag)))  # y(j) = V D^{-1} j
+    return Pattern(matrix=M, smith=snf, nums=_frozen(_residues(snf.V_array, snf.diag)).T)  # y(j) = V D^{-1} j
 
 
 @lru_cache(maxsize=128)
 def generating_set(M: PatternMatrix) -> GeneratingSet:
     """G(M) = M * pattern(M): integer representatives modulo M, same order."""
-    pat = pattern(M)
-    gm = pat.nums @ M.array.T
-    if np.any(gm % M.m != 0):
-        raise RegularityError("internal error: pattern points left the lattice")
+    snf = smith_normal_form(M)
     return GeneratingSet(
-        freqs=_frozen(gm // M.m),
-        diag=pat.smith.diag,
-        coords=pat.smith.U_array,
+        freqs=_frozen(_residues(snf.V_array, snf.diag, image=M.array)).T,
+        diag=snf.diag,
+        coords=snf.U_array,
     )
 
 
@@ -322,15 +381,11 @@ def frequency_set(M: PatternMatrix) -> GeneratingSet:
 
     Built from the Smith decomposition of M itself (transposing U M V = D),
     so that row j of the Fourier matrix pairs with dual frequency h(j) and
-    the kernel separates over the Smith grid.
+    the kernel separates over the Smith grid: h(j) = M^T wrap(U^T D^{-1} j).
     """
     snf = smith_normal_form(M)
-    nums = _residues(snf.U_array.T, snf.diag)
-    hm = nums @ M.array  # rows times M^T transposed == nums @ M
-    if np.any(hm % M.m != 0):
-        raise RegularityError("internal error: dual points left the lattice")
     return GeneratingSet(
-        freqs=_frozen(hm // M.m),
+        freqs=_frozen(_residues(snf.U_array.T, snf.diag, image=M.array.T)).T,
         diag=snf.diag,
         coords=_frozen(snf.V_array.T.copy()),
     )

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import numpy.fft  # noqa: F401  numpy loads it lazily: import it with this module, not in the first transform
 
 from .errors import ShapeError
 from .lattice import PatternMatrix, smith_normal_form

@@ -239,15 +239,19 @@ def apply_stiffness(contrast: np.ndarray, x: np.ndarray, *, remainder=None, out=
     return out
 
 
-def _green_convolve(G: GreenTable, tau: np.ndarray, out=None, spectra=(None, None)) -> np.ndarray:
+def _green_convolve(G: GreenTable, tau: np.ndarray, out=None, spectra=(None, None), row=None) -> np.ndarray:
     """Action of the periodised Green operator on a (D, m) nodal field (real on a real table).
 
     ``out`` receives the result, and the two (D, stored classes) ``spectra``
-    the transform and its Green product; buffers not given are allocated.
+    the transform and its Green product; ``row``, a complex128 row over the
+    stored classes that overlaps none of them, holds the product's terms in
+    the spectrum's precision.  Buffers not given are allocated.
     """
     p = G.plan
     tau_hat, product = spectra
-    return p.ifft(G.apply_hat(p.fft(tau, out=tau_hat), out=product), out=out)
+    tau_hat = p.fft(tau, out=tau_hat)
+    scratch = None if row is None else _carve(row, tau_hat.dtype, tau_hat.shape[1:])
+    return p.ifft(G.apply_hat(tau_hat, out=product, scratch=scratch), out=out)
 
 
 def _validate_problem(C, C0, eps0, G: GreenTable):
@@ -333,6 +337,7 @@ class _UnitLoop:
         self.E = np.zeros((len(eps0), G.m), dtype=np.float64 if G.real else np.complex128)
         self.single = np.float32 if G.real else np.complex64
         self.spectrum = (len(eps0), G.table.shape[-1])
+        self.row = np.empty(self.spectrum[1], np.complex128)  # every Green product's term row, in either precision
         self.action = None
 
     def stiffness_product(self, out: np.ndarray, total: np.ndarray | None = None) -> np.ndarray:
@@ -391,9 +396,10 @@ class _StrainLoop(_UnitLoop):
         else:
             E += np.multiply(self.dE, self.scale, out=field, dtype=E.dtype)
             self.dE.fill(0.0)
-            _green_convolve(self.G, np.matmul(self.G.reference, E, out=field), out=E, spectra=(self.hat, self.work))
+            C0E = np.matmul(self.G.reference, E, out=field)
+            _green_convolve(self.G, C0E, out=E, spectra=(self.hat, self.work), row=self.row)
             product = self.stiffness_product(product, np.add(E, self.eps0[:, None], out=field))
-        r64 = _green_convolve(self.G, product, out=field, spectra=(self.work, self.hat))
+        r64 = _green_convolve(self.G, product, out=field, spectra=(self.work, self.hat), row=self.row)
         if not initial:
             r64 -= E
         np.multiply(r64, 1.0 / self.scale, out=self.r, casting="same_kind")
@@ -417,7 +423,7 @@ class _StrainLoop(_UnitLoop):
         p *= beta
         p += self.r
         dCp = apply_stiffness(self.dC1, p, remainder=self.R1, out=self.scratch)
-        q = _green_convolve(self.G1, dCp, out=self.q, spectra=self.spectra)
+        q = _green_convolve(self.G1, dCp, out=self.q, spectra=self.spectra, row=self.row)
         q += p
         return float(np.vdot(np.matmul(self.C1, p, out=self.scratch), q).real)
 
@@ -472,11 +478,11 @@ class _PreImageLoop(_UnitLoop):
             np.multiply(self.dzeta_E, self.stress_unit, out=E, dtype=E.dtype)  # E is rebuilt below
             np.add(zeta_E, E, out=zeta_E)
             self.dzeta_E.fill(0.0)
-            _green_convolve(self.G, zeta_E, out=E, spectra=(zeta_hat, self.r_hat))
+            _green_convolve(self.G, zeta_E, out=E, spectra=(zeta_hat, self.r_hat), row=self.row)
             total = np.add(E, self.eps0[:, None], out=_carve(zeta_hat, E.dtype, E.shape))
             zeta64 = self.stiffness_product(self.field, total)
             zeta64 -= zeta_E
-        r64 = _green_convolve(self.G, zeta64, out=self.field, spectra=(zeta_hat, self.r_hat))
+        r64 = _green_convolve(self.G, zeta64, out=self.field, spectra=(zeta_hat, self.r_hat), row=self.row)
         np.multiply(r64, 1.0 / self.scale, out=self.r, casting="same_kind")
         residual = field_norm(r64.T) / self.scale
         zeta_hat[:, self.projector] = self.G.reference @ self.r_hat[:, self.projector]
@@ -496,7 +502,7 @@ class _PreImageLoop(_UnitLoop):
         pi *= beta
         pi += self.zeta
         self.dCp = apply_stiffness(self.dC1, p, remainder=self.R1, out=self.dCp)
-        self.q = _green_convolve(self.G1, self.dCp, out=self.q, spectra=self.spectra)
+        self.q = _green_convolve(self.G1, self.dCp, out=self.q, spectra=self.spectra, row=self.row)
         return float(np.vdot(pi, p).real) + float(np.vdot(p, self.dCp).real)
 
     def advance(self, alpha: float) -> None:

@@ -438,6 +438,53 @@ def index_of_nums(pat, nums):
     return np.ravel_multi_index(((jm // pat.m) % diag).T, pat.smith.diag)
 
 
+def residues_matmul(basis, diag):
+    """The (m, d) numerators over m of wrap(basis D^{-1} j), by one (m, d) integer matmul and mod.
+
+    The lattice's former formulation of ``_residues``, kept to pin the
+    component-major enumeration bit for bit.
+    """
+    m = int(np.prod(diag))
+    J = np.indices(diag, dtype=np.int64).reshape(len(diag), -1).T
+    nums = np.mod(J @ (np.asarray(basis, dtype=np.int64) * (m // np.array(diag, dtype=np.int64))).T, m)
+    nums[2 * nums >= m] -= m
+    return nums
+
+
+def frequency_set_matmul(M):
+    """Dual frequencies h(j) = M^T y(j) of ``frequency_set`` as ``nums @ M // m``: the former formulation."""
+    snf = smith_normal_form(M)
+    hm = residues_matmul(snf.U_array.T, snf.diag) @ M.array
+    assert np.all(hm % M.m == 0), "dual points left the lattice"
+    return hm // M.m
+
+
+def wrap_torus_mod(x):
+    """Coordinates reduced into [-pi, pi) by np.mod: the former torus wrap."""
+    return np.mod(x + np.pi, 2.0 * np.pi) - np.pi
+
+
+def quadric_einsum(rel, Q):
+    """The quadratic forms rel_n^T Q rel_n of (n, d) points by the three-operand einsum."""
+    return np.einsum("ni,ij,nj->n", rel, Q, rel)
+
+
+def phase_index_mod(ms, x):
+    """``ms.phase_index(x)`` of (n, d) points by the former np.mod wrap and einsum quadric, for every kind."""
+    kind = type(ms).__name__
+    if kind in ("Laminate", "VoxelMap"):
+        u = np.mod(x / (2.0 * np.pi) + 0.5, 1.0)
+        if kind == "Laminate":
+            return np.where(u[:, ms.axis] < ms.fraction, 0, 1)
+        shape = ms.grid.shape
+        return ms.grid[tuple(np.minimum((u[:, a] * n).astype(np.int64), n - 1) for a, n in enumerate(shape))]
+    rel = wrap_torus_mod(x - ms.center[None, :])
+    if kind == "Inclusion" and ms.shape == "box":
+        return np.where(np.all(np.abs(rel) <= ms.half[None, :], axis=1), 0, 1)
+    quadrics = (ms.core_q, ms.coating_q) if kind == "HashinEllipses" else (ms.quadric,)
+    return sum((quadric_einsum(rel, Q) > 1.0).astype(np.intp) for Q in quadrics)
+
+
 def bracket_sum(values, M, h, periods):
     """Truncated class sum sum_{|z|_inf <= periods} a(h + M^T z); ``values`` maps (n, d) frequencies to a(k)."""
     shifts = np.array(list(product(range(-periods, periods + 1), repeat=M.d)), dtype=np.int64)

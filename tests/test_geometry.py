@@ -23,7 +23,9 @@ from spectralhom import (
     write_field,
 )
 from spectralhom.errors import DomainError, GeometryError, IngestionError, ShapeError
-from spectralhom.geometry import DOMAIN_FREQUENCY, DOMAIN_SPACE, microstructure_from_json
+from spectralhom.geometry import DOMAIN_FREQUENCY, DOMAIN_SPACE, _wrap, microstructure_from_json
+
+from oracles import phase_index_mod
 
 P_SOFT = IsoPhase(1.0, 1.0)
 P_STIFF = IsoPhase(2.0, 2.0)
@@ -232,6 +234,73 @@ class TestSampling:
     def test_unknown_kind(self):
         with pytest.raises(GeometryError):
             microstructure_from_json({"kind": "gyroid"})
+
+
+P_THIRD = IsoPhase(0.3, 0.7)
+# every kind; centres inside [-pi, pi), at 0 (so centred coordinates hit +-pi exactly) and outside it
+KINDS = {
+    "laminate": Laminate(axis=1, fraction=0.375, phases=(P_SOFT, P_STIFF)),
+    "voxel-map": VoxelMap([[0, 1, 2], [2, 0, 1]], [P_SOFT, P_STIFF, P_THIRD]),
+    "voxel-map-3d": VoxelMap(np.arange(12).reshape(2, 3, 2) % 3, [P_SOFT, P_STIFF, P_THIRD]),
+    "hashin": HashinEllipses((0.8, 0.5), (1.2, np.sqrt(1.44 - 0.39)), (0.3, -7.5), 0.4, P_SOFT, P_STIFF, P_THIRD),
+    "ellipse": Inclusion("ellipse", [1.2, 1.0], [0.2, -0.3], 0.3, P_STIFF, P_SOFT),
+    "ellipse-centred-0": Inclusion("ellipse", [1.3, 0.7], [0.0, 0.0], 1.1, P_STIFF, P_SOFT),
+    "ellipse-far": Inclusion("ellipse", [1.2, 1.0], [3.5, -4.0], 0.7, P_STIFF, P_SOFT),
+    "ellipsoid": Inclusion("ellipse", [1.0, 0.8, 1.3], [0.2, -0.1, 9.4], 0.0, P_STIFF, P_SOFT),
+    "box": Inclusion("box", [1.0, 0.5], [0.0, 0.0], 0.0, P_STIFF, P_SOFT),
+    "box-far-3d": Inclusion("box", [1.1, 0.7, 1.9], [-3.0, 0.25, 9.0], 0.0, P_STIFF, P_SOFT),
+}
+
+
+def _adversarial_points(ms, d, rng):
+    """Points whose centred coordinates sit at +-pi, on a laminate interface, an ellipse boundary or a box edge."""
+    centre = getattr(ms, "center", np.zeros(d))
+    pts = [centre + np.pi * np.array(signs) for signs in product((-1.0, 1.0), repeat=d)]
+    pts += [centre + np.nextafter(np.pi, 0.0), centre - np.nextafter(np.pi, 4.0), centre + 3.0 * np.pi]
+    if isinstance(ms, Laminate):
+        pts.append(np.full(d, (ms.fraction - 0.5) * 2.0 * np.pi))
+    for Q in (getattr(ms, name) for name in ("quadric", "core_q", "coating_q") if hasattr(ms, name)):
+        u = rng.standard_normal((200, d))
+        pts += list(centre + u / np.sqrt(np.einsum("ni,ij,nj->n", u, Q, u))[:, None])
+    if hasattr(ms, "half"):
+        pts += [centre + ms.half * np.array(signs) for signs in product((-1.0, 0.0, 1.0), repeat=d)]
+    return np.array(pts)
+
+
+class TestComponentMajorPhases:
+    """phase_index and node sampling keep the bits of the np.mod wrap and the einsum quadric."""
+
+    def test_wrap_keeps_np_mod_bits(self):
+        rng = np.random.default_rng(23)
+        for period in (2.0 * np.pi, 1.0):
+            edges = [0.0, -0.0, -5e-324, -1e-300, -1e-17 * period, np.nextafter(-period, 0.0),
+                     np.nextafter(period, 0.0), period, np.nextafter(period, 4.0 * period), np.nextafter(2 * period, 0.0)]
+            fast = np.concatenate([edges, rng.uniform(-period, 2.0 * period, 5000)])
+            beyond = np.concatenate([fast, [2.0 * period, -period, -7.5 * period, 1e300, np.inf, np.nan]])
+            for values in (fast, beyond, fast.reshape(2, -1)):
+                with np.errstate(invalid="ignore"):  # np.mod of inf
+                    got, want = _wrap(values.copy(), period), np.mod(values, period)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("name", sorted(KINDS))
+    def test_phase_index_matches_the_mod_and_einsum_formulation(self, name):
+        ms = KINDS[name]
+        d = ms.d or 2
+        rng = np.random.default_rng(41)
+        nodes_range = rng.uniform(-np.pi, np.pi, (5000, d))
+        for x in (nodes_range, rng.uniform(-15.0, 15.0, (5000, d)), _adversarial_points(ms, d, rng)):
+            want = phase_index_mod(ms, x)
+            assert np.array_equal(ms.phase_index(x), want)
+            assert np.array_equal(ms.phase_index(np.ascontiguousarray(x.T).T), want)  # a component-major block
+
+    @pytest.mark.parametrize("name", sorted(KINDS))
+    def test_node_sampling_matches_the_mod_and_einsum_formulation(self, name):
+        ms = KINDS[name]
+        tables = np.array([(p.lam, p.mu) for p in ms.phases])
+        for rows in ([[16, 6], [0, 16]], [[3, 1], [-7, 5]]) if (ms.d or 2) == 2 else ([[6, 1, 0], [0, 5, 2], [0, 0, 6]],):
+            M = PatternMatrix.from_any(rows)
+            want = tables[phase_index_mod(ms, 2.0 * np.pi * pattern(M).points)]
+            assert np.array_equal(sample_stiffness(ms, M), want)
 
 
 class TestLaminateReference:

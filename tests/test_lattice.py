@@ -16,8 +16,10 @@ from oracles import (
     brute_force_pattern,
     brute_force_residue,
     det_int,
+    frequency_set_matmul,
     index_of_nums,
     random_regular_matrix,
+    residues_matmul,
 )
 
 
@@ -144,6 +146,46 @@ class TestGeneratingSet:
             M = PatternMatrix(tuple(map(tuple, rows)))
             for gs in (generating_set(M), frequency_set(M)):
                 assert np.array_equal(gs.class_index(gs.freqs), np.arange(M.m))
+
+
+# 1-D to 3-D; skewed, with negative entries, even and odd det, diagonal, and cyclic with an axis (4099) long
+# enough for the enumeration to split it
+KERNEL_PATTERNS = [
+    [[-7]],
+    [[256, 544], [0, 256]],
+    [[3, 1], [-7, 5]],
+    [[5, 2], [-3, 7]],
+    [[12, 0], [0, 12]],
+    [[1, 0], [0, 4099]],
+    [[16, 4, 0], [0, 16, 0], [0, 0, 16]],
+    [[4, -2, 1], [3, 5, -6], [1, 0, 9]],
+    [[3, 1, 0], [0, 5, 2], [1, 0, 7]],
+]
+
+
+class TestComponentMajorEnumeration:
+    """The pattern and both generating sets keep the bits of the (m, d) matmul-and-mod formulation."""
+
+    @pytest.mark.parametrize("rows", KERNEL_PATTERNS, ids=str)
+    def test_matches_the_matmul_formulation(self, rows):
+        M = PatternMatrix.from_any(rows)
+        snf = smith_normal_form(M)
+        nums = pattern(M).nums
+        assert nums.dtype == np.int64 and nums.T.flags.c_contiguous  # component-major rows
+        assert np.array_equal(nums, residues_matmul(snf.V_array, snf.diag))
+        freqs = frequency_set(M).freqs
+        assert freqs.dtype == np.int64 and freqs.T.flags.c_contiguous
+        assert np.array_equal(freqs, frequency_set_matmul(M))
+        assert np.array_equal(generating_set(M).freqs, nums @ M.array.T // M.m)
+
+    def test_random_matrices_match_the_matmul_formulation(self):
+        rng = np.random.default_rng(31)
+        for d in (1, 2, 3):
+            for _ in range(25):
+                M = PatternMatrix.from_any(random_regular_matrix(rng, d, 3000, max_entry=9))
+                snf = smith_normal_form(M)
+                assert np.array_equal(pattern(M).nums, residues_matmul(snf.V_array, snf.diag))
+                assert np.array_equal(frequency_set(M).freqs, frequency_set_matmul(M))
 
 
 class TestSizes:
