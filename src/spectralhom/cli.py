@@ -53,7 +53,7 @@ _CONFIG_KEYS = {
     "sweep": (dict, {}),
 }
 _SAMPLING_KEYS = {"mode": (str, "node"), "subsamples": (int, 3)}
-_REFERENCE_STIFFNESS_KEYS = {"rule": (str, None), "lambda": (float, None), "mu": (float, None)}
+_REFERENCE_STIFFNESS_KEYS = {"lambda": (float, None), "mu": (float, None)}
 _SOLVER_KEYS = {
     "tolerance": (float, solver.SolverConfig.tolerance),
     "max_iterations": (int, solver.SolverConfig.max_iterations),
@@ -136,13 +136,9 @@ class _Problem:
         lam, mu = ref["lambda"], ref["mu"]
         if (lam is None) != (mu is None):
             raise ConfigError("config 'reference_stiffness': give both 'lambda' and 'mu' or neither")
-        if lam is None:
-            if ref["rule"] not in (None, "phase_mean"):
-                raise ConfigError(f"config 'reference_stiffness': unknown rule {ref['rule']!r}")
+        if lam is None:  # the phase mean
             lam = float(np.mean([p.lam for p in self.micro.phases]))
             mu = float(np.mean([p.mu for p in self.micro.phases]))
-        elif ref["rule"] is not None:
-            raise ConfigError("config 'reference_stiffness': give a 'rule' or 'lambda' and 'mu', not both")
         self.reference_stiffness = _stage("reference stiffness", iso_stiffness, lam, mu, d)
         self.solver_config = _stage(
             "solver config", solver.SolverConfig, **parse_object(config["solver"], _SOLVER_KEYS, "config 'solver'")
@@ -477,6 +473,9 @@ def main(argv=None) -> int:
         return 0
     except (SpectralHomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a pattern too large for memory, outside any stage
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -81,24 +81,27 @@ putting C0 r in the classes that are C0-projectors.  Those always include
 h = 0, where G and so r vanish, which removes the mean.
 
 Every phase is isotropic, so the stiffness is one Lame pair (lambda, mu)
-per node, an (m, 2) array.  With C0 = iso(lambda0, mu0) + R split exactly
-(R = 0 for an isotropic C0), (C0 - C) x = (lambda0 - lambda) tr(x) delta +
-2 (mu0 - mu) x + R x: the solve keeps these two contrast rows of C0 - C (the
-sign the residual's pre-image needs, so no negation pass is made), in
-float64 for the refreshes and float32 for the iterations, and adds R x only
-when R has a nonzero entry.  A refresh costs one float64 stiffness product
-and two convolutions: one projects the strain or rebuilds it from its
-pre-image, one forms the residual; on the pre-image loop one more float64
-inverse transform forms the refreshed pre-image.  The effective action of its
-strain is read off that product, mean(dC (E + eps0)) + C0 (mean E + eps0),
-so the action needs no pass over C of its own.
+per node, an (m, 2) array, and so is the reference: C0 = iso(lambda0, mu0),
+read off the table's ``reference`` as lambda0 = C0[0, 1] and
+mu0 = C0[d, d] / 2.  Then (C0 - C) x = (lambda0 - lambda) tr(x) delta +
+2 (mu0 - mu) x: the solve keeps these two contrast rows of C0 - C (the sign
+the residual's pre-image needs, so no negation pass is made), in float64
+for the refreshes and float32 for the iterations.  A refresh costs one
+float64 stiffness product and two convolutions: one projects the strain or
+rebuilds it from its pre-image, one forms the residual; on the pre-image
+loop one more float64 inverse transform forms the refreshed pre-image.  The
+effective action of its strain is read off that product,
+mean(dC (E + eps0)) + C0 (mean E + eps0), so the action needs no pass over
+C of its own.
 Iteration 1 is the first refresh, at E = 0: it skips the convolution forming
 E and takes b from the real products -dC eps0.  ``SolveReport.green_convolutions``
 counts the convolutions the solve ran in each precision: one float64
 convolution at iteration 1 and two at each refresh, and one single-precision
-convolution in each later iteration that forms a direction.  A loading whose
-largest entry lies below 1/2 is solved scaled up by a power of two, exactly,
-so that the float64 norms, which square its entries, do not underflow.
+convolution in each later iteration that forms a direction.  Every loading
+is solved scaled exactly by the power of two that brings its largest entry
+into [1/2, 1), so that the float64 norms, which square its entries, neither
+underflow nor overflow; a strain or action that overflows when scaled back
+ends the solve unconverged.
 
 Iterates are component-major (D, m) fields (FFTs over the trailing Smith
 axes, pointwise products as row operations); the Lame pairs (m, 2) and the
@@ -207,14 +210,12 @@ def field_norm(values: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(flat, flat).real / values.shape[0]))
 
 
-def apply_stiffness(contrast: np.ndarray, x: np.ndarray, *, remainder=None, out=None) -> np.ndarray:
-    """Pointwise (C0 - C) x = a tr(x) delta + b x + R x on component-major (D, m) fields.
+def apply_stiffness(contrast: np.ndarray, x: np.ndarray, *, out=None) -> np.ndarray:
+    """Pointwise (C0 - C) x = a tr(x) delta + b x on component-major (D, m) fields.
 
     ``contrast`` holds the rows (a, b) = (lambda0 - lambda, 2 (mu0 - mu))
-    over nodes and ``remainder`` the (D, D) anisotropic part R of C0 (None
-    for zero), whose nonzero entries alone are added, through one scratch
-    row.  The trace term is formed in the last output row, a shear row
-    written last.  ``out``, if given, must not overlap ``x``.
+    over nodes.  The trace term is formed in the last output row, a shear
+    row written last.  ``out``, if given, must not overlap ``x``.
     """
     D = len(x)
     d = _SPATIAL_DIM.get(D)
@@ -232,10 +233,6 @@ def apply_stiffness(contrast: np.ndarray, x: np.ndarray, *, remainder=None, out=
         row += trace
     for i in range(d, D):
         np.multiply(b, x[i], out=out[i])
-    if remainder is not None:
-        term = np.empty(out.shape[1:], dtype=out.dtype)
-        for i, j in zip(*np.nonzero(remainder)):
-            np.add(out[i], np.multiply(remainder[i, j], x[j], out=term), out=out[i])
     return out
 
 
@@ -274,18 +271,23 @@ def _validate_problem(C, C0, eps0, G: GreenTable):
     return C, C0, eps0
 
 
-def _stiffness_rows(C: np.ndarray, C0: np.ndarray) -> tuple:
-    """The contrast rows (lambda0 - lambda, 2 (mu0 - mu)) (2, m) of C0 - C and the remainder R of C0, or None.
+def _stiffness_rows(C: np.ndarray, C0: np.ndarray) -> np.ndarray:
+    """The contrast rows (lambda0 - lambda, 2 (mu0 - mu)) (2, m) of C0 - C.
 
-    C0 splits exactly as iso(lambda0, mu0) + R with lambda0 = C0[0, 1] and
-    mu0 = C0[d, d] / 2, so R is zero, and None is returned, for every
-    ``iso_stiffness`` reference.  Raises DomainError unless every node is
-    uniformly elliptic: 2 mu and d lambda + 2 mu, the eigenvalues of its
-    stiffness, must exceed ``_ELLIPTIC_FLOOR`` times its largest diagonal
-    entry 2 mu + max(lambda, 0).
+    Raises DomainError unless C0 is, bit for bit, the iso(lambda0, mu0) that
+    ``iso_stiffness`` builds from lambda0 = C0[0, 1] and mu0 = C0[d, d] / 2,
+    and unless every node is uniformly elliptic: 2 mu and d lambda + 2 mu,
+    the eigenvalues of its stiffness, must exceed ``_ELLIPTIC_FLOOR`` times
+    its largest diagonal entry 2 mu + max(lambda, 0).
     """
     D = len(C0)
     d = _SPATIAL_DIM[D]
+    lam0, two_mu0 = C0[0, 1], C0[d, d]
+    iso = np.zeros((D, D))
+    iso[:d, :d] = lam0
+    iso[np.diag_indices(D)] += two_mu0
+    if not np.array_equal(C0, iso):
+        raise DomainError("reference stiffness must be isotropic, iso(C0[0, 1], C0[d, d] / 2)")
     lam, mu = C.T
     contrast = np.empty((2, len(C)))
     two_mu, floor = contrast  # scratch until the check passes
@@ -295,15 +297,10 @@ def _stiffness_rows(C: np.ndarray, C0: np.ndarray) -> tuple:
     floor *= _ELLIPTIC_FLOOR
     if not (np.all(two_mu > floor) and np.all(np.add(two_mu, d * lam, out=two_mu) > floor)):
         raise DomainError("stiffness field is not uniformly elliptic")
-    lam0, two_mu0 = C0[0, 1], C0[d, d]
     np.subtract(lam0, lam, out=contrast[0])
     np.subtract(two_mu0 / 2, mu, out=contrast[1])
     contrast[1] *= 2.0
-    iso = np.zeros((D, D))
-    iso[:d, :d] = lam0
-    iso[np.diag_indices(D)] += two_mu0
-    remainder = C0 - iso
-    return contrast, (remainder if remainder.any() else None)
+    return contrast
 
 
 def _carve(buffer: np.ndarray, dtype, shape: tuple, part: int = 0) -> np.ndarray:
@@ -324,14 +321,13 @@ class _UnitLoop:
     runs, on the one refresh schedule of ``_next_refresh``.
     """
 
-    def __init__(self, contrast: np.ndarray, remainder, eps0: np.ndarray, G: GreenTable):
-        self.contrast, self.remainder, self.eps0, self.G = contrast, remainder, eps0, G  # -dC = C0 - C
+    def __init__(self, contrast: np.ndarray, eps0: np.ndarray, G: GreenTable):
+        self.contrast, self.eps0, self.G = contrast, eps0, G  # -dC = C0 - C
         self.scale = float(np.linalg.norm(eps0))
         stiffness_unit = float(np.abs(G.reference).max())
         self.stress_unit = self.scale * stiffness_unit
         dC1 = np.empty(contrast.shape, np.float32)
         self.dC1 = np.multiply(contrast, -1.0 / stiffness_unit, out=dC1, casting="same_kind")  # dC = C - C0
-        self.R1 = None if remainder is None else (remainder * (-1.0 / stiffness_unit)).astype(np.float32)
         table = np.multiply(G.table, stiffness_unit, out=np.empty(G.table.shape, np.float32), casting="same_kind")
         self.G1 = dataclasses.replace(G, table=table, reference=G.reference / stiffness_unit)
         self.E = np.zeros((len(eps0), G.m), dtype=np.float64 if G.real else np.complex128)
@@ -351,7 +347,7 @@ class _UnitLoop:
             total, mean = np.broadcast_to(self.eps0[:, None], self.E.shape), self.eps0
         else:
             mean = total.mean(axis=1)
-        product = apply_stiffness(self.contrast, total, remainder=self.remainder, out=out)
+        product = apply_stiffness(self.contrast, total, out=out)
         self.action = np.real(self.G.reference @ mean - product.mean(axis=1))
         return product
 
@@ -422,7 +418,7 @@ class _StrainLoop(_UnitLoop):
         p = self.p
         p *= beta
         p += self.r
-        dCp = apply_stiffness(self.dC1, p, remainder=self.R1, out=self.scratch)
+        dCp = apply_stiffness(self.dC1, p, out=self.scratch)
         q = _green_convolve(self.G1, dCp, out=self.q, spectra=self.spectra, row=self.row)
         q += p
         return float(np.vdot(np.matmul(self.C1, p, out=self.scratch), q).real)
@@ -501,7 +497,7 @@ class _PreImageLoop(_UnitLoop):
         p += self.r
         pi *= beta
         pi += self.zeta
-        self.dCp = apply_stiffness(self.dC1, p, remainder=self.R1, out=self.dCp)
+        self.dCp = apply_stiffness(self.dC1, p, out=self.dCp)
         self.q = _green_convolve(self.G1, self.dCp, out=self.q, spectra=self.spectra, row=self.row)
         return float(np.vdot(pi, p).real) + float(np.vdot(p, self.dCp).real)
 
@@ -539,19 +535,19 @@ def _conjugate_gradients(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None, s
     A table whose every class is a C0-projector runs ``_StrainLoop``, any other ``_PreImageLoop``.
     """
     cfg = cfg or SolverConfig()
-    C, C0, eps0 = _validate_problem(C, C0, eps0, G)
-    contrast, remainder = _stiffness_rows(C, C0)  # -dC = C0 - C, as ``apply_stiffness`` takes it
+    C, _, eps0 = _validate_problem(C, C0, eps0, G)
+    contrast = _stiffness_rows(C, G.reference)  # -dC = C0 - C, as ``apply_stiffness`` takes it
     if not eps0.any():
         E = np.zeros((len(eps0), G.m), dtype=np.float64 if G.real else np.complex128)
         return SolveReport(E.T, 0, (0.0,), np.zeros(len(eps0)), True, scheme)
-    # a loading with max|eps0| < 1/2 is solved exactly scaled up by 2^-exponent: the float64 norms square its entries
-    exponent = min(math.frexp(float(np.abs(eps0).max()))[1], 0)
+    # the loading is solved exactly scaled by 2^-exponent into [1/2, 1): the float64 norms square its entries
+    exponent = math.frexp(float(np.abs(eps0).max()))[1]
     eps0 = np.ldexp(eps0, -exponent)
     projector = G.projector_classes()
     if projector.all():
-        loop = _StrainLoop(contrast, remainder, eps0, G)
+        loop = _StrainLoop(contrast, eps0, G)
     else:
-        loop = _PreImageLoop(contrast, remainder, eps0, G, projector=projector)
+        loop = _PreImageLoop(contrast, eps0, G, projector=projector)
     residuals = [loop.refresh(initial=True)]  # iteration 1 forms b = -G dC eps0
     iterations, refreshes, steps, directions = 1, 0, 0, 0  # steps: iterations since the last refresh
     target = _next_refresh(residuals[-1], cfg.tolerance)
@@ -581,14 +577,15 @@ def _conjugate_gradients(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None, s
     if steps:  # stopped between refreshes: the returned strain and the last residual come from one
         residuals[-1] = loop.refresh()
         refreshes += 1
-    if exponent:
-        loop.E *= math.ldexp(1.0, exponent)
+    E = loop.E  # scaled back on its float64 view: 2.0**exponent itself overflows at exponent 1024
+    np.ldexp(E.view(np.float64), exponent, out=E.view(np.float64))
+    action = np.ldexp(loop.action, exponent)
     return SolveReport(
-        strain=loop.E.T,
+        strain=E.T,
         iterations=iterations,
         residuals=tuple(residuals),
-        effective_action=np.ldexp(loop.action, exponent),
-        converged=residuals[-1] <= cfg.tolerance,
+        effective_action=action,
+        converged=bool(residuals[-1] <= cfg.tolerance and np.isfinite(action).all() and np.isfinite(E).all()),
         scheme=scheme,
         residual_refreshes=refreshes,
         green_convolutions={"single": directions, "double": 1 + 2 * refreshes},
@@ -618,9 +615,10 @@ def ls_fixed_point(C, C0, eps0, G: GreenTable, cfg: SolverConfig | None = None) 
     or curvature restarts CG from a float64 refresh; right after a refresh it
     ends the solve unconverged, as a non-finite residual or curvature does,
     and the partial field is returned with the flag cleared.  C0 must be
-    ``G.reference``, C an (m, 2) array of finite Lame pairs (lambda, mu)
-    whose stiffness is uniformly elliptic, and eps0 finite; ShapeError or
-    DomainError names the input that is not.
+    ``G.reference`` (the solve runs on ``G.reference`` itself), which must be
+    the isotropic iso(C0[0, 1], C0[d, d] / 2), C an (m, 2) array of finite
+    Lame pairs (lambda, mu) whose stiffness is uniformly elliptic, and eps0
+    finite; ShapeError or DomainError names the input that is not.
     """
     return _conjugate_gradients(C, C0, eps0, G, cfg, "ls_fixed_point")
 
