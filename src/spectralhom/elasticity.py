@@ -427,9 +427,11 @@ def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None 
     if periods < floor:
         raise DomainError(f"truncation below the rule's floor ({floor} periods)")
     kept, freqs = _stored_classes(rule)
-    factors = rule.axis_factors(periods, kept)
+    nums = rule.class_nums(kept)  # the axis factors and the class sums evaluate the same numerators
+    class_weight = 1.0 / np.prod(rule.class_sums(nums)[0], axis=0)  # w(h)
+    factors = rule.axis_factors(periods, nums)
     factors **= 2  # in place: squared coefficient factors
-    class_weight = 1.0 / np.prod(rule.class_sums(kept)[0], axis=0)  # w(h)
+    del nums  # not held through the passes below, which set the build's peak
     box_tail = 0.0
     if support is None and len(class_weight):
         # a class's weights sum to 1; the box |z|_inf <= periods keeps w(h) prod_j sum_t F_j^2

@@ -236,19 +236,23 @@ def apply_stiffness(contrast: np.ndarray, x: np.ndarray, *, out=None) -> np.ndar
     return out
 
 
-def _green_convolve(G: GreenTable, tau: np.ndarray, out=None, spectra=(None, None), row=None) -> np.ndarray:
+def _green_convolve(
+    G: GreenTable, tau: np.ndarray, out=None, spectra=(None, None), row=None, keep_product: bool = False
+) -> np.ndarray:
     """Action of the periodised Green operator on a (D, m) nodal field (real on a real table).
 
     ``out`` receives the result, and the two (D, stored classes) ``spectra``
     the transform and its Green product; ``row``, a complex128 row over the
     stored classes that overlaps none of them, holds the product's terms in
-    the spectrum's precision.  Buffers not given are allocated.
+    the spectrum's precision.  Buffers not given are allocated.  A real
+    table's inverse transform overwrites the product, unless
+    ``keep_product``: then it allocates a half spectrum of its own.
     """
     p = G.plan
     tau_hat, product = spectra
     tau_hat = p.fft(tau, out=tau_hat)
     scratch = None if row is None else _carve(row, tau_hat.dtype, tau_hat.shape[1:])
-    return p.ifft(G.apply_hat(tau_hat, out=product, scratch=scratch), out=out)
+    return p.ifft(G.apply_hat(tau_hat, out=product, scratch=scratch), out=out, overwrite=not keep_product)
 
 
 def _validate_problem(C, C0, eps0, G: GreenTable):
@@ -468,21 +472,22 @@ class _PreImageLoop(_UnitLoop):
         cast into r and zeta.
         """
         E, zeta_E, zeta_hat = self.E, self.zeta_E, self.zeta_hat
+        spectra = (zeta_hat, self.r_hat)
         if initial:  # E = zeta_E = 0
             zeta64 = self.stiffness_product(self.field)
         else:
             np.multiply(self.dzeta_E, self.stress_unit, out=E, dtype=E.dtype)  # E is rebuilt below
             np.add(zeta_E, E, out=zeta_E)
             self.dzeta_E.fill(0.0)
-            _green_convolve(self.G, zeta_E, out=E, spectra=(zeta_hat, self.r_hat), row=self.row)
+            _green_convolve(self.G, zeta_E, out=E, spectra=spectra, row=self.row)
             total = np.add(E, self.eps0[:, None], out=_carve(zeta_hat, E.dtype, E.shape))
             zeta64 = self.stiffness_product(self.field, total)
             zeta64 -= zeta_E
-        r64 = _green_convolve(self.G, zeta64, out=self.field, spectra=(zeta_hat, self.r_hat), row=self.row)
+        r64 = _green_convolve(self.G, zeta64, out=self.field, spectra=spectra, row=self.row, keep_product=True)
         np.multiply(r64, 1.0 / self.scale, out=self.r, casting="same_kind")
         residual = field_norm(r64.T) / self.scale
         zeta_hat[:, self.projector] = self.G.reference @ self.r_hat[:, self.projector]
-        zeta64 = self.G.plan.ifft(zeta_hat, out=self.field)
+        zeta64 = self.G.plan.ifft(zeta_hat, out=self.field, overwrite=True)
         np.multiply(zeta64, 1.0 / self.stress_unit, out=self.zeta, casting="same_kind")
         return residual
 

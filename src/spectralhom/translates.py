@@ -208,6 +208,10 @@ class CoefficientRule:
         """Integer numerators of M^{-T} k over the positive denominator."""
         return k @ self._adj
 
+    def class_nums(self, classes=slice(None)) -> np.ndarray:
+        """(n, d) numerators of ``_scaled_nums`` at the frequency classes of canonical positions ``classes``."""
+        return self._scaled_nums(self._freqs.freqs[classes])
+
     @property
     def raw_scale(self) -> float:
         """Constant factor of the unscaled coefficients: 1 for dirichlet, m^{-1/2} otherwise."""
@@ -226,17 +230,17 @@ class CoefficientRule:
             out *= self._axis_factor(axis, nums[:, axis])
         return out * self.raw_scale
 
-    def axis_factors(self, periods: int, classes=slice(None)) -> np.ndarray:
+    def axis_factors(self, periods: int, nums: np.ndarray | None = None) -> np.ndarray:
         """Per-axis factors F[j, t + periods, h] at xi_h + t e_j, |t| <= periods.
 
         Since M^{-T}(h + M^T z) = xi_h + z, the unscaled coefficient at
         h + M^T z is raw_scale * prod_j F[j, z_j + periods, h]; the result
-        has shape (d, 2 periods + 1, n) over the canonical positions
-        ``classes`` (all m classes by default).  B-spline rows with t != 0,
+        has shape (d, 2 periods + 1, n) over the n classes whose ``class_nums``
+        are ``nums`` (all m classes by default).  B-spline rows with t != 0,
         where xi + t != 0, take one sine per class and axis:
         sinc(xi + t) = (-1)^t sin(pi xi) / (pi (xi + t)).
         """
-        nums = self._scaled_nums(self._freqs.freqs[classes])
+        nums = self.class_nums() if nums is None else nums
         out = np.empty((self.matrix.d, 2 * periods + 1, len(nums)))
         for j, row in np.ndindex(out.shape[:2]):  # row by row keeps temporaries at one class vector
             t = row - periods
@@ -261,16 +265,17 @@ class CoefficientRule:
             vals = vals / self.class_scale[self._freqs.class_index(kk)]
         return vals[0] if single else vals
 
-    def class_sums(self, classes=slice(None)) -> tuple:
+    def class_sums(self, nums: np.ndarray | None = None) -> tuple:
         """Per-axis class sums S0[a, h] = sum_t F_a(xi_h,a + t)^2 and S1[a, h] = sum_t F_a(xi_h,a + t)^2 t.
 
         They run over the support (S1 = 0 at support 0) or through the
         B-spline series of ``_series_weights``, whose aliases at xi_a = -1/2
         pair off: there S1 = S0 / 2 exactly.  Both are (d, n) over the classes
-        of ``axis_factors``, from one axis-factor table per call.
+        of ``nums``, as in ``axis_factors``, from one axis-factor table per call.
         """
+        nums = self.class_nums() if nums is None else nums
         if self.kind == "bspline":
-            nums = self._scaled_nums(self._freqs.freqs[classes]).T
+            nums = nums.T
             xi = nums / self._den
             sums = []
             for moment, wave in enumerate((np.cos, np.sin)):
@@ -282,7 +287,7 @@ class CoefficientRule:
             s1[2 * nums == -self._den] = 0.0
             return s0, s1 - xi * s0
         periods = self.support_periods
-        weight = self.axis_factors(periods, classes) ** 2
+        weight = self.axis_factors(periods, nums) ** 2
         return weight.sum(axis=1), np.tensordot(np.arange(-periods, periods + 1.0), weight, axes=(0, 1))
 
     def class_mean_shift(self, classes=slice(None)) -> np.ndarray:
@@ -290,7 +295,7 @@ class CoefficientRule:
 
         The weighted mean of class h's frequencies is h + M^T delta_h.
         """
-        s0, s1 = self.class_sums(classes)
+        s0, s1 = self.class_sums(self.class_nums(classes))
         return s1 / s0
 
     def gram_bracket(self) -> np.ndarray:

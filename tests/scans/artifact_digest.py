@@ -17,7 +17,8 @@ report, is removed, and re-serialised with sorted keys; any other artifact
 is hashed as written.  The comparison lists the artifacts whose digests
 differ or that only one build wrote, and exits 1 if there is any, 0
 otherwise.  A build that changes numerics on purpose changes digests, so CI
-prints the comparison against the base commit without gating on it.
+prints the comparison against the base commit without gating on it; it does
+gate on the comparison of two runs of the same build, which must agree.
 """
 
 from __future__ import annotations

@@ -655,6 +655,33 @@ class TestCompatibleGreen:
         assert np.abs(unpack_symmetric(G.table) - want).max() <= 1e-13 * np.abs(want).max()
 
 
+# the pattern matrices of the benchmark's m = 4096 B-spline table and its m = 65536 surrogate solve
+BENCHMARK_PATTERNS = {"m4096": [[64, 136], [0, 64]], "m65536": [[256, 544], [0, 256]]}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("rows", BENCHMARK_PATTERNS.values(), ids=BENCHMARK_PATTERNS.keys())
+def test_tables_from_shared_class_numerators(monkeypatch, rows, order):
+    # periodized_green forms the stored classes' numerators once, for both the axis factors and the class sums;
+    # both tables keep their bits when every class's numerators are formed and the stored ones gathered after
+    M = PatternMatrix.from_any(rows)
+    C0 = iso_stiffness(1.3, 0.8, 2)
+    rule = bspline_rule(M, order)
+    class_nums, calls = CoefficientRule.class_nums, []
+
+    def counted(self, classes=slice(None)):
+        calls.append(classes)
+        return class_nums(self, classes)
+
+    monkeypatch.setattr(CoefficientRule, "class_nums", counted)
+    periodized = periodized_green(C0, rule).table
+    assert len(calls) == 1
+    compatible = compatible_green(C0, rule).table
+    monkeypatch.setattr(CoefficientRule, "class_nums", lambda self, classes=slice(None): class_nums(self)[classes])
+    assert np.array_equal(periodized_green(C0, rule).table, periodized)
+    assert np.array_equal(compatible_green(C0, rule).table, compatible)
+
+
 def _mismatched_spectrum():
     M = PatternMatrix.from_any([[4, 1], [0, 4]])
     table = periodized_green(iso_stiffness(1.0, 1.0, 2), dlvp_rule(M, [0.4, 0.3]))

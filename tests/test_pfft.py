@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -248,3 +250,76 @@ class TestRealTransform:
             h = frequency_set(M).freqs
             total = h + h[negated_classes(M)]
             assert np.all((total @ np.array(M.adjugate, dtype=np.int64)) % M.det == 0)
+
+
+# Smith grids with leading factors 1 and above 1, odd and even last factors
+BIT_PATTERNS = {
+    "2d-leading-one": [[12, 5], [0, 12]],  # Smith (1, 144)
+    "2d-even": [[6, 3], [0, 6]],  # Smith (3, 12)
+    "2d-odd": [[3, 3], [0, 9]],  # Smith (3, 9)
+    "3d-leading-one": [[4, 1, 0], [0, 6, 2], [0, 0, 2]],  # Smith (1, 2, 24)
+    "3d-even": [[2, 0, 0], [0, 4, 0], [0, 0, 6]],  # Smith (2, 2, 12)
+    "3d-odd": [[3, 0, 0], [0, 3, 0], [0, 0, 9]],  # Smith (3, 3, 9)
+}
+
+
+class TestNumpyBits:
+    """The per-axis passes give the bits of numpy's nd transforms on the Smith grid."""
+
+    @pytest.mark.parametrize("precision", [np.float32, np.float64])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("rows", BIT_PATTERNS.values(), ids=BIT_PATTERNS.keys())
+    def test_equal_to_nd_functions(self, rows, real, precision):
+        M = PatternMatrix.from_any(rows)
+        p = plan(M, real)
+        grid, axes = p.diag, tuple(range(-M.d, 0))
+        rng = np.random.default_rng(36)
+        for lead in ((), (3,), (2, 3)):
+            a = rng.standard_normal(lead + (M.m,)).astype(precision)
+            if not real:
+                a = a + 1j * rng.standard_normal(a.shape).astype(precision)
+            spectrum = p.fft(a)
+            nd = np.fft.rfftn if real else np.fft.fftn
+            want = nd(a.reshape(lead + grid), axes=axes, norm="ortho").reshape(spectrum.shape)
+            assert spectrum.dtype == want.dtype and np.array_equal(spectrum, want)
+            on_grid = spectrum.reshape(lead + p.spectrum_shape)
+            if real:
+                want = np.fft.irfftn(on_grid, s=grid, axes=axes, norm="ortho")
+            else:
+                want = np.fft.ifftn(on_grid, axes=axes, norm="ortho")
+            want = want.reshape(a.shape)
+            back = p.ifft(spectrum)
+            assert back.dtype == want.dtype and np.array_equal(back, want)
+            out = np.empty_like(back)
+            assert p.ifft(spectrum.copy(), out=out, overwrite=True) is out and np.array_equal(out, want)
+
+    def test_only_an_overwritten_spectrum_changes(self):
+        M = PatternMatrix.from_any(BIT_PATTERNS["2d-even"])
+        p = plan(M, True)
+        a = np.random.default_rng(37).standard_normal((3, M.m))
+        spectrum, full = p.fft(a), plan(M).fft(a)
+        kept = spectrum.copy(), full.copy()
+        p.ifft(spectrum)
+        plan(M).ifft(full, overwrite=True)  # a complex plan only reads its input
+        assert np.array_equal(spectrum, kept[0]) and np.array_equal(full, kept[1])
+        p.ifft(spectrum, overwrite=True)
+        assert not np.array_equal(spectrum, kept[0])
+
+    def test_real_inverse_into_out_allocates_no_spectrum(self):
+        # a (3, 256, 256) float32 field: its half spectrum is 794 KB, which the inverse used to allocate
+        M = PatternMatrix.from_any([[256, 0], [0, 256]])
+        p = plan(M, True)
+        spectrum = p.fft(np.random.default_rng(38).standard_normal((3, M.m)).astype(np.float32))
+        field = np.empty((3, M.m), dtype=np.float32)
+        peaks = {}
+        for overwrite in (False, True):
+            p.ifft(spectrum.copy(), out=field, overwrite=overwrite)  # warm up numpy's plan caches
+            values = spectrum.copy()
+            tracemalloc.start()
+            try:
+                p.ifft(values, out=field, overwrite=overwrite)
+                peaks[overwrite] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[False] >= spectrum.nbytes  # the measurement sees a spectrum-sized allocation
+        assert peaks[True] < spectrum.nbytes // 64

@@ -390,8 +390,8 @@ class TestOrthonormalize:
         broken = tr.CoefficientRule(M44, "dlvp", alpha=(1.0, 1.0))
         orig = broken.class_sums
 
-        def patched(classes=slice(None)):
-            s0, s1 = orig(classes)
+        def patched(nums=None):
+            s0, s1 = orig(nums)
             s0[:, 3] = 0.0
             return s0, s1
 
