@@ -86,6 +86,13 @@ real path applies the even extension of the stored half (where h and -h are
 both stored, j_d = 0 or d_d / 2, the inverse real transform applies their
 mean).  Other rules (Dirichlet-type factors on even patterns) keep the full
 table and complex fields.
+
+A table's columns are the slots of its transform's spectrum
+(``FftPlan.class_slots``), so that the Green product runs over the same flat
+rows as the spectrum.  A build fills the stored classes, in spectrum order,
+into the leading columns, with the passes grouped by the stored-class count
+as above, and then moves them onto their slots in place (``FftPlan.place``);
+the pad slots of a plan that pads are zero, like the column of h = 0.
 """
 
 from __future__ import annotations
@@ -355,12 +362,15 @@ class GreenTable:
 
     One real symmetric PSD Mandel matrix per stored frequency class, in the
     order of ``plan.classes``: every class in canonical order, or on a
-    ``real`` table only the half Smith grid of a real transform.  The entry
-    for the class of h = 0 comes first and is zero.
+    ``real`` table only the half Smith grid of a real transform.  The
+    columns are the slots of the plan's spectrum (``FftPlan.class_slots``),
+    so that the Green product runs over flat contiguous rows: the class of
+    h = 0 comes first and is zero, and so are the pad slots of a plan that
+    pads (see ``pfft``).
     """
 
     matrix: PatternMatrix
-    table: np.ndarray  # (D (D + 1) / 2, stored classes) float64 packed rows, read-only
+    table: np.ndarray  # (D (D + 1) / 2, plan.slots) float64 packed rows, read-only
     generator: GeneratorSpec
     periods: int | None  # class-sum truncation; None on a ``compatible_green`` table
     shifts: int | None  # shifts z summed in each class; None on a ``compatible_green`` table
@@ -379,7 +389,7 @@ class GreenTable:
         return fft_plan(self.matrix, self.real)
 
     def apply_hat(self, tau_hat: np.ndarray, *, out: np.ndarray | None = None, scratch=None) -> np.ndarray:
-        """Multiply component-major (D, stored classes) frequency fields by the per-class matrices (into ``out``).
+        """Multiply component-major (D, plan.slots) frequency fields by the per-class matrices (into ``out``).
 
         ``scratch`` is as in ``mandel_product``: a row of the product's dtype, allocated if not given.
         """
@@ -388,7 +398,7 @@ class GreenTable:
         return mandel_product(self.table, tau_hat, out=out, scratch=scratch)
 
     def projector_classes(self) -> np.ndarray:
-        """Mask of the stored classes whose matrix is a C0-projector or zero: every class of a compatible table.
+        """Mask of the slots whose matrix is a C0-projector or zero: every slot of a compatible table, and every pad.
 
         There G C0 G = G.  The eigenvalues lambda of X = C0 G(h) lie in
         [0, 1], so sum lambda - lambda^2 = tr X - tr X^2 vanishes exactly on
@@ -466,9 +476,9 @@ def periodized_green(C0: np.ndarray, rule: CoefficientRule, periods: int | None 
         share[cls] += weight.sum(axis=0, out=_workspace_view(work, "den", (shape[1],)))
         return np.add(freqs[:, None, cls], offsets[:, sh, None], out=_workspace_view(work, "k", (d,) + shape)), weight
 
-    table = _packed_rows(d, n + 1)
-    _green_rows(C0, d, table[:, 1:], taps.shape[1], shifted)
-    table[:, 1:] *= class_weight
+    table = _packed_rows(d, fft_plan(M, rule.conjugate_symmetric).slots)
+    _green_rows(C0, d, table[:, 1 : n + 1], taps.shape[1], shifted)
+    table[:, 1 : n + 1] *= class_weight
     tail = 0.0
     if support is None and n:
         tail = max(0.0, float(np.max(1.0 - class_weight * share)))
@@ -500,8 +510,8 @@ def compatible_green(C0: np.ndarray, rule: CoefficientRule) -> GreenTable:
         where = kept[cls] if rule.conjugate_symmetric else slice(cls.start + 1, cls.stop + 1)
         return (freqs[:, cls] + M.array.T @ rule.class_mean_shift(where))[:, None], None
 
-    table = _packed_rows(M.d, freqs.shape[1] + 1)
-    _green_rows(C0, M.d, table[:, 1:], 1, class_means)
+    table = _packed_rows(M.d, fft_plan(M, rule.conjugate_symmetric).slots)
+    _green_rows(C0, M.d, table[:, 1 : freqs.shape[1] + 1], 1, class_means)
     return _green_table(rule, C0, table)
 
 
@@ -521,7 +531,13 @@ def _stored_classes(rule: CoefficientRule) -> tuple:
 
 
 def _green_table(rule: CoefficientRule, C0: np.ndarray, table: np.ndarray, periods=None, shifts=None, tail=0.0):
-    """``table``, made read-only, as ``rule``'s GreenTable for the checked ``C0``: compatible without periods or support."""
+    """``rule``'s GreenTable for the checked ``C0``: compatible without periods or support.
+
+    ``table`` holds the stored classes in its leading columns, h = 0 first;
+    they are moved onto their slots of the table's plan (``FftPlan.place``)
+    and the table is made read-only.  A build holds no second table.
+    """
+    table = fft_plan(rule.matrix, rule.conjugate_symmetric).place(table)
     table.setflags(write=False)
     return GreenTable(
         matrix=rule.matrix,

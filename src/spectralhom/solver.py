@@ -241,12 +241,13 @@ def _green_convolve(
 ) -> np.ndarray:
     """Action of the periodised Green operator on a (D, m) nodal field (real on a real table).
 
-    ``out`` receives the result, and the two (D, stored classes) ``spectra``
-    the transform and its Green product; ``row``, a complex128 row over the
-    stored classes that overlaps none of them, holds the product's terms in
-    the spectrum's precision.  Buffers not given are allocated.  A real
-    table's inverse transform overwrites the product, unless
-    ``keep_product``: then it allocates a half spectrum of its own.
+    ``out`` receives the result, and the two (D, slots) ``spectra`` the
+    transform and its Green product (see ``pfft``); ``row``, a complex128 row
+    over the slots that overlaps none of them, holds the product's terms in
+    the spectrum's precision.  Buffers not given are allocated.  The
+    inverse transform of a real table, or of a complex one whose plan pads,
+    runs in the product and overwrites it, unless ``keep_product``: then a
+    real table's allocates a half spectrum of its own.
     """
     p = G.plan
     tau_hat, product = spectra

@@ -14,13 +14,16 @@ whose products run through the Green table's packed-row ``mandel_product``,
 not the solver's contrast-row ``apply_stiffness``.
 """
 
+import contextlib
 import dataclasses
+import math
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
+from spectralhom import pfft
 from spectralhom.elasticity import GreenTable, iso_stiffness, mandel_product
 from spectralhom.errors import ShapeError
 from spectralhom.lattice import frequency_set, smith_normal_form
@@ -586,6 +589,23 @@ def half_spectrum_classes(M):
 def stored_classes(G):
     """Canonical positions of the classes a Green table stores, in table order: the half spectrum if real."""
     return half_spectrum_classes(G.matrix) if G.real else np.arange(G.m)
+
+
+@contextlib.contextmanager
+def unpadded_plans():
+    """Inside the block, every transform plan keeps its spectrum rows unpadded, as plans below 2^14 points do.
+
+    The plan cache is emptied on entry and on exit, so no plan of either
+    layout outlives its block.
+    """
+    pad_from = pfft._PAD_FROM
+    pfft.plan.cache_clear()
+    pfft._PAD_FROM = math.inf
+    try:
+        yield
+    finally:
+        pfft._PAD_FROM = pad_from
+        pfft.plan.cache_clear()
 
 
 def negated_classes(M):

@@ -3,7 +3,13 @@
 Not collected by pytest.  Every ``docs/*_solve.json`` config runs through
 ``spectralhom solve`` and ``docs/sweep_alpha.json`` through ``spectralhom
 sweep-alpha``, in a temporary copy of ``docs/`` (so the checkout stays
-clean), with the ``spectralhom`` on the path.  Two builds are compared by
+clean), with the ``spectralhom`` on the path.  So does one config that the
+script writes into that copy, ``criterion8_dirichlet_solve.json``: the docs
+inclusion solved by Dirichlet VE at tolerance 1e-8 on the criterion-8
+pattern [[256, 544], [0, 256]], about 0.1 s.  Its 65,536-point transform
+plan stores odd spectrum rows, where every docs config's plan, below 2^14
+points, keeps its rows unpadded (see ``spectralhom.pfft``), so the digests
+cover both layouts.  Two builds are compared by
 running the script under each, on the same configs, and then comparing the
 two outputs:
 
@@ -43,14 +49,31 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _padded_config(work: Path) -> None:
+    """Write ``criterion8_dirichlet_solve.json`` (see the module docstring) beside the docs configs in ``work``."""
+    doc = json.loads((work / "inclusion_dlvp_solve.json").read_text(encoding="utf-8"))
+    doc.update(
+        pattern_matrix=[[256, 544], [0, 256]],
+        generator={"kind": "dirichlet"},
+        solver={"scheme": "ve_krylov", "tolerance": 1e-8, "max_iterations": 6000},
+        output={
+            "report": "out/criterion8_report.json",
+            "strain_field": "out/criterion8_strain.pfld",
+            "residuals": "out/criterion8_residuals.csv",
+        },
+    )
+    (work / "criterion8_dirichlet_solve.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
+
+
 def digests(docs: Path = DOCS) -> tuple:
-    """``{"<config>:<key>": sha256}`` over the artifacts of every config in ``docs``, and ``{config: exit code}``."""
+    """``{"<config>:<key>": sha256}`` over the docs configs' and the generated config's artifacts, and exit codes."""
     from spectralhom import cli
 
     found, codes = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp) / "docs"
         shutil.copytree(docs, work)
+        _padded_config(work)
         configs = sorted(work.glob("*_solve.json")) + [work / "sweep_alpha.json"]
         for config in configs:
             run = cli.sweep_alpha if config.name == "sweep_alpha.json" else cli.run_solve

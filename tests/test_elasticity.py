@@ -18,7 +18,7 @@ from spectralhom import (
     periodized_green,
 )
 from spectralhom import elasticity
-from spectralhom.elasticity import sym_grad_matrix
+from spectralhom.elasticity import mandel_product, sym_grad_matrix
 from spectralhom.errors import DomainError, ShapeError
 
 from oracles import (
@@ -34,6 +34,7 @@ from oracles import (
     stiffness_product_einsum,
     stored_classes,
     unpack_symmetric,
+    unpadded_plans,
 )
 
 
@@ -680,6 +681,61 @@ def test_tables_from_shared_class_numerators(monkeypatch, rows, order):
     monkeypatch.setattr(CoefficientRule, "class_nums", lambda self, classes=slice(None): class_nums(self)[classes])
     assert np.array_equal(periodized_green(C0, rule).table, periodized)
     assert np.array_equal(compatible_green(C0, rule).table, compatible)
+
+
+class TestPaddedTables:
+    """On a plan that pads (see ``pfft``) a table's columns are the spectrum's slots, the pad slots zero."""
+
+    CASES = {
+        "dirichlet": ([[128, 0], [0, 128]], dirichlet_rule),  # complex rows of 128 classes on 129 slots
+        "dlvp-zero-slope": ([[128, 0], [0, 128]], lambda M: dlvp_rule(M, [0.4, 0.0])),  # complex, 129 slots
+        "dlvp": ([[130, 0], [0, 130]], lambda M: dlvp_rule(M, [0.4, 0.3])),  # real rows of 66 classes on 67 slots
+    }
+
+    @staticmethod
+    def _pads(G):
+        pads = np.ones(G.plan.slots, dtype=bool)
+        pads[G.plan.class_slots] = False
+        return pads
+
+    @pytest.mark.parametrize("build", [compatible_green, periodized_green], ids=["compatible", "periodized"])
+    @pytest.mark.parametrize("rows, factory", CASES.values(), ids=CASES.keys())
+    def test_pad_columns_are_zero_and_classes_keep_their_bits(self, rows, factory, build):
+        M = PatternMatrix.from_any(rows)
+        C0 = iso_stiffness(1.3, 0.8, 2)
+        G = build(C0, factory(M))
+        pads = self._pads(G)
+        assert G.table.shape == (6, G.plan.slots) and pads.sum() == G.plan.slot_shape[0]
+        assert not G.table[:, pads].any() and not G.table[:, 0].any()
+        with unpadded_plans():
+            flat = build(C0, factory(M)).table
+        assert flat.shape == (6, len(G.plan.classes)) and np.array_equal(G.table[:, G.plan.class_slots], flat)
+
+    def test_compatible_dirichlet_columns_are_the_green_operator(self):
+        M = PatternMatrix.from_any(self.CASES["dirichlet"][0])
+        C0 = iso_stiffness(1.3, 0.8, 2)
+        G = compatible_green(C0, dirichlet_rule(M))
+        want = green_coeff_batch(C0, frequency_set(M).freqs[1:])
+        assert np.array_equal(unpack_symmetric(G.table[:, G.plan.class_slots[1:]]), want)
+
+    def test_green_product_on_slots_is_the_product_on_classes(self):
+        M = PatternMatrix.from_any(self.CASES["dlvp-zero-slope"][0])
+        G = periodized_green(iso_stiffness(1.3, 0.8, 2), dlvp_rule(M, [0.4, 0.0]))
+        rng = np.random.default_rng(61)
+        shape = (3, G.plan.slots)
+        tau = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(np.complex64)
+        tau[:, self._pads(G)] = 0.0
+        slots = G.plan.class_slots
+        got = G.apply_hat(tau)
+        assert np.array_equal(got[:, slots], mandel_product(G.table[:, slots], tau[:, slots]))
+        assert not got[:, self._pads(G)].any()
+
+    def test_projector_mask_holds_the_pads(self):
+        M = PatternMatrix.from_any(self.CASES["dlvp-zero-slope"][0])
+        G = periodized_green(iso_stiffness(1.3, 0.8, 2), dlvp_rule(M, [0.4, 0.0]))
+        projector = G.projector_classes()
+        assert projector.shape == (G.plan.slots,) and projector[self._pads(G)].all() and not projector.all()
+        assert compatible_green(G.reference, dlvp_rule(M, [0.4, 0.0])).projector_classes().shape == (G.plan.slots,)
 
 
 def _mismatched_spectrum():

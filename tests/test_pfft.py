@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -261,6 +262,14 @@ BIT_PATTERNS = {
     "3d-even": [[2, 0, 0], [0, 4, 0], [0, 0, 6]],  # Smith (2, 2, 12)
     "3d-odd": [[3, 0, 0], [0, 3, 0], [0, 0, 9]],  # Smith (3, 3, 9)
 }
+# plans that pad (at least 2^14 points): complex rows of 2048, 256 and 32 classes and a real row of 66 made odd; the
+# real plans of the first three keep their odd rows of 1025, 129 and 17
+PADDED_PATTERNS = {
+    "2d-surrogate": [[256, 544], [0, 256]],  # Smith (32, 2048)
+    "2d-square": [[256, 0], [0, 256]],  # Smith (256, 256)
+    "3d-cube": [[32, 0, 0], [0, 32, 0], [0, 0, 32]],  # Smith (32, 32, 32)
+    "2d-real-pads": [[130, 0], [0, 130]],  # Smith (130, 130)
+}
 
 
 class TestNumpyBits:
@@ -268,21 +277,25 @@ class TestNumpyBits:
 
     @pytest.mark.parametrize("precision", [np.float32, np.float64])
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
-    @pytest.mark.parametrize("rows", BIT_PATTERNS.values(), ids=BIT_PATTERNS.keys())
+    @pytest.mark.parametrize(
+        "rows", {**BIT_PATTERNS, **PADDED_PATTERNS}.values(), ids={**BIT_PATTERNS, **PADDED_PATTERNS}.keys()
+    )
     def test_equal_to_nd_functions(self, rows, real, precision):
         M = PatternMatrix.from_any(rows)
         p = plan(M, real)
         grid, axes = p.diag, tuple(range(-M.d, 0))
         rng = np.random.default_rng(36)
-        for lead in ((), (3,), (2, 3)):
+        for lead in ((), (3,), (2, 3)) if M.m < 1 << 14 else ((), (3,)):
             a = rng.standard_normal(lead + (M.m,)).astype(precision)
             if not real:
                 a = a + 1j * rng.standard_normal(a.shape).astype(precision)
             spectrum = p.fft(a)
+            assert spectrum.shape == lead + (p.slots,)
             nd = np.fft.rfftn if real else np.fft.fftn
-            want = nd(a.reshape(lead + grid), axes=axes, norm="ortho").reshape(spectrum.shape)
-            assert spectrum.dtype == want.dtype and np.array_equal(spectrum, want)
-            on_grid = spectrum.reshape(lead + p.spectrum_shape)
+            want = nd(a.reshape(lead + grid), axes=axes, norm="ortho")
+            on_grid = p.stored(spectrum)
+            assert spectrum.dtype == want.dtype and np.array_equal(on_grid, want)
+            assert not np.delete(spectrum, p.class_slots, axis=-1).any()  # the pad slots hold zeros
             if real:
                 want = np.fft.irfftn(on_grid, s=grid, axes=axes, norm="ortho")
             else:
@@ -300,7 +313,7 @@ class TestNumpyBits:
         spectrum, full = p.fft(a), plan(M).fft(a)
         kept = spectrum.copy(), full.copy()
         p.ifft(spectrum)
-        plan(M).ifft(full, overwrite=True)  # a complex plan only reads its input
+        plan(M).ifft(full, overwrite=True)  # a complex plan that does not pad only reads its input
         assert np.array_equal(spectrum, kept[0]) and np.array_equal(full, kept[1])
         p.ifft(spectrum, overwrite=True)
         assert not np.array_equal(spectrum, kept[0])
@@ -323,3 +336,69 @@ class TestNumpyBits:
                 tracemalloc.stop()
         assert peaks[False] >= spectrum.nbytes  # the measurement sees a spectrum-sized allocation
         assert peaks[True] < spectrum.nbytes // 64
+
+
+class TestPaddedLayout:
+    """Plans of at least 2^14 points with a leading axis of 16 or more store each even spectrum row at odd length."""
+
+    # pattern: slot shapes of the complex and the real plan
+    RULE = {
+        "below-2^14": ([[96, 0], [0, 160]], (32, 480), (32, 241)),  # 15,360 points
+        "square": ([[128, 0], [0, 128]], (128, 129), (128, 65)),  # the real row of 65 is odd already
+        "short-leading-axis": ([[8, 0], [0, 8192]], (8, 8192), (8, 4097)),  # lines of 8 points: rows kept
+        "sixteen-rows": ([[16, 0], [0, 1024]], (16, 1025), (16, 513)),
+        "no-leading-pass": ([[1, 0], [0, 16384]], (1, 16384), (1, 8193)),
+        "real-pads": ([[130, 0], [0, 130]], (130, 131), (130, 67)),
+        "cube": ([[32, 0, 0], [0, 32, 0], [0, 0, 32]], (32, 32, 33), (32, 32, 17)),
+    }
+
+    @pytest.mark.parametrize("rows, complex_slots, real_slots", RULE.values(), ids=RULE.keys())
+    def test_padding_rule(self, rows, complex_slots, real_slots):
+        M = PatternMatrix.from_any(rows)
+        for real, slots in ((False, complex_slots), (True, real_slots)):
+            p = plan(M, real)
+            assert p.slot_shape == slots and p.slots == math.prod(slots)
+            assert p.slot_shape[:-1] == p.spectrum_shape[:-1] and p.slot_shape[-1] in (
+                p.spectrum_shape[-1],
+                p.spectrum_shape[-1] + 1,
+            )
+            grid = np.arange(p.slots).reshape(slots)[..., : p.spectrum_shape[-1]]
+            assert np.array_equal(p.class_slots, grid.ravel()) and len(p.class_slots) == len(p.classes)
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_pad_slots_are_written_as_zeros_and_never_read(self, real):
+        M = PatternMatrix.from_any(PADDED_PATTERNS["2d-real-pads"])
+        p = plan(M, real)
+        pads = np.ones(p.slots, dtype=bool)
+        pads[p.class_slots] = False
+        assert pads.sum() == math.prod(p.slot_shape[:-1])  # one pad slot per row
+        rng = np.random.default_rng(39)
+        a = rng.standard_normal((3, M.m))
+        if not real:
+            a = a + 1j * rng.standard_normal(a.shape)
+        spectrum = p.fft(a, out=np.full((3, p.slots), np.nan, dtype=complex))
+        assert not spectrum[:, pads].any()
+        want = p.ifft(spectrum)
+        poisoned = spectrum.copy()
+        poisoned[:, pads] = np.nan
+        assert np.array_equal(p.ifft(poisoned), want)
+        out = np.empty_like(want)
+        assert np.array_equal(p.ifft(poisoned, out=out, overwrite=True), want)
+        assert np.isnan(poisoned[:, pads]).all()  # the passes ran on the stored classes alone
+        assert not np.array_equal(p.stored(poisoned), p.stored(spectrum))  # ... in the spectrum itself
+
+    def test_complex_inverse_in_the_spectrum_allocates_nothing(self):
+        M = PatternMatrix.from_any(PADDED_PATTERNS["2d-square"])
+        p = plan(M)
+        a = np.random.default_rng(41).standard_normal((3, M.m)).astype(np.complex64)
+        spectrum = p.fft(a)
+        field = np.empty_like(a)
+        p.ifft(spectrum.copy(), out=field, overwrite=True)  # warm up numpy's plan caches
+        values = spectrum.copy()
+        tracemalloc.start()
+        try:
+            p.ifft(values, out=field, overwrite=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < spectrum.nbytes // 64 and not np.array_equal(values, spectrum)

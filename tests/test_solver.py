@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from oracles import (
     random_spd_mandel,
     stiffness_product_einsum,
     true_residual,
+    unpadded_plans,
 )
 
 EPS0 = np.array([1.0, 0.0, 0.0])
@@ -822,6 +824,34 @@ class TestStrainLoopRefreshes:
         assert true_residual(rep.strain, C, C0, eps0, G) <= cfg.tolerance
         E = dense_oracle(C, C0, eps0, G)
         assert field_norm(rep.strain - E) <= 1e-8 * field_norm(E)
+
+
+class TestPaddedSpectra:
+    """Solves whose transform plans pad (see ``pfft``): no warning from the pad slots, and the bits of unpadded rows."""
+
+    CASES = {
+        "ve-dirichlet": (ve_krylov, [[128, 0], [0, 128]], dirichlet_rule),  # strain loop, complex
+        "ls-dlvp-zero-slope": (ls_fixed_point, [[128, 0], [0, 128]], lambda M: dlvp_rule(M, [0.4, 0.0])),  # pre-images
+        "ls-dlvp": (ls_fixed_point, [[130, 0], [0, 130]], lambda M: dlvp_rule(M, [0.4, 0.3])),  # pre-images, real
+        "ve-bspline1": (ve_krylov, [[130, 0], [0, 130]], lambda M: bspline_rule(M, 1)),  # strain loop, real
+    }
+
+    @pytest.mark.parametrize("run, rows, factory", CASES.values(), ids=CASES.keys())
+    def test_same_bits_as_unpadded_rows(self, run, rows, factory):
+        M = PatternMatrix.from_any(rows)
+        C, C0 = _criterion_8_inclusion(M)
+        build = compatible_green if run is ve_krylov else periodized_green
+        cfg = SolverConfig(tolerance=1e-8, max_iterations=500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # uninitialised pad slots would show here
+            G = build(C0, factory(M))
+            padded = run(C, C0, EPS0, G, cfg)
+        assert G.plan.slots > len(G.plan.classes) and padded.converged and padded.residual_refreshes > 0
+        with unpadded_plans():
+            flat = run(C, C0, EPS0, build(C0, factory(M)), cfg)
+        assert padded.iterations == flat.iterations and padded.residuals == flat.residuals
+        assert np.array_equal(padded.strain, flat.strain)
+        assert np.array_equal(padded.effective_action, flat.effective_action)
 
 
 class TestInputContract:
